@@ -28,6 +28,7 @@ from .env import (
     build_ring_chain,
     build_shared_successors,
     build_wgw,
+    child_seed,
     is_coupled_dynamics,
     load_env,
     load_policy,
@@ -464,11 +465,11 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         _write_json(out_dir / "corr.json", {"format_version": 1, "matrices": doc})
 
     blocks = {}
-    if ana.get("gaps", True) or ana.get("mc_compare", True):
+    if any(ana.get(key, True) for key in ("gaps", "mc_compare", "ecdf")):
         for s in states:
             blocks[s] = mc_state_block(
                 env, policy, s, tuple(range(n_a)), rollouts, trunc,
-                seed=cfg.seed + s, confidence=conf,
+                seed=child_seed(cfg.seed, s), confidence=conf,
             )
 
     if ana.get("gaps", True):
@@ -520,9 +521,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                 for b in range(n_a):
                     if a != b and gap_stats(env.space, fixed, s, a, b)[0] > 0.0:
                         pairs.append((s, a, b))
-        ratios = chebyshev_ecdf(
-            env, policy, fixed, pairs, rollouts, cfg.seed, trunc, conf
-        )
+        ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
         write_ecdf_csv(ratios, out_dir / "ecdf.csv")
 
     if ana.get("coupling", True):
@@ -563,17 +562,6 @@ def cmd_validate_env(path: str) -> int:
     return EXIT_OK
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
-    except ImportError:
-        print("threadpoolctl not available; --threads ignored", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jmdp",
@@ -585,13 +573,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--threads", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="gap/correlation/bound analyses")
     p_ana.add_argument("--config", required=True)
     p_ana.add_argument("--seed", type=int, default=None)
     p_ana.add_argument("--out", default=None)
-    p_ana.add_argument("--threads", type=int, default=None)
 
     p_val = sub.add_parser("validate-env", help="check an environment file")
     p_val.add_argument("path")
@@ -600,7 +586,6 @@ def main(argv=None) -> int:
     if args.command == "validate-env":
         return cmd_validate_env(args.path)
 
-    _apply_thread_cap(args.threads)
     try:
         overrides = {"seed": args.seed}
         if args.out is not None:

@@ -2,8 +2,13 @@
 
 apply_t2 backs up first and mixed second moments in one sweep by finite
 enumeration over the noise support and the policy; no sampling anywhere, so
-contraction properties can be checked to float precision. jipe2 iterates the
-operator and certifies accuracy through the computable residual bound
+contraction properties can be checked to float precision. Queries at distinct
+states use independent draws, so the cross-state block factors through the
+marginal MDP (env.marginal_mdp): with mean rewards r, expected continuation
+means e, marginal kernel P (|X| x S) and policy-averaged second moments M
+(S x S), it is r r' + gamma (r e' + e r') + gamma^2 P M P'. Only same-state
+entries enumerate the shared noise draw. jipe2 iterates the operator and
+certifies accuracy through the computable residual bound
 ||m - m*|| <= residual / (1 - gamma).
 
 apply_tn generalizes the backup to moment tables of any order: a tuple of
@@ -29,7 +34,7 @@ from .core import (
     lambda_norm_n,
     order_table_bytes,
 )
-from .env import ExoJmdp, Policy
+from .env import ExoJmdp, Policy, marginal_mdp
 from .errors import BudgetError, InvalidInputError
 
 __all__ = [
@@ -70,7 +75,7 @@ def _check_dims(env: ExoJmdp, m: MomentCollection2) -> None:
 def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollection2:
     """One exact application of the second-order joint Bellman operator."""
     _check_dims(env, m)
-    s_n, a_n = env.space.num_states, env.space.num_actions
+    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
     u_probs = env.noise.probs
     g, h = env.g, env.h
     pi = policy.probs
@@ -85,7 +90,7 @@ def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollec
     diag_sa = np.einsum("sasa->sa", sig)
     mdiag = np.einsum("sa,sa->s", pi, diag_sa)  # one shared next action
 
-    r_mean = g @ u_probs
+    r_mean, p_s = marginal_mdp(env)
     mbar_h = mbar[h]  # (S, N, U)
     e_mb = mbar_h @ u_probs  # E[mbar(S') | s, a]
 
@@ -93,16 +98,11 @@ def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollec
 
     # Cross-state coordinates: the two queries use independent draws, so every
     # term factorizes through the marginal MDP.
-    p_succ = np.zeros((s_n, a_n, s_n))
-    s_idx, a_idx, u_idx = np.indices(h.shape)
-    np.add.at(p_succ, (s_idx, a_idx, h), u_probs[u_idx])
-    cont = np.einsum("ixs,jyt,st->ixjy", p_succ, p_succ, msum2)
+    r, e = r_mean.reshape(n_x, 1), e_mb.reshape(n_x, 1)
+    p = p_s.reshape(n_x, s_n)
     t_sig = (
-        np.einsum("ix,jy->ixjy", r_mean, r_mean)
-        + gamma * np.einsum("ix,jy->ixjy", r_mean, e_mb)
-        + gamma * np.einsum("ix,jy->ixjy", e_mb, r_mean)
-        + gamma**2 * cont
-    )
+        r * r.T + gamma * (r * e.T) + gamma * (e * r.T) + gamma**2 * (p @ msum2 @ p.T)
+    ).reshape(s_n, a_n, s_n, a_n)
 
     # Same-state coordinates: one shared noise draw couples the two actions.
     t1 = np.einsum("u,sau,sbu->sab", u_probs, g, g)
@@ -125,7 +125,7 @@ def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollec
     acts = np.arange(a_n)
     t_sig[states[:, None], acts[None, :], states[:, None], acts[None, :]] = diag_val
 
-    t_sig = t_sig.reshape(env.space.num_x, env.space.num_x)
+    t_sig = t_sig.reshape(n_x, n_x)
     t_sig = 0.5 * (t_sig + t_sig.T)
     return MomentCollection2(t_mu.reshape(-1), t_sig)
 

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
 from .dp import apply_t2
-from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp
+from .env import ExoJmdp, Policy, marginal_kernel
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -292,40 +292,26 @@ def _pair_kernel(env: ExoJmdp, policy: Policy, mode: str) -> np.ndarray:
     mode 'global': a single exogenous draw drives both branches at every row,
     whatever their states.
     """
-    n_s, n_a = env.space.num_states, env.space.num_actions
-    n_x = env.space.num_x
-    pi = policy.probs
-    probs = env.noise.probs
-    h = env.h
-    if mode == "global":
-        # succ_pi[x, u, x'] = pi(a' | h(x, u)) laid out over x'.
-        succ_pi = np.zeros((n_x, env.noise.support_size, n_x))
-        for s in range(n_s):
-            for a in range(n_a):
-                x = s * n_a + a
-                for u in range(env.noise.support_size):
-                    succ_pi[x, u, h[s, a, u] * n_a : h[s, a, u] * n_a + n_a] = pi[
-                        h[s, a, u]
-                    ]
-        kernel = np.einsum("u,auc,bud->abcd", probs, succ_pi, succ_pi)
-        return kernel.reshape(n_x * n_x, n_x * n_x)
-    if mode != "same_state":
+    if mode not in ("same_state", "global"):
         raise InvalidQueryError(f"unknown pair-coupling mode {mode!r}")
+    n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    n_u = env.noise.support_size
+    probs = env.noise.probs
+    # succ[x, u, x'] = 1{h(x, u) = s'} pi(a' | s'): the per-noise successor law.
+    h_x = env.h.reshape(n_x, n_u)
+    succ = np.zeros((n_x, n_u, n_s, n_a))
+    succ[np.arange(n_x)[:, None], np.arange(n_u), h_x] = policy.probs[h_x]
+    succ = succ.reshape(n_x, n_u, n_x)
+    if mode == "global":
+        kernel = np.einsum("u,auc,bud->abcd", probs, succ, succ)
+        return kernel.reshape(n_x * n_x, n_x * n_x)
     p1 = marginal_kernel(env, policy)
     kernel = np.kron(p1, p1).reshape(n_x, n_x, n_x, n_x)
+    coupled = ~np.eye(n_a, dtype=bool)  # identical coordinates keep the product row
     for s in range(n_s):
-        for a in range(n_a):
-            for b in range(n_a):
-                if a == b:
-                    continue  # identical coordinates keep the product row
-                x, y = s * n_a + a, s * n_a + b
-                row = np.zeros((n_x, n_x))
-                for u in range(env.noise.support_size):
-                    sa, sb = h[s, a, u], h[s, b, u]
-                    row[sa * n_a : sa * n_a + n_a, sb * n_a : sb * n_a + n_a] += (
-                        probs[u] * np.outer(pi[sa], pi[sb])
-                    )
-                kernel[x, y] = row
+        xs = slice(s * n_a, (s + 1) * n_a)
+        rows = np.einsum("u,auc,bud->abcd", probs, succ[xs], succ[xs])
+        kernel[xs, xs][coupled] = rows[coupled]
     return kernel.reshape(n_x * n_x, n_x * n_x)
 
 

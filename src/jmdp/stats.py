@@ -388,36 +388,21 @@ class EcdfRatio:
 
 
 def chebyshev_ecdf(
-    env: ExoJmdp,
-    policy: Policy,
+    space: StateActionSpace,
     m: MomentCollection2,
     pairs,
-    num_rollouts: int,
-    seed: int,
-    trunc_tol: float = 1e-6,
-    confidence: float = 0.95,
+    blocks: dict,
 ) -> list[EcdfRatio]:
     """Ratios of empirical inferiority frequency to its one-sided moment bound.
 
-    Each ratio is computed twice: with the bound from the solver moments and
-    from the Monte Carlo moments. Pairs whose gap mean is not strictly
-    positive under both are skipped with a note.
+    blocks maps each state in pairs to its all-action Monte Carlo block. Each
+    ratio is computed twice: with the bound from the solver moments and from
+    the Monte Carlo moments. Pairs whose gap mean is not strictly positive
+    under both are skipped with a note.
     """
     out: list[EcdfRatio] = []
-    blocks: dict = {}
     for s, a, b in pairs:
-        mean, var = gap_stats(env.space, m, s, a, b)
-        if s not in blocks:
-            blocks[s] = mc_state_block(
-                env,
-                policy,
-                s,
-                tuple(range(env.space.num_actions)),
-                num_rollouts,
-                trunc_tol,
-                child_seed(seed, s),
-                confidence,
-            )
+        mean, var = gap_stats(space, m, s, a, b)
         mc = blocks[s]
         mc_mean = float(mc.gap_mean[a, b])
         mc_var = float(mc.gap_var[a, b])

@@ -30,6 +30,7 @@ from jmdp.env import (
     build_ring_chain,
     build_shared_successors,
     build_wgw,
+    child_seed,
     wgw_goal_policy,
 )
 from jmdp.errors import DivergenceError
@@ -386,7 +387,11 @@ def test_criterion_11_cantelli_and_ecdf():
                 if a != b and gap_stats(env.space, fixed, s, a, b)[0] > 0.0:
                     pairs.append((s, a, b))
     assert pairs
-    ratios = chebyshev_ecdf(env, pol, fixed, pairs, 20_000, seed=77)
+    blocks = {
+        s: mc_state_block(env, pol, s, (0, 1, 2, 3), 20_000, 1e-6, seed=child_seed(77, s))
+        for s in {s for s, _, _ in pairs}
+    }
+    ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
     agreements = []
     for r in ratios:
         assert not r.note
@@ -394,13 +399,7 @@ def test_criterion_11_cantelli_and_ecdf():
         assert r.inferiority <= r.bound_jipe + 3.0 * r.mc_ci
         agreements.append(abs(r.ratio_jipe - r.ratio_mc))
     # combined-interval agreement: recompute with moment uncertainty propagated
-    blocks = {}
     for s, a, b in pairs:
-        if s not in blocks:
-            from jmdp.env import child_seed
-
-            blocks[s] = mc_state_block(env, pol, s, (0, 1, 2, 3), 20_000, 1e-6,
-                                       seed=child_seed(77, s))
         blk = blocks[s]
         mean_dp, var_dp = gap_stats(env.space, fixed, s, a, b)
         b_dp = cantelli_bound(mean_dp, var_dp)

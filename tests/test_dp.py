@@ -14,7 +14,7 @@ from jmdp.env import ExoJmdp, NoiseModel, Policy, build_crc, build_wgw
 from jmdp.errors import BudgetError, InvalidInputError
 from jmdp.stats import _branch_returns, truncation_horizon
 
-from test_env import anticorrelated_single_state, random_env
+from test_env import anticorrelated_single_state, random_env, random_policy
 
 
 def mean_value_oracle(env, policy):
@@ -154,11 +154,19 @@ class TestApplyTn:
         np.testing.assert_allclose(out_n.table(1), out_2.m_mu, atol=1e-13)
 
     @pytest.mark.parametrize(
-        "env_fn", [lambda: build_crc(3, 0.8), lambda: build_wgw(2, 2, (0, 1), 0.3, 0.9)]
+        "case",
+        [
+            lambda: (build_crc(3, 0.8), Policy.uniform),
+            lambda: (build_wgw(2, 2, (0, 1), 0.3, 0.9), Policy.uniform),
+            lambda: (
+                random_env(6, num_states=3, num_actions=3, num_noise=4),
+                lambda space: random_policy(6, space),
+            ),
+        ],
     )
-    def test_order_two_matches_specialized_operator(self, env_fn):
-        env = env_fn()
-        pol = Policy.uniform(env.space)
+    def test_order_two_matches_specialized_operator(self, case):
+        env, make_policy = case()
+        pol = make_policy(env.space)
         rng = np.random.default_rng(2)
         m2 = random_moments(rng, env.space.num_x, scale=3.0)
         mn = MomentCollectionN((m2.m_mu, m2.m_sigma))

@@ -52,6 +52,12 @@ def random_env(seed, num_states=3, num_actions=2, num_noise=3, gamma=0.8):
     return ExoJmdp(space, NoiseModel(probs), g, h, gamma)
 
 
+def random_policy(seed, space):
+    """Non-uniform Markov policy with every action probability positive."""
+    rng = np.random.default_rng(seed)
+    return Policy(rng.dirichlet(np.ones(space.num_actions), size=space.num_states))
+
+
 class TestConstruction:
     def test_noise_must_normalize(self):
         with pytest.raises(InvalidInputError):

@@ -26,6 +26,7 @@ from jmdp.fa import (
     LinearMoments,
     beta_norm,
     beta_weight,
+    _pair_kernel,
     coupling_coefficient,
     identity_features,
     nu2_norm,
@@ -37,6 +38,8 @@ from jmdp.fa import (
     state_ramp_features,
     stationary_distribution,
 )
+
+from test_env import random_env, random_policy
 
 
 def deterministic_ring(num_states=6, gamma=0.9):
@@ -265,6 +268,43 @@ class TestBetaWeight:
     def test_violated_assumption(self):
         with pytest.raises(AssumptionError):
             beta_weight(0.9, 5.0)
+
+
+def pair_kernel_by_enumeration(env, pol, mode):
+    """Two-branch kernel row by row: sum over the noise draw(s) u (and v when
+    the branches draw independently) and over the next actions a', b'."""
+    n_a, n_x = env.space.num_actions, env.space.num_x
+    probs = env.noise.probs
+    n_u = probs.size
+    kernel = np.zeros((n_x, n_x, n_x, n_x))
+    for x in range(n_x):
+        s, a = divmod(x, n_a)
+        for y in range(n_x):
+            t, b = divmod(y, n_a)
+            shared = mode == "global" or (s == t and a != b)
+            for u in range(n_u):
+                for v in [u] if shared else range(n_u):
+                    w = probs[u] if shared else probs[u] * probs[v]
+                    s1, t1 = env.h[s, a, u], env.h[t, b, v]
+                    for a1 in range(n_a):
+                        for b1 in range(n_a):
+                            kernel[x, y, s1 * n_a + a1, t1 * n_a + b1] += (
+                                w * pol.probs[s1, a1] * pol.probs[t1, b1]
+                            )
+    return kernel.reshape(n_x * n_x, n_x * n_x)
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("mode", ["same_state", "global"])
+    def test_rows_match_enumeration(self, mode):
+        env = random_env(13, num_states=3, num_actions=3, num_noise=3)
+        pol = random_policy(13, env.space)
+        np.testing.assert_allclose(
+            _pair_kernel(env, pol, mode),
+            pair_kernel_by_enumeration(env, pol, mode),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 class TestCouplingCoefficient:

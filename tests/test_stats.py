@@ -3,7 +3,7 @@ import pytest
 
 from jmdp.core import MomentCollection2
 from jmdp.dp import jipe2
-from jmdp.env import Policy, build_crc, build_wgw, wgw_goal_policy
+from jmdp.env import Policy, build_crc, build_wgw, child_seed, wgw_goal_policy
 from jmdp.errors import AssumptionError, InvalidQueryError
 from jmdp.stats import (
     cantelli_bound,
@@ -185,6 +185,15 @@ class TestMcOracle:
         assert abs(blk.sigma[0, 1] - strict_cross) <= z * blk.sigma_se[0, 1]
 
 
+def all_action_blocks(env, pol, pairs, num_rollouts, seed):
+    """One all-action Monte Carlo block per state in pairs, seeded child_seed(seed, s)."""
+    actions = tuple(range(env.space.num_actions))
+    return {
+        s: mc_state_block(env, pol, s, actions, num_rollouts, 1e-6, child_seed(seed, s))
+        for s in {s for s, _, _ in pairs}
+    }
+
+
 class TestChebyshevEcdf:
     def test_wgw_ratios(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
@@ -197,7 +206,8 @@ class TestChebyshevEcdf:
                     if a != b and gap_stats(env.space, m, s, a, b)[0] > 0:
                         pairs.append((s, a, b))
         assert pairs
-        ratios = chebyshev_ecdf(env, pol, m, pairs, 20_000, seed=5)
+        blocks = all_action_blocks(env, pol, pairs, 20_000, seed=5)
+        ratios = chebyshev_ecdf(env.space, m, pairs, blocks)
         assert len(ratios) == len(pairs)
         for r in ratios:
             assert not r.note
@@ -213,11 +223,14 @@ class TestChebyshevEcdf:
         pairs = [(2, 1, 3)]  # bottom-left: right beats left
         mean, var = gap_stats(env.space, m, 2, 1, 3)
         assert mean > 0
-        ratios = chebyshev_ecdf(env, pol, m, pairs, 500, seed=1)
+        blocks = all_action_blocks(env, pol, pairs, 500, seed=1)
+        ratios = chebyshev_ecdf(env.space, m, pairs, blocks)
         assert ratios[0].inferiority == 0.0
         assert ratios[0].ratio_jipe == 0.0
 
     def test_nonpositive_pairs_skipped(self, crc_fixed_point):
         env, pol, m = crc_fixed_point
-        ratios = chebyshev_ecdf(env, pol, m, [(0, 0, 1)], 1_000, seed=2)
+        pairs = [(0, 0, 1)]
+        blocks = all_action_blocks(env, pol, pairs, 1_000, seed=2)
+        ratios = chebyshev_ecdf(env.space, m, pairs, blocks)
         assert ratios[0].note.startswith("skipped")
