@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LambdaWeights, MomentCollection2, lambda_norm
+from .core import MomentCollection2
 from .dp import jipe2, jipe_n, write_residual_csv
 from .env import (
     ExoJmdp,
@@ -166,6 +166,12 @@ class RunConfig:
                  "trace_stride", "reference_epsilon"),
                 "config.algorithm",
             )
+            for key in ("num_updates", "trace_stride"):
+                value = doc.get(key, 1)
+                if not isinstance(value, (int, float)) or not value >= 1:
+                    raise ConfigError(
+                        f"config.algorithm.{key}: must be >= 1, got {value!r}"
+                    )
         elif name == "projected":
             _check_keys(
                 doc, ("name", "features", "epsilon", "max_iter"), "config.algorithm"
@@ -440,6 +446,24 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     policy = cfg.build_policy(env)
     ana = cfg.analysis
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Coupling needs no moments; run it first so a pair kernel over its
+    # budget fails before the jipe2 solve and the Monte Carlo blocks.
+    if ana.get("coupling", True):
+        nu = stationary_distribution(env, policy)
+        reports = {}
+        for mode in ("same_state", "global"):
+            rep = coupling_coefficient(env, policy, nu.nu, mode=mode)
+            reports[mode] = {
+                "sqrt_c_rho": rep.sqrt_c_rho,
+                "gamma": rep.gamma,
+                "product": rep.product,
+                "satisfied": rep.satisfied,
+            }
+        _write_json(
+            out_dir / "coupling.json",
+            {"format_version": 1, "nu_source": nu.source, "modes": reports},
+        )
+
     eps = float(ana.get("epsilon", 1e-10))
     fixed = jipe2(env, policy, eps).final
     n_s, n_a = env.space.num_states, env.space.num_actions
@@ -523,22 +547,6 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                         pairs.append((s, a, b))
         ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
         write_ecdf_csv(ratios, out_dir / "ecdf.csv")
-
-    if ana.get("coupling", True):
-        nu = stationary_distribution(env, policy)
-        reports = {}
-        for mode in ("same_state", "global"):
-            rep = coupling_coefficient(env, policy, nu.nu, mode=mode)
-            reports[mode] = {
-                "sqrt_c_rho": rep.sqrt_c_rho,
-                "gamma": rep.gamma,
-                "product": rep.product,
-                "satisfied": rep.satisfied,
-            }
-        _write_json(
-            out_dir / "coupling.json",
-            {"format_version": 1, "nu_source": nu.source, "modes": reports},
-        )
 
     _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": {"analysis": True}}))
     return EXIT_OK

@@ -161,6 +161,21 @@ def child_seed(root_seed: int, stream_index: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
+def _sampling_cdfs(env: ExoJmdp, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Noise and per-state policy CDFs, last entries pinned to 1.0 so a U(0,1)
+    draw always lands inside the support."""
+    noise_cdf = np.cumsum(env.noise.probs)
+    noise_cdf[-1] = 1.0
+    pol_cdf = np.cumsum(policy.probs, axis=1)
+    pol_cdf[:, -1] = 1.0
+    return noise_cdf, pol_cdf
+
+
+def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Inverse-CDF action draw at each state from the matching uniform in r."""
+    return (r[:, None] >= pol_cdf[states]).sum(axis=1)
+
+
 def sample_table(env: ExoJmdp, s: int, rng: np.random.Generator) -> OutcomeTable:
     """Draw one outcome table at s: a single noise draw fixes all actions' outcomes."""
     if not (0 <= s < env.space.num_states):

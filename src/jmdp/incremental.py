@@ -22,7 +22,7 @@ from .core import (
     lambda_norm,
 )
 from .dp import apply_t2
-from .env import ExoJmdp, Policy
+from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -68,14 +68,25 @@ class StepSchedule:
         self._counts = np.zeros(num_slots, dtype=np.int64)
 
     def step(self, slot: int) -> float:
+        return float(self.steps(np.array([slot]))[0])
+
+    def steps(self, slots: np.ndarray) -> np.ndarray:
+        """Step sizes for consecutive visits to slots[0], slots[1], ..."""
         if self._counts is None:
             raise InvalidInputError("schedule not bound to an index set")
         if self.rule == "harmonic":
-            alpha = self.c / (self.c + self._counts[slot])
+            # Visits to a slot earlier in this batch count: rank within slot.
+            order = np.argsort(slots, kind="stable")
+            ranked = slots[order]
+            seq = np.arange(slots.size)
+            first = np.r_[True, ranked[1:] != ranked[:-1]]
+            rank = np.empty_like(seq)
+            rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
+            alpha = self.c / (self.c + (self._counts[slots] + rank))
         else:
-            alpha = self.alpha0
-        self._counts[slot] += 1
-        return float(alpha)
+            alpha = np.full(slots.size, float(self.alpha0))
+        self._counts += np.bincount(slots, minlength=self._counts.size)
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -100,80 +111,67 @@ class VisitationScheme:
         return cls("uniform")
 
 
-class _SamplingContext:
-    """Precomputed cumulative laws for fast repeated draws."""
-
-    def __init__(self, env: ExoJmdp, policy: Policy):
-        self.env = env
-        self.noise_cdf = np.cumsum(env.noise.probs)
-        self.noise_cdf[-1] = 1.0
-        self.policy_cdf = np.cumsum(policy.probs, axis=1)
-        self.policy_cdf[:, -1] = 1.0
-        self.n_actions = env.space.num_actions
-
-    def draw_u(self, r: float) -> int:
-        return int(np.searchsorted(self.noise_cdf, r, side="right"))
-
-    def draw_action(self, s: int, r: float) -> int:
-        return int(np.searchsorted(self.policy_cdf[s], r, side="right"))
+# Coordinate draw classes: the uniforms one backup consumes, in stream order,
+# are u, a' (mu and diagonal), u, a', b' (same state) or u, u2, a', b' (cross).
+_MU, _DIAG, _SAME, _CROSS = 0, 1, 2, 3
+_NUM_DRAWS = np.array([2, 2, 3, 4])
+_CHUNK = 2048  # updates presampled at once; bounds the extra memory
 
 
-def _backup_value(
-    ctx: _SamplingContext,
-    mu: np.ndarray,
-    sig: np.ndarray,
-    kind: str,
-    x: int,
-    y: int,
-    uniforms,
-) -> float:
-    """One-sample backup at a coordinate; `uniforms` yields i.i.d. U(0,1) draws.
-
-    mu is indexed by flat x; sig by (x, x'). Same-state coordinates share a
-    single noise draw; cross-state coordinates use two independent draws.
-    """
-    env = ctx.env
-    n_a = ctx.n_actions
-    g, h, gamma = env.g, env.h, env.gamma
-    s, a = divmod(x, n_a)
+def _draw_class(n_a: int, kind: str, x: int, y: int) -> int:
     if kind == "mu":
-        u = ctx.draw_u(next(uniforms))
-        s1 = int(h[s, a, u])
-        a1 = ctx.draw_action(s1, next(uniforms))
-        return float(g[s, a, u]) + gamma * float(mu[s1 * n_a + a1])
-    s2, a2 = divmod(y, n_a)
+        return _MU
     if x == y:
-        u = ctx.draw_u(next(uniforms))
-        r = float(g[s, a, u])
-        s1 = int(h[s, a, u])
-        a1 = ctx.draw_action(s1, next(uniforms))
-        x1 = s1 * n_a + a1
-        return r * r + 2.0 * gamma * r * float(mu[x1]) + gamma**2 * float(sig[x1, x1])
-    if s == s2:
-        u = ctx.draw_u(next(uniforms))
-        r1, r2 = float(g[s, a, u]), float(g[s2, a2, u])
-        s1, t1 = int(h[s, a, u]), int(h[s2, a2, u])
-    else:
-        u1 = ctx.draw_u(next(uniforms))
-        u2 = ctx.draw_u(next(uniforms))
-        r1, r2 = float(g[s, a, u1]), float(g[s2, a2, u2])
-        s1, t1 = int(h[s, a, u1]), int(h[s2, a2, u2])
-    a1 = ctx.draw_action(s1, next(uniforms))
-    b1 = ctx.draw_action(t1, next(uniforms))
-    x1 = s1 * n_a + a1
-    y1 = t1 * n_a + b1
-    return (
-        r1 * r2
-        + gamma * r1 * float(mu[y1])
-        + gamma * r2 * float(mu[x1])
-        + gamma**2 * float(sig[x1, y1])
+        return _DIAG
+    return _SAME if x // n_a == y // n_a else _CROSS
+
+
+def _sample_terms(env: ExoJmdp, cdfs, cls, x, y, w, o):
+    """Successors and backup coefficients for coordinates (cls, x, y) whose
+    draws start at w[o], one entry per coordinate.
+
+    Returns (A, B, C, x1, y1); the one-sample backup is A + B mu[x1] (mu),
+    A + B mu[x1] + gamma^2 sig[x1, x1] (diagonal, y1 = x1) or
+    A + B mu[y1] + C mu[x1] + gamma^2 sig[x1, y1] (off-diagonal). Same-state
+    coordinates share one noise draw; cross-state ones draw two.
+    """
+    noise_cdf, pol_cdf = cdfs
+    n_a, gamma = env.space.num_actions, env.gamma
+    s, a = np.divmod(x, n_a)
+    s2, a2 = np.divmod(y, n_a)
+    cross = cls == _CROSS
+    ia = o + 1 + cross
+    u1 = np.searchsorted(noise_cdf, w[o], side="right")
+    u2 = np.searchsorted(noise_cdf, w.take(o + 1, mode="clip"), side="right")
+    u2 = np.where(cross, u2, u1)
+    r1, s1 = env.g[s, a, u1], env.h[s, a, u1]
+    r2, t1 = env.g[s2, a2, u2], env.h[s2, a2, u2]
+    x1 = s1 * n_a + _draw_actions(pol_cdf, s1, w[ia])
+    y1 = t1 * n_a + _draw_actions(pol_cdf, t1, w.take(ia + 1, mode="clip"))
+    y1 = np.where(cls <= _DIAG, x1, y1)
+    coef_a = np.where(cls == _MU, r1, r1 * r2)
+    coef_b = np.where(
+        cls == _MU, gamma, np.where(cls == _DIAG, 2.0 * gamma * r1, gamma * r1)
     )
+    return coef_a, coef_b, gamma * r2, x1, y1
 
 
-def _rng_uniform_stream(rng: np.random.Generator, block: int = 1 << 16):
-    while True:
-        for v in rng.random(block):
-            yield float(v)
+def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
+    """n one-sample backups at coordinate i; draw(k) returns the uniforms,
+    sample j reading its k draws from position j*k."""
+    y = i.x if i.kind == "mu" else i.x2
+    cls = _draw_class(env.space.num_actions, i.kind, i.x, y)
+    k = int(_NUM_DRAWS[cls])
+    coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
+        env, _sampling_cdfs(env, policy), np.full(n, cls), np.full(n, i.x),
+        np.full(n, y), draw(k), np.arange(n) * k,
+    )
+    mu, sig, g2 = m.m_mu, m.m_sigma, env.gamma**2
+    if cls == _MU:
+        return coef_a + coef_b * mu[x1]
+    if cls == _DIAG:
+        return coef_a + coef_b * mu[x1] + g2 * sig[x1, y1]
+    return coef_a + coef_b * mu[y1] + coef_c * mu[x1] + g2 * sig[x1, y1]
 
 
 def sample_backup(
@@ -184,13 +182,23 @@ def sample_backup(
     rng: np.random.Generator,
 ) -> float:
     """Draw one random backup for coordinate i; its conditional mean is the
-    exact operator coordinate."""
+    exact operator coordinate. Takes exactly 8 uniforms from rng."""
     if m.m_mu.size != env.space.num_x:
         raise InvalidInputError("moment tables do not match the environment")
-    ctx = _SamplingContext(env, policy)
-    uniforms = _rng_uniform_stream(rng, block=8)
-    y = i.x if i.kind == "mu" else i.x2
-    return _backup_value(ctx, m.m_mu, m.m_sigma, i.kind, i.x, y, uniforms)
+    return float(_backups(env, policy, m, i, 1, lambda k: rng.random(8))[0])
+
+
+def _coordinate_table(space) -> tuple[np.ndarray, int]:
+    """Rows (draw class, x, y, slot) in enumerate_indices order, and the slot
+    count; mirrored second-moment pairs share a slot (one visit counter)."""
+    rows = []
+    slot_of: dict = {}
+    for idx in enumerate_indices(space):
+        y = idx.x if idx.kind == "mu" else idx.x2
+        key = (idx.kind, min(idx.x, y), max(idx.x, y))
+        slot = slot_of.setdefault(key, len(slot_of))
+        rows.append((_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
+    return np.array(rows, dtype=np.int64), len(slot_of)
 
 
 @dataclass(frozen=True)
@@ -218,70 +226,88 @@ def run_incremental(
     """
     if num_updates < 1:
         raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
+    if trace_stride < 1:
+        raise InvalidInputError(f"trace_stride must be >= 1, got {trace_stride}")
     n_x = env.space.num_x
     m_start = MomentCollection2.zeros(env.space) if m0 is None else m0
-    mu = m_start.m_mu.copy()
-    sig = m_start.m_sigma.copy()
+    table, num_slots = _coordinate_table(env.space)
+    schedule.bind(num_slots)
+    cls, xs, ys, slots = table.T
+    hops = _NUM_DRAWS[cls] + 1  # uniform mode: one visitation draw first
+    target = np.where(cls == _MU, xs, xs * n_x + ys)
+    mirror = ys * n_x + xs
+    n_idx = cls.size
 
-    indices = enumerate_indices(env.space)
-    # Unordered slot id per coordinate so mirrored pairs share a visit counter.
-    slots = np.empty(len(indices), dtype=np.int64)
-    pair_slot = {}
-    next_slot = 0
-    meta = []
-    for pos, idx in enumerate(indices):
-        if idx.kind == "mu":
-            key = ("mu", idx.x)
-            y = idx.x
-        else:
-            key = ("sigma", min(idx.x, idx.x2), max(idx.x, idx.x2))
-            y = idx.x2
-        if key not in pair_slot:
-            pair_slot[key] = next_slot
-            next_slot += 1
-        slots[pos] = pair_slot[key]
-        meta.append((idx.kind, idx.x, y))
-    schedule.bind(next_slot)
-
-    ctx = _SamplingContext(env, policy)
+    cdfs = _sampling_cdfs(env, policy)
+    # One seeded U(0,1) sequence, consumed in order. How it is cut into
+    # rng.random calls does not change its values.
     rng = np.random.default_rng(seed)
-    uniforms = _rng_uniform_stream(rng)
+    carry = np.empty(0)  # drawn ahead by the visitation walk, not yet used
     weights = LambdaWeights(env.gamma)
-    n_idx = len(indices)
+    g2 = env.gamma**2
+    # The relaxation is sequential; plain lists make it cheap per update.
+    mu = m_start.m_mu.tolist()
+    sig = m_start.m_sigma.ravel().tolist()
 
     trace: list = []
-    alpha = float("nan")
-
-    def record(k: int) -> None:
-        if fixed_point is None:
-            dist = float("nan")
-        else:
-            dist = lambda_norm(
-                MomentCollection2(mu, 0.5 * (sig + sig.T)) - fixed_point, weights
-            )
-        trace.append((k, dist, alpha))
-
-    for k in range(num_updates):
+    k = 0
+    while k < num_updates:
+        stop = min(num_updates, k + _CHUNK, (k // trace_stride + 1) * trace_stride)
+        n = stop - k
         if visitation.mode == "sweep":
-            pos = k % n_idx
+            pos = np.arange(k, stop) % n_idx
+            draws = _NUM_DRAWS[cls[pos]]
+            used = int(draws.sum())
+            w = rng.random(used)
+            start = np.cumsum(draws) - draws
         else:
-            pos = int(next(uniforms) * n_idx)
-            if pos == n_idx:  # guard against next(uniforms) == 1.0
-                pos = n_idx - 1
-        kind, x, y = meta[pos]
-        value = _backup_value(ctx, mu, sig, kind, x, y, uniforms)
-        alpha = schedule.step(int(slots[pos]))
-        if kind == "mu":
-            mu[x] = (1.0 - alpha) * mu[x] + alpha * value
-        else:
-            new = (1.0 - alpha) * sig[x, y] + alpha * value
-            sig[x, y] = new
-            sig[y, x] = new
-        if (k + 1) % trace_stride == 0 or k + 1 == num_updates:
-            record(k + 1)
+            # Which coordinate comes next depends on the draws before it, so
+            # walk the visitation draws once; the rest is gathered at once.
+            ahead = max(n * int(hops.max()) - carry.size, 0)
+            w = np.concatenate((carry, rng.random(ahead)))
+            visit = np.minimum((w * n_idx).astype(np.int64), n_idx - 1)
+            hop = hops[visit].tolist()
+            offsets = [0] * n
+            used = 0
+            for j in range(n):
+                offsets[j] = used
+                used += hop[used]
+            offsets = np.array(offsets)
+            pos = visit[offsets]
+            start = offsets + 1
+            carry = w[used:]
+        c = cls[pos]
+        coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
+            env, cdfs, c, xs[pos], ys[pos], w, start
+        )
+        alphas = schedule.steps(slots[pos])
+        for kd, t, t2, ca, cb, cc, i, j, f, al in zip(
+            c.tolist(), target[pos].tolist(), mirror[pos].tolist(),
+            coef_a.tolist(), coef_b.tolist(), coef_c.tolist(), x1.tolist(),
+            y1.tolist(), (x1 * n_x + y1).tolist(), alphas.tolist(),
+        ):
+            if kd == _MU:
+                mu[t] = (1.0 - al) * mu[t] + al * (ca + cb * mu[i])
+            elif kd == _DIAG:
+                sig[t] = (1.0 - al) * sig[t] + al * (ca + cb * mu[i] + g2 * sig[f])
+            else:
+                new = (1.0 - al) * sig[t] + al * (ca + cb * mu[j] + cc * mu[i] + g2 * sig[f])
+                sig[t] = new
+                sig[t2] = new
+        k = stop
+        if k % trace_stride == 0 or k == num_updates:
+            if fixed_point is None:
+                dist = float("nan")
+            else:
+                dist = lambda_norm(_collection(mu, sig, n_x) - fixed_point, weights)
+            trace.append((k, dist, float(alphas[-1])))
 
-    final = MomentCollection2(mu, 0.5 * (sig + sig.T))
-    return IncrementalResult(final, trace, num_updates)
+    return IncrementalResult(_collection(mu, sig, n_x), trace, num_updates)
+
+
+def _collection(mu: list, sig: list, n_x: int) -> MomentCollection2:
+    s = np.array(sig).reshape(n_x, n_x)
+    return MomentCollection2(np.array(mu), 0.5 * (s + s.T))
 
 
 def write_incremental_csv(trace, path) -> None:
@@ -330,62 +356,16 @@ def noise_diagnostic(
     else:
         exact = float(exact_full.m_sigma[i.x, i.x2])
 
-    n_a = env.space.num_actions
-    g, h, gamma = env.g, env.h, env.gamma
     rng = np.random.default_rng(seed)
-    mu, sig = m.m_mu, m.m_sigma
-    noise_cdf = np.cumsum(env.noise.probs)
-    noise_cdf[-1] = 1.0
-    pol_cdf = np.cumsum(policy.probs, axis=1)
-    pol_cdf[:, -1] = 1.0
-
-    def draw_u(n):
-        return np.searchsorted(noise_cdf, rng.random(n), side="right")
-
-    def draw_actions(states):
-        r = rng.random(states.size)
-        cdf = pol_cdf[states]
-        return (r[:, None] >= cdf).sum(axis=1)
-
     n = num_samples
-    s, a = divmod(i.x, n_a)
-    if i.kind == "mu":
-        u = draw_u(n)
-        s1 = h[s, a, u]
-        a1 = draw_actions(s1)
-        vals = g[s, a, u] + gamma * mu[s1 * n_a + a1]
-    elif i.x == i.x2:
-        u = draw_u(n)
-        r = g[s, a, u]
-        s1 = h[s, a, u]
-        a1 = draw_actions(s1)
-        x1 = s1 * n_a + a1
-        vals = r * r + 2.0 * gamma * r * mu[x1] + gamma**2 * sig[x1, x1]
-    else:
-        s2, a2 = divmod(i.x2, n_a)
-        if s == s2:
-            u1 = draw_u(n)
-            u2 = u1
-        else:
-            u1 = draw_u(n)
-            u2 = draw_u(n)
-        r1, r2 = g[s, a, u1], g[s2, a2, u2]
-        s1, t1 = h[s, a, u1], h[s2, a2, u2]
-        a1 = draw_actions(s1)
-        b1 = draw_actions(t1)
-        x1 = s1 * n_a + a1
-        y1 = t1 * n_a + b1
-        vals = (
-            r1 * r2
-            + gamma * r1 * mu[y1]
-            + gamma * r2 * mu[x1]
-            + gamma**2 * sig[x1, y1]
-        )
-
+    # One rng.random(n) call per draw slot, in stream order, as a (k, n) block.
+    vals = _backups(
+        env, policy, m, i, n, lambda k: rng.random((k, n)).ravel(order="F")
+    )
     omega = vals - exact
     mean_err = float(omega.mean())
     se = float(omega.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     second = float((omega**2).mean())
-    c0, c1 = noise_bound_constants(gamma)
-    norm = lambda_norm(m, LambdaWeights(gamma))
+    c0, c1 = noise_bound_constants(env.gamma)
+    norm = lambda_norm(m, LambdaWeights(env.gamma))
     return NoiseDiagnostic(mean_err, se, second, c0 + c1 * norm**2, n)

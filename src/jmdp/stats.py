@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .core import MomentCollection2, StateActionSpace
-from .env import ExoJmdp, Policy, child_seed
+from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs, child_seed
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -167,10 +167,6 @@ class McBlock:
         return self.z_value * self.sigma_se
 
 
-def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return (r[:, None] >= pol_cdf[states]).sum(axis=1)
-
-
 def _branch_returns(
     env: ExoJmdp,
     policy: Policy,
@@ -187,10 +183,7 @@ def _branch_returns(
     n_a = env.space.num_actions
     g_x = env.g.reshape(env.space.num_x, env.noise.support_size)
     h_x = env.h.reshape(env.space.num_x, env.noise.support_size)
-    noise_cdf = np.cumsum(env.noise.probs)
-    noise_cdf[-1] = 1.0
-    pol_cdf = np.cumsum(policy.probs, axis=1)
-    pol_cdf[:, -1] = 1.0
+    noise_cdf, pol_cdf = _sampling_cdfs(env, policy)
 
     rng = np.random.default_rng(child_seed(seed, 0))
     states = np.full((k, n), s, dtype=np.int64)

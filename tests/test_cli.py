@@ -58,6 +58,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(base_config(seed=-1))
 
+    @pytest.mark.parametrize("key", ["num_updates", "trace_stride"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_incremental_counts_must_be_positive(self, key, value):
+        doc = base_config(algorithm={"name": "incremental", key: value})
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(doc)
+
     def test_goal_policy_requires_gridworld(self):
         doc = base_config(policy={"builtin": "wgw-goal"})
         cfg = RunConfig(doc)
@@ -237,6 +244,19 @@ class TestAnalyze:
         rows = (tmp_path / "run" / "ecdf.csv").read_text().strip().splitlines()
         assert rows[0] == "state,action_a,action_b,ratio_jipe,ratio_mc,mc_ci"
         assert len(rows) > 1
+
+
+    def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys):
+        # wgw(6x6): |X| = 144, so the dense pair kernel needs 20736 > 20000 rows.
+        doc = base_config(
+            env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
+            analysis={"states": [0], "num_rollouts": 10},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) != EXIT_OK
+        assert "20736" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
 
 class TestDeterminism:
