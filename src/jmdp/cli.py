@@ -2,7 +2,9 @@
 and JSON outputs suitable for external plotting.
 
 Exit codes: 0 success / certified, 1 configuration error, 2 finished without a
-convergence certificate, 3 divergence detected.
+convergence certificate, 3 divergence detected, 4 any other package error (a
+resource budget exceeded, a violated assumption, ...), reported as
+"error: <ExceptionClass>: <message>".
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import MomentCollection2
-from .dp import jipe2, jipe_n, write_residual_csv
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n, write_residual_csv
 from .env import (
     ExoJmdp,
     Policy,
@@ -37,7 +39,9 @@ from .env import (
 )
 from .errors import ConfigError, DivergenceError, JmdpError
 from .fa import (
+    COUPLING_MODES,
     FeatureMap,
+    check_coupling_budget,
     coupling_coefficient,
     identity_features,
     projected_jipe2,
@@ -64,12 +68,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_DIVERGENCE = 3
+EXIT_ERROR = 4
 
 
 def _check_keys(doc: dict, allowed, path: str) -> None:
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _get(doc: dict, key: str, path: str, default=None, required: bool = False):
@@ -190,6 +199,20 @@ class RunConfig:
              "num_rollouts", "trunc_tol", "confidence", "epsilon"),
             "config.analysis",
         )
+        rollouts = doc.get("num_rollouts", 1)
+        if not _is_int(rollouts) or rollouts < 1:
+            raise ConfigError(
+                f"config.analysis.num_rollouts: must be an integer >= 1, got {rollouts!r}"
+            )
+        states = doc.get("states", [])
+        if not isinstance(states, list) or not all(
+            _is_int(s) and s >= 0 for s in states
+        ):
+            raise ConfigError(
+                f"config.analysis.states: must be a list of state indices, got {states!r}"
+            )
+        if len(set(states)) != len(states):
+            raise ConfigError(f"config.analysis.states: duplicate entries in {states!r}")
         return dict(doc)
 
     def to_dict(self) -> dict:
@@ -445,19 +468,33 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     env = cfg.build_env()
     policy = cfg.build_policy(env)
     ana = cfg.analysis
+    n_s, n_a = env.space.num_states, env.space.num_actions
+    states = ana.get("states", list(range(n_s)))
+    if any(s >= n_s for s in states):
+        raise ConfigError(
+            f"config.analysis.states: entries must lie in 0..{n_s - 1}, got {states!r}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Coupling needs no moments; run it first so a pair kernel over its
-    # budget fails before the jipe2 solve and the Monte Carlo blocks.
+    # Coupling needs no moments; run it first, and check its memory budget
+    # before any work, so an env over budget fails before the jipe2 solve
+    # and the Monte Carlo blocks.
     if ana.get("coupling", True):
+        budget = DEFAULT_ORDER_BUDGET_BYTES
+        for mode in COUPLING_MODES:
+            check_coupling_budget(env, mode, budget)
         nu = stationary_distribution(env, policy)
         reports = {}
-        for mode in ("same_state", "global"):
-            rep = coupling_coefficient(env, policy, nu.nu, mode=mode)
+        for mode in COUPLING_MODES:
+            rep = coupling_coefficient(
+                env, policy, nu.nu, mode=mode, memory_budget_bytes=budget
+            )
             reports[mode] = {
                 "sqrt_c_rho": rep.sqrt_c_rho,
                 "gamma": rep.gamma,
                 "product": rep.product,
                 "satisfied": rep.satisfied,
+                "iterations": rep.iterations,
+                "converged": rep.converged,
             }
         _write_json(
             out_dir / "coupling.json",
@@ -466,9 +503,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 
     eps = float(ana.get("epsilon", 1e-10))
     fixed = jipe2(env, policy, eps).final
-    n_s, n_a = env.space.num_states, env.space.num_actions
-    states = ana.get("states", list(range(n_s)))
-    rollouts = int(ana.get("num_rollouts", 20_000))
+    rollouts = ana.get("num_rollouts", 20_000)
     trunc = float(ana.get("trunc_tol", 1e-6))
     conf = float(ana.get("confidence", 0.95))
 
@@ -607,8 +642,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except JmdpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

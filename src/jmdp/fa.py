@@ -17,8 +17,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
-from .dp import apply_t2
-from .env import ExoJmdp, Policy, marginal_kernel
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, apply_t2
+from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -39,6 +39,7 @@ __all__ = [
     "project_sigma_psd",
     "projected_jipe2",
     "coupling_coefficient",
+    "check_coupling_budget",
     "beta_weight",
     "nu_norm",
     "nu2_norm",
@@ -281,10 +282,28 @@ class CouplingReport:
     product: float  # gamma^2 * sqrt_c_rho
     satisfied: bool
     mode: str
+    iterations: int  # power-loop steps taken
+    converged: bool  # False when the iteration cap was hit before `tol` was met
 
 
-def _pair_kernel(env: ExoJmdp, policy: Policy, mode: str) -> np.ndarray:
-    """Dense two-branch transition kernel over X^2.
+COUPLING_MODES = ("same_state", "global")
+_POWER_MAX_ITER = 100_000
+# |X| x |X| tables alive at the peak of one power step: the iterate, the
+# weights D^(1/2), the policy outer product pi(a'|s') pi(b'|t'), and three
+# temporaries of one kernel application or adjoint.
+_COUPLING_TABLES = 6
+# numpy's iterator buffers and the interpreter's small objects.
+_COUPLING_SLACK_BYTES = 64 * 1024
+
+
+class _PairKernel:
+    """The two-branch transition kernel P2 over X^2 and its adjoint, applied to
+    |X| x |X| tables without building the |X|^2 x |X|^2 matrix.
+
+    Both go through per-state tables: V_pi = Q V Q' (S x S) with
+    Q[s', (s', a')] = pi(a' | s'). A product row (x, y) of P2 V is
+    (P_s V_pi P_s')[x, y], with P_s the marginal law; a shared-noise row is
+    sum_u p_u V_pi[h(x, u), h(y, u)].
 
     mode 'same_state': branches at a common state draw one shared noise value
     (their joint one-step law); branches at distinct states, and a branch pair
@@ -292,27 +311,107 @@ def _pair_kernel(env: ExoJmdp, policy: Policy, mode: str) -> np.ndarray:
     mode 'global': a single exogenous draw drives both branches at every row,
     whatever their states.
     """
-    if mode not in ("same_state", "global"):
+
+    def __init__(self, env: ExoJmdp, policy: Policy, mode: str):
+        n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+        self.mode = mode
+        self.n_s, self.n_a = n_s, n_a
+        self.probs = env.noise.probs
+        self.h = env.h.reshape(n_x, env.noise.support_size)
+        self.state_of = np.repeat(np.arange(n_s), n_a)
+        pi = policy.probs.reshape(n_x)
+        self.pi_pair = np.outer(pi, pi)
+        if mode == "global":
+            return
+        self.p_x = marginal_mdp(env)[1].reshape(n_x, n_s)
+        # Shared-noise rows: the same-state pairs with distinct actions.
+        s, a, b = np.nonzero(np.broadcast_to(~np.eye(n_a, dtype=bool), (n_s, n_a, n_a)))
+        self.rows = (s * n_a + a, s * n_a + b)
+        # rows x noise flat indices into an S x S table: (h(x, u), h(y, u)).
+        self.shared_idx = self.h[self.rows[0]] * n_s + self.h[self.rows[1]]
+
+    def _per_state(self, v: np.ndarray) -> np.ndarray:
+        """Q V Q': sum the table over the next actions, weighted by pi."""
+        n_s, n_a = self.n_s, self.n_a
+        return (v * self.pi_pair).reshape(n_s, n_a, n_s, n_a).sum(axis=(1, 3))
+
+    def _per_pair(self, m: np.ndarray) -> np.ndarray:
+        """Q' M Q: spread an S x S table back over X^2, weighted by pi."""
+        out = m[self.state_of[:, None], self.state_of[None, :]]
+        out *= self.pi_pair
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(P2 vec(V)) as an |X| x |X| table."""
+        v_pi = self._per_state(v)
+        if self.mode == "global":
+            out = np.zeros_like(v)
+            for u, p in enumerate(self.probs):
+                h = self.h[:, u]
+                out += (p * v_pi)[h][:, h]
+            return out
+        out = self.p_x @ v_pi @ self.p_x.T
+        out[self.rows] = v_pi.reshape(-1)[self.shared_idx] @ self.probs
+        return out
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """(P2' vec(W)) as an |X| x |X| table."""
+        n_s = self.n_s
+        if self.mode == "global":
+            m = np.zeros(n_s * n_s)
+            flat_w = w.reshape(-1)
+            for u, p in enumerate(self.probs):
+                h = self.h[:, u]
+                idx = np.add.outer(h * n_s, h).reshape(-1)
+                m += p * np.bincount(idx, weights=flat_w, minlength=n_s * n_s)
+                del idx  # one flat index table at a time
+            return self._per_pair(m.reshape(n_s, n_s))
+        shared = w[self.rows]
+        product = w.copy()
+        product[self.rows] = 0.0
+        m = self.p_x.T @ product @ self.p_x
+        del product  # freed before the per-pair table is built
+        m += np.bincount(
+            self.shared_idx.reshape(-1),
+            weights=(shared[:, None] * self.probs).reshape(-1),
+            minlength=n_s * n_s,
+        ).reshape(n_s, n_s)
+        return self._per_pair(m)
+
+    def normal(self, v: np.ndarray, d_half: np.ndarray) -> np.ndarray:
+        """A'A V for A = D^(1/2) P2 D^(-1/2), with d_half the table of D^(1/2)."""
+        w = self.apply(v / d_half)
+        w *= d_half  # A V
+        w *= d_half
+        out = self.adjoint(w)
+        out /= d_half
+        return out
+
+
+def check_coupling_budget(
+    env: ExoJmdp, mode: str, memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES
+) -> int:
+    """Bytes the matrix-free coupling computation holds at once; raises
+    BudgetError when that exceeds the budget."""
+    if mode not in COUPLING_MODES:
         raise InvalidQueryError(f"unknown pair-coupling mode {mode!r}")
     n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
     n_u = env.noise.support_size
-    probs = env.noise.probs
-    # succ[x, u, x'] = 1{h(x, u) = s'} pi(a' | s'): the per-noise successor law.
-    h_x = env.h.reshape(n_x, n_u)
-    succ = np.zeros((n_x, n_u, n_s, n_a))
-    succ[np.arange(n_x)[:, None], np.arange(n_u), h_x] = policy.probs[h_x]
-    succ = succ.reshape(n_x, n_u, n_x)
-    if mode == "global":
-        kernel = np.einsum("u,auc,bud->abcd", probs, succ, succ)
-        return kernel.reshape(n_x * n_x, n_x * n_x)
-    p1 = marginal_kernel(env, policy)
-    kernel = np.kron(p1, p1).reshape(n_x, n_x, n_x, n_x)
-    coupled = ~np.eye(n_a, dtype=bool)  # identical coordinates keep the product row
-    for s in range(n_s):
-        xs = slice(s * n_a, (s + 1) * n_a)
-        rows = np.einsum("u,auc,bud->abcd", probs, succ[xs], succ[xs])
-        kernel[xs, xs][coupled] = rows[coupled]
-    return kernel.reshape(n_x * n_x, n_x * n_x)
+    # float tables, one |X| x S gather or product, the successor index h
+    # (|X| x U) and the state index, and a few S x S tables
+    words = (_COUPLING_TABLES * n_x + n_s + n_u + 1) * n_x + 4 * n_s * n_s
+    if mode == "same_state":
+        # the marginal law P_s; the shared rows' two index vectors, and their
+        # (row, noise) flat indices, gathered values and scatter weights
+        rows = n_s * n_a * (n_a - 1)
+        words += n_x * n_s + rows * (2 + 3 * n_u)
+    need = 8 * words + _COUPLING_SLACK_BYTES
+    if need > memory_budget_bytes:
+        raise BudgetError(
+            f"coupling coefficient over {n_x} coordinates ({mode}) needs "
+            f"{need} bytes; budget is {memory_budget_bytes}"
+        )
+    return need
 
 
 def coupling_coefficient(
@@ -321,43 +420,42 @@ def coupling_coefficient(
     nu: np.ndarray,
     tol: float = 1e-10,
     mode: str = "same_state",
-    max_pairs: int = 20_000,
+    memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> CouplingReport:
     """Operator norm of the two-branch kernel in the product-weighted geometry.
 
-    Computed as the largest singular value of D^(1/2) P2 D^(-1/2) with
-    D = diag(nu x nu), by power iteration on the normal matrix to `tol`.
+    Computed as the largest singular value of A = D^(1/2) P2 D^(-1/2) with
+    D = diag(nu x nu), by power iteration on A'A to `tol`. The kernel is applied
+    matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
+    against `memory_budget_bytes` before any work.
     """
+    check_coupling_budget(env, mode, memory_budget_bytes)
     n_x = env.space.num_x
-    if n_x * n_x > max_pairs:
-        raise BudgetError(
-            f"dense pair kernel needs {n_x * n_x} rows, cap is {max_pairs}"
-        )
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (n_x,) or np.any(nu <= 0.0):
         raise InvalidInputError("nu must be a strictly positive vector over X")
-    p2 = _pair_kernel(env, policy, mode)
-    w = np.kron(nu, nu)
-    a = (np.sqrt(w)[:, None] * p2) / np.sqrt(w)[None, :]
-    ata = a.T @ a
-    v = np.full(ata.shape[0], 1.0 / np.sqrt(ata.shape[0]))
+    kernel = _PairKernel(env, policy, mode)
+    d_half = np.sqrt(np.outer(nu, nu))
+    v = np.full((n_x, n_x), 1.0 / np.sqrt(n_x * n_x))
     lam = 0.0
-    for _ in range(100_000):
-        nv = ata @ v
+    converged = False
+    for iterations in range(1, _POWER_MAX_ITER + 1):
+        nv = kernel.normal(v, d_half)
         new_lam = float(np.linalg.norm(nv))
         if new_lam == 0.0:
-            lam = 0.0
+            lam, converged = 0.0, True
             break
         nv /= new_lam
         if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
-            lam = new_lam
-            v = nv
+            lam, converged = new_lam, True
             break
         lam = new_lam
         v = nv
     sqrt_c = float(np.sqrt(lam))
     product = env.gamma**2 * sqrt_c
-    return CouplingReport(sqrt_c, env.gamma, product, product < 1.0, mode)
+    return CouplingReport(
+        sqrt_c, env.gamma, product, product < 1.0, mode, iterations, converged
+    )
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,8 @@ def mc_state_block(
         raise InvalidQueryError(
             f"unknown continuation coupling {continuation_coupling!r}"
         )
+    if num_rollouts < 1:
+        raise InvalidInputError(f"num_rollouts must be >= 1, got {num_rollouts}")
     acts = tuple(int(a) for a in actions)
     if not acts:
         raise InvalidQueryError("need at least one action branch")

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jmdp import cli
 from jmdp.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
+    EXIT_ERROR,
     EXIT_NOT_CERTIFIED,
     EXIT_OK,
     RunConfig,
@@ -14,6 +16,7 @@ from jmdp.cli import (
 )
 from jmdp.env import build_crc, build_wgw, save_env
 from jmdp.errors import ConfigError
+from jmdp.fa import check_coupling_budget
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -246,17 +249,49 @@ class TestAnalyze:
         assert len(rows) > 1
 
 
-    def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys):
-        # wgw(6x6): |X| = 144, so the dense pair kernel needs 20736 > 20000 rows.
+    def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
+        # wgw(6x6), |X| = 144, fits the default budget; a budget one byte
+        # below the same_state need must fail before any other work.
+        env = build_wgw(6, 6, (0, 5), 0.3, 0.9)
+        need = check_coupling_budget(env, "same_state")
+        monkeypatch.setattr(cli, "DEFAULT_ORDER_BUDGET_BYTES", need - 1)
         doc = base_config(
             env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
             analysis={"states": [0], "num_rollouts": 10},
             out_dir=str(tmp_path / "run"),
         )
         cfg = write_config(tmp_path / "c.json", doc)
-        assert main(["analyze", "--config", str(cfg)]) != EXIT_OK
-        assert "20736" in capsys.readouterr().err
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: BudgetError: " in err and f"needs {need} bytes" in err
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    def test_coupling_on_large_gridworld(self, tmp_path):
+        doc = base_config(
+            env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
+            analysis={"corr": False, "gaps": False, "ecdf": False,
+                      "mc_compare": False, "coupling": True, "states": [0]},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        coupling = json.loads((tmp_path / "run" / "coupling.json").read_text())
+        for rep in coupling["modes"].values():
+            assert rep["converged"] is True and rep["iterations"] >= 1
+            assert rep["sqrt_c_rho"] >= 1.0
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [{"num_rollouts": 0}, {"states": [5]}, {"states": [0, 0]}],
+        ids=["zero_rollouts", "state_out_of_range", "duplicate_states"],
+    )
+    def test_invalid_analysis_rejected(self, tmp_path, capsys, analysis):
+        doc = base_config(analysis=analysis, out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config.analysis" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestDeterminism:

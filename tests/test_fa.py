@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from jmdp import fa
 from jmdp.core import MomentCollection2, StateActionSpace
 from jmdp.dp import jipe2
 from jmdp.env import (
@@ -13,6 +16,8 @@ from jmdp.env import (
     build_ring_chain,
     build_shared_successors,
     build_wgw,
+    marginal_kernel,
+    wgw_goal_policy,
 )
 from jmdp.errors import (
     AssumptionError,
@@ -20,13 +25,15 @@ from jmdp.errors import (
     DivergenceError,
     FeatureRankError,
     InvalidInputError,
+    InvalidQueryError,
 )
 from jmdp.fa import (
     FeatureMap,
     LinearMoments,
     beta_norm,
     beta_weight,
-    _pair_kernel,
+    _PairKernel,
+    check_coupling_budget,
     coupling_coefficient,
     identity_features,
     nu2_norm,
@@ -294,17 +301,103 @@ def pair_kernel_by_enumeration(env, pol, mode):
     return kernel.reshape(n_x * n_x, n_x * n_x)
 
 
+def dense_pair_kernel(env, pol, mode):
+    """The |X|^2 x |X|^2 two-branch kernel as a dense matrix, built from the
+    per-noise successor law succ[x, u, x'] = 1{h(x, u) = s'} pi(a' | s')."""
+    n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    n_u = env.noise.support_size
+    probs = env.noise.probs
+    h_x = env.h.reshape(n_x, n_u)
+    succ = np.zeros((n_x, n_u, n_s, n_a))
+    succ[np.arange(n_x)[:, None], np.arange(n_u), h_x] = pol.probs[h_x]
+    succ = succ.reshape(n_x, n_u, n_x)
+    if mode == "global":
+        kernel = np.einsum("u,auc,bud->abcd", probs, succ, succ)
+        return kernel.reshape(n_x * n_x, n_x * n_x)
+    p1 = marginal_kernel(env, pol)
+    kernel = np.kron(p1, p1).reshape(n_x, n_x, n_x, n_x)
+    coupled = ~np.eye(n_a, dtype=bool)  # identical coordinates keep the product row
+    for s in range(n_s):
+        xs = slice(s * n_a, (s + 1) * n_a)
+        rows = np.einsum("u,auc,bud->abcd", probs, succ[xs], succ[xs])
+        kernel[xs, xs][coupled] = rows[coupled]
+    return kernel.reshape(n_x * n_x, n_x * n_x)
+
+
+def dense_coupling_reference(env, pol, nu, mode, tol=1e-10):
+    """Power iteration on the dense normal matrix A'A, A = D^(1/2) P2 D^(-1/2):
+    the same start vector, stop rule and cap as coupling_coefficient.
+    Returns (sqrt_c_rho, iterations)."""
+    p2 = dense_pair_kernel(env, pol, mode)
+    w = np.kron(nu, nu)
+    a = (np.sqrt(w)[:, None] * p2) / np.sqrt(w)[None, :]
+    ata = a.T @ a
+    v = np.full(ata.shape[0], 1.0 / np.sqrt(ata.shape[0]))
+    lam = 0.0
+    for k in range(1, 100_001):
+        nv = ata @ v
+        new_lam = float(np.linalg.norm(nv))
+        if new_lam == 0.0:
+            return 0.0, k
+        nv /= new_lam
+        if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
+            return float(np.sqrt(new_lam)), k
+        lam = new_lam
+        v = nv
+    return float(np.sqrt(lam)), 100_000
+
+
+def kernel_cases():
+    env = random_env(13, num_states=3, num_actions=3, num_noise=3)
+    yield env, random_policy(13, env.space)
+    env = build_ring_chain(6, 0.9)
+    yield env, Policy.uniform(env.space)
+    env = build_wgw(2, 2, (0, 1), 0.3, 0.9)
+    yield env, wgw_goal_policy(2, 2, (0, 1))
+
+
 class TestPairKernel:
     @pytest.mark.parametrize("mode", ["same_state", "global"])
     def test_rows_match_enumeration(self, mode):
-        env = random_env(13, num_states=3, num_actions=3, num_noise=3)
-        pol = random_policy(13, env.space)
-        np.testing.assert_allclose(
-            _pair_kernel(env, pol, mode),
-            pair_kernel_by_enumeration(env, pol, mode),
-            rtol=0.0,
-            atol=1e-12,
-        )
+        rng = np.random.default_rng(7)
+        for env, pol in kernel_cases():
+            n_x = env.space.num_x
+            v = rng.normal(size=(n_x, n_x))
+            expected = pair_kernel_by_enumeration(env, pol, mode) @ v.reshape(-1)
+            np.testing.assert_allclose(
+                _PairKernel(env, pol, mode).apply(v).reshape(-1),
+                expected,
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("mode", ["same_state", "global"])
+    def test_adjoint_matches_transpose(self, mode):
+        rng = np.random.default_rng(8)
+        for env, pol in kernel_cases():
+            n_x = env.space.num_x
+            w = rng.normal(size=(n_x, n_x))
+            expected = pair_kernel_by_enumeration(env, pol, mode).T @ w.reshape(-1)
+            np.testing.assert_allclose(
+                _PairKernel(env, pol, mode).adjoint(w).reshape(-1),
+                expected,
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+
+def coupling_cases():
+    """Criterion 9's three constructions, ring(8), and wgw(3x3) under the
+    goal policy, each with the weighting nu the criterion uses."""
+    for env in (build_indep_successors(6, 0.9), build_shared_successors(16, 0.9),
+                build_ring_chain(8, 0.9)):
+        pol = Policy.uniform(env.space)
+        yield env, pol, stationary_distribution(env, pol).nu
+    env = deterministic_ring()
+    yield env, Policy.uniform(env.space), np.full(env.space.num_x, 1.0 / env.space.num_x)
+    env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+    pol = wgw_goal_policy(3, 3, (0, 2))
+    yield env, pol, stationary_distribution(env, pol).nu
 
 
 class TestCouplingCoefficient:
@@ -331,12 +424,56 @@ class TestCouplingCoefficient:
         rep = coupling_coefficient(env, pol, nu)
         assert rep.sqrt_c_rho <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("mode", ["same_state", "global"])
+    def test_matches_dense_reference(self, mode):
+        for env, pol, nu in coupling_cases():
+            ref, ref_iters = dense_coupling_reference(env, pol, nu, mode)
+            rep = coupling_coefficient(env, pol, nu, mode=mode)
+            assert abs(rep.sqrt_c_rho - ref) <= 1e-10
+            assert rep.iterations == ref_iters
+            assert rep.converged
+
     def test_size_cap(self):
         env = build_wgw(4, 4, (0, 3), 0.3, 0.9)
         pol = Policy.uniform(env.space)
         nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
-        with pytest.raises(BudgetError):
-            coupling_coefficient(env, pol, nu, max_pairs=100)
+        for mode in ("same_state", "global"):
+            need = check_coupling_budget(env, mode)
+            with pytest.raises(BudgetError, match=f"needs {need} bytes"):
+                coupling_coefficient(env, pol, nu, mode=mode, memory_budget_bytes=need - 1)
+            coupling_coefficient(env, pol, nu, mode=mode, memory_budget_bytes=need)
+
+    @pytest.mark.parametrize("mode", ["same_state", "global"])
+    def test_budget_bounds_measured_peak(self, mode):
+        # |X| = 144: a dense pair kernel would take 20736^2 * 8 bytes = 3.4 GB.
+        env = build_wgw(6, 6, (0, 5), 0.3, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        need = check_coupling_budget(env, mode)
+        tracemalloc.start()
+        try:
+            coupling_coefficient(env, pol, nu, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need < 2 * 1024 * 1024
+
+    def test_iteration_cap_reported(self, monkeypatch):
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        full = coupling_coefficient(env, pol, nu)
+        assert full.converged and full.iterations > 3
+        monkeypatch.setattr(fa, "_POWER_MAX_ITER", 3)
+        capped = coupling_coefficient(env, pol, nu)
+        assert not capped.converged
+        assert capped.iterations == 3
+
+    def test_unknown_mode_rejected(self):
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        with pytest.raises(InvalidQueryError, match="mode"):
+            coupling_coefficient(env, pol, np.full(6, 1 / 6), mode="shared")
 
 
 class TestProjectedIteration:

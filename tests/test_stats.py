@@ -4,7 +4,7 @@ import pytest
 from jmdp.core import MomentCollection2
 from jmdp.dp import jipe2
 from jmdp.env import Policy, build_crc, build_wgw, child_seed, wgw_goal_policy
-from jmdp.errors import AssumptionError, InvalidQueryError
+from jmdp.errors import AssumptionError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
     cantelli_bound,
     chebyshev_ecdf,
@@ -154,6 +154,11 @@ class TestMcOracle:
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidQueryError):
             mc_oracle(env, Policy.uniform(env.space), 0, (1, 1), 100, 1e-4, 0)
+
+    def test_rollouts_must_be_positive(self):
+        env = build_crc(3, 0.9)
+        with pytest.raises(InvalidInputError, match="num_rollouts"):
+            mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 0, 1e-4, 0)
 
     def test_cross_term_agrees_with_solver(self, crc_fixed_point):
         env, pol, m = crc_fixed_point
