@@ -22,6 +22,7 @@ from . import __version__
 from .core import MomentCollection2
 from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n, write_residual_csv
 from .env import (
+    _PROB_TOL,
     ExoJmdp,
     Policy,
     build_crc,
@@ -30,11 +31,13 @@ from .env import (
     build_ring_chain,
     build_shared_successors,
     build_wgw,
+    check_format_version,
     child_seed,
     is_coupled_dynamics,
     load_env,
     load_policy,
     marginal_mdp,
+    read_json_doc,
     wgw_goal_policy,
 )
 from .errors import ConfigError, DivergenceError, JmdpError
@@ -44,6 +47,7 @@ from .fa import (
     check_coupling_budget,
     coupling_coefficient,
     identity_features,
+    load_features,
     projected_jipe2,
     state_poly_features,
     state_ramp_features,
@@ -71,149 +75,218 @@ EXIT_DIVERGENCE = 3
 EXIT_ERROR = 4
 
 
-def _check_keys(doc: dict, allowed, path: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+# -- config schema -----------------------------------------------------------
+# A schema maps each key of a config section to (check, default). A check takes
+# (value, field path) and returns the parsed value or raises ConfigError; an
+# absent key takes its default, which goes through the same check. A default of
+# None stands for a value that depends on the environment.
+
+_REQUIRED = object()
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _int(lo: int):
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+            raise ConfigError(f"{path}: must be an integer >= {lo}, got {value!r}")
+        return value
+    return check
 
 
-def _get(doc: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in doc:
-        if required:
+def _real(interval: str):
+    """A finite number in `interval`, written like "(0, 1]" or "(0, inf)"."""
+    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
+    lo, hi = (float(t) for t in interval[1:-1].split(","))
+
+    def check(value, path):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max  # finite, and fits a float
+        ok = ok and (lo < value if lo_open else lo <= value)
+        ok = ok and (value < hi if hi_open else value <= hi)
+        if not ok:
+            raise ConfigError(f"{path}: must be a number in {interval}, got {value!r}")
+        return float(value)
+    return check
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: must be a non-empty string, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    def check(value, path):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"{path}: unknown value {value!r}; choose from {options}")
+        return value
+    return check
+
+
+def _or_none(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _hub_probs(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: must be a pair of probabilities, got {value!r}")
+    probs = tuple(_real("(0, 1)")(p, f"{path}[{i}]") for i, p in enumerate(value))
+    if abs(sum(probs) - 1.0) > _PROB_TOL:
+        raise ConfigError(f"{path}: must sum to 1, got {value!r}")
+    return probs
+
+
+def _state_list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of state indices, got {value!r}")
+    states = [_int(0)(s, f"{path}[{i}]") for i, s in enumerate(value)]
+    if len(set(states)) != len(states):
+        raise ConfigError(f"{path}: duplicate entries in {value!r}")
+    return states
+
+
+def _section(doc, schema: dict, path: str) -> dict:
+    """Parse one config object against its schema."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be an object, got {doc!r}")
+    for key, (_, default) in schema.items():
+        if key not in doc and default is _REQUIRED:
             raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return doc[key]
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}: unknown field; allowed: {sorted(schema)}")
+    return {
+        key: check(doc[key] if key in doc else default, f"{path}.{key}")
+        for key, (check, default) in schema.items()
+    }
+
+
+def _pick(key: str, variants: dict, files: bool = False):
+    """Check of a section whose `key` field picks its schema from `variants`;
+    with `files`, a section holding a "path" names a JSON file instead."""
+    choose = _choice(*variants)
+
+    def check(doc, path):
+        variant = {}
+        if isinstance(doc, dict) and files and "path" in doc:
+            return _section(doc, {"path": (_text, _REQUIRED)}, path)
+        if isinstance(doc, dict) and key in doc:
+            variant = variants[choose(doc[key], f"{path}.{key}")]
+        return _section(doc, {key: (choose, _REQUIRED), **variant}, path)
+    return check
+
+
+_GAMMA = (_real("(0, 1)"), 0.9)
+
+
+def _build_wgw(width, height, goal_row, goal_col, p_wind, gamma) -> ExoJmdp:
+    return build_wgw(width, height, (goal_row, goal_col), p_wind, gamma)
+
+
+# builtin -> (builder called with the parsed fields, schema)
+_ENV_BUILTINS = {
+    "crc": (build_crc, {"num_states": (_int(2), 25), "gamma": _GAMMA}),
+    "wgw": (_build_wgw, {
+        "width": (_int(1), 3),
+        "height": (_int(1), 3),
+        "goal_row": (_int(0), 0),
+        "goal_col": (_or_none(_int(0)), None),  # None: width - 1
+        "p_wind": (_real("[0, 1]"), 0.3),
+        "gamma": _GAMMA,
+    }),
+    "ring": (build_ring_chain, {"num_states": (_int(3), 8), "gamma": _GAMMA}),
+    "indep-successors": (
+        build_indep_successors, {"num_states": (_int(2), 6), "gamma": _GAMMA}
+    ),
+    "shared-successors": (
+        build_shared_successors, {"num_states": (_int(2), 16), "gamma": _GAMMA}
+    ),
+    "hub-successors": (build_hub_successors, {
+        "num_states": (_int(3), 16),
+        "gamma": _GAMMA,
+        "hub_probs": (_hub_probs, (0.8, 0.2)),
+    }),
+}
+
+
+def _env(doc, path):
+    """The env section; wgw's goal_col defaults to the last column, width - 1."""
+    schemas = {name: schema for name, (_, schema) in _ENV_BUILTINS.items()}
+    env = _pick("builtin", schemas, files=True)(doc, path)
+    if "builtin" in env and env["builtin"] == "wgw" and env["goal_col"] is None:
+        env["goal_col"] = env["width"] - 1
+    return env
+
+
+_POSITIVE = _real("(0, inf)")
+_ALGORITHMS = {
+    "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_int(0), 100_000)},
+    "dpn": {
+        "order": (_int(1), _REQUIRED),
+        "epsilon": (_POSITIVE, 1e-8),
+        "max_iter": (_int(0), 100_000),
+    },
+    "incremental": {
+        "rule": (_choice("harmonic", "constant"), "harmonic"),
+        "c": (_POSITIVE, 10.0),
+        "alpha0": (_real("(0, 1]"), 0.1),
+        "visitation": (_choice("uniform", "sweep"), "uniform"),
+        "num_updates": (_int(1), 1_000_000),
+        "trace_stride": (_int(1), 10_000),
+        "reference_epsilon": (_POSITIVE, 1e-10),
+    },
+    "projected": {
+        "features": (_pick("builtin", {
+            "identity": {},
+            "state-poly": {"degree": (_int(0), 2)},
+            "state-ramp": {},
+        }, files=True), _REQUIRED),
+        "epsilon": (_POSITIVE, 1e-9),
+        "max_iter": (_int(0), 10_000),
+    },
+}
+
+_ANALYSIS = {
+    "gaps": (_bool, True),
+    "corr": (_bool, True),
+    "ecdf": (_bool, True),
+    "coupling": (_bool, True),
+    "mc_compare": (_bool, True),
+    "states": (_or_none(_state_list), None),  # None: every state
+    "num_rollouts": (_int(1), 20_000),
+    "trunc_tol": (_POSITIVE, 1e-6),
+    "confidence": (_real("(0, 1)"), 0.95),
+    "epsilon": (_POSITIVE, 1e-10),
+}
+
+_CONFIG = {
+    "format_version": (check_format_version, _REQUIRED),
+    "env": (_env, _REQUIRED),
+    "policy": (_pick("builtin", {"uniform": {}, "wgw-goal": {}}, files=True),
+               {"builtin": "uniform"}),
+    "algorithm": (_pick("name", _ALGORITHMS), _REQUIRED),
+    "analysis": (lambda doc, path: _section(doc, _ANALYSIS, path), {}),
+    "seed": (_int(0), 0),
+    "out_dir": (_text, "runs/latest"),
+}
 
 
 class RunConfig:
-    """Validated run configuration; round-trips through to_dict/from_dict."""
-
-    ENV_BUILTINS = (
-        "crc",
-        "wgw",
-        "ring",
-        "indep-successors",
-        "shared-successors",
-        "hub-successors",
-    )
+    """Run configuration parsed against the schema tables above; to_dict and
+    config_hash record the raw document."""
 
     def __init__(self, doc: dict, base_dir: Path | None = None):
-        if not isinstance(doc, dict):
-            raise ConfigError("config: top level must be an object")
-        _check_keys(
-            doc,
-            ("format_version", "env", "policy", "algorithm", "analysis", "seed", "out_dir"),
-            "config",
-        )
-        if _get(doc, "format_version", "config", required=True) != 1:
-            raise ConfigError("config.format_version: only version 1 is supported")
+        parsed = _section(doc, _CONFIG, "config")
+        self.env_spec, self.policy_spec = parsed["env"], parsed["policy"]
+        self.algorithm, self.analysis = parsed["algorithm"], parsed["analysis"]
+        self.seed, self.out_dir = parsed["seed"], parsed["out_dir"]
         self.base_dir = base_dir or Path(".")
-        self.env_spec = self._parse_env(_get(doc, "env", "config", required=True))
-        self.policy_spec = self._parse_policy(_get(doc, "policy", "config") or {"builtin": "uniform"})
-        self.algorithm = self._parse_algorithm(_get(doc, "algorithm", "config", required=True))
-        self.analysis = self._parse_analysis(_get(doc, "analysis", "config") or {})
-        seed = _get(doc, "seed", "config", default=0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"config.seed: must be a nonnegative integer, got {seed!r}")
-        self.seed = seed
-        self.out_dir = _get(doc, "out_dir", "config", default="runs/latest")
         self.raw = doc
-
-    @staticmethod
-    def _parse_env(doc) -> dict:
-        if not isinstance(doc, dict):
-            raise ConfigError("config.env: must be an object")
-        if "path" in doc:
-            _check_keys(doc, ("path",), "config.env")
-            return {"path": doc["path"]}
-        _check_keys(
-            doc,
-            ("builtin", "num_states", "gamma", "width", "height", "goal_row",
-             "goal_col", "p_wind", "hub_probs"),
-            "config.env",
-        )
-        builtin = _get(doc, "builtin", "config.env", required=True)
-        if builtin not in RunConfig.ENV_BUILTINS:
-            raise ConfigError(
-                f"config.env.builtin: unknown builtin {builtin!r}; "
-                f"choose from {RunConfig.ENV_BUILTINS}"
-            )
-        return dict(doc)
-
-    @staticmethod
-    def _parse_policy(doc) -> dict:
-        if not isinstance(doc, dict):
-            raise ConfigError("config.policy: must be an object")
-        if "path" in doc:
-            _check_keys(doc, ("path",), "config.policy")
-            return {"path": doc["path"]}
-        _check_keys(doc, ("builtin",), "config.policy")
-        builtin = _get(doc, "builtin", "config.policy", required=True)
-        if builtin not in ("uniform", "wgw-goal"):
-            raise ConfigError(f"config.policy.builtin: unknown builtin {builtin!r}")
-        return dict(doc)
-
-    @staticmethod
-    def _parse_algorithm(doc) -> dict:
-        if not isinstance(doc, dict):
-            raise ConfigError("config.algorithm: must be an object")
-        name = _get(doc, "name", "config.algorithm", required=True)
-        if name == "dp2":
-            _check_keys(doc, ("name", "epsilon", "max_iter"), "config.algorithm")
-        elif name == "dpn":
-            _check_keys(doc, ("name", "order", "epsilon", "max_iter"), "config.algorithm")
-            if _get(doc, "order", "config.algorithm", required=True) < 1:
-                raise ConfigError("config.algorithm.order: must be >= 1")
-        elif name == "incremental":
-            _check_keys(
-                doc,
-                ("name", "rule", "c", "alpha0", "visitation", "num_updates",
-                 "trace_stride", "reference_epsilon"),
-                "config.algorithm",
-            )
-            for key in ("num_updates", "trace_stride"):
-                value = doc.get(key, 1)
-                if not isinstance(value, (int, float)) or not value >= 1:
-                    raise ConfigError(
-                        f"config.algorithm.{key}: must be >= 1, got {value!r}"
-                    )
-        elif name == "projected":
-            _check_keys(
-                doc, ("name", "features", "epsilon", "max_iter"), "config.algorithm"
-            )
-        else:
-            raise ConfigError(f"config.algorithm.name: unknown algorithm {name!r}")
-        return dict(doc)
-
-    @staticmethod
-    def _parse_analysis(doc) -> dict:
-        if not isinstance(doc, dict):
-            raise ConfigError("config.analysis: must be an object")
-        _check_keys(
-            doc,
-            ("gaps", "corr", "ecdf", "coupling", "mc_compare", "states",
-             "num_rollouts", "trunc_tol", "confidence", "epsilon"),
-            "config.analysis",
-        )
-        rollouts = doc.get("num_rollouts", 1)
-        if not _is_int(rollouts) or rollouts < 1:
-            raise ConfigError(
-                f"config.analysis.num_rollouts: must be an integer >= 1, got {rollouts!r}"
-            )
-        states = doc.get("states", [])
-        if not isinstance(states, list) or not all(
-            _is_int(s) and s >= 0 for s in states
-        ):
-            raise ConfigError(
-                f"config.analysis.states: must be a list of state indices, got {states!r}"
-            )
-        if len(set(states)) != len(states):
-            raise ConfigError(f"config.analysis.states: duplicate entries in {states!r}")
-        return dict(doc)
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -226,56 +299,25 @@ class RunConfig:
     # -- materialization ----------------------------------------------------
 
     def build_env(self) -> ExoJmdp:
-        spec = self.env_spec
-        if "path" in spec:
-            return load_env(self.base_dir / spec["path"])
-        builtin = spec["builtin"]
-        gamma = _get(spec, "gamma", "config.env", default=0.9)
-        if builtin == "crc":
-            return build_crc(_get(spec, "num_states", "config.env", default=25), gamma)
-        if builtin == "ring":
-            return build_ring_chain(_get(spec, "num_states", "config.env", default=8), gamma)
-        if builtin == "wgw":
-            width = _get(spec, "width", "config.env", default=3)
-            height = _get(spec, "height", "config.env", default=3)
-            goal = (
-                _get(spec, "goal_row", "config.env", default=0),
-                _get(spec, "goal_col", "config.env", default=width - 1),
-            )
-            p_wind = _get(spec, "p_wind", "config.env", default=0.3)
-            return build_wgw(width, height, goal, p_wind, gamma)
-        if builtin == "indep-successors":
-            return build_indep_successors(
-                _get(spec, "num_states", "config.env", default=6), gamma
-            )
-        if builtin == "shared-successors":
-            return build_shared_successors(
-                _get(spec, "num_states", "config.env", default=16), gamma
-            )
-        return build_hub_successors(
-            _get(spec, "num_states", "config.env", default=16),
-            gamma,
-            tuple(_get(spec, "hub_probs", "config.env", default=(0.8, 0.2))),
-        )
+        fields = dict(self.env_spec)
+        if "path" in fields:
+            return load_env(self.base_dir / fields["path"])
+        builder, _ = _ENV_BUILTINS[fields.pop("builtin")]
+        return builder(**fields)
 
     def build_policy(self, env: ExoJmdp) -> Policy:
-        spec = self.policy_spec
+        spec, env_spec = self.policy_spec, self.env_spec
         if "path" in spec:
             policy = load_policy(self.base_dir / spec["path"])
         elif spec["builtin"] == "uniform":
             policy = Policy.uniform(env.space)
+        elif "builtin" in env_spec and env_spec["builtin"] == "wgw":
+            goal = (env_spec["goal_row"], env_spec["goal_col"])
+            policy = wgw_goal_policy(env_spec["width"], env_spec["height"], goal)
         else:
-            if self.env_spec.get("builtin") != "wgw":
-                raise ConfigError(
-                    "config.policy.builtin: wgw-goal policy requires a wgw builtin env"
-                )
-            width = _get(self.env_spec, "width", "config.env", default=3)
-            height = _get(self.env_spec, "height", "config.env", default=3)
-            goal = (
-                _get(self.env_spec, "goal_row", "config.env", default=0),
-                _get(self.env_spec, "goal_col", "config.env", default=width - 1),
+            raise ConfigError(
+                "config.policy.builtin: wgw-goal policy requires a wgw builtin env"
             )
-            policy = wgw_goal_policy(width, height, goal)
         if policy.probs.shape != (env.space.num_states, env.space.num_actions):
             raise ConfigError(
                 f"config.policy: table shape {policy.probs.shape} does not match "
@@ -285,40 +327,25 @@ class RunConfig:
         return policy
 
     def build_features(self, env: ExoJmdp) -> FeatureMap:
-        doc = _get(self.algorithm, "features", "config.algorithm", required=True)
-        if not isinstance(doc, dict):
-            raise ConfigError("config.algorithm.features: must be an object")
-        if "path" in doc:
-            _check_keys(doc, ("path",), "config.algorithm.features")
-            raw = json.loads((self.base_dir / doc["path"]).read_text())
-            if raw.get("format_version") != 1:
-                raise ConfigError(
-                    f"{doc['path']}.format_version: unsupported version"
-                )
-            return FeatureMap(np.asarray(raw["phi"], dtype=float))
-        _check_keys(doc, ("builtin", "degree"), "config.algorithm.features")
-        builtin = _get(doc, "builtin", "config.algorithm.features", required=True)
+        spec = self.algorithm["features"]
         s_n, a_n = env.space.num_states, env.space.num_actions
-        if builtin == "identity":
+        if "path" in spec:
+            features = load_features(self.base_dir / spec["path"])
+            if features.num_x != env.space.num_x:
+                raise ConfigError(
+                    f"config.algorithm.features: {features.num_x} rows, "
+                    f"the environment has {env.space.num_x} state-action pairs"
+                )
+            return features
+        if spec["builtin"] == "identity":
             return identity_features(env.space.num_x)
-        if builtin == "state-poly":
-            return state_poly_features(
-                s_n, a_n, _get(doc, "degree", "config.algorithm.features", default=2)
-            )
-        if builtin == "state-ramp":
-            return state_ramp_features(s_n, a_n)
-        raise ConfigError(
-            f"config.algorithm.features.builtin: unknown builtin {builtin!r}"
-        )
+        if spec["builtin"] == "state-poly":
+            return state_poly_features(s_n, a_n, spec["degree"])
+        return state_ramp_features(s_n, a_n)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: config file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_doc(path)
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
@@ -338,7 +365,8 @@ def _moments_doc(m: MomentCollection2, gamma: float) -> dict:
     }
 
 
-def _manifest(cfg: RunConfig, extra: dict) -> dict:
+def _finish(cfg: RunConfig, out_dir: Path, result: dict, code: int) -> int:
+    """Write manifest.json (config, its hash, seed, versions, result); return code."""
     doc = {
         "config": cfg.to_dict(),
         "config_sha256": cfg.config_hash(),
@@ -348,26 +376,23 @@ def _manifest(cfg: RunConfig, extra: dict) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        "result": result,
     }
-    doc.update(extra)
-    return doc
+    _write_json(out_dir / "manifest.json", doc)
+    return code
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     env = cfg.build_env()
     policy = cfg.build_policy(env)
     algo = cfg.algorithm
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = algo["name"]
+    features = cfg.build_features(env) if name == "projected" else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     status = {"algorithm": name}
 
     if name == "dp2":
-        report = jipe2(
-            env,
-            policy,
-            float(algo.get("epsilon", 1e-8)),
-            int(algo.get("max_iter", 100_000)),
-        )
+        report = jipe2(env, policy, algo["epsilon"], algo["max_iter"])
         write_residual_csv(report.residual_trace, env.gamma, out_dir / "residuals.csv")
         _write_json(out_dir / "moments.json", _moments_doc(report.final, env.gamma))
         status.update(
@@ -375,13 +400,12 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             iterations=report.iterations,
             certified_error_bound=report.certified_error_bound,
         )
-        _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": status}))
-        return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
+        return _finish(cfg, out_dir, status,
+                       EXIT_OK if report.certified else EXIT_NOT_CERTIFIED)
 
     if name == "dpn":
-        order = int(algo["order"])
-        eps = float(algo.get("epsilon", 1e-8))
-        final, trace = jipe_n(env, policy, order, eps, int(algo.get("max_iter", 100_000)))
+        order, eps = algo["order"], algo["epsilon"]
+        final, trace = jipe_n(env, policy, order, eps, algo["max_iter"])
         write_residual_csv(trace, env.gamma, out_dir / "residuals.csv")
         doc = {
             "format_version": 1,
@@ -392,53 +416,40 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         _write_json(out_dir / "moments.json", doc)
         certified = trace[-1][1] <= eps * (1.0 - env.gamma)
         status.update(certified=certified, iterations=trace[-1][0])
-        _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": status}))
-        return EXIT_OK if certified else EXIT_NOT_CERTIFIED
+        return _finish(cfg, out_dir, status, EXIT_OK if certified else EXIT_NOT_CERTIFIED)
 
     if name == "incremental":
-        rule = algo.get("rule", "harmonic")
-        if rule == "harmonic":
-            schedule = StepSchedule.harmonic(float(algo.get("c", 10.0)))
-        elif rule == "constant":
-            schedule = StepSchedule.constant(float(algo.get("alpha0", 0.1)))
+        if algo["rule"] == "harmonic":
+            schedule = StepSchedule.harmonic(algo["c"])
         else:
-            raise ConfigError(f"config.algorithm.rule: unknown rule {rule!r}")
-        visitation = VisitationScheme(algo.get("visitation", "uniform"))
-        ref = jipe2(env, policy, float(algo.get("reference_epsilon", 1e-10)))
+            schedule = StepSchedule.constant(algo["alpha0"])
+        ref = jipe2(env, policy, algo["reference_epsilon"])
         result = run_incremental(
             env,
             policy,
             schedule,
-            visitation,
-            int(algo.get("num_updates", 1_000_000)),
+            VisitationScheme(algo["visitation"]),
+            algo["num_updates"],
             cfg.seed,
             fixed_point=ref.final,
-            trace_stride=int(algo.get("trace_stride", 10_000)),
+            trace_stride=algo["trace_stride"],
         )
         write_incremental_csv(result.trace, out_dir / "trace.csv")
         _write_json(out_dir / "moments.json", _moments_doc(result.final, env.gamma))
         final_dist = result.trace[-1][1] if result.trace else float("nan")
         status.update(num_updates=result.num_updates, final_distance=final_dist)
-        _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": status}))
-        return EXIT_OK
+        return _finish(cfg, out_dir, status, EXIT_OK)
 
     # projected
-    features = cfg.build_features(env)
     nu = stationary_distribution(env, policy).nu
     try:
         report = projected_jipe2(
-            env,
-            policy,
-            features,
-            nu,
-            float(algo.get("epsilon", 1e-9)),
-            int(algo.get("max_iter", 10_000)),
+            env, policy, features, nu, algo["epsilon"], algo["max_iter"]
         )
     except DivergenceError as exc:
         status.update(diverged=True, detail=str(exc))
-        _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": status}))
         print(f"divergence detected: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        return _finish(cfg, out_dir, status, EXIT_DIVERGENCE)
     with open(out_dir / "projected.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "successive_distance"])
@@ -460,8 +471,8 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         kappa=report.kappa,
         sqrt_c_rho=report.sqrt_c_rho,
     )
-    _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": status}))
-    return EXIT_OK if report.converged else EXIT_NOT_CERTIFIED
+    return _finish(cfg, out_dir, status,
+                   EXIT_OK if report.converged else EXIT_NOT_CERTIFIED)
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
@@ -469,7 +480,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     policy = cfg.build_policy(env)
     ana = cfg.analysis
     n_s, n_a = env.space.num_states, env.space.num_actions
-    states = ana.get("states", list(range(n_s)))
+    states = list(range(n_s)) if ana["states"] is None else ana["states"]
     if any(s >= n_s for s in states):
         raise ConfigError(
             f"config.analysis.states: entries must lie in 0..{n_s - 1}, got {states!r}"
@@ -478,7 +489,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     # Coupling needs no moments; run it first, and check its memory budget
     # before any work, so an env over budget fails before the jipe2 solve
     # and the Monte Carlo blocks.
-    if ana.get("coupling", True):
+    if ana["coupling"]:
         budget = DEFAULT_ORDER_BUDGET_BYTES
         for mode in COUPLING_MODES:
             check_coupling_budget(env, mode, budget)
@@ -489,25 +500,18 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                 env, policy, nu.nu, mode=mode, memory_budget_bytes=budget
             )
             reports[mode] = {
-                "sqrt_c_rho": rep.sqrt_c_rho,
-                "gamma": rep.gamma,
-                "product": rep.product,
-                "satisfied": rep.satisfied,
-                "iterations": rep.iterations,
-                "converged": rep.converged,
+                key: getattr(rep, key)
+                for key in ("sqrt_c_rho", "gamma", "product", "satisfied",
+                            "iterations", "converged")
             }
         _write_json(
             out_dir / "coupling.json",
             {"format_version": 1, "nu_source": nu.source, "modes": reports},
         )
 
-    eps = float(ana.get("epsilon", 1e-10))
-    fixed = jipe2(env, policy, eps).final
-    rollouts = ana.get("num_rollouts", 20_000)
-    trunc = float(ana.get("trunc_tol", 1e-6))
-    conf = float(ana.get("confidence", 0.95))
+    fixed = jipe2(env, policy, ana["epsilon"]).final
 
-    if ana.get("corr", True):
+    if ana["corr"]:
         doc = []
         for s in states:
             cm = corr_matrix(env.space, fixed, s)
@@ -524,14 +528,15 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         _write_json(out_dir / "corr.json", {"format_version": 1, "matrices": doc})
 
     blocks = {}
-    if any(ana.get(key, True) for key in ("gaps", "mc_compare", "ecdf")):
+    if ana["gaps"] or ana["mc_compare"] or ana["ecdf"]:
         for s in states:
             blocks[s] = mc_state_block(
-                env, policy, s, tuple(range(n_a)), rollouts, trunc,
-                seed=child_seed(cfg.seed, s), confidence=conf,
+                env, policy, s, tuple(range(n_a)), ana["num_rollouts"],
+                ana["trunc_tol"], seed=child_seed(cfg.seed, s),
+                confidence=ana["confidence"],
             )
 
-    if ana.get("gaps", True):
+    if ana["gaps"]:
         reports = []
         for s in states:
             for a in range(n_a):
@@ -539,23 +544,15 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                     if a == b:
                         continue
                     rep = build_gap_report(env.space, fixed, s, a, b, blocks[s])
-                    reports.append(
-                        {
-                            "state": rep.state,
-                            "action_a": rep.action_a,
-                            "action_b": rep.action_b,
-                            "gap_mean": rep.gap_mean,
-                            "gap_variance": rep.gap_variance,
-                            "cantelli_bound": rep.cantelli,
-                            "mc_gap_mean": rep.mc_gap_mean,
-                            "mc_gap_variance": rep.mc_gap_variance,
-                            "mc_inferiority_prob": rep.mc_inferiority_prob,
-                            "mc_ci_halfwidths": list(rep.mc_ci_halfwidths),
-                        }
-                    )
+                    doc = {key: getattr(rep, key) for key in (
+                        "state", "action_a", "action_b", "gap_mean", "gap_variance",
+                        "mc_gap_mean", "mc_gap_variance", "mc_inferiority_prob")}
+                    doc["cantelli_bound"] = rep.cantelli
+                    doc["mc_ci_halfwidths"] = list(rep.mc_ci_halfwidths)
+                    reports.append(doc)
         _write_json(out_dir / "gaps.json", {"format_version": 1, "reports": reports})
 
-    if ana.get("mc_compare", True):
+    if ana["mc_compare"]:
         with open(out_dir / "mc_compare.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -573,7 +570,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                              repr(float(z * blk.sigma_se[a, b]))]
                         )
 
-    if ana.get("ecdf", True):
+    if ana["ecdf"]:
         pairs = []
         for s in states:
             for a in range(n_a):
@@ -583,8 +580,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
         write_ecdf_csv(ratios, out_dir / "ecdf.csv")
 
-    _write_json(out_dir / "manifest.json", _manifest(cfg, {"result": {"analysis": True}}))
-    return EXIT_OK
+    return _finish(cfg, out_dir, {"analysis": True}, EXIT_OK)
 
 
 def cmd_validate_env(path: str) -> int:
@@ -612,15 +608,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="run a solver per the config file")
-    p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--out", default=None)
-
-    p_ana = sub.add_parser("analyze", help="gap/correlation/bound analyses")
-    p_ana.add_argument("--config", required=True)
-    p_ana.add_argument("--seed", type=int, default=None)
-    p_ana.add_argument("--out", default=None)
+    for command, text in (("eval", "run a solver per the config file"),
+                          ("analyze", "gap/correlation/bound analyses")):
+        p_run = sub.add_parser(command, help=text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--seed", type=int, default=None)
+        p_run.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate-env", help="check an environment file")
     p_val.add_argument("path")
@@ -630,14 +623,9 @@ def main(argv=None) -> int:
         return cmd_validate_env(args.path)
 
     try:
-        overrides = {"seed": args.seed}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        cfg = load_config(args.config, overrides)
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
-        if args.command == "eval":
-            return cmd_eval(cfg, out_dir)
-        return cmd_analyze(cfg, out_dir)
+        cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
+        run = cmd_eval if args.command == "eval" else cmd_analyze
+        return run(cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

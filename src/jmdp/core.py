@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InvalidInputError, InvalidQueryError
+from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
     "StateActionSpace",
@@ -164,16 +164,9 @@ class MomentCollectionN:
         return self.tables[k - 1]
 
     @classmethod
-    def zeros(
-        cls, space: StateActionSpace, order: int, memory_budget_bytes: int | None = None
-    ) -> "MomentCollectionN":
+    def zeros(cls, space: StateActionSpace, order: int) -> "MomentCollectionN":
         if order < 1:
             raise InvalidInputError(f"order must be >= 1, got {order}")
-        need = order_table_bytes(space, order)
-        if memory_budget_bytes is not None and need > memory_budget_bytes:
-            raise BudgetError(
-                f"order-{order} tables need {need} bytes, budget is {memory_budget_bytes}"
-            )
         n = space.num_x
         return cls(tuple(np.zeros((n,) * k) for k in range(1, order + 1)))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,14 @@ def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollec
     return MomentCollection2(t_mu.reshape(-1), t_sig)
 
 
+def check_solver_args(epsilon: float, max_iter: int) -> None:
+    """Shared guard of the iterative solvers: a finite epsilon > 0, max_iter >= 0."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
+    if max_iter < 0:
+        raise InvalidInputError(f"max_iter must be >= 0, got {max_iter}")
+
+
 def jipe2(
     env: ExoJmdp,
     policy: Policy,
@@ -142,8 +151,7 @@ def jipe2(
     Stops once ||m_k - T m_k||_lambda <= epsilon * (1 - gamma), at which point
     ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
     """
-    if epsilon <= 0.0:
-        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
+    check_solver_args(epsilon, max_iter)
     weights = LambdaWeights(env.gamma)
     threshold = epsilon * (1.0 - env.gamma)
     m = MomentCollection2.zeros(env.space) if m0 is None else m0
@@ -335,16 +343,11 @@ def jipe_n(
     trace holds (iteration, residual) pairs and the last entry certifies
     ||m - m*|| <= residual / (1 - gamma).
     """
-    if epsilon <= 0.0:
-        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
+    check_solver_args(epsilon, max_iter)
     _check_budget(env, order, memory_budget_bytes)
     weights = LambdaWeights(env.gamma)
     threshold = epsilon * (1.0 - env.gamma)
-    m = (
-        MomentCollectionN.zeros(env.space, order, memory_budget_bytes)
-        if m0 is None
-        else m0
-    )
+    m = MomentCollectionN.zeros(env.space, order) if m0 is None else m0
     if m.order != order:
         raise InvalidInputError(f"m0 has order {m.order}, expected {order}")
     plans = _build_plans(env, order)

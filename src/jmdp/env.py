@@ -42,6 +42,7 @@ __all__ = [
     "build_shared_successors",
     "build_hub_successors",
     "wgw_goal_policy",
+    "read_json_doc",
     "load_env",
     "save_env",
     "load_policy",
@@ -467,6 +468,26 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def check_format_version(version, path: str) -> int:
+    if type(version) is not int or version != 1:
+        raise ConfigError(f"{path}: unsupported version {version!r}")
+    return version
+
+
+def read_json_doc(path) -> dict:
+    """Read a versioned JSON document; every failure is a ConfigError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the file ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    check_format_version(_require(doc, "format_version", str(path)), f"{path}.format_version")
+    return doc
+
+
 def save_env(env: ExoJmdp, path) -> None:
     doc = {
         "format_version": 1,
@@ -482,15 +503,7 @@ def save_env(env: ExoJmdp, path) -> None:
 
 def load_env(path) -> ExoJmdp:
     """Load and validate an environment document; errors carry the field path."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = _require(doc, "format_version", str(path))
-    if version != 1:
-        raise ConfigError(f"{path}.format_version: unsupported version {version!r}")
+    doc = read_json_doc(path)
     n_s = _require(doc, "num_states", str(path))
     n_a = _require(doc, "num_actions", str(path))
     gamma = _require(doc, "gamma", str(path))
@@ -547,13 +560,7 @@ def save_policy(policy: Policy, path) -> None:
 
 
 def load_policy(path) -> Policy:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    version = _require(doc, "format_version", str(path))
-    if version != 1:
-        raise ConfigError(f"{path}.format_version: unsupported version {version!r}")
+    doc = read_json_doc(path)
     probs = np.asarray(_require(doc, "probs", str(path)), dtype=float)
     if probs.ndim != 2:
         raise ConfigError(f"{path}.probs: must be a 2-D array")

@@ -17,11 +17,12 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, apply_t2
-from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, apply_t2, check_solver_args
+from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp, read_json_doc
 from .errors import (
     AssumptionError,
     BudgetError,
+    ConfigError,
     DivergenceError,
     FeatureRankError,
     InvalidInputError,
@@ -47,6 +48,7 @@ __all__ = [
     "identity_features",
     "state_poly_features",
     "state_ramp_features",
+    "load_features",
 ]
 
 
@@ -469,6 +471,9 @@ class ProjectedReport:
     sqrt_c_rho: float | None
 
 
+_DIVERGENCE_WINDOW = 10
+
+
 def projected_jipe2(
     env: ExoJmdp,
     policy: Policy,
@@ -476,9 +481,6 @@ def projected_jipe2(
     nu: np.ndarray,
     epsilon: float,
     max_iter: int = 10_000,
-    beta: float | None = None,
-    sqrt_c_rho: float | None = None,
-    divergence_window: int = 10,
 ) -> ProjectedReport:
     """Projected fixed-point iteration: exact backup on the densified tables,
     then weighted least squares for the mean and traffic into the PSD cone for
@@ -486,26 +488,20 @@ def projected_jipe2(
 
     Stops when the beta-weighted distance between successive densified
     approximants drops below epsilon. If that distance grows for
-    `divergence_window` consecutive iterations the run aborts with a
-    diagnostic quoting gamma^2 * sqrt_c_rho.
+    _DIVERGENCE_WINDOW consecutive iterations the run aborts with a diagnostic
+    quoting gamma^2 * sqrt_c_rho. beta comes from sqrt_c_rho when
+    gamma^2 * sqrt_c_rho < 1, else (or when the coupling step is over its
+    memory budget) beta = 1.
     """
-    if epsilon <= 0.0:
-        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
+    check_solver_args(epsilon, max_iter)
     nu = np.asarray(nu, dtype=float)
-    kappa = None
-    if sqrt_c_rho is None:
-        try:
-            rep = coupling_coefficient(env, policy, nu)
-            sqrt_c_rho = rep.sqrt_c_rho
-        except BudgetError:
-            sqrt_c_rho = None
-    if beta is None:
-        if sqrt_c_rho is not None and env.gamma**2 * sqrt_c_rho < 1.0:
-            beta, kappa = beta_weight(env.gamma, sqrt_c_rho)
-        else:
-            beta = 1.0
-    elif sqrt_c_rho is not None and env.gamma**2 * sqrt_c_rho < 1.0:
-        _, kappa = beta_weight(env.gamma, sqrt_c_rho)
+    beta, kappa = 1.0, None
+    try:
+        sqrt_c_rho = coupling_coefficient(env, policy, nu).sqrt_c_rho
+    except BudgetError:
+        sqrt_c_rho = None
+    if sqrt_c_rho is not None and env.gamma**2 * sqrt_c_rho < 1.0:
+        beta, kappa = beta_weight(env.gamma, sqrt_c_rho)
 
     d = features.dim
     current = LinearMoments(np.zeros(d), np.zeros((d, d)))
@@ -524,12 +520,12 @@ def projected_jipe2(
             grow_streak += 1
         else:
             grow_streak = 0
-        if grow_streak >= divergence_window:
+        if grow_streak >= _DIVERGENCE_WINDOW:
             product = (
                 env.gamma**2 * sqrt_c_rho if sqrt_c_rho is not None else float("nan")
             )
             raise DivergenceError(
-                f"successive-iterate distance grew for {divergence_window} "
+                f"successive-iterate distance grew for {_DIVERGENCE_WINDOW} "
                 f"consecutive iterations (last {dist:.3e}); "
                 f"gamma^2 * sqrt_c_rho = {product:.6g} "
                 f"(contraction requires < 1)"
@@ -565,4 +561,18 @@ def state_ramp_features(num_states: int, num_actions: int) -> FeatureMap:
     which is what makes it adversarial for mass-concentrating dynamics."""
     t = (np.arange(num_states, dtype=float) + 1.0) / num_states
     phi = np.repeat(t[:, None], num_actions, axis=0)
+    return FeatureMap(phi)
+
+
+def load_features(path) -> FeatureMap:
+    """Load a feature document {format_version, phi}; errors name the file."""
+    doc = read_json_doc(path)
+    if "phi" not in doc:
+        raise ConfigError(f"{path}: missing required field 'phi'")
+    try:
+        phi = np.asarray(doc["phi"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.phi: not a numeric matrix ({exc})") from exc
+    if phi.ndim != 2:
+        raise ConfigError(f"{path}.phi: must be a 2-D array")
     return FeatureMap(phi)

@@ -160,12 +160,6 @@ class McBlock:
     def z_value(self) -> float:
         return float(_norm.ppf(0.5 + self.confidence / 2.0))
 
-    def mu_halfwidth(self) -> np.ndarray:
-        return self.z_value * self.mu_se
-
-    def sigma_halfwidth(self) -> np.ndarray:
-        return self.z_value * self.sigma_se
-
 
 def _branch_returns(
     env: ExoJmdp,

@@ -294,6 +294,79 @@ class TestAnalyze:
         assert not out.exists() or not any(out.iterdir())
 
 
+def _projected(features: dict) -> dict:
+    return {"algorithm": {"name": "projected", "features": features}}
+
+
+# id, command, config overrides, files written next to the config, and the
+# field path (or the file, relative to the config's directory) the error names.
+MALFORMED = [
+    ("num_states_string", "eval", {"env": {"builtin": "crc", "num_states": "5"}},
+     {}, "config.env.num_states"),
+    ("gamma_string", "eval", {"env": {"builtin": "crc", "gamma": "0.9"}},
+     {}, "config.env.gamma"),
+    ("order_string", "eval", {"algorithm": {"name": "dpn", "order": "3"}},
+     {}, "config.algorithm.order"),
+    ("epsilon_string", "eval", {"algorithm": {"name": "dp2", "epsilon": "abc"}},
+     {}, "config.algorithm.epsilon"),
+    ("negative_max_iter", "eval", {"algorithm": {"name": "dp2", "max_iter": -1}},
+     {}, "config.algorithm.max_iter"),
+    ("short_hub_probs", "eval",
+     {"env": {"builtin": "hub-successors", "hub_probs": [0.5]}},
+     {}, "config.env.hub_probs"),
+    ("crc_with_grid_keys", "eval",
+     {"env": {"builtin": "crc", "width": 7, "p_wind": 0.9}}, {}, "config.env.width"),
+    ("ring_with_width", "eval", {"env": {"builtin": "ring", "width": 9}},
+     {}, "config.env.width"),
+    ("fractional_num_updates", "eval",
+     {"algorithm": {"name": "incremental", "num_updates": 10.5}},
+     {}, "config.algorithm.num_updates"),
+    ("ecdf_string", "analyze", {"analysis": {"ecdf": "no"}}, {}, "config.analysis.ecdf"),
+    ("confidence_above_one", "analyze", {"analysis": {"confidence": 2}},
+     {}, "config.analysis.confidence"),
+    ("unknown_visitation", "eval",
+     {"algorithm": {"name": "incremental", "visitation": "random"}},
+     {}, "config.algorithm.visitation"),
+    ("zero_trunc_tol", "analyze", {"analysis": {"trunc_tol": 0}},
+     {}, "config.analysis.trunc_tol"),
+    ("missing_env_file", "eval", {"env": {"path": "env.json"}}, {}, "env.json"),
+    ("missing_policy_file", "eval", {"policy": {"path": "pol.json"}}, {}, "pol.json"),
+    ("env_file_version", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps({"format_version": 2})}, "env.json.format_version"),
+    ("features_not_json", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": "phi = [[1.0]]"}, "phi.json"),
+    ("features_without_phi", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": json.dumps({"format_version": 1})}, "phi.json"),
+    ("features_ragged", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": json.dumps({"format_version": 1, "phi": [[1.0], [1.0, 2.0]]})},
+     "phi.json.phi"),
+    ("features_row_count", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": json.dumps({"format_version": 1, "phi": [[1.0], [0.5], [0.2]]})},
+     "config.algorithm.features"),
+    ("config_is_a_list", "eval", None, {}, "c.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, files, field",
+    [row[1:] for row in MALFORMED],
+    ids=[row[0] for row in MALFORMED],
+)
+def test_malformed_config_fails_before_any_output(
+    tmp_path, capsys, command, overrides, files, field
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    doc = [base_config()] if overrides is None else base_config(**overrides)
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    if not field.startswith("config."):
+        field = str(tmp_path / field)
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestDeterminism:
     def _run_twice(self, tmp_path, doc, command="eval"):
         digests = []

@@ -141,6 +141,23 @@ class TestJipe2:
             np.testing.assert_allclose(rep.final.m_mu, q, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "epsilon, max_iter",
+    [(0.0, 10), (-1e-8, 10), (float("nan"), 10), (float("inf"), 10), (1e-8, -1)],
+    ids=["zero_epsilon", "negative_epsilon", "nan_epsilon", "inf_epsilon",
+         "negative_max_iter"],
+)
+@pytest.mark.parametrize("solver", ["jipe2", "jipe_n"])
+def test_solver_arguments_rejected(solver, epsilon, max_iter):
+    env = build_crc(3, 0.9)
+    pol = Policy.uniform(env.space)
+    with pytest.raises(InvalidInputError, match="max_iter" if max_iter < 0 else "epsilon"):
+        if solver == "jipe2":
+            jipe2(env, pol, epsilon, max_iter=max_iter)
+        else:
+            jipe_n(env, pol, 2, epsilon, max_iter=max_iter)
+
+
 class TestApplyTn:
     def test_order_one_is_mean_backup(self):
         env = random_env(4)

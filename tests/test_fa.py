@@ -523,6 +523,20 @@ class TestProjectedIteration:
         ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 1e-12]
         assert max(ratios) <= rep.kappa + 1e-6
 
+    @pytest.mark.parametrize(
+        "epsilon, max_iter",
+        [(0.0, 10), (float("nan"), 10), (float("inf"), 10), (1e-9, -1)],
+        ids=["zero_epsilon", "nan_epsilon", "inf_epsilon", "negative_max_iter"],
+    )
+    def test_solver_arguments_rejected(self, epsilon, max_iter):
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        feats = state_poly_features(3, 2, 1)
+        match = "max_iter" if max_iter < 0 else "epsilon"
+        with pytest.raises(InvalidInputError, match=match):
+            projected_jipe2(env, pol, feats, nu, epsilon, max_iter)
+
     def test_concentrating_coupling_diverges(self):
         env = build_hub_successors(16, 0.9)
         pol = Policy.uniform(env.space)
