@@ -251,6 +251,17 @@ _ALGORITHMS = {
     },
 }
 
+
+def _algorithm(doc, path):
+    """The algorithm section; incremental's c goes only with the harmonic rule,
+    alpha0 only with the constant one."""
+    algo = _pick("name", _ALGORITHMS)(doc, path)
+    unused = {"harmonic": "alpha0", "constant": "c"}.get(algo.get("rule"))
+    if unused in doc:
+        raise ConfigError(f"{path}.{unused}: not used with rule {algo['rule']!r}")
+    return algo
+
+
 _ANALYSIS = {
     "gaps": (_bool, True),
     "corr": (_bool, True),
@@ -269,7 +280,7 @@ _CONFIG = {
     "env": (_env, _REQUIRED),
     "policy": (_pick("builtin", {"uniform": {}, "wgw-goal": {}}, files=True),
                {"builtin": "uniform"}),
-    "algorithm": (_pick("name", _ALGORITHMS), _REQUIRED),
+    "algorithm": (_algorithm, _REQUIRED),
     "analysis": (lambda doc, path: _section(doc, _ANALYSIS, path), {}),
     "seed": (_int(0), 0),
     "out_dir": (_text, "runs/latest"),
@@ -415,7 +426,8 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         }
         _write_json(out_dir / "moments.json", doc)
         certified = trace[-1][1] <= eps * (1.0 - env.gamma)
-        status.update(certified=certified, iterations=trace[-1][0])
+        status.update(certified=certified, iterations=trace[-1][0],
+                      certified_error_bound=trace[-1][1] / (1.0 - env.gamma))
         return _finish(cfg, out_dir, status, EXIT_OK if certified else EXIT_NOT_CERTIFIED)
 
     if name == "incremental":

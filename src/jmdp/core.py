@@ -22,7 +22,6 @@ __all__ = [
     "lambda_norm",
     "lambda_norm_n",
     "enumerate_indices",
-    "order_table_bytes",
 ]
 
 
@@ -115,11 +114,6 @@ class MomentCollection2:
 
     def __sub__(self, other: "MomentCollection2") -> "MomentCollection2":
         return MomentCollection2(self.m_mu - other.m_mu, self.m_sigma - other.m_sigma)
-
-
-def order_table_bytes(space: StateActionSpace, order: int) -> int:
-    """Total bytes for float64 tables of orders 1..order over X^k."""
-    return sum(8 * space.num_x**k for k in range(1, order + 1))
 
 
 @dataclass(frozen=True)
@@ -215,11 +209,12 @@ def lambda_norm(m: MomentCollection2, w: LambdaWeights) -> float:
     return max(mu_part, sig_part)
 
 
-def lambda_norm_n(m: MomentCollectionN, w: LambdaWeights) -> float:
-    """max over k of max|table_k| / lam**(k-1); agrees with lambda_norm at n=2."""
+def lambda_norm_n(m, w: LambdaWeights) -> float:
+    """max over k of max|table_k| / lam**(k-1); agrees with lambda_norm at n=2.
+    m is a MomentCollectionN or the sequence of its raw order-1..n tables."""
+    tables = m.tables if isinstance(m, MomentCollectionN) else m
     best = 0.0
-    for k in range(1, m.order + 1):
-        t = m.table(k)
+    for k, t in enumerate(tables, start=1):
         _check_finite(t, f"order-{k} table")
         best = max(best, float(np.max(np.abs(t))) / w.lam_k(k))
     return best

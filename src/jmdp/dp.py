@@ -11,11 +11,16 @@ entries enumerate the shared noise draw. jipe2 iterates the operator and
 certifies accuracy through the computable residual bound
 ||m - m*|| <= residual / (1 - gamma).
 
-apply_tn generalizes the backup to moment tables of any order: a tuple of
-coordinates is grouped by current state, each group shares one noise draw,
-groups are independent, and coordinates that repeat exactly share their next
-action as well (they denote the same random return, so their continuations
-coincide).
+apply_tn backs up tables of any order on whole tensors, grouped by the
+coincidence pattern of a tuple's k positions: sigma groups positions at one
+state (one shared noise draw), tau refines it to positions at one coordinate
+(one shared next action, as they denote one random return). Per pattern class
+and per choice of continuing positions, the order-j table enters only through
+a policy-averaged state table (S^j, one axis per continuing tau-block), which
+each sigma-block contracts with its noise kernel: a dense matrix, such as the
+marginal kernel P for one continuing position, or a gather over h with the
+shared draw enumerated. Memory is S^k-sized per pattern plus the |X|^k tables
+and a gather index, all counted against a byte budget before any work.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .core import (
     MomentCollectionN,
     lambda_norm,
     lambda_norm_n,
-    order_table_bytes,
 )
 from .env import ExoJmdp, Policy, marginal_mdp
 from .errors import BudgetError, InvalidInputError
@@ -65,17 +69,17 @@ class Jipe2Report:
     certified_error_bound: float
 
 
-def _check_dims(env: ExoJmdp, m: MomentCollection2) -> None:
-    if m.m_mu.size != env.space.num_x:
+def _check_dims(env: ExoJmdp, num_x: int) -> None:
+    if num_x != env.space.num_x:
         raise InvalidInputError(
-            f"moment tables sized for {m.m_mu.size} coordinates, "
+            f"moment tables sized for {num_x} coordinates, "
             f"environment has {env.space.num_x}"
         )
 
 
 def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollection2:
     """One exact application of the second-order joint Bellman operator."""
-    _check_dims(env, m)
+    _check_dims(env, m.m_mu.size)
     s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
     u_probs = env.noise.probs
     g, h = env.g, env.h
@@ -153,20 +157,25 @@ def jipe2(
     """
     check_solver_args(epsilon, max_iter)
     weights = LambdaWeights(env.gamma)
-    threshold = epsilon * (1.0 - env.gamma)
     m = MomentCollection2.zeros(env.space) if m0 is None else m0
+    m, trace = _iterate(lambda m: apply_t2(env, policy, m),
+                        lambda a, b: lambda_norm(a - b, weights), m, env.gamma, epsilon, max_iter)
+    k, residual = trace[-1]
+    certified = residual <= epsilon * (1.0 - env.gamma)
+    return Jipe2Report(m, trace, k, certified, residual / (1.0 - env.gamma))
+
+
+def _iterate(step, residual, m, gamma: float, epsilon: float, max_iter: int) -> tuple:
+    """Fixed-point loop of the exact solvers: stops at the first m with
+    residual(m, step(m)) <= epsilon * (1 - gamma), or after max_iter steps;
+    returns (m, [(iteration, residual), ...])."""
     trace: list = []
     for k in range(max_iter + 1):
-        t_m = apply_t2(env, policy, m)
-        residual = lambda_norm(m - t_m, weights)
-        trace.append((k, residual))
-        if residual <= threshold:
-            return Jipe2Report(m, trace, k, True, residual / (1.0 - env.gamma))
-        if k == max_iter:
-            break
+        t_m = step(m)
+        trace.append((k, residual(m, t_m)))
+        if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
+            return m, trace
         m = t_m
-    residual = trace[-1][1]
-    return Jipe2Report(m, trace, max_iter, False, residual / (1.0 - env.gamma))
 
 
 def write_residual_csv(trace, gamma: float, path) -> None:
@@ -183,133 +192,186 @@ def write_residual_csv(trace, gamma: float, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _TuplePlan:
-    """Static enumeration data for one sorted coordinate tuple.
+_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger block kernel is applied by gather
+_OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
 
-    Precomputes, per joint noise combination over the tuple's state groups, the
-    rewards and successors of each distinct coordinate, so repeated operator
-    applications only pay for table lookups.
+
+def _run_blocks(code: tuple) -> tuple:
+    """(shape, blocks) of a sorted tuple whose position i+1 repeats the
+    coordinate of position i (code[i] = 0), only its state (1) or neither (2).
+    Blocks are sigma-blocks (lists of tau-blocks of positions) in the order of
+    the class representative: sigma-blocks by decreasing (size, tau-block
+    sizes), tau-blocks by decreasing size; shape lists their sizes."""
+    blocks = [[[0]]]
+    for i, d in enumerate(code, start=1):
+        if d == 2:
+            blocks.append([[i]])
+        elif d == 1:
+            blocks[-1].append([i])
+        else:
+            blocks[-1][-1].append(i)
+    blocks = [sorted(b, key=len, reverse=True) for b in blocks]
+    blocks.sort(key=lambda b: [sum(map(len, b))] + [len(t) for t in b], reverse=True)
+    return tuple(tuple(map(len, b)) for b in blocks), blocks
+
+
+def _terms(shape: tuple, gamma: float):
+    """Terms of the representative with tau-block sizes `shape`: one per choice
+    of t_j continuing positions in each tau-block j, weighing gamma^sum(t)
+    prod_j C(m_j, t_j). Yields its state table's key (the nonzero t_j,
+    decreasing), the transpose putting that table's axes in tau-block order,
+    and a (sizes, t, scale) kernel key per sigma-block, the weight riding on
+    the last one."""
+    sizes = [m for block in shape for m in block]
+    cuts = list(itertools.accumulate([0] + [len(b) for b in shape]))
+    for ts in itertools.product(*(range(m + 1) for m in sizes)):
+        mults = [t for t in ts if t]
+        ops = [(b, ts[lo:hi], 1.0) for b, lo, hi in zip(shape, cuts, cuts[1:])]
+        ops[-1] = ops[-1][:2] + (gamma ** sum(ts) * math.prod(map(math.comb, sizes, ts)),)
+        rank = np.argsort([-t for t in mults], kind="stable")
+        yield tuple(sorted(mults, reverse=True)), np.argsort(rank), ops
+
+
+def _kernel_size(env: ExoJmdp, sizes: tuple, conts: tuple) -> tuple:
+    """(rows, cells, dense): S^(continuing tau-blocks) rows, S * N^J cells."""
+    s_n, a_n, _ = env.g.shape
+    rows, cells = s_n ** sum(map(bool, conts)), s_n * a_n ** len(sizes)
+    return rows, cells, rows * cells <= _DENSE_KERNEL_MAX
+
+
+def _block_kernel(env: ExoJmdp, sizes: tuple, conts: tuple, scale: float) -> tuple:
+    """Noise kernel of one sigma-block, whose tau-block j holds sizes[j]
+    positions with one action a_j, conts[j] of them continuing. Cell
+    (s, a_1..a_J) collects scale * sum_u p_u prod_j g[s,a_j,u]^(sizes[j]-conts[j])
+    times the state-table row at the continuing successors h[s,a_j,u]. Returns
+    (rows, dense (rows, cells) matrix, None) or (rows, row index, weights)."""
+    s_n, a_n, u_n = env.g.shape
+    weight, row = scale * env.noise.probs, 0
+    for j, (m, t) in enumerate(zip(sizes, conts)):
+        axes = (s_n,) + (1,) * j + (a_n,) + (1,) * (len(sizes) - 1 - j) + (u_n,)
+        weight = weight * env.g.reshape(axes) ** (m - t)
+        row = row * s_n + env.h.reshape(axes) if t else row
+    full = (s_n,) + (a_n,) * len(sizes) + (u_n,)
+    weight, row = (np.broadcast_to(v, full).reshape(-1, u_n) for v in (weight, row))
+    rows, cells, dense = _kernel_size(env, sizes, conts)
+    if not dense:
+        return rows, row, weight
+    matrix = np.zeros((rows, cells))
+    np.add.at(matrix, (row, np.arange(cells)[:, None]), weight)
+    return rows, matrix, None
+
+
+def _gather_index(k: int, n_x: int, s_n: int, a_n: int, offsets: dict) -> np.ndarray:
+    """Value-buffer index of every tuple of X^k, read at its sorted coordinates
+    so that permuted tuples share one entry. Per run code, a row holds the
+    representative's offset and per position a coefficient of its state and
+    one of its action, nonzero only at a block's first position. The index is
+    built one leading coordinate at a time to bound its working set."""
+    coefs = np.zeros((3 ** (k - 1), 1 + 2 * k), dtype=np.intp)
+    for row, code in zip(coefs, itertools.product(range(3), repeat=k - 1)):
+        shape, blocks = _run_blocks(code)
+        row[0] = offsets[shape]
+        for c, block in enumerate(blocks):
+            stride = math.prod(s_n * a_n ** len(b) for b in blocks[c + 1:])
+            row[1 + min(t[0] for t in block)] = stride * a_n ** len(block)
+            for j, tau in enumerate(block):
+                row[1 + k + tau[0]] = stride * a_n ** (len(block) - 1 - j)
+    rest = np.indices((n_x,) * (k - 1)).reshape(k - 1, n_x ** (k - 1))
+    powers = 3 ** np.arange(k - 2, -1, -1)
+    index = np.empty((n_x, rest.shape[1]), dtype=np.intp)
+    for x0 in range(n_x):
+        xs = np.sort(np.vstack([np.full((1, rest.shape[1]), x0), rest]), axis=0)
+        s = xs // a_n
+        row = coefs[powers @ (2 - (s[1:] == s[:-1]) - (xs[1:] == xs[:-1]))]
+        index[x0] = row[:, 0] + (np.vstack([s, xs - a_n * s]).T * row[:, 1:]).sum(1)
+    return index.ravel()
+
+
+class _BackupPlan:
+    """The order-n backup grouped by coincidence pattern, built once per solve.
+
+    Per order and run-shape class (see _run_blocks), the representative's
+    values are a tensor with one axis (a state, one action per tau-block) per
+    sigma-block, summed over terms that each contract a policy-averaged state
+    table block by block with noise kernels. Tuples read it through a gather
+    index, so each output table is exactly symmetric. `need` bounds a solve's
+    peak bytes before any array is built: five sets of order-1..n tables
+    (iterate, backup, difference, gather index, frozen copy), value buffers,
+    state tables, kernels, the largest transient (a term step, a gather-index
+    chunk, or a frozen copy's symmetry check) and _OBJECT_BYTES per entry.
     """
 
-    __slots__ = ("k", "coord_of_pos", "n_distinct", "combos")
+    def __init__(self, env: ExoJmdp, policy: Policy, order: int, budget: int):
+        s_n, a_n, u_n = env.g.shape
+        n_x = env.space.num_x
+        held = 5 * sum(n_x**k for k in range(1, order + 1))
+        peak = max(3 * n_x**order, (5 * order + 4) * n_x ** (order - 1))
+        layout, keys, state_keys = [], set(), set()  # layout: per order, shape -> terms
+        for k in range(order):
+            codes = itertools.product(range(3), repeat=k)  # the run codes of order k + 1
+            layout.append({})
+            for shape in sorted({_run_blocks(code)[0] for code in codes}):
+                layout[-1][shape] = terms = list(_terms(shape, env.gamma))
+                held += math.prod(s_n * a_n ** len(b) for b in shape)
+                for mults, _, ops in terms:
+                    state_keys.add(mults)
+                    keys.update(ops)
+                    size = s_n ** len(mults)
+                    for rows, cells, dense in (_kernel_size(env, *op[:2]) for op in ops):
+                        out = size // rows * cells
+                        peak = max(peak, 2 * size + out * (1 if dense else 1 + 2 * u_n))
+                        size = out
+        for rows, cells, dense in (_kernel_size(env, *key[:2]) for key in keys):
+            held += rows * cells if dense else 2 * cells * u_n
+        held += sum(s_n ** len(m) for m in state_keys)
+        objects = len(keys) + sum(3**k + sum(map(len, r.values())) for k, r in enumerate(layout))
+        self.need = 8 * (held + peak) + _OBJECT_BYTES * objects
+        if self.need > budget:
+            raise BudgetError(
+                f"order-{order} backup over {n_x} coordinates needs {self.need} "
+                f"bytes; budget is {budget}"
+            )
+        self.pi_x = np.zeros((n_x, s_n))
+        self.pi_x[np.arange(n_x), np.arange(n_x) // a_n] = policy.probs.reshape(-1)
+        self.state_tables = {}  # key -> byte strides of its diagonal view
+        for mults in state_keys - {()}:
+            ends = list(itertools.accumulate(mults))
+            self.state_tables[mults] = tuple(
+                8 * sum(n_x ** (ends[-1] - 1 - q) for q in range(e - t, e))
+                for t, e in zip(mults, ends))
+        kernels = {key: _block_kernel(env, *key) for key in keys}
+        self.orders = []
+        for k, reps in enumerate(layout, start=1):
+            offsets, terms, size = {}, [], 0
+            for shape, shape_terms in reps.items():
+                offsets[shape], cells = size, math.prod(s_n * a_n ** len(b) for b in shape)
+                terms += [(size, cells, mults, perm, [kernels[o] for o in ops])
+                          for mults, perm, ops in shape_terms]
+                size += cells
+            buf = np.empty(size)
+            self.orders.append((buf, [(buf[o:o + n], *t) for o, n, *t in terms],
+                                _gather_index(k, n_x, s_n, a_n, offsets)))
 
-    def __init__(self, env: ExoJmdp, xs: tuple):
-        a_n = env.space.num_actions
-        self.k = len(xs)
-        distinct: list = []
-        self.coord_of_pos = []
-        for x in xs:
-            if x not in distinct:
-                distinct.append(x)
-            self.coord_of_pos.append(distinct.index(x))
-        self.n_distinct = len(distinct)
-        states = [x // a_n for x in distinct]
-        actions = [x % a_n for x in distinct]
-        groups: dict = {}
-        for j, s in enumerate(states):
-            groups.setdefault(s, []).append(j)
-        group_items = list(groups.items())
-        u_n = env.noise.support_size
-        probs = env.noise.probs
-        self.combos = []
-        for draw in itertools.product(range(u_n), repeat=len(group_items)):
-            p = 1.0
-            rewards = [0.0] * self.n_distinct
-            succs = [0] * self.n_distinct
-            for (s, members), u in zip(group_items, draw):
-                p *= float(probs[u])
-                for j in members:
-                    rewards[j] = float(env.g[s, actions[j], u])
-                    succs[j] = int(env.h[s, actions[j], u])
-            self.combos.append((p, tuple(rewards), tuple(succs)))
-
-
-def _expect_subset(
-    m: MomentCollectionN,
-    pi: np.ndarray,
-    a_n: int,
-    subset: tuple,
-    coord_of_pos,
-    succs,
-) -> float:
-    """E over next actions of table_{|subset|} at the subset's successors.
-
-    Positions that reference the same coordinate share a single next action;
-    distinct coordinates draw independently from the policy at their successor.
-    """
-    size = len(subset)
-    if size == 0:
-        return 1.0
-    table = m.table(size)
-    coords = sorted({coord_of_pos[i] for i in subset})
-    total = 0.0
-    for assign in itertools.product(range(a_n), repeat=len(coords)):
-        w = 1.0
-        action_of = {}
-        for j, a in zip(coords, assign):
-            w *= float(pi[succs[j], a])
-            action_of[j] = a
-        if w == 0.0:
-            continue
-        idx = tuple(
-            succs[coord_of_pos[i]] * a_n + action_of[coord_of_pos[i]] for i in subset
-        )
-        total += w * float(table[idx])
-    return total
-
-
-def _apply_tn_planned(
-    env: ExoJmdp, policy: Policy, m: MomentCollectionN, plans
-) -> MomentCollectionN:
-    a_n = env.space.num_actions
-    pi = policy.probs
-    gamma = env.gamma
-    out_tables = []
-    for k in range(1, m.order + 1):
-        out = np.zeros((m.num_x,) * k)
-        subsets = [
-            tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)
-        ]
-        gamma_pow = [gamma ** len(sub) for sub in subsets]
-        for xs, plan in plans[k]:
-            value = 0.0
-            for p, rewards, succs in plan.combos:
-                contrib = 0.0
-                for sub, gpow in zip(subsets, gamma_pow):
-                    r_prod = 1.0
-                    for i in range(k):
-                        if not (i in sub):
-                            r_prod *= rewards[plan.coord_of_pos[i]]
-                    if r_prod == 0.0:
-                        continue
-                    contrib += gpow * r_prod * _expect_subset(
-                        m, pi, a_n, sub, plan.coord_of_pos, succs
-                    )
-                value += p * contrib
-            for perm in set(itertools.permutations(xs)):
-                out[perm] = value
-        out_tables.append(out)
-    return MomentCollectionN(tuple(out_tables))
-
-
-def _build_plans(env: ExoJmdp, order: int):
-    n_x = env.space.num_x
-    plans = {}
-    for k in range(1, order + 1):
-        plans[k] = [
-            (xs, _TuplePlan(env, xs))
-            for xs in itertools.combinations_with_replacement(range(n_x), k)
-        ]
-    return plans
-
-
-def _check_budget(env: ExoJmdp, order: int, memory_budget_bytes: int) -> None:
-    need = order_table_bytes(env.space, order)
-    if need > memory_budget_bytes:
-        raise BudgetError(
-            f"order-{order} tables over {env.space.num_x} coordinates need "
-            f"{need} bytes; budget is {memory_budget_bytes}"
-        )
+    def apply(self, tables) -> list:
+        """One backup of the raw order-1..n tables; returns the new tables."""
+        n_x, s_n = self.pi_x.shape
+        state = {(): np.ones(())}  # the table of the all-reward term
+        for mults, strides in self.state_tables.items():
+            t = np.ndarray((n_x,) * len(mults), float, tables[sum(mults) - 1], 0, strides)
+            for _ in mults:
+                t = t.reshape(n_x, -1).T @ self.pi_x
+            state[mults] = t.reshape((s_n,) * len(mults))
+        out = []
+        for k, (buf, terms, index) in enumerate(self.orders, start=1):
+            buf.fill(0.0)
+            for view, mults, perm, ops in terms:
+                x = state[mults].transpose(perm)
+                for rows, kern, weight in ops:
+                    x = x.reshape(rows, -1).T
+                    x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=-1)
+                view += x.reshape(-1)
+            out.append(buf[index].reshape((n_x,) * k))
+        return out
 
 
 def apply_tn(
@@ -319,13 +381,9 @@ def apply_tn(
     memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> MomentCollectionN:
     """One exact application of the order-n joint Bellman operator."""
-    if m.num_x != env.space.num_x:
-        raise InvalidInputError(
-            f"moment tables sized for {m.num_x} coordinates, "
-            f"environment has {env.space.num_x}"
-        )
-    _check_budget(env, m.order, memory_budget_bytes)
-    return _apply_tn_planned(env, policy, m, _build_plans(env, m.order))
+    _check_dims(env, m.num_x)
+    plan = _BackupPlan(env, policy, m.order, memory_budget_bytes)
+    return MomentCollectionN(tuple(plan.apply(m.tables)))
 
 
 def jipe_n(
@@ -341,25 +399,18 @@ def jipe_n(
 
     Stopping and certification mirror jipe2 with the order-weighted norm; the
     trace holds (iteration, residual) pairs and the last entry certifies
-    ||m - m*|| <= residual / (1 - gamma).
+    ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
+    frozen collection is built only for the result.
     """
     check_solver_args(epsilon, max_iter)
-    _check_budget(env, order, memory_budget_bytes)
-    weights = LambdaWeights(env.gamma)
-    threshold = epsilon * (1.0 - env.gamma)
-    m = MomentCollectionN.zeros(env.space, order) if m0 is None else m0
-    if m.order != order:
-        raise InvalidInputError(f"m0 has order {m.order}, expected {order}")
-    plans = _build_plans(env, order)
-    trace: list = []
-    for k in range(max_iter + 1):
-        t_m = _apply_tn_planned(env, policy, m, plans)
-        diff = MomentCollectionN(
-            tuple(a - b for a, b in zip(m.tables, t_m.tables))
+    if m0 is not None and (m0.order != order or m0.num_x != env.space.num_x):
+        raise InvalidInputError(
+            f"m0 has order {m0.order} over {m0.num_x} coordinates, expected "
+            f"order {order} over {env.space.num_x}"
         )
-        residual = lambda_norm_n(diff, weights)
-        trace.append((k, residual))
-        if residual <= threshold or k == max_iter:
-            return m, trace
-        m = t_m
-    return m, trace
+    plan = _BackupPlan(env, policy, order, memory_budget_bytes)
+    m = MomentCollectionN.zeros(env.space, order) if m0 is None else m0
+    weights = LambdaWeights(env.gamma)
+    tables, trace = _iterate(plan.apply, lambda a, b: lambda_norm_n(
+        [x - y for x, y in zip(a, b)], weights), m.tables, env.gamma, epsilon, max_iter)
+    return (m if tables is m.tables else MomentCollectionN(tuple(tables))), trace

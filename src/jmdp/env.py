@@ -43,6 +43,7 @@ __all__ = [
     "build_hub_successors",
     "wgw_goal_policy",
     "read_json_doc",
+    "read_json_array",
     "load_env",
     "save_env",
     "load_policy",
@@ -173,8 +174,12 @@ def _sampling_cdfs(env: ExoJmdp, policy: Policy) -> tuple[np.ndarray, np.ndarray
 
 
 def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Inverse-CDF action draw at each state from the matching uniform in r."""
-    return (r[:, None] >= pol_cdf[states]).sum(axis=1)
+    """Inverse-CDF action draw at each state from the matching uniform in r; the
+    last CDF column is pinned to 1.0 > r, so only the first A-1 are compared."""
+    acts = np.zeros(states.shape, dtype=np.int64)
+    for col in pol_cdf.T[:-1]:
+        acts += r >= col[states]
+    return acts
 
 
 def sample_table(env: ExoJmdp, s: int, rng: np.random.Generator) -> OutcomeTable:
@@ -468,6 +473,15 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def read_json_array(doc: dict, key: str, path) -> np.ndarray:
+    """A required numeric array field; a ragged or non-numeric one is a
+    ConfigError naming the field."""
+    try:
+        return np.asarray(_require(doc, key, str(path)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{key}: not a numeric array ({exc})") from exc
+
+
 def check_format_version(version, path: str) -> int:
     if type(version) is not int or version != 1:
         raise ConfigError(f"{path}: unsupported version {version!r}")
@@ -507,7 +521,7 @@ def load_env(path) -> ExoJmdp:
     n_s = _require(doc, "num_states", str(path))
     n_a = _require(doc, "num_actions", str(path))
     gamma = _require(doc, "gamma", str(path))
-    probs = np.asarray(_require(doc, "noise_probs", str(path)), dtype=float)
+    probs = read_json_array(doc, "noise_probs", path)
     if probs.ndim != 1:
         raise ConfigError(f"{path}.noise_probs: must be a flat array")
     if np.any(probs <= 0.0) or abs(float(probs.sum()) - 1.0) > _PROB_TOL:
@@ -515,10 +529,8 @@ def load_env(path) -> ExoJmdp:
             f"{path}.noise_probs: entries must be > 0 and sum to 1 "
             f"(sum = {float(probs.sum())!r})"
         )
-    g_raw = _require(doc, "g", str(path))
-    h_raw = _require(doc, "h", str(path))
-    g = np.asarray(g_raw, dtype=float)
-    h = np.asarray(h_raw, dtype=float)
+    g = read_json_array(doc, "g", path)
+    h = read_json_array(doc, "h", path)
     shape = (int(n_s), int(n_a), probs.size)
     for name, arr in (("g", g), ("h", h)):
         if arr.shape != shape:
@@ -561,7 +573,7 @@ def save_policy(policy: Policy, path) -> None:
 
 def load_policy(path) -> Policy:
     doc = read_json_doc(path)
-    probs = np.asarray(_require(doc, "probs", str(path)), dtype=float)
+    probs = read_json_array(doc, "probs", path)
     if probs.ndim != 2:
         raise ConfigError(f"{path}.probs: must be a 2-D array")
     rows = probs.sum(axis=1)

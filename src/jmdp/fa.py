@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
 from .dp import DEFAULT_ORDER_BUDGET_BYTES, apply_t2, check_solver_args
-from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp, read_json_doc
+from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp, read_json_array, read_json_doc
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -566,13 +566,7 @@ def state_ramp_features(num_states: int, num_actions: int) -> FeatureMap:
 
 def load_features(path) -> FeatureMap:
     """Load a feature document {format_version, phi}; errors name the file."""
-    doc = read_json_doc(path)
-    if "phi" not in doc:
-        raise ConfigError(f"{path}: missing required field 'phi'")
-    try:
-        phi = np.asarray(doc["phi"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.phi: not a numeric matrix ({exc})") from exc
+    phi = read_json_array(read_json_doc(path), "phi", path)
     if phi.ndim != 2:
         raise ConfigError(f"{path}.phi: must be a 2-D array")
     return FeatureMap(phi)

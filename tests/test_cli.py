@@ -206,6 +206,11 @@ class TestEval:
         assert doc["order"] == 3
         mu = np.asarray(doc["tables"][0])
         np.testing.assert_allclose(mu, 0.5 / (1 - 0.8), atol=1e-5)
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        last = (tmp_path / "run" / "residuals.csv").read_text().strip().splitlines()[-1]
+        assert result["certified"] is True
+        assert result["certified_error_bound"] == float(last.split(",")[2])
+        assert result["certified_error_bound"] <= 1e-6
 
 
 class TestAnalyze:
@@ -298,6 +303,14 @@ def _projected(features: dict) -> dict:
     return {"algorithm": {"name": "projected", "features": features}}
 
 
+def _env_file(**fields) -> dict:
+    """A one-state, two-action environment document with `fields` replaced."""
+    doc = {"format_version": 1, "num_states": 1, "num_actions": 2, "gamma": 0.9,
+           "noise_probs": [1.0], "g": [[[0.0], [1.0]]], "h": [[[0], [0]]]}
+    doc.update(fields)
+    return doc
+
+
 # id, command, config overrides, files written next to the config, and the
 # field path (or the file, relative to the config's directory) the error names.
 MALFORMED = [
@@ -344,6 +357,22 @@ MALFORMED = [
      {"phi.json": json.dumps({"format_version": 1, "phi": [[1.0], [0.5], [0.2]]})},
      "config.algorithm.features"),
     ("config_is_a_list", "eval", None, {}, "c.json"),
+    ("c_with_constant_rule", "eval",
+     {"algorithm": {"name": "incremental", "rule": "constant", "c": 5.0}},
+     {}, "config.algorithm.c"),
+    ("alpha0_with_harmonic_rule", "eval",
+     {"algorithm": {"name": "incremental", "alpha0": 0.2}},
+     {}, "config.algorithm.alpha0"),
+    ("policy_ragged_probs", "eval", {"policy": {"path": "pol.json"}},
+     {"pol.json": json.dumps({"format_version": 1, "probs": [[0.5, 0.5], [1.0]]})},
+     "pol.json.probs"),
+    ("env_ragged_noise_probs", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(noise_probs=[[0.5], [0.25, 0.25]]))},
+     "env.json.noise_probs"),
+    ("env_ragged_g", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(g=[[[0.0], [1.0, 0.0]]]))}, "env.json.g"),
+    ("env_ragged_h", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(h=[[[0], [0, 0]]]))}, "env.json.h"),
 ]
 
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,148 @@ from jmdp.core import (
     lambda_norm,
     lambda_norm_n,
 )
-from jmdp.dp import apply_t2, apply_tn, jipe2, jipe_n
-from jmdp.env import ExoJmdp, NoiseModel, Policy, build_crc, build_wgw
+from jmdp.dp import _BackupPlan, apply_t2, apply_tn, jipe2, jipe_n
+from jmdp.env import (
+    ExoJmdp,
+    NoiseModel,
+    Policy,
+    build_crc,
+    build_ring_chain,
+    build_wgw,
+    wgw_goal_policy,
+)
 from jmdp.errors import BudgetError, InvalidInputError
 from jmdp.stats import _branch_returns, truncation_horizon
 
 from test_env import anticorrelated_single_state, random_env, random_policy
+
+
+# ---------------------------------------------------------------------------
+# Reference order-n backup: plain enumeration of every sorted coordinate tuple,
+# its joint noise draws, the continuing subsets of its positions and the next
+# actions of its distinct coordinates. Slow, but written independently of the
+# pattern-grouped tensor backup that dp.apply_tn computes.
+# ---------------------------------------------------------------------------
+
+
+class _TuplePlan:
+    """Static enumeration data for one sorted coordinate tuple.
+
+    Precomputes, per joint noise combination over the tuple's state groups, the
+    rewards and successors of each distinct coordinate, so repeated operator
+    applications only pay for table lookups.
+    """
+
+    __slots__ = ("k", "coord_of_pos", "n_distinct", "combos")
+
+    def __init__(self, env: ExoJmdp, xs: tuple):
+        a_n = env.space.num_actions
+        self.k = len(xs)
+        distinct: list = []
+        self.coord_of_pos = []
+        for x in xs:
+            if x not in distinct:
+                distinct.append(x)
+            self.coord_of_pos.append(distinct.index(x))
+        self.n_distinct = len(distinct)
+        states = [x // a_n for x in distinct]
+        actions = [x % a_n for x in distinct]
+        groups: dict = {}
+        for j, s in enumerate(states):
+            groups.setdefault(s, []).append(j)
+        group_items = list(groups.items())
+        u_n = env.noise.support_size
+        probs = env.noise.probs
+        self.combos = []
+        for draw in itertools.product(range(u_n), repeat=len(group_items)):
+            p = 1.0
+            rewards = [0.0] * self.n_distinct
+            succs = [0] * self.n_distinct
+            for (s, members), u in zip(group_items, draw):
+                p *= float(probs[u])
+                for j in members:
+                    rewards[j] = float(env.g[s, actions[j], u])
+                    succs[j] = int(env.h[s, actions[j], u])
+            self.combos.append((p, tuple(rewards), tuple(succs)))
+
+
+def _expect_subset(
+    m: MomentCollectionN,
+    pi: np.ndarray,
+    a_n: int,
+    subset: tuple,
+    coord_of_pos,
+    succs,
+) -> float:
+    """E over next actions of table_{|subset|} at the subset's successors.
+
+    Positions that reference the same coordinate share a single next action;
+    distinct coordinates draw independently from the policy at their successor.
+    """
+    size = len(subset)
+    if size == 0:
+        return 1.0
+    table = m.table(size)
+    coords = sorted({coord_of_pos[i] for i in subset})
+    total = 0.0
+    for assign in itertools.product(range(a_n), repeat=len(coords)):
+        w = 1.0
+        action_of = {}
+        for j, a in zip(coords, assign):
+            w *= float(pi[succs[j], a])
+            action_of[j] = a
+        if w == 0.0:
+            continue
+        idx = tuple(
+            succs[coord_of_pos[i]] * a_n + action_of[coord_of_pos[i]] for i in subset
+        )
+        total += w * float(table[idx])
+    return total
+
+
+def _apply_tn_planned(
+    env: ExoJmdp, policy: Policy, m: MomentCollectionN, plans
+) -> MomentCollectionN:
+    a_n = env.space.num_actions
+    pi = policy.probs
+    gamma = env.gamma
+    out_tables = []
+    for k in range(1, m.order + 1):
+        out = np.zeros((m.num_x,) * k)
+        subsets = [
+            tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)
+        ]
+        gamma_pow = [gamma ** len(sub) for sub in subsets]
+        for xs, plan in plans[k]:
+            value = 0.0
+            for p, rewards, succs in plan.combos:
+                contrib = 0.0
+                for sub, gpow in zip(subsets, gamma_pow):
+                    r_prod = 1.0
+                    for i in range(k):
+                        if not (i in sub):
+                            r_prod *= rewards[plan.coord_of_pos[i]]
+                    if r_prod == 0.0:
+                        continue
+                    contrib += gpow * r_prod * _expect_subset(
+                        m, pi, a_n, sub, plan.coord_of_pos, succs
+                    )
+                value += p * contrib
+            for perm in set(itertools.permutations(xs)):
+                out[perm] = value
+        out_tables.append(out)
+    return MomentCollectionN(tuple(out_tables))
+
+
+def _build_plans(env: ExoJmdp, order: int, coords=None):
+    coords = range(env.space.num_x) if coords is None else coords
+    plans = {}
+    for k in range(1, order + 1):
+        plans[k] = [
+            (xs, _TuplePlan(env, xs))
+            for xs in itertools.combinations_with_replacement(coords, k)
+        ]
+    return plans
 
 
 def mean_value_oracle(env, policy):
@@ -33,6 +172,34 @@ def mean_value_oracle(env, policy):
                     p_x[s * n_a + a, s1 * n_a + a1] += probs[u] * policy.probs[s1, a1]
     q = np.linalg.solve(np.eye(n_x) - env.gamma * p_x, r_bar.reshape(-1))
     return q
+
+
+def random_tables(rng, num_x, order, scale=3.0):
+    """Permutation-invariant random tables of orders 1..order."""
+    tables = []
+    for k in range(1, order + 1):
+        t = scale * rng.normal(size=(num_x,) * k)
+        perms = list(itertools.permutations(range(k)))
+        tables.append(sum(t.transpose(p) for p in perms) / len(perms))
+    return MomentCollectionN(tuple(tables))
+
+
+# name -> (env, policy, coordinates compared at order 4). The order-4
+# comparison is restricted to tuples over those coordinates, which still cover
+# four distinct states and, where the env has them, four actions at one state.
+REFERENCE_CASES = {
+    "crc3": lambda: (build_crc(3, 0.8), Policy.uniform(StateActionSpace(3, 2)),
+                     list(range(6))),
+    "random": lambda: (
+        random_env(6, num_states=3, num_actions=3, num_noise=4),
+        random_policy(6, StateActionSpace(3, 3)),
+        [0, 1, 2, 3, 6],
+    ),
+    "ring6": lambda: (build_ring_chain(6, 0.9), Policy.uniform(StateActionSpace(6, 2)),
+                      [0, 1, 2, 4, 6]),
+    "wgw2x2": lambda: (build_wgw(2, 2, (0, 1), 0.3, 0.9), wgw_goal_policy(2, 2, (0, 1)),
+                       [0, 1, 2, 3, 4, 8, 12]),
+}
 
 
 def random_moments(rng, num_x, scale=1.0):
@@ -207,6 +374,35 @@ class TestApplyTn:
             jipe_n(env, Policy.uniform(env.space), 4, 1e-6,
                    memory_budget_bytes=1000)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("case", ["crc3", "wgw2x2"])
+    def test_budget_bounds_measured_peak(self, case, order):
+        env, pol, _ = REFERENCE_CASES[case]()
+        need = _BackupPlan(env, pol, order, 1 << 40).need
+        with pytest.raises(BudgetError):
+            jipe_n(env, pol, order, 1e-8, max_iter=3, memory_budget_bytes=need - 1)
+        tracemalloc.start()
+        try:
+            jipe_n(env, pol, order, 1e-8, max_iter=3, memory_budget_bytes=need)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_enumeration_reference(self, case, order):
+        env, pol, coords = REFERENCE_CASES[case]()
+        if order < 4:
+            coords = list(range(env.space.num_x))
+        m = random_tables(np.random.default_rng(order), env.space.num_x, order)
+        ref = _apply_tn_planned(env, pol, m, _build_plans(env, order, coords))
+        out = apply_tn(env, pol, m)
+        for k in range(1, order + 1):
+            block = np.ix_(*[coords] * k)
+            np.testing.assert_allclose(out.table(k)[block], ref.table(k)[block],
+                                       rtol=0.0, atol=1e-12)
+
 
 class TestJipeN:
     def test_order_two_reproduces_jipe2(self):
@@ -239,15 +435,25 @@ class TestJipeN:
 
     def test_third_moments_match_coupled_rollouts(self):
         env = build_crc(3, 0.8)
-        pol = Policy.uniform(env.space)
-        final, _ = jipe_n(env, pol, 3, 1e-8)
-        n = 60_000
-        horizon = truncation_horizon(env.gamma, 1e-5)
-        z = _branch_returns(env, pol, 0, (0, 1), n, horizon, 123, "shared-state")
-        for combo in [(0, 0, 0), (0, 0, 1), (0, 1, 1)]:
-            sample = z[combo[0]] * z[combo[1]] * z[combo[2]]
-            est = sample.mean()
-            se = sample.std(ddof=1) / np.sqrt(n)
-            idx = tuple(env.space.x(0, a) for a in combo)
-            exact = final.table(3)[idx]
-            assert abs(est - exact) <= 4 * se + 1e-6
+        check_third_moments(env, Policy.uniform(env.space), 0, (0, 1))
+
+    def test_third_moments_match_coupled_rollouts_on_gridworld(self):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        check_third_moments(env, wgw_goal_policy(3, 3, (0, 2)), 3, (0, 1))
+
+
+def check_third_moments(env, pol, state, actions):
+    """Order-3 tables of jipe_n against coupled rollouts from `state`, one branch
+    per action; each mixed third moment within 4 standard errors."""
+    final, trace = jipe_n(env, pol, 3, 1e-8)
+    assert trace[-1][1] <= 1e-8 * (1 - env.gamma)
+    n = 60_000
+    horizon = truncation_horizon(env.gamma, 1e-5)
+    z = _branch_returns(env, pol, state, actions, n, horizon, 123, "shared-state")
+    for combo in [(0, 0, 0), (0, 0, 1), (0, 1, 1)]:
+        sample = z[combo[0]] * z[combo[1]] * z[combo[2]]
+        est = sample.mean()
+        se = sample.std(ddof=1) / np.sqrt(n)
+        idx = tuple(env.space.x(state, actions[b]) for b in combo)
+        exact = final.table(3)[idx]
+        assert abs(est - exact) <= 4 * se + 1e-6
