@@ -73,13 +73,11 @@ from .incremental import (
 )
 from .stats import (
     CorrMatrix,
-    GapReport,
     McBlock,
     cantelli_bound,
     chebyshev_ecdf,
     corr_matrix,
     gap_stats,
-    mc_oracle,
     mc_state_block,
 )
 

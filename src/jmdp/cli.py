@@ -402,32 +402,25 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     status = {"algorithm": name}
 
-    if name == "dp2":
-        report = jipe2(env, policy, algo["epsilon"], algo["max_iter"])
-        write_residual_csv(report.residual_trace, env.gamma, out_dir / "residuals.csv")
-        _write_json(out_dir / "moments.json", _moments_doc(report.final, env.gamma))
-        status.update(
-            certified=report.certified,
-            iterations=report.iterations,
-            certified_error_bound=report.certified_error_bound,
-        )
-        return _finish(cfg, out_dir, status,
-                       EXIT_OK if report.certified else EXIT_NOT_CERTIFIED)
-
-    if name == "dpn":
-        order, eps = algo["order"], algo["epsilon"]
-        final, trace = jipe_n(env, policy, order, eps, algo["max_iter"])
+    if name in ("dp2", "dpn"):
+        eps = algo["epsilon"]
+        if name == "dp2":
+            report = jipe2(env, policy, eps, algo["max_iter"])
+            trace, doc = report.residual_trace, _moments_doc(report.final, env.gamma)
+        else:
+            final, trace = jipe_n(env, policy, algo["order"], eps, algo["max_iter"])
+            doc = {
+                "format_version": 1,
+                "gamma": env.gamma,
+                "order": algo["order"],
+                "tables": [t.tolist() for t in final.tables],
+            }
         write_residual_csv(trace, env.gamma, out_dir / "residuals.csv")
-        doc = {
-            "format_version": 1,
-            "gamma": env.gamma,
-            "order": order,
-            "tables": [t.tolist() for t in final.tables],
-        }
         _write_json(out_dir / "moments.json", doc)
-        certified = trace[-1][1] <= eps * (1.0 - env.gamma)
-        status.update(certified=certified, iterations=trace[-1][0],
-                      certified_error_bound=trace[-1][1] / (1.0 - env.gamma))
+        k, residual = trace[-1]
+        certified = residual <= eps * (1.0 - env.gamma)
+        status.update(certified=certified, iterations=k,
+                      certified_error_bound=residual / (1.0 - env.gamma))
         return _finish(cfg, out_dir, status, EXIT_OK if certified else EXIT_NOT_CERTIFIED)
 
     if name == "incremental":
@@ -555,13 +548,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                 for b in range(n_a):
                     if a == b:
                         continue
-                    rep = build_gap_report(env.space, fixed, s, a, b, blocks[s])
-                    doc = {key: getattr(rep, key) for key in (
-                        "state", "action_a", "action_b", "gap_mean", "gap_variance",
-                        "mc_gap_mean", "mc_gap_variance", "mc_inferiority_prob")}
-                    doc["cantelli_bound"] = rep.cantelli
-                    doc["mc_ci_halfwidths"] = list(rep.mc_ci_halfwidths)
-                    reports.append(doc)
+                    reports.append(build_gap_report(env.space, fixed, s, a, b, blocks[s]))
         _write_json(out_dir / "gaps.json", {"format_version": 1, "reports": reports})
 
     if ana["mc_compare"]:

@@ -137,8 +137,11 @@ class MomentCollectionN:
                     f"order-{k} table has shape {t.shape}, expected {(n_x,) * k}"
                 )
             for ax in range(k - 1):
+                # One leading slice at a time, so the check's temporaries stay
+                # a few |X|^(k-1) slices rather than twice the table.
                 swapped = np.swapaxes(t, ax, ax + 1)
-                if not np.allclose(t, swapped, rtol=0.0, atol=self.symmetry_tol):
+                if not all(np.allclose(t[i], swapped[i], rtol=0.0, atol=self.symmetry_tol)
+                           for i in range(n_x)):
                     raise InvalidInputError(
                         f"order-{k} table is not permutation invariant (axes {ax},{ax + 1})"
                     )
@@ -195,26 +198,18 @@ def enumerate_indices(space: StateActionSpace) -> list[Index2]:
     return out
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-
-
 def lambda_norm(m: MomentCollection2, w: LambdaWeights) -> float:
     """max(max|m_mu|, max|m_sigma| / lam); zero iff both tables vanish."""
-    _check_finite(m.m_mu, "m_mu")
-    _check_finite(m.m_sigma, "m_sigma")
-    mu_part = float(np.max(np.abs(m.m_mu)))
-    sig_part = float(np.max(np.abs(m.m_sigma))) / w.lam
-    return max(mu_part, sig_part)
+    return lambda_norm_n((m.m_mu, m.m_sigma), w)
 
 
 def lambda_norm_n(m, w: LambdaWeights) -> float:
-    """max over k of max|table_k| / lam**(k-1); agrees with lambda_norm at n=2.
+    """max over k of max|table_k| / lam**(k-1), rejecting non-finite entries.
     m is a MomentCollectionN or the sequence of its raw order-1..n tables."""
     tables = m.tables if isinstance(m, MomentCollectionN) else m
     best = 0.0
     for k, t in enumerate(tables, start=1):
-        _check_finite(t, f"order-{k} table")
+        if not np.all(np.isfinite(t)):
+            raise InvalidInputError(f"order-{k} table contains non-finite entries")
         best = max(best, float(np.max(np.abs(t))) / w.lam_k(k))
     return best

@@ -1,22 +1,26 @@
 """Exact joint Bellman operators and their fixed-point iterations.
 
-apply_t2 backs up first and mixed second moments in one sweep by finite
-enumeration over the noise support and the policy; no sampling anywhere, so
-contraction properties can be checked to float precision. Queries at distinct
-states use independent draws, so the cross-state block factors through the
-marginal MDP (env.marginal_mdp): with mean rewards r, expected continuation
-means e, marginal kernel P (|X| x S) and policy-averaged second moments M
-(S x S), it is r r' + gamma (r e' + e r') + gamma^2 P M P'. Only same-state
-entries enumerate the shared noise draw. jipe2 iterates the operator and
-certifies accuracy through the computable residual bound
-||m - m*|| <= residual / (1 - gamma).
+Both orders run one certified algorithm: build the backup of the chosen order
+once per (env, policy), iterate it on raw moment tables until the residual
+certifies accuracy through the computable bound
+||m - m*|| <= residual / (1 - gamma), and wrap only the result in a frozen,
+symmetry-checked collection.
 
-apply_tn backs up tables of any order on whole tensors, grouped by the
-coincidence pattern of a tuple's k positions: sigma groups positions at one
-state (one shared noise draw), tau refines it to positions at one coordinate
-(one shared next action, as they denote one random return). Per pattern class
-and per choice of continuing positions, the order-j table enters only through
-a policy-averaged state table (S^j, one axis per continuing tau-block), which
+The second-order backup enumerates the noise support and the policy; no
+sampling anywhere, so contraction properties can be checked to float
+precision. Queries at distinct states use independent draws, so the
+cross-state block factors through the marginal MDP (env.marginal_mdp): with
+mean rewards r, expected continuation means e, marginal kernel P (|X| x S) and
+policy-averaged second moments M (S x S), it is r r' + gamma (r e' + e r') +
+gamma^2 P M P'. Only same-state entries enumerate the shared noise draw. The
+build computes every term that does not read the tables.
+
+The order-n backup works on whole tensors, grouped by the coincidence
+pattern of a tuple's k positions: sigma groups positions at one state (one
+shared noise draw), tau refines it to positions at one coordinate (one shared
+next action, as they denote one random return). Per pattern class and per
+choice of continuing positions, the order-j table enters only through a
+policy-averaged state table (S^j, one axis per continuing tau-block), which
 each sigma-block contracts with its noise kernel: a dense matrix, such as the
 marginal kernel P for one continuing position, or a gather over h with the
 shared draw enumerated. Memory is S^k-sized per pattern plus the |X|^k tables
@@ -32,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LambdaWeights,
-    MomentCollection2,
-    MomentCollectionN,
-    lambda_norm,
-    lambda_norm_n,
-)
+from .core import LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm_n
 from .env import ExoJmdp, Policy, marginal_mdp
 from .errors import BudgetError, InvalidInputError
 
@@ -77,62 +75,80 @@ def _check_dims(env: ExoJmdp, num_x: int) -> None:
         )
 
 
+class _Backup2:
+    """The second-order backup, built once per solve.
+
+    apply(tables) maps raw [m_mu, m_sigma] to the backed-up pair, as
+    _BackupPlan.apply does for order n. The build holds what does not read
+    the tables: the marginal MDP's mean rewards and kernel, the reward
+    products, E[g_a g_b] and E[g^2] under the noise, and the successor index
+    pairs of same-state entries.
+    """
+
+    def __init__(self, env: ExoJmdp, policy: Policy):
+        self.env, self.pi = env, policy.probs
+        s_n, n_x = env.space.num_states, env.space.num_x
+        u_probs, g, h = env.noise.probs, env.g, env.h
+        self.r_mean, p_s = marginal_mdp(env)
+        self.r = self.r_mean.reshape(n_x, 1)
+        self.p = p_s.reshape(n_x, s_n)
+        self.rr = self.r * self.r.T
+        self.gg = np.einsum("u,sau,sbu->sab", u_probs, g, g)
+        self.g2 = (g * g) @ u_probs
+        self.hh = (h[:, :, None, :], h[:, None, :, :])
+
+    def apply(self, tables) -> list:
+        """One backup of the raw [m_mu, m_sigma]; returns the new pair."""
+        env, pi, gamma = self.env, self.pi, self.env.gamma
+        s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+        u_probs, g, h = env.noise.probs, env.g, env.h
+        mu = tables[0].reshape(s_n, a_n)
+        sig = tables[1].reshape(s_n, a_n, s_n, a_n)
+
+        # Policy-averaged lookups of the input tables.
+        mbar = np.einsum("sa,sa->s", pi, mu)  # E_pi[m_mu(s', .)]
+        msum2 = np.einsum("ia,iajb,jb->ij", pi, sig, pi)  # independent next actions
+        diag_sa = np.einsum("sasa->sa", sig)
+        mdiag = np.einsum("sa,sa->s", pi, diag_sa)  # one shared next action
+
+        mbar_h = mbar[h]  # (S, N, U)
+        e_mb = mbar_h @ u_probs  # E[mbar(S') | s, a]
+
+        t_mu = self.r_mean + gamma * e_mb
+
+        # Cross-state coordinates: the two queries use independent draws, so
+        # every term factorizes through the marginal MDP.
+        r, e, p = self.r, e_mb.reshape(n_x, 1), self.p
+        t_sig = (
+            self.rr + gamma * (r * e.T) + gamma * (e * r.T) + gamma**2 * (p @ msum2 @ p.T)
+        ).reshape(s_n, a_n, s_n, a_n)
+
+        # Same-state coordinates: one shared noise draw couples the two actions.
+        cross = gamma * np.einsum("u,sau,sbu->sab", u_probs, g, mbar_h)
+        t4 = gamma**2 * np.einsum("u,sabu->sab", u_probs, msum2[self.hh])
+        same_block = self.gg + cross + cross.transpose(0, 2, 1) + t4
+
+        # Repeated coordinate (same state and action): the query denotes a
+        # single random return, so the continuation shares one next action.
+        diag_val = (
+            self.g2
+            + 2.0 * gamma * np.einsum("u,sau,sau->sa", u_probs, g, mbar_h)
+            + gamma**2 * mdiag[h] @ u_probs
+        )
+
+        states = np.arange(s_n)
+        t_sig[states, :, states, :] = same_block
+        acts = np.arange(a_n)
+        t_sig[states[:, None], acts[None, :], states[:, None], acts[None, :]] = diag_val
+
+        t_sig = t_sig.reshape(n_x, n_x)
+        return [t_mu.reshape(-1), 0.5 * (t_sig + t_sig.T)]
+
+
 def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollection2:
     """One exact application of the second-order joint Bellman operator."""
     _check_dims(env, m.m_mu.size)
-    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
-    u_probs = env.noise.probs
-    g, h = env.g, env.h
-    pi = policy.probs
-    gamma = env.gamma
-
-    mu = m.m_mu.reshape(s_n, a_n)
-    sig = m.m_sigma.reshape(s_n, a_n, s_n, a_n)
-
-    # Policy-averaged lookups of the input tables.
-    mbar = np.einsum("sa,sa->s", pi, mu)  # E_pi[m_mu(s', .)]
-    msum2 = np.einsum("ia,iajb,jb->ij", pi, sig, pi)  # independent next actions
-    diag_sa = np.einsum("sasa->sa", sig)
-    mdiag = np.einsum("sa,sa->s", pi, diag_sa)  # one shared next action
-
-    r_mean, p_s = marginal_mdp(env)
-    mbar_h = mbar[h]  # (S, N, U)
-    e_mb = mbar_h @ u_probs  # E[mbar(S') | s, a]
-
-    t_mu = r_mean + gamma * e_mb
-
-    # Cross-state coordinates: the two queries use independent draws, so every
-    # term factorizes through the marginal MDP.
-    r, e = r_mean.reshape(n_x, 1), e_mb.reshape(n_x, 1)
-    p = p_s.reshape(n_x, s_n)
-    t_sig = (
-        r * r.T + gamma * (r * e.T) + gamma * (e * r.T) + gamma**2 * (p @ msum2 @ p.T)
-    ).reshape(s_n, a_n, s_n, a_n)
-
-    # Same-state coordinates: one shared noise draw couples the two actions.
-    t1 = np.einsum("u,sau,sbu->sab", u_probs, g, g)
-    cross = gamma * np.einsum("u,sau,sbu->sab", u_probs, g, mbar_h)
-    t4 = gamma**2 * np.einsum(
-        "u,sabu->sab", u_probs, msum2[h[:, :, None, :], h[:, None, :, :]]
-    )
-    same_block = t1 + cross + cross.transpose(0, 2, 1) + t4
-
-    # Repeated coordinate (same state and action): the query denotes a single
-    # random return, so the continuation shares one next action.
-    diag_val = (
-        (g * g) @ u_probs
-        + 2.0 * gamma * np.einsum("u,sau,sau->sa", u_probs, g, mbar_h)
-        + gamma**2 * mdiag[h] @ u_probs
-    )
-
-    states = np.arange(s_n)
-    t_sig[states, :, states, :] = same_block
-    acts = np.arange(a_n)
-    t_sig[states[:, None], acts[None, :], states[:, None], acts[None, :]] = diag_val
-
-    t_sig = t_sig.reshape(n_x, n_x)
-    t_sig = 0.5 * (t_sig + t_sig.T)
-    return MomentCollection2(t_mu.reshape(-1), t_sig)
+    return MomentCollection2(*_Backup2(env, policy).apply([m.m_mu, m.m_sigma]))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:
@@ -156,26 +172,29 @@ def jipe2(
     ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
     """
     check_solver_args(epsilon, max_iter)
-    weights = LambdaWeights(env.gamma)
+    if m0 is not None:
+        _check_dims(env, m0.m_mu.size)
     m = MomentCollection2.zeros(env.space) if m0 is None else m0
-    m, trace = _iterate(lambda m: apply_t2(env, policy, m),
-                        lambda a, b: lambda_norm(a - b, weights), m, env.gamma, epsilon, max_iter)
+    tables, trace = _iterate(_Backup2(env, policy).apply, [m.m_mu, m.m_sigma],
+                             env.gamma, epsilon, max_iter)
     k, residual = trace[-1]
     certified = residual <= epsilon * (1.0 - env.gamma)
-    return Jipe2Report(m, trace, k, certified, residual / (1.0 - env.gamma))
+    final = m if k == 0 else MomentCollection2(*tables)
+    return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
 
 
-def _iterate(step, residual, m, gamma: float, epsilon: float, max_iter: int) -> tuple:
-    """Fixed-point loop of the exact solvers: stops at the first m with
-    residual(m, step(m)) <= epsilon * (1 - gamma), or after max_iter steps;
-    returns (m, [(iteration, residual), ...])."""
+def _iterate(backup, tables, gamma: float, epsilon: float, max_iter: int) -> tuple:
+    """Fixed-point loop of the exact solvers on raw order-1..n tables: stops at
+    the first m with ||m - backup(m)||_lambda <= epsilon * (1 - gamma), or
+    after max_iter steps; returns (m, [(iteration, residual), ...])."""
+    weights = LambdaWeights(gamma)
     trace: list = []
     for k in range(max_iter + 1):
-        t_m = step(m)
-        trace.append((k, residual(m, t_m)))
+        t_m = backup(tables)
+        trace.append((k, lambda_norm_n([a - b for a, b in zip(tables, t_m)], weights)))
         if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
-            return m, trace
-        m = t_m
+            return tables, trace
+        tables = t_m
 
 
 def write_residual_csv(trace, gamma: float, path) -> None:
@@ -297,15 +316,16 @@ class _BackupPlan:
     index, so each output table is exactly symmetric. `need` bounds a solve's
     peak bytes before any array is built: five sets of order-1..n tables
     (iterate, backup, difference, gather index, frozen copy), value buffers,
-    state tables, kernels, the largest transient (a term step, a gather-index
-    chunk, or a frozen copy's symmetry check) and _OBJECT_BYTES per entry.
+    state tables, kernels, the largest transient (a term step or a
+    gather-index chunk; the frozen copy's symmetry check holds about three
+    |X|^(n-1) slices, less than a chunk) and _OBJECT_BYTES per entry.
     """
 
     def __init__(self, env: ExoJmdp, policy: Policy, order: int, budget: int):
         s_n, a_n, u_n = env.g.shape
         n_x = env.space.num_x
         held = 5 * sum(n_x**k for k in range(1, order + 1))
-        peak = max(3 * n_x**order, (5 * order + 4) * n_x ** (order - 1))
+        peak = (5 * order + 4) * n_x ** (order - 1)
         layout, keys, state_keys = [], set(), set()  # layout: per order, shape -> terms
         for k in range(order):
             codes = itertools.product(range(3), repeat=k)  # the run codes of order k + 1
@@ -410,7 +430,5 @@ def jipe_n(
         )
     plan = _BackupPlan(env, policy, order, memory_budget_bytes)
     m = MomentCollectionN.zeros(env.space, order) if m0 is None else m0
-    weights = LambdaWeights(env.gamma)
-    tables, trace = _iterate(plan.apply, lambda a, b: lambda_norm_n(
-        [x - y for x, y in zip(a, b)], weights), m.tables, env.gamma, epsilon, max_iter)
-    return (m if tables is m.tables else MomentCollectionN(tuple(tables))), trace
+    tables, trace = _iterate(plan.apply, m.tables, env.gamma, epsilon, max_iter)
+    return (m if trace[-1][0] == 0 else MomentCollectionN(tuple(tables))), trace

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, apply_t2, check_solver_args
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, _check_dims, check_solver_args
 from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp, read_json_array, read_json_doc
 from .errors import (
     AssumptionError,
@@ -494,6 +494,7 @@ def projected_jipe2(
     memory budget) beta = 1.
     """
     check_solver_args(epsilon, max_iter)
+    _check_dims(env, features.num_x)
     nu = np.asarray(nu, dtype=float)
     beta, kappa = 1.0, None
     try:
@@ -503,15 +504,16 @@ def projected_jipe2(
     if sqrt_c_rho is not None and env.gamma**2 * sqrt_c_rho < 1.0:
         beta, kappa = beta_weight(env.gamma, sqrt_c_rho)
 
+    backup = _Backup2(env, policy)
     d = features.dim
     current = LinearMoments(np.zeros(d), np.zeros((d, d)))
     dense = current.densify(features)
     distances: list = []
     grow_streak = 0
     for k in range(max_iter):
-        backed = apply_t2(env, policy, dense)
-        theta_mu = project_mu(backed.m_mu, features, nu)
-        theta_sig, _ = project_sigma_psd(backed.m_sigma, features, nu)
+        backed_mu, backed_sig = backup.apply([dense.m_mu, dense.m_sigma])
+        theta_mu = project_mu(backed_mu, features, nu)
+        theta_sig, _ = project_sigma_psd(backed_sig, features, nu)
         new = LinearMoments(theta_mu, theta_sig)
         new_dense = new.densify(features)
         dist = beta_norm(new_dense - dense, nu, beta)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Index2,
-    LambdaWeights,
-    MomentCollection2,
-    enumerate_indices,
-    lambda_norm,
-)
+from .core import Index2, LambdaWeights, MomentCollection2, lambda_norm
 from .dp import apply_t2
 from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs
 from .errors import InvalidInputError, InvalidQueryError
@@ -190,15 +184,20 @@ def sample_backup(
 
 def _coordinate_table(space) -> tuple[np.ndarray, int]:
     """Rows (draw class, x, y, slot) in enumerate_indices order, and the slot
-    count; mirrored second-moment pairs share a slot (one visit counter)."""
-    rows = []
-    slot_of: dict = {}
-    for idx in enumerate_indices(space):
-        y = idx.x if idx.kind == "mu" else idx.x2
-        key = (idx.kind, min(idx.x, y), max(idx.x, y))
-        slot = slot_of.setdefault(key, len(slot_of))
-        rows.append((_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
-    return np.array(rows, dtype=np.int64), len(slot_of)
+    count; mirrored second-moment pairs share a slot (one visit counter).
+    Slots are numbered by first appearance: mean x has slot x, and pair
+    {i <= j}, first met at row-major position (i, j), slot
+    |X| + i |X| - i (i - 1) / 2 + (j - i)."""
+    n, n_a = space.num_x, space.num_actions
+    x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    cls = np.where(x == y, _DIAG, np.where(x // n_a == y // n_a, _SAME, _CROSS))
+    mu = np.arange(n, dtype=np.int64)
+    table = np.empty((n + n * n, 4), dtype=np.int64)
+    table[:n] = np.stack([np.full(n, _MU), mu, mu, mu], axis=1)
+    for col, pairs in enumerate((cls, x, y, n + lo * n - lo * (lo - 1) // 2 + hi - lo)):
+        table[n:, col] = pairs
+    return table, n + n * (n + 1) // 2
 
 
 @dataclass(frozen=True)

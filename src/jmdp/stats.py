@@ -22,7 +22,6 @@ from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs, child_seed
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
-    "GapReport",
     "CorrMatrix",
     "McBlock",
     "EcdfRatio",
@@ -30,7 +29,6 @@ __all__ = [
     "gap_stats",
     "cantelli_bound",
     "corr_matrix",
-    "mc_oracle",
     "mc_state_block",
     "chebyshev_ecdf",
     "build_gap_report",
@@ -281,53 +279,9 @@ def mc_state_block(
     )
 
 
-def mc_oracle(
-    env: ExoJmdp,
-    policy: Policy,
-    s: int,
-    actions,
-    num_rollouts: int,
-    trunc_tol: float,
-    seed: int,
-    confidence: float = 0.95,
-    continuation_coupling: str = "shared-state",
-) -> McBlock:
-    """Ground-truth moments for a single action or an action pair at a state."""
-    acts = (actions,) if np.isscalar(actions) else tuple(actions)
-    if len(acts) not in (1, 2):
-        raise InvalidQueryError("oracle takes a single action or a pair")
-    if len(acts) == 2 and acts[0] == acts[1]:
-        raise InvalidQueryError("paired actions must be distinct")
-    return mc_state_block(
-        env,
-        policy,
-        s,
-        acts,
-        num_rollouts,
-        trunc_tol,
-        seed,
-        confidence,
-        continuation_coupling,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapReport:
-    state: int
-    action_a: int
-    action_b: int
-    gap_mean: float
-    gap_variance: float
-    cantelli: float | None
-    mc_gap_mean: float | None = None
-    mc_gap_variance: float | None = None
-    mc_inferiority_prob: float | None = None
-    mc_ci_halfwidths: tuple | None = None
 
 
 def build_gap_report(
@@ -336,30 +290,31 @@ def build_gap_report(
     s: int,
     a: int,
     b: int,
-    mc: McBlock | None = None,
-) -> GapReport:
+    mc: McBlock,
+) -> dict:
+    """One gaps.json row: the gap mean and variance from the moments, the
+    Cantelli bound (None unless the mean gap is positive), and the Monte Carlo
+    block's gap estimates with their CI half-widths (mean, variance,
+    inferiority probability)."""
     mean, var = gap_stats(space, m, s, a, b)
-    bound = cantelli_bound(mean, var) if mean > 0.0 else None
-    if mc is None:
-        return GapReport(s, a, b, mean, var, bound)
     i, j = mc.actions.index(a), mc.actions.index(b)
     z = mc.z_value
-    return GapReport(
-        s,
-        a,
-        b,
-        mean,
-        var,
-        bound,
-        mc_gap_mean=float(mc.gap_mean[i, j]),
-        mc_gap_variance=float(mc.gap_var[i, j]),
-        mc_inferiority_prob=float(mc.inferiority[i, j]),
-        mc_ci_halfwidths=(
+    return {
+        "state": s,
+        "action_a": a,
+        "action_b": b,
+        "gap_mean": mean,
+        "gap_variance": var,
+        "cantelli_bound": cantelli_bound(mean, var) if mean > 0.0 else None,
+        "mc_gap_mean": float(mc.gap_mean[i, j]),
+        "mc_gap_variance": float(mc.gap_var[i, j]),
+        "mc_inferiority_prob": float(mc.inferiority[i, j]),
+        "mc_ci_halfwidths": [
             float(z * mc.gap_mean_se[i, j]),
             float(z * mc.gap_var_se[i, j]),
             float(z * mc.inferiority_se[i, j]),
-        ),
-    )
+        ],
+    }
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,19 @@ class TestMomentCollections:
         with pytest.raises(InvalidInputError):
             MomentCollectionN((t1, t2))
 
+    @pytest.mark.parametrize(
+        "entry, value, axes",
+        # (0,0,0,1) is invariant under swapping axes (0,1) and (1,2), not (2,3).
+        [((0, 0, 0, 1), 1e-6, "2,3"), ((1, 1, 1, 1), np.nan, "0,1")],
+        ids=["last_axis_pair", "nan"],
+    )
+    def test_order4_table_defects_rejected(self, entry, value, axes):
+        t4 = np.zeros((3,) * 4)
+        t4[entry] = value
+        tables = (np.zeros(3), np.zeros((3, 3)), np.zeros((3,) * 3), t4)
+        with pytest.raises(InvalidInputError, match=f"axes {axes}"):
+            MomentCollectionN(tables)
+
     def test_order3_zeros_shape(self):
         m = MomentCollectionN.zeros(StateActionSpace(2, 2), 3)
         assert m.order == 3

@@ -20,12 +20,96 @@ from jmdp.env import (
     build_crc,
     build_ring_chain,
     build_wgw,
+    marginal_mdp,
     wgw_goal_policy,
 )
 from jmdp.errors import BudgetError, InvalidInputError
 from jmdp.stats import _branch_returns, truncation_horizon
 
 from test_env import anticorrelated_single_state, random_env, random_policy
+
+
+# ---------------------------------------------------------------------------
+# Reference second-order backup and solver: one apply_t2 computing every term
+# per call, and a jipe2 loop stepping frozen MomentCollection2 objects with the
+# residual max(max|d_mu|, max|d_sigma| / lam). The backup built once per solve
+# must reproduce both bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollection2:
+    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    u_probs = env.noise.probs
+    g, h = env.g, env.h
+    pi = policy.probs
+    gamma = env.gamma
+
+    mu = m.m_mu.reshape(s_n, a_n)
+    sig = m.m_sigma.reshape(s_n, a_n, s_n, a_n)
+
+    mbar = np.einsum("sa,sa->s", pi, mu)
+    msum2 = np.einsum("ia,iajb,jb->ij", pi, sig, pi)
+    diag_sa = np.einsum("sasa->sa", sig)
+    mdiag = np.einsum("sa,sa->s", pi, diag_sa)
+
+    r_mean, p_s = marginal_mdp(env)
+    mbar_h = mbar[h]
+    e_mb = mbar_h @ u_probs
+
+    t_mu = r_mean + gamma * e_mb
+
+    r, e = r_mean.reshape(n_x, 1), e_mb.reshape(n_x, 1)
+    p = p_s.reshape(n_x, s_n)
+    t_sig = (
+        r * r.T + gamma * (r * e.T) + gamma * (e * r.T) + gamma**2 * (p @ msum2 @ p.T)
+    ).reshape(s_n, a_n, s_n, a_n)
+
+    t1 = np.einsum("u,sau,sbu->sab", u_probs, g, g)
+    cross = gamma * np.einsum("u,sau,sbu->sab", u_probs, g, mbar_h)
+    t4 = gamma**2 * np.einsum(
+        "u,sabu->sab", u_probs, msum2[h[:, :, None, :], h[:, None, :, :]]
+    )
+    same_block = t1 + cross + cross.transpose(0, 2, 1) + t4
+
+    diag_val = (
+        (g * g) @ u_probs
+        + 2.0 * gamma * np.einsum("u,sau,sau->sa", u_probs, g, mbar_h)
+        + gamma**2 * mdiag[h] @ u_probs
+    )
+
+    states = np.arange(s_n)
+    t_sig[states, :, states, :] = same_block
+    acts = np.arange(a_n)
+    t_sig[states[:, None], acts[None, :], states[:, None], acts[None, :]] = diag_val
+
+    t_sig = t_sig.reshape(n_x, n_x)
+    t_sig = 0.5 * (t_sig + t_sig.T)
+    return MomentCollection2(t_mu.reshape(-1), t_sig)
+
+
+def _ref_jipe2(env, policy, epsilon, max_iter=100_000, m0=None):
+    """(final collection, residual trace) of the reference loop."""
+    lam = LambdaWeights(env.gamma).lam
+    m = MomentCollection2.zeros(env.space) if m0 is None else m0
+    trace = []
+    for k in range(max_iter + 1):
+        t_m = _ref_apply_t2(env, policy, m)
+        d = m - t_m
+        trace.append((k, max(float(np.max(np.abs(d.m_mu))),
+                             float(np.max(np.abs(d.m_sigma))) / lam)))
+        if trace[-1][1] <= epsilon * (1.0 - env.gamma) or k == max_iter:
+            return m, trace
+        m = t_m
+
+
+SECOND_ORDER_CASES = {
+    "crc5": lambda: (build_crc(5, 0.9), Policy.uniform(StateActionSpace(5, 2))),
+    "wgw3x3-goal": lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9),
+                            wgw_goal_policy(3, 3, (0, 2))),
+    "ring8": lambda: (build_ring_chain(8, 0.9), Policy.uniform(StateActionSpace(8, 2))),
+    "random": lambda: (random_env(6, num_states=3, num_actions=3, num_noise=4),
+                       random_policy(6, StateActionSpace(3, 3))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +346,28 @@ class TestApplyT2:
                 lhs = lambda_norm(apply_t2(env, pol, a) - apply_t2(env, pol, b), w)
                 rhs = env.gamma * lambda_norm(a - b, w)
                 assert lhs <= rhs + 1e-10
+
+
+@pytest.mark.parametrize("case", list(SECOND_ORDER_CASES))
+class TestSecondOrderMatchesReference:
+    def test_apply_t2(self, case):
+        env, pol = SECOND_ORDER_CASES[case]()
+        m = random_moments(np.random.default_rng(3), env.space.num_x, scale=3.0)
+        out, ref = apply_t2(env, pol, m), _ref_apply_t2(env, pol, m)
+        assert np.array_equal(out.m_mu, ref.m_mu)
+        assert np.array_equal(out.m_sigma, ref.m_sigma)
+
+    def test_jipe2(self, case):
+        env, pol = SECOND_ORDER_CASES[case]()
+        rep = jipe2(env, pol, 1e-8)
+        ref_final, ref_trace = _ref_jipe2(env, pol, 1e-8)
+        assert rep.residual_trace == ref_trace
+        assert np.array_equal(rep.final.m_mu, ref_final.m_mu)
+        assert np.array_equal(rep.final.m_sigma, ref_final.m_sigma)
+        # Started at its own fixed point, the solver returns m0 at k = 0.
+        again = jipe2(env, pol, 1e-8, m0=rep.final)
+        assert again.residual_trace == _ref_jipe2(env, pol, 1e-8, m0=rep.final)[1]
+        assert again.iterations == 0 and again.final is rep.final
 
 
 class TestJipe2:

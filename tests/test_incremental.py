@@ -21,6 +21,8 @@ from jmdp.env import (
 from jmdp.errors import InvalidInputError
 from jmdp.incremental import (
     _CHUNK,
+    _coordinate_table,
+    _draw_class,
     StepSchedule,
     VisitationScheme,
     noise_bound_constants,
@@ -132,6 +134,27 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
                     else lambda_norm(current - fixed_point, weights))
             trace.append((k + 1, dist, alpha))
     return trace, MomentCollection2(mu, 0.5 * (sig + sig.T)), counts
+
+
+def _ref_coordinate_table(space):
+    """(draw class, x, y, slot) rows in enumerate_indices order, slots numbered
+    by first appearance of the unordered pair in a dict."""
+    rows, slot_of = [], {}
+    for idx in enumerate_indices(space):
+        y = idx.x if idx.kind == "mu" else idx.x2
+        slot = slot_of.setdefault((idx.kind, min(idx.x, y), max(idx.x, y)), len(slot_of))
+        rows.append((_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
+    return np.array(rows, dtype=np.int64), len(slot_of)
+
+
+@pytest.mark.parametrize("states, actions", [(5, 2), (9, 4), (100, 4)],
+                         ids=["crc5", "wgw3x3", "wgw10x10"])
+def test_coordinate_table_matches_enumeration(states, actions):
+    space = StateActionSpace(states, actions)
+    table, num_slots = _coordinate_table(space)
+    ref_table, ref_slots = _ref_coordinate_table(space)
+    assert num_slots == ref_slots
+    assert table.dtype == ref_table.dtype and np.array_equal(table, ref_table)
 
 
 def _symmetric(rng, n, scale=1.0):

@@ -10,7 +10,6 @@ from jmdp.stats import (
     chebyshev_ecdf,
     corr_matrix,
     gap_stats,
-    mc_oracle,
     mc_state_block,
     truncation_horizon,
 )
@@ -144,16 +143,11 @@ class TestMcOracle:
     def test_deterministic_env_zero_width(self):
         env = build_wgw(3, 3, (0, 2), 0.0, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        blk = mc_oracle(env, pol, 0, 0, 200, 1e-8, seed=0)
+        blk = mc_state_block(env, pol, 0, (0,), 200, 1e-8, seed=0)
         # from the top-left cell, "up" clamps in place; the policy then takes
         # two rights, entering the goal on the third step: return = gamma^2
         assert blk.mu[0] == pytest.approx(0.81, abs=1e-12)
         assert blk.mu_se[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_pair_requires_distinct_actions(self):
-        env = build_crc(3, 0.9)
-        with pytest.raises(InvalidQueryError):
-            mc_oracle(env, Policy.uniform(env.space), 0, (1, 1), 100, 1e-4, 0)
 
     def test_rollouts_must_be_positive(self):
         env = build_crc(3, 0.9)
@@ -162,7 +156,7 @@ class TestMcOracle:
 
     def test_cross_term_agrees_with_solver(self, crc_fixed_point):
         env, pol, m = crc_fixed_point
-        blk = mc_oracle(env, pol, 0, (0, 1), 50_000, 1e-6, seed=11, confidence=0.99)
+        blk = mc_state_block(env, pol, 0, (0, 1), 50_000, 1e-6, seed=11, confidence=0.99)
         x0, x1 = env.space.x(0, 0), env.space.x(0, 1)
         z = blk.z_value
         assert abs(blk.sigma[0, 1] - m.m_sigma[x0, x1]) <= z * blk.sigma_se[0, 1]
@@ -170,7 +164,7 @@ class TestMcOracle:
 
     def test_crc_closed_forms_via_oracle(self, crc_fixed_point):
         env, pol, _ = crc_fixed_point
-        blk = mc_oracle(env, pol, 2, (0, 1), 60_000, 1e-6, seed=13, confidence=0.99)
+        blk = mc_state_block(env, pol, 2, (0, 1), 60_000, 1e-6, seed=13, confidence=0.99)
         z = blk.z_value
         cov = blk.sigma[0, 1] - blk.mu[0] * blk.mu[1]
         assert abs(blk.gap_var[0, 1] - CRC_GAP_VAR) <= z * blk.gap_var_se[0, 1]
@@ -181,8 +175,8 @@ class TestMcOracle:
         # 1 + g^2/(2 (1 - g^2)) and the cross moment drops to 24.75: the values
         # the solver coupling does not reproduce.
         env, pol, _ = crc_fixed_point
-        blk = mc_oracle(env, pol, 0, (0, 1), 60_000, 1e-6, seed=17,
-                        confidence=0.99, continuation_coupling="independent")
+        blk = mc_state_block(env, pol, 0, (0, 1), 60_000, 1e-6, seed=17,
+                             confidence=0.99, continuation_coupling="independent")
         z = blk.z_value
         strict_gap_var = 1 + GAMMA**2 * 0.5 / (1 - GAMMA**2)
         strict_cross = 24.75
