@@ -23,6 +23,10 @@ from .core import MomentCollection2
 from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n, write_residual_csv
 from .env import (
     _PROB_TOL,
+    _REQUIRED,
+    _int,
+    _real,
+    _section,
     ExoJmdp,
     Policy,
     build_crc,
@@ -76,36 +80,9 @@ EXIT_ERROR = 4
 
 
 # -- config schema -----------------------------------------------------------
-# A schema maps each key of a config section to (check, default). A check takes
-# (value, field path) and returns the parsed value or raises ConfigError; an
-# absent key takes its default, which goes through the same check. A default of
-# None stands for a value that depends on the environment.
-
-_REQUIRED = object()
-
-
-def _int(lo: int):
-    def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-            raise ConfigError(f"{path}: must be an integer >= {lo}, got {value!r}")
-        return value
-    return check
-
-
-def _real(interval: str):
-    """A finite number in `interval`, written like "(0, 1]" or "(0, inf)"."""
-    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
-    lo, hi = (float(t) for t in interval[1:-1].split(","))
-
-    def check(value, path):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and abs(value) <= sys.float_info.max  # finite, and fits a float
-        ok = ok and (lo < value if lo_open else lo <= value)
-        ok = ok and (value < hi if hi_open else value <= hi)
-        if not ok:
-            raise ConfigError(f"{path}: must be a number in {interval}, got {value!r}")
-        return float(value)
-    return check
+# Each section is a schema table parsed by env._section (see the file-format
+# section of env.py); a default of None stands for a value that depends on the
+# environment.
 
 
 def _bool(value, path):
@@ -148,22 +125,6 @@ def _state_list(value, path):
     if len(set(states)) != len(states):
         raise ConfigError(f"{path}: duplicate entries in {value!r}")
     return states
-
-
-def _section(doc, schema: dict, path: str) -> dict:
-    """Parse one config object against its schema."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: must be an object, got {doc!r}")
-    for key, (_, default) in schema.items():
-        if key not in doc and default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: missing required field")
-    for key in doc:
-        if key not in schema:
-            raise ConfigError(f"{path}.{key}: unknown field; allowed: {sorted(schema)}")
-    return {
-        key: check(doc[key] if key in doc else default, f"{path}.{key}")
-        for key, (check, default) in schema.items()
-    }
 
 
 def _pick(key: str, variants: dict, files: bool = False):
@@ -442,7 +403,9 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         write_incremental_csv(result.trace, out_dir / "trace.csv")
         _write_json(out_dir / "moments.json", _moments_doc(result.final, env.gamma))
         final_dist = result.trace[-1][1] if result.trace else float("nan")
-        status.update(num_updates=result.num_updates, final_distance=final_dist)
+        status.update(num_updates=result.num_updates, final_distance=final_dist,
+                      reference_certified=ref.certified,
+                      reference_error_bound=ref.certified_error_bound)
         return _finish(cfg, out_dir, status, EXIT_OK)
 
     # projected
@@ -514,7 +477,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             {"format_version": 1, "nu_source": nu.source, "modes": reports},
         )
 
-    fixed = jipe2(env, policy, ana["epsilon"]).final
+    solve = jipe2(env, policy, ana["epsilon"])
+    fixed = solve.final
 
     if ana["corr"]:
         doc = []
@@ -579,15 +543,15 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
         write_ecdf_csv(ratios, out_dir / "ecdf.csv")
 
-    return _finish(cfg, out_dir, {"analysis": True}, EXIT_OK)
+    status = {"analysis": True, "certified": solve.certified,
+              "iterations": solve.iterations,
+              "certified_error_bound": solve.certified_error_bound}
+    return _finish(cfg, out_dir, status,
+                   EXIT_OK if solve.certified else EXIT_NOT_CERTIFIED)
 
 
 def cmd_validate_env(path: str) -> int:
-    try:
-        env = load_env(path)
-    except ConfigError as exc:
-        print(f"invalid environment file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    env = load_env(path)
     r_mean, p_s = marginal_mdp(env)
     coupled = is_coupled_dynamics(env)
     print(f"states: {env.space.num_states}")
@@ -618,10 +582,9 @@ def main(argv=None) -> int:
     p_val.add_argument("path")
 
     args = parser.parse_args(argv)
-    if args.command == "validate-env":
-        return cmd_validate_env(args.path)
-
     try:
+        if args.command == "validate-env":
+            return cmd_validate_env(args.path)
         cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
         run = cmd_eval if args.command == "eval" else cmd_analyze
         return run(cfg, Path(cfg.out_dir))

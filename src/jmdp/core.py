@@ -7,7 +7,7 @@ Second-moment tables live on X x X, order-k tables on X^k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class LambdaWeights:
         return self.lam ** (k - 1)
 
 
+_SYMMETRY_TOL = 1e-9  # absolute; NaN entries fail it
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -90,7 +93,6 @@ class MomentCollection2:
 
     m_mu: np.ndarray
     m_sigma: np.ndarray
-    symmetry_tol: float = 1e-9
 
     def __post_init__(self):
         mu = _frozen(np.asarray(self.m_mu, dtype=float))
@@ -100,7 +102,7 @@ class MomentCollection2:
                 f"shape mismatch: m_mu {mu.shape}, m_sigma {sig.shape}"
             )
         asym = float(np.max(np.abs(sig - sig.T))) if sig.size else 0.0
-        if asym > self.symmetry_tol:
+        if not asym <= _SYMMETRY_TOL:
             raise InvalidInputError(
                 f"m_sigma must be symmetric (max asymmetry {asym:.3e})"
             )
@@ -124,7 +126,6 @@ class MomentCollectionN:
     """
 
     tables: tuple
-    symmetry_tol: float = 1e-9
 
     def __post_init__(self):
         tabs = tuple(_frozen(np.asarray(t, dtype=float)) for t in self.tables)
@@ -140,7 +141,7 @@ class MomentCollectionN:
                 # One leading slice at a time, so the check's temporaries stay
                 # a few |X|^(k-1) slices rather than twice the table.
                 swapped = np.swapaxes(t, ax, ax + 1)
-                if not all(np.allclose(t[i], swapped[i], rtol=0.0, atol=self.symmetry_tol)
+                if not all(np.allclose(t[i], swapped[i], rtol=0.0, atol=_SYMMETRY_TOL)
                            for i in range(n_x)):
                     raise InvalidInputError(
                         f"order-{k} table is not permutation invariant (axes {ax},{ax + 1})"

@@ -16,13 +16,14 @@ Benchmark builders:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import StateActionSpace
-from .errors import ConfigError, InvalidInputError, InvalidQueryError
+from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQueryError
 
 __all__ = [
     "NoiseModel",
@@ -43,7 +44,6 @@ __all__ = [
     "build_hub_successors",
     "wgw_goal_policy",
     "read_json_doc",
-    "read_json_array",
     "load_env",
     "save_env",
     "load_policy",
@@ -52,6 +52,17 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+
+
+def _check_entries(name: str, arr: np.ndarray, ok: np.ndarray, what: str,
+                   error=InvalidInputError) -> None:
+    """Raise `error` naming the first entry of arr where ok is False, as
+    name[i][j]...: what, got <value>."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        where = "".join(f"[{i}]" for i in idx)
+        raise error(f"{name}{where}: {what}, got {arr.item(idx)!r}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,11 @@ class NoiseModel:
     def __post_init__(self):
         p = np.array(self.probs, dtype=float, copy=True)
         if p.ndim != 1 or p.size < 1:
-            raise InvalidInputError("noise probs must be a non-empty vector")
-        if np.any(p <= 0.0):
-            raise InvalidInputError("noise probs must all be > 0")
-        if abs(float(p.sum()) - 1.0) > _PROB_TOL:
+            raise InvalidInputError("noise_probs: must be a non-empty vector")
+        _check_entries("noise_probs", p, p > 0.0, "must be > 0")
+        if not abs(float(p.sum()) - 1.0) <= _PROB_TOL:
             raise InvalidInputError(
-                f"noise probs must sum to 1 (got {float(p.sum())!r})"
+                f"noise_probs: must sum to 1, got {float(p.sum())!r}"
             )
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -84,6 +94,7 @@ class ExoJmdp:
 
     g[s, a, u] is the reward in [0, 1]; h[s, a, u] the successor state.
     Immutable after construction; all sampling takes a caller-owned generator.
+    Errors name the field at fault, and its first bad entry, as in an env file.
     """
 
     space: StateActionSpace
@@ -99,17 +110,18 @@ class ExoJmdp:
             self.noise.support_size,
         )
         g = np.array(self.g, dtype=float, copy=True)
-        h = np.array(self.h, dtype=np.int64, copy=True)
-        if g.shape != (s_n, a_n, u_n) or h.shape != (s_n, a_n, u_n):
-            raise InvalidInputError(
-                f"g/h must have shape {(s_n, a_n, u_n)}, got {g.shape} and {h.shape}"
-            )
-        if np.any(g < 0.0) or np.any(g > 1.0):
-            raise InvalidInputError("rewards must lie in [0, 1]")
-        if np.any(h < 0) or np.any(h >= s_n):
-            raise InvalidInputError("successor entries must be valid state indices")
+        h = np.asarray(self.h)
+        for name, arr in (("g", g), ("h", h)):
+            if arr.shape != (s_n, a_n, u_n):
+                raise InvalidInputError(
+                    f"{name}: shape {arr.shape} does not match [num_states]"
+                    f"[num_actions][len(noise_probs)] = {(s_n, a_n, u_n)}"
+                )
+        _check_entries("g", g, (g >= 0.0) & (g <= 1.0), "reward outside [0, 1]")
+        _check_entries("h", h, (h >= 0) & (h < s_n), f"successor outside 0..{s_n - 1}")
+        h = h.astype(np.int64)  # a copy, cast once its range is checked
         if not (0.0 < self.gamma < 1.0):
-            raise InvalidInputError(f"gamma must lie in (0, 1), got {self.gamma}")
+            raise InvalidInputError(f"gamma: must lie in (0, 1), got {self.gamma!r}")
         g.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "g", g)
@@ -133,15 +145,10 @@ class Policy:
     def __post_init__(self):
         p = np.array(self.probs, dtype=float, copy=True)
         if p.ndim != 2:
-            raise InvalidInputError("policy probs must be a 2-D table")
-        if np.any(p < 0.0):
-            raise InvalidInputError("policy probs must be >= 0")
+            raise InvalidInputError("probs: must be a 2-D table")
+        _check_entries("probs", p, p >= 0.0, "must be >= 0")
         rows = p.sum(axis=1)
-        bad = np.where(np.abs(rows - 1.0) > _PROB_TOL)[0]
-        if bad.size:
-            raise InvalidInputError(
-                f"policy row {int(bad[0])} sums to {rows[bad[0]]!r}, expected 1"
-            )
+        _check_entries("probs", rows, np.abs(rows - 1.0) <= _PROB_TOL, "row must sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -263,7 +270,7 @@ def marginal_kernel(env: ExoJmdp, policy: Policy) -> np.ndarray:
     return kernel.reshape(n_s * n_a, n_s * n_a)
 
 
-def is_coupled_dynamics(env: ExoJmdp, tol: float = 1e-12) -> bool:
+def is_coupled_dynamics(env: ExoJmdp) -> bool:
     """True iff some same-state two-action joint law is not the product of its marginals."""
     for s in range(env.space.num_states):
         for a in range(env.space.num_actions):
@@ -275,7 +282,7 @@ def is_coupled_dynamics(env: ExoJmdp, tol: float = 1e-12) -> bool:
                 keys.update((ka[0], kb[0]) for ka in ma for kb in mb)
                 for key in keys:
                     prod = ma.get((key[0],), 0.0) * mb.get((key[1],), 0.0)
-                    if abs(joint.get(key, 0.0) - prod) > tol:
+                    if abs(joint.get(key, 0.0) - prod) > _PROB_TOL:
                         return True
     return False
 
@@ -303,19 +310,19 @@ def build_crc(num_states: int, gamma: float) -> ExoJmdp:
     return ExoJmdp(space, noise, g, h, gamma)
 
 
-def build_ring_chain(num_states: int, gamma: float, advance_probs=(0.5, 0.5)) -> ExoJmdp:
-    """Anti-correlated-reward ring: both actions step +1 or +2 (mod M) together.
+def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
+    """Anti-correlated-reward ring: both actions step +1 or +2 (mod M) together,
+    each with probability 1/2.
 
     The shared step size couples counterfactual successors while keeping the
     chain irreducible and aperiodic, so a stationary distribution exists
-    (uniform, by symmetry). advance_probs are the probabilities of +1 and +2.
+    (uniform, by symmetry).
     """
     if num_states < 3:
         raise ConfigError(f"ring needs at least 3 states, got {num_states}")
-    p1, p2 = float(advance_probs[0]), float(advance_probs[1])
     space = StateActionSpace(num_states, 2)
-    # u = (coin for the reward, step size); four atoms.
-    noise = NoiseModel(np.array([0.5 * p1, 0.5 * p1, 0.5 * p2, 0.5 * p2]))
+    # u = (coin for the reward, step size); four equally likely atoms.
+    noise = NoiseModel(np.full(4, 0.25))
     g = np.zeros((num_states, 2, 4))
     h = np.zeros((num_states, 2, 4), dtype=np.int64)
     for s in range(num_states):
@@ -465,21 +472,79 @@ def build_hub_successors(
 # ---------------------------------------------------------------------------
 # File formats (JSON documents, format_version 1)
 # ---------------------------------------------------------------------------
+# A schema maps each key of a document, or of one of its sections, to
+# (check, default). A check takes (value, field path) and returns the parsed
+# value or raises ConfigError; an absent key takes its default, which goes
+# through the same check. The run config and the env, policy and feature files
+# are all parsed this way; domain invariants are left to the constructors.
+
+_REQUIRED = object()
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}: missing required field {key!r}")
-    return doc[key]
+def _int(lo: int):
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+            raise ConfigError(f"{path}: must be an integer >= {lo}, got {value!r}")
+        return value
+    return check
 
 
-def read_json_array(doc: dict, key: str, path) -> np.ndarray:
-    """A required numeric array field; a ragged or non-numeric one is a
-    ConfigError naming the field."""
-    try:
-        return np.asarray(_require(doc, key, str(path)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}: not a numeric array ({exc})") from exc
+def _real(interval: str):
+    """A finite number in `interval`, written like "(0, 1]" or "(0, inf)"."""
+    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
+    lo, hi = (float(t) for t in interval[1:-1].split(","))
+
+    def check(value, path):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max  # finite, and fits a float
+        ok = ok and (lo < value if lo_open else lo <= value)
+        ok = ok and (value < hi if hi_open else value <= hi)
+        if not ok:
+            raise ConfigError(f"{path}: must be a number in {interval}, got {value!r}")
+        return float(value)
+    return check
+
+
+_is_bool = np.frompyfunc(lambda v: isinstance(v, bool), 1, 1)
+
+
+def _array(ndim: int, integral: bool = False):
+    """A float array with `ndim` axes and finite entries, whole numbers if
+    `integral`."""
+    def check(value, path):
+        try:
+            arr = np.asarray(value)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
+        if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+            raise ConfigError(f"{path}: must be a numeric array with {ndim} axes")
+        # numpy reads true/false among numbers as 1/0; JSON booleans are not numbers
+        entries = np.asarray(value, dtype=object)
+        _check_entries(path, entries, ~_is_bool(entries).astype(bool),
+                       "must be a number, not a boolean", ConfigError)
+        arr = arr.astype(float)
+        ok = np.isfinite(arr)
+        if integral:
+            ok &= arr == np.round(arr)
+        what = "must be a finite " + ("whole number" if integral else "number")
+        _check_entries(path, arr, ok, what, ConfigError)
+        return arr
+    return check
+
+
+def _section(doc, schema: dict, path: str) -> dict:
+    """Parse one object against its schema, key by key in schema order."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be an object, got {doc!r}")
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}: unknown field; allowed: {sorted(schema)}")
+    parsed = {}
+    for key, (check, default) in schema.items():
+        if key not in doc and default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: missing required field")
+        parsed[key] = check(doc.get(key, default), f"{path}.{key}")
+    return parsed
 
 
 def check_format_version(version, path: str) -> int:
@@ -489,7 +554,7 @@ def check_format_version(version, path: str) -> int:
 
 
 def read_json_doc(path) -> dict:
-    """Read a versioned JSON document; every failure is a ConfigError naming the file."""
+    """Read a JSON object; every failure is a ConfigError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -498,8 +563,19 @@ def read_json_doc(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    check_format_version(_require(doc, "format_version", str(path)), f"{path}.format_version")
     return doc
+
+
+def _load_doc(path, schema: dict, build):
+    """build(**fields) of the document at `path`, parsed against format_version
+    and `schema`; build's InvalidInputError becomes a ConfigError <file>.<field>."""
+    version = {"format_version": (check_format_version, _REQUIRED)}
+    fields = _section(read_json_doc(path), {**version, **schema}, str(path))
+    del fields["format_version"]
+    try:
+        return build(**fields)
+    except (InvalidInputError, FeatureRankError) as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def save_env(env: ExoJmdp, path) -> None:
@@ -515,55 +591,22 @@ def save_env(env: ExoJmdp, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
+_ENV_DOC = {
+    "num_states": (_int(1), _REQUIRED),
+    "num_actions": (_int(1), _REQUIRED),
+    "gamma": (_real("(0, 1)"), _REQUIRED),
+    "noise_probs": (_array(1), _REQUIRED),
+    "g": (_array(3), _REQUIRED),
+    "h": (_array(3, integral=True), _REQUIRED),
+}
+
+
 def load_env(path) -> ExoJmdp:
-    """Load and validate an environment document; errors carry the field path."""
-    doc = read_json_doc(path)
-    n_s = _require(doc, "num_states", str(path))
-    n_a = _require(doc, "num_actions", str(path))
-    gamma = _require(doc, "gamma", str(path))
-    probs = read_json_array(doc, "noise_probs", path)
-    if probs.ndim != 1:
-        raise ConfigError(f"{path}.noise_probs: must be a flat array")
-    if np.any(probs <= 0.0) or abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-        raise ConfigError(
-            f"{path}.noise_probs: entries must be > 0 and sum to 1 "
-            f"(sum = {float(probs.sum())!r})"
-        )
-    g = read_json_array(doc, "g", path)
-    h = read_json_array(doc, "h", path)
-    shape = (int(n_s), int(n_a), probs.size)
-    for name, arr in (("g", g), ("h", h)):
-        if arr.shape != shape:
-            raise ConfigError(
-                f"{path}.{name}: shape {arr.shape} does not match "
-                f"[num_states][num_actions][len(noise_probs)] = {shape}"
-            )
-    bad = np.argwhere((g < 0.0) | (g > 1.0))
-    if bad.size:
-        s, a, u = (int(v) for v in bad[0])
-        raise ConfigError(
-            f"{path}.g[{s}][{a}][{u}]: reward {g[s, a, u]!r} outside [0, 1]"
-        )
-    if np.any(h != np.round(h)):
-        s, a, u = (int(v) for v in np.argwhere(h != np.round(h))[0])
-        raise ConfigError(f"{path}.h[{s}][{a}][{u}]: successor must be an integer")
-    h_int = h.astype(np.int64)
-    bad = np.argwhere((h_int < 0) | (h_int >= int(n_s)))
-    if bad.size:
-        s, a, u = (int(v) for v in bad[0])
-        raise ConfigError(
-            f"{path}.h[{s}][{a}][{u}]: successor {int(h_int[s, a, u])} "
-            f"outside 0..{int(n_s) - 1}"
-        )
-    if not (0.0 < float(gamma) < 1.0):
-        raise ConfigError(f"{path}.gamma: must lie in (0, 1), got {gamma!r}")
-    return ExoJmdp(
-        StateActionSpace(int(n_s), int(n_a)),
-        NoiseModel(probs),
-        g,
-        h_int,
-        float(gamma),
-    )
+    """Load an environment document; errors name <file>.<field>[index]."""
+    def build(num_states, num_actions, gamma, noise_probs, g, h):
+        space = StateActionSpace(num_states, num_actions)
+        return ExoJmdp(space, NoiseModel(noise_probs), g, h, gamma)
+    return _load_doc(path, _ENV_DOC, build)
 
 
 def save_policy(policy: Policy, path) -> None:
@@ -572,17 +615,5 @@ def save_policy(policy: Policy, path) -> None:
 
 
 def load_policy(path) -> Policy:
-    doc = read_json_doc(path)
-    probs = read_json_array(doc, "probs", path)
-    if probs.ndim != 2:
-        raise ConfigError(f"{path}.probs: must be a 2-D array")
-    rows = probs.sum(axis=1)
-    bad = np.where(np.abs(rows - 1.0) > _PROB_TOL)[0]
-    if bad.size:
-        raise ConfigError(
-            f"{path}.probs[{int(bad[0])}]: row sums to {rows[bad[0]]!r}, expected 1"
-        )
-    if np.any(probs < 0.0):
-        s = int(np.argwhere(probs < 0.0)[0][0])
-        raise ConfigError(f"{path}.probs[{s}]: negative entry")
-    return Policy(probs)
+    """Load a policy document {format_version, probs}; errors name the file."""
+    return _load_doc(path, {"probs": (_array(2), _REQUIRED)}, Policy)

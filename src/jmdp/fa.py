@@ -18,11 +18,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import MomentCollection2
 from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, _check_dims, check_solver_args
-from .env import ExoJmdp, Policy, marginal_kernel, marginal_mdp, read_json_array, read_json_doc
+from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
+from .env import marginal_kernel, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
-    ConfigError,
     DivergenceError,
     FeatureRankError,
     InvalidInputError,
@@ -52,23 +52,25 @@ __all__ = [
 ]
 
 
+_RANK_TOL = 1e-10  # relative to the largest singular value
+_PSD_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Feature matrix over the flat state-action index; must have full column rank."""
 
     phi: np.ndarray
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=float, copy=True)
         if phi.ndim != 2 or phi.shape[0] < phi.shape[1]:
-            raise FeatureRankError(
-                f"feature matrix must be tall (got shape {phi.shape})"
-            )
+            raise FeatureRankError(f"phi: must be a tall matrix (got shape {phi.shape})")
+        _check_entries("phi", phi, np.isfinite(phi), "must be finite")
         sv = np.linalg.svd(phi, compute_uv=False)
-        if sv[-1] <= self.rank_tol * max(sv[0], 1.0):
+        if sv[-1] <= _RANK_TOL * max(sv[0], 1.0):
             raise FeatureRankError(
-                f"feature matrix is rank deficient (smallest singular value {sv[-1]:.3e})"
+                f"phi: rank deficient (smallest singular value {sv[-1]:.3e})"
             )
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -88,7 +90,6 @@ class LinearMoments:
 
     theta_mu: np.ndarray
     theta_sigma: np.ndarray
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
         tm = np.array(self.theta_mu, dtype=float, copy=True)
@@ -98,7 +99,7 @@ class LinearMoments:
         if np.max(np.abs(ts - ts.T), initial=0.0) > 1e-12:
             raise InvalidInputError("theta_sigma must be symmetric")
         eig = np.linalg.eigvalsh(ts) if ts.size else np.array([0.0])
-        if eig[0] < -self.psd_tol:
+        if eig[0] < -_PSD_TOL:
             raise InvalidInputError(
                 f"theta_sigma must be PSD (min eigenvalue {eig[0]:.3e})"
             )
@@ -150,9 +151,11 @@ def _chain_period(adj: np.ndarray) -> int:
     return abs(g) if g != 0 else 1
 
 
-def stationary_distribution(
-    env: ExoJmdp, policy: Policy, tol: float = 1e-12, max_iter: int = 200_000
-) -> StationaryDist:
+_STATIONARY_TOL = 1e-12  # l1 change between power steps
+_STATIONARY_MAX_ITER = 200_000
+
+
+def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     """Invariant state-action law of the policy's marginal chain, by power
     iteration; falls back to uniform (with a diagnostic note) when the chain is
     not irreducible and aperiodic."""
@@ -176,10 +179,10 @@ def stationary_distribution(
             "the positive-stationary-weight assumption fails",
         )
     nu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_STATIONARY_MAX_ITER):
         new = nu @ kernel
         new /= new.sum()
-        if float(np.abs(new - nu).sum()) <= tol:
+        if float(np.abs(new - nu).sum()) <= _STATIONARY_TOL:
             nu = new
             break
         nu = new
@@ -190,6 +193,14 @@ def stationary_distribution(
             "power iteration failed to certify invariance at the requested tolerance",
         )
     return StationaryDist(nu, "stationary")
+
+
+def _check_nu(nu, num_x: int) -> np.ndarray:
+    """nu as a float vector over the num_x state-action pairs, finite and > 0."""
+    nu = np.asarray(nu, dtype=float)
+    if nu.shape != (num_x,) or not np.all(np.isfinite(nu) & (nu > 0.0)):
+        raise InvalidInputError(f"nu must be a finite vector of {num_x} entries > 0")
+    return nu
 
 
 def nu_norm(f: np.ndarray, nu: np.ndarray) -> float:
@@ -289,6 +300,7 @@ class CouplingReport:
 
 
 COUPLING_MODES = ("same_state", "global")
+_POWER_TOL = 1e-10  # relative change of the top eigenvalue of A'A
 _POWER_MAX_ITER = 100_000
 # |X| x |X| tables alive at the peak of one power step: the iterate, the
 # weights D^(1/2), the policy outer product pi(a'|s') pi(b'|t'), and three
@@ -420,22 +432,19 @@ def coupling_coefficient(
     env: ExoJmdp,
     policy: Policy,
     nu: np.ndarray,
-    tol: float = 1e-10,
     mode: str = "same_state",
     memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> CouplingReport:
     """Operator norm of the two-branch kernel in the product-weighted geometry.
 
     Computed as the largest singular value of A = D^(1/2) P2 D^(-1/2) with
-    D = diag(nu x nu), by power iteration on A'A to `tol`. The kernel is applied
+    D = diag(nu x nu), by power iteration on A'A to _POWER_TOL. The kernel is applied
     matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
     against `memory_budget_bytes` before any work.
     """
     check_coupling_budget(env, mode, memory_budget_bytes)
     n_x = env.space.num_x
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (n_x,) or np.any(nu <= 0.0):
-        raise InvalidInputError("nu must be a strictly positive vector over X")
+    nu = _check_nu(nu, n_x)
     kernel = _PairKernel(env, policy, mode)
     d_half = np.sqrt(np.outer(nu, nu))
     v = np.full((n_x, n_x), 1.0 / np.sqrt(n_x * n_x))
@@ -448,7 +457,7 @@ def coupling_coefficient(
             lam, converged = 0.0, True
             break
         nv /= new_lam
-        if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
+        if abs(new_lam - lam) <= _POWER_TOL * max(new_lam, 1.0):
             lam, converged = new_lam, True
             break
         lam = new_lam
@@ -495,7 +504,7 @@ def projected_jipe2(
     """
     check_solver_args(epsilon, max_iter)
     _check_dims(env, features.num_x)
-    nu = np.asarray(nu, dtype=float)
+    nu = _check_nu(nu, env.space.num_x)
     beta, kappa = 1.0, None
     try:
         sqrt_c_rho = coupling_coefficient(env, policy, nu).sqrt_c_rho
@@ -568,7 +577,4 @@ def state_ramp_features(num_states: int, num_actions: int) -> FeatureMap:
 
 def load_features(path) -> FeatureMap:
     """Load a feature document {format_version, phi}; errors name the file."""
-    phi = read_json_array(read_json_doc(path), "phi", path)
-    if phi.ndim != 2:
-        raise ConfigError(f"{path}.phi: must be a 2-D array")
-    return FeatureMap(phi)
+    return _load_doc(path, {"phi": (_array(2), _REQUIRED)}, FeatureMap)

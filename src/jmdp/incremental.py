@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Index2, LambdaWeights, MomentCollection2, lambda_norm
-from .dp import apply_t2
+from .dp import _check_dims, apply_t2
 from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs
 from .errors import InvalidInputError, InvalidQueryError
 
@@ -177,8 +177,7 @@ def sample_backup(
 ) -> float:
     """Draw one random backup for coordinate i; its conditional mean is the
     exact operator coordinate. Takes exactly 8 uniforms from rng."""
-    if m.m_mu.size != env.space.num_x:
-        raise InvalidInputError("moment tables do not match the environment")
+    _check_dims(env, m.m_mu.size)
     return float(_backups(env, policy, m, i, 1, lambda k: rng.random(8))[0])
 
 
@@ -227,6 +226,9 @@ def run_incremental(
         raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
     if trace_stride < 1:
         raise InvalidInputError(f"trace_stride must be >= 1, got {trace_stride}")
+    for m in (m0, fixed_point):
+        if m is not None:
+            _check_dims(env, m.m_mu.size)
     n_x = env.space.num_x
     m_start = MomentCollection2.zeros(env.space) if m0 is None else m0
     table, num_slots = _coordinate_table(env.space)

@@ -103,12 +103,7 @@ class CorrMatrix:
     corr: np.ndarray
 
 
-def corr_matrix(
-    space: StateActionSpace,
-    m: MomentCollection2,
-    s: int,
-    degenerate_tol: float = DEGENERATE_VAR_TOL,
-) -> CorrMatrix:
+def corr_matrix(space: StateActionSpace, m: MomentCollection2, s: int) -> CorrMatrix:
     n_a = space.num_actions
     xs = np.array([space.x(s, a) for a in range(n_a)])
     mu = m.m_mu[xs]
@@ -116,7 +111,7 @@ def corr_matrix(
     cov = block - np.outer(mu, mu)
     var = np.diag(cov).copy()
     corr = np.full((n_a, n_a), np.nan)
-    ok = var > degenerate_tol
+    ok = var > DEGENERATE_VAR_TOL
     denom = np.sqrt(np.outer(np.where(ok, var, np.nan), np.where(ok, var, np.nan)))
     with np.errstate(invalid="ignore"):
         corr = cov / denom

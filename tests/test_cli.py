@@ -159,6 +159,9 @@ class TestEval:
         rows = (tmp_path / "run" / "trace.csv").read_text().strip().splitlines()
         assert rows[0] == "update_index,lambda_distance_to_fixed_point,step_size_last"
         assert len(rows) == 6
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["reference_certified"] is True
+        assert result["reference_error_bound"] <= 1e-10
 
     def test_projected_run_converges(self, tmp_path):
         doc = base_config(
@@ -226,6 +229,8 @@ class TestAnalyze:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
         out = tmp_path / "run"
+        result = json.loads((out / "manifest.json").read_text())["result"]
+        assert result["certified"] is True and result["certified_error_bound"] <= 1e-10
         corr = json.loads((out / "corr.json").read_text())
         offdiag = corr["matrices"][0]["corr"][0][1]
         # chain correlation under the solver's coupling (see test_stats)
@@ -253,6 +258,22 @@ class TestAnalyze:
         assert rows[0] == "state,action_a,action_b,ratio_jipe,ratio_mc,mc_ci"
         assert len(rows) > 1
 
+
+    def test_uncertified_solve_exit_code(self, tmp_path, monkeypatch):
+        solve = cli.jipe2
+        monkeypatch.setattr(cli, "jipe2", lambda env, pol, eps: solve(env, pol, eps, 3))
+        doc = base_config(
+            analysis={"gaps": False, "ecdf": False, "coupling": False,
+                      "mc_compare": False},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_NOT_CERTIFIED
+        out = tmp_path / "run"
+        result = json.loads((out / "manifest.json").read_text())["result"]
+        assert result["certified"] is False and result["iterations"] == 3
+        assert result["certified_error_bound"] > 1e-10
+        assert (out / "corr.json").exists()
 
     def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
         # wgw(6x6), |X| = 144, fits the default budget; a budget one byte
@@ -373,6 +394,41 @@ MALFORMED = [
      {"env.json": json.dumps(_env_file(g=[[[0.0], [1.0, 0.0]]]))}, "env.json.g"),
     ("env_ragged_h", "eval", {"env": {"path": "env.json"}},
      {"env.json": json.dumps(_env_file(h=[[[0], [0, 0]]]))}, "env.json.h"),
+    ("env_fractional_num_states", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(num_states=3.7))}, "env.json.num_states"),
+    ("env_string_num_states", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(num_states="abc"))}, "env.json.num_states"),
+    ("env_bool_num_states", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(num_states=True))}, "env.json.num_states"),
+    ("env_null_gamma", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(gamma=None))}, "env.json.gamma"),
+    ("env_string_gamma", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(gamma="0.9"))}, "env.json.gamma"),
+    ("env_nan_g", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(g=[[[0.0], [float("nan")]]]))},
+     "env.json.g[0][1][0]"),
+    ("env_nan_noise_probs", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(noise_probs=[float("nan")]))},
+     "env.json.noise_probs[0]"),
+    ("env_unknown_key", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(discount=0.9))}, "env.json.discount"),
+    ("policy_nan_probs", "eval", {"policy": {"path": "pol.json"}},
+     {"pol.json": json.dumps({"format_version": 1,
+                              "probs": [[0.5, 0.5]] * 4 + [[float("nan"), 1.0]]})},
+     "pol.json.probs[4][0]"),
+    ("features_nan_phi", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": json.dumps({"format_version": 1,
+                              "phi": [[1.0]] * 9 + [[float("nan")]]})},
+     "phi.json.phi[9][0]"),
+    ("env_bool_in_h", "eval", {"env": {"path": "env.json"}},
+     {"env.json": json.dumps(_env_file(h=[[[0], [True]]]))}, "env.json.h[0][1][0]"),
+    ("policy_bool_in_probs", "eval", {"policy": {"path": "pol.json"}},
+     {"pol.json": json.dumps({"format_version": 1,
+                              "probs": [[0.5, 0.5]] * 4 + [[True, 0.0]]})},
+     "pol.json.probs[4][0]"),
+    ("features_rank_deficient", "eval", _projected({"path": "phi.json"}),
+     {"phi.json": json.dumps({"format_version": 1, "phi": [[1.0, 2.0]] * 10})},
+     "phi.json.phi"),
 ]
 
 
@@ -394,6 +450,21 @@ def test_malformed_config_fails_before_any_output(
         field = str(tmp_path / field)
     assert f"config error: {field}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+ENV_FILE_CASES = [row for row in MALFORMED if "env.json" in row[3]]
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [(row[3]["env.json"], row[4]) for row in ENV_FILE_CASES],
+    ids=[row[0] for row in ENV_FILE_CASES],
+)
+def test_validate_env_rejects_malformed_file(tmp_path, capsys, text, field):
+    path = tmp_path / "env.json"
+    path.write_text(text)
+    assert main(["validate-env", str(path)]) == EXIT_CONFIG
+    assert f"config error: {tmp_path / field}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -94,6 +94,10 @@ class TestMomentCollections:
         with pytest.raises(InvalidInputError, match=f"axes {axes}"):
             MomentCollectionN(tables)
 
+    def test_sigma_nan_rejected(self):
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            MomentCollection2(np.zeros(2), [[0.0, np.nan], [0.0, 0.0]])
+
     def test_order3_zeros_shape(self):
         m = MomentCollectionN.zeros(StateActionSpace(2, 2), 3)
         assert m.order == 3

@@ -83,6 +83,16 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Policy(np.array([[0.5, 0.4]]))
 
+    def test_nan_rejected_naming_the_entry(self):
+        with pytest.raises(InvalidInputError, match=r"noise_probs\[1\]"):
+            NoiseModel(np.array([0.5, np.nan]))
+        with pytest.raises(InvalidInputError, match=r"probs\[0\]\[1\]"):
+            Policy(np.array([[1.0, np.nan]]))
+        g = np.array([[[0.0], [np.nan]]])
+        with pytest.raises(InvalidInputError, match=r"g\[0\]\[1\]\[0\]"):
+            ExoJmdp(StateActionSpace(1, 2), NoiseModel(np.array([1.0])), g,
+                    np.zeros((1, 2, 1), int), 0.9)
+
 
 class TestSampleTable:
     def test_deterministic_noise_gives_unique_table(self):

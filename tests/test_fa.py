@@ -109,6 +109,10 @@ class TestTypes:
         with pytest.raises(FeatureRankError):
             FeatureMap(np.ones((4, 2)))
 
+    def test_nan_features_rejected_naming_the_entry(self):
+        with pytest.raises(InvalidInputError, match=r"phi\[1\]\[0\]"):
+            FeatureMap(np.array([[1.0], [np.nan]]))
+
     def test_non_psd_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
             LinearMoments(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -536,6 +540,24 @@ class TestProjectedIteration:
         match = "max_iter" if max_iter < 0 else "epsilon"
         with pytest.raises(InvalidInputError, match=match):
             projected_jipe2(env, pol, feats, nu, epsilon, max_iter)
+
+    @pytest.mark.parametrize(
+        "nu",
+        [np.full(5, 0.2), np.array([0.5, -0.1, 0.2, 0.2, 0.1, 0.1]),
+         np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2])],
+        ids=["wrong_length", "negative", "nan"],
+    )
+    def test_bad_nu_rejected_without_coupling_step(self, monkeypatch, nu):
+        # Over budget, the coupling step is skipped (beta = 1), so it cannot
+        # be what rejects nu.
+        def over_budget(*args, **kwargs):
+            raise BudgetError("over budget")
+
+        monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
+        env = build_crc(3, 0.9)
+        feats = state_poly_features(3, 2, 1)
+        with pytest.raises(InvalidInputError, match="nu"):
+            projected_jipe2(env, Policy.uniform(env.space), feats, nu, 1e-9, 50)
 
     def test_concentrating_coupling_diverges(self):
         env = build_hub_successors(16, 0.9)

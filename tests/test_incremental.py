@@ -328,6 +328,16 @@ class TestRunIncremental:
                 VisitationScheme.sweep(), 100, seed=0, trace_stride=stride,
             )
 
+    @pytest.mark.parametrize("arg", ["m0", "fixed_point"])
+    def test_tables_sized_for_another_env_rejected(self, arg):
+        env = build_crc(3, 0.9)
+        other = MomentCollection2.zeros(build_crc(4, 0.9).space)
+        with pytest.raises(InvalidInputError, match="8 coordinates"):
+            run_incremental(
+                env, Policy.uniform(env.space), StepSchedule.harmonic(10.0),
+                VisitationScheme.sweep(), 100, seed=0, **{arg: other},
+            )
+
     def test_same_seed_identical_traces(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
