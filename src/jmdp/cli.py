@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import MomentCollection2
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n, write_residual_csv
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -57,20 +56,8 @@ from .fa import (
     state_ramp_features,
     stationary_distribution,
 )
-from .incremental import (
-    StepSchedule,
-    VisitationScheme,
-    run_incremental,
-    write_incremental_csv,
-)
-from .stats import (
-    build_gap_report,
-    chebyshev_ecdf,
-    corr_matrix,
-    gap_stats,
-    mc_state_block,
-    write_ecdf_csv,
-)
+from .incremental import StepSchedule, VisitationScheme, run_incremental
+from .stats import cantelli_bound, chebyshev_ecdf, corr_matrix, gap_stats, mc_state_block
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -324,17 +311,26 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(doc, base_dir=Path(path).resolve().parent)
 
 
+# -- outputs -----------------------------------------------------------------
+# Every file a run writes goes through _write_csv or _write_json; the README's
+# "Outputs" table lists each file's CSV columns or JSON keys.
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Header row, then the rows; floats, numpy ones too, are written as
+    repr(float(v)), the shortest text that reads back to the same double."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                 for v in row]
+            )
+
+
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _moments_doc(m: MomentCollection2, gamma: float) -> dict:
-    return {
-        "format_version": 1,
-        "gamma": gamma,
-        "m_mu": m.m_mu.tolist(),
-        "m_sigma": m.m_sigma.tolist(),
-    }
 
 
 def _finish(cfg: RunConfig, out_dir: Path, result: dict, code: int) -> int:
@@ -362,29 +358,29 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     features = cfg.build_features(env) if name == "projected" else None
     out_dir.mkdir(parents=True, exist_ok=True)
     status = {"algorithm": name}
+    moments = {"format_version": 1, "gamma": env.gamma}
 
     if name in ("dp2", "dpn"):
         eps = algo["epsilon"]
         if name == "dp2":
             report = jipe2(env, policy, eps, algo["max_iter"])
-            trace, doc = report.residual_trace, _moments_doc(report.final, env.gamma)
+            trace = report.residual_trace
+            moments.update(m_mu=report.final.m_mu.tolist(),
+                           m_sigma=report.final.m_sigma.tolist())
         else:
             final, trace = jipe_n(env, policy, algo["order"], eps, algo["max_iter"])
-            doc = {
-                "format_version": 1,
-                "gamma": env.gamma,
-                "order": algo["order"],
-                "tables": [t.tolist() for t in final.tables],
-            }
-        write_residual_csv(trace, env.gamma, out_dir / "residuals.csv")
-        _write_json(out_dir / "moments.json", doc)
+            moments.update(order=algo["order"],
+                           tables=[t.tolist() for t in final.tables])
+        _write_csv(out_dir / "residuals.csv",
+                   ["iteration", "residual_lambda", "certified_bound"],
+                   [(k, r, r / (1.0 - env.gamma)) for k, r in trace])
         k, residual = trace[-1]
         certified = residual <= eps * (1.0 - env.gamma)
         status.update(certified=certified, iterations=k,
                       certified_error_bound=residual / (1.0 - env.gamma))
-        return _finish(cfg, out_dir, status, EXIT_OK if certified else EXIT_NOT_CERTIFIED)
+        code = EXIT_OK if certified else EXIT_NOT_CERTIFIED
 
-    if name == "incremental":
+    elif name == "incremental":
         if algo["rule"] == "harmonic":
             schedule = StepSchedule.harmonic(algo["c"])
         else:
@@ -400,47 +396,42 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             fixed_point=ref.final,
             trace_stride=algo["trace_stride"],
         )
-        write_incremental_csv(result.trace, out_dir / "trace.csv")
-        _write_json(out_dir / "moments.json", _moments_doc(result.final, env.gamma))
+        _write_csv(out_dir / "trace.csv",
+                   ["update_index", "lambda_distance_to_fixed_point", "step_size_last"],
+                   result.trace)
+        moments.update(m_mu=result.final.m_mu.tolist(),
+                       m_sigma=result.final.m_sigma.tolist())
         final_dist = result.trace[-1][1] if result.trace else float("nan")
         status.update(num_updates=result.num_updates, final_distance=final_dist,
                       reference_certified=ref.certified,
                       reference_error_bound=ref.certified_error_bound)
-        return _finish(cfg, out_dir, status, EXIT_OK)
+        code = EXIT_OK
 
-    # projected
-    nu = stationary_distribution(env, policy).nu
-    try:
-        report = projected_jipe2(
-            env, policy, features, nu, algo["epsilon"], algo["max_iter"]
+    else:  # projected
+        nu = stationary_distribution(env, policy).nu
+        try:
+            report = projected_jipe2(
+                env, policy, features, nu, algo["epsilon"], algo["max_iter"]
+            )
+        except DivergenceError as exc:
+            status.update(diverged=True, detail=str(exc))
+            print(f"divergence detected: {exc}", file=sys.stderr)
+            return _finish(cfg, out_dir, status, EXIT_DIVERGENCE)
+        _write_csv(out_dir / "projected.csv", ["iteration", "successive_distance"],
+                   enumerate(report.distances))
+        moments.update(theta_mu=report.moments.theta_mu.tolist(),
+                       theta_sigma=report.moments.theta_sigma.tolist())
+        status.update(
+            converged=report.converged,
+            iterations=report.iterations,
+            beta=report.beta,
+            kappa=report.kappa,
+            sqrt_c_rho=report.sqrt_c_rho,
         )
-    except DivergenceError as exc:
-        status.update(diverged=True, detail=str(exc))
-        print(f"divergence detected: {exc}", file=sys.stderr)
-        return _finish(cfg, out_dir, status, EXIT_DIVERGENCE)
-    with open(out_dir / "projected.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "successive_distance"])
-        for k, dist in enumerate(report.distances):
-            writer.writerow([k, repr(dist)])
-    _write_json(
-        out_dir / "moments.json",
-        {
-            "format_version": 1,
-            "gamma": env.gamma,
-            "theta_mu": report.moments.theta_mu.tolist(),
-            "theta_sigma": report.moments.theta_sigma.tolist(),
-        },
-    )
-    status.update(
-        converged=report.converged,
-        iterations=report.iterations,
-        beta=report.beta,
-        kappa=report.kappa,
-        sqrt_c_rho=report.sqrt_c_rho,
-    )
-    return _finish(cfg, out_dir, status,
-                   EXIT_OK if report.converged else EXIT_NOT_CERTIFIED)
+        code = EXIT_OK if report.converged else EXIT_NOT_CERTIFIED
+
+    _write_json(out_dir / "moments.json", moments)
+    return _finish(cfg, out_dir, status, code)
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
@@ -480,68 +471,67 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     solve = jipe2(env, policy, ana["epsilon"])
     fixed = solve.final
 
-    if ana["corr"]:
-        doc = []
-        for s in states:
+    # One pass over the states. Each state's Monte Carlo block is dropped
+    # once the state's rows are built.
+    matrices, gap_rows, mc_rows, ratios = [], [], [], []
+    for s in states:
+        if ana["corr"]:
             cm = corr_matrix(env.space, fixed, s)
-            doc.append(
-                {
-                    "state": s,
-                    "cov": cm.cov.tolist(),
-                    "corr": [
-                        [None if np.isnan(v) else v for v in row]
-                        for row in cm.corr.tolist()
-                    ],
-                }
-            )
-        _write_json(out_dir / "corr.json", {"format_version": 1, "matrices": doc})
-
-    blocks = {}
-    if ana["gaps"] or ana["mc_compare"] or ana["ecdf"]:
-        for s in states:
-            blocks[s] = mc_state_block(
-                env, policy, s, tuple(range(n_a)), ana["num_rollouts"],
-                ana["trunc_tol"], seed=child_seed(cfg.seed, s),
-                confidence=ana["confidence"],
-            )
-
-    if ana["gaps"]:
-        reports = []
-        for s in states:
-            for a in range(n_a):
-                for b in range(n_a):
-                    if a == b:
-                        continue
-                    reports.append(build_gap_report(env.space, fixed, s, a, b, blocks[s]))
-        _write_json(out_dir / "gaps.json", {"format_version": 1, "reports": reports})
-
-    if ana["mc_compare"]:
-        with open(out_dir / "mc_compare.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["state", "action_a", "action_b", "dp_sigma", "mc_sigma", "mc_ci"]
-            )
-            for s in states:
-                blk = blocks[s]
-                z = blk.z_value
-                for a in range(n_a):
-                    for b in range(n_a):
-                        xa, xb = env.space.x(s, a), env.space.x(s, b)
-                        writer.writerow(
-                            [s, a, b, repr(float(fixed.m_sigma[xa, xb])),
-                             repr(float(blk.sigma[a, b])),
-                             repr(float(z * blk.sigma_se[a, b]))]
-                        )
-
-    if ana["ecdf"]:
+            matrices.append({
+                "state": s,
+                "cov": cm.cov.tolist(),
+                "corr": [[None if np.isnan(v) else v for v in row]
+                         for row in cm.corr.tolist()],
+            })
+        if not (ana["gaps"] or ana["mc_compare"] or ana["ecdf"]):
+            continue
+        blk = mc_state_block(
+            env, policy, s, tuple(range(n_a)), ana["num_rollouts"],
+            ana["trunc_tol"], seed=child_seed(cfg.seed, s),
+            confidence=ana["confidence"],
+        )
+        z = blk.z_value
         pairs = []
-        for s in states:
-            for a in range(n_a):
-                for b in range(n_a):
-                    if a != b and gap_stats(env.space, fixed, s, a, b)[0] > 0.0:
-                        pairs.append((s, a, b))
-        ratios = chebyshev_ecdf(env.space, fixed, pairs, blocks)
-        write_ecdf_csv(ratios, out_dir / "ecdf.csv")
+        for a in range(n_a):
+            for b in range(n_a):
+                xa, xb = env.space.x(s, a), env.space.x(s, b)
+                i, j = blk.actions.index(a), blk.actions.index(b)
+                mc_rows.append([s, a, b, fixed.m_sigma[xa, xb], blk.sigma[i, j],
+                                z * blk.sigma_se[i, j]])
+                if a == b:
+                    continue
+                mean, var = gap_stats(env.space, fixed, s, a, b)
+                if mean > 0.0:
+                    pairs.append((s, a, b))
+                gap_rows.append({
+                    "state": s, "action_a": a, "action_b": b,
+                    "gap_mean": mean,
+                    "gap_variance": var,
+                    "cantelli_bound": cantelli_bound(mean, var) if mean > 0.0 else None,
+                    "mc_gap_mean": float(blk.gap_mean[i, j]),
+                    "mc_gap_variance": float(blk.gap_var[i, j]),
+                    "mc_inferiority_prob": float(blk.inferiority[i, j]),
+                    "mc_ci_halfwidths": [
+                        float(z * se[i, j])
+                        for se in (blk.gap_mean_se, blk.gap_var_se, blk.inferiority_se)
+                    ],
+                })
+        if ana["ecdf"]:
+            ratios += chebyshev_ecdf(env.space, fixed, pairs, {s: blk})
+
+    if ana["corr"]:
+        _write_json(out_dir / "corr.json", {"format_version": 1, "matrices": matrices})
+    if ana["gaps"]:
+        _write_json(out_dir / "gaps.json", {"format_version": 1, "reports": gap_rows})
+    if ana["mc_compare"]:
+        _write_csv(out_dir / "mc_compare.csv",
+                   ["state", "action_a", "action_b", "dp_sigma", "mc_sigma", "mc_ci"],
+                   mc_rows)
+    if ana["ecdf"]:
+        _write_csv(out_dir / "ecdf.csv",
+                   ["state", "action_a", "action_b", "ratio_jipe", "ratio_mc", "mc_ci"],
+                   [(r.state, r.action_a, r.action_b, r.ratio_jipe, r.ratio_mc, r.mc_ci)
+                    for r in ratios])
 
     status = {"analysis": True, "certified": solve.certified,
               "iterations": solve.iterations,
@@ -593,6 +583,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except JmdpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

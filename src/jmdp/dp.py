@@ -29,7 +29,6 @@ and a gather index, all counted against a byte budget before any work.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ __all__ = [
     "jipe2",
     "apply_tn",
     "jipe_n",
-    "write_residual_csv",
 ]
 
 DEFAULT_ORDER_BUDGET_BYTES = 256 * 1024 * 1024
@@ -195,15 +193,6 @@ def _iterate(backup, tables, gamma: float, epsilon: float, max_iter: int) -> tup
         if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
             return tables, trace
         tables = t_m
-
-
-def write_residual_csv(trace, gamma: float, path) -> None:
-    """Residual trace as CSV: iteration, residual_lambda, certified_bound."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual_lambda", "certified_bound"])
-        for k, residual in trace:
-            writer.writerow([k, repr(residual), repr(residual / (1.0 - gamma))])
 
 
 # ---------------------------------------------------------------------------

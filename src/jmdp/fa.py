@@ -96,8 +96,13 @@ class LinearMoments:
         ts = np.array(self.theta_sigma, dtype=float, copy=True)
         if tm.ndim != 1 or ts.shape != (tm.size, tm.size):
             raise InvalidInputError("parameter shapes inconsistent")
-        if np.max(np.abs(ts - ts.T), initial=0.0) > 1e-12:
-            raise InvalidInputError("theta_sigma must be symmetric")
+        if not np.isfinite(tm).all():
+            raise InvalidInputError("theta_mu must be finite")
+        # NaN or inf in theta_sigma makes the asymmetry NaN, which fails too.
+        with np.errstate(invalid="ignore"):
+            asym = np.max(np.abs(ts - ts.T), initial=0.0)
+        if not asym <= 1e-12:
+            raise InvalidInputError("theta_sigma must be finite and symmetric")
         eig = np.linalg.eigvalsh(ts) if ts.size else np.array([0.0])
         if eig[0] < -_PSD_TOL:
             raise InvalidInputError(

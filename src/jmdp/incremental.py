@@ -9,7 +9,6 @@ symmetry without changing the fixed point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "noise_diagnostic",
     "NoiseDiagnostic",
     "noise_bound_constants",
-    "write_incremental_csv",
 ]
 
 
@@ -309,16 +307,6 @@ def run_incremental(
 def _collection(mu: list, sig: list, n_x: int) -> MomentCollection2:
     s = np.array(sig).reshape(n_x, n_x)
     return MomentCollection2(np.array(mu), 0.5 * (s + s.T))
-
-
-def write_incremental_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["update_index", "lambda_distance_to_fixed_point", "step_size_last"]
-        )
-        for k, dist, alpha in trace:
-            writer.writerow([k, repr(dist), repr(alpha)])
 
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:

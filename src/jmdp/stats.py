@@ -11,7 +11,6 @@ available, where cross-branch coupling is confined to the very first step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "corr_matrix",
     "mc_state_block",
     "chebyshev_ecdf",
-    "build_gap_report",
-    "write_ecdf_csv",
 ]
 
 DEGENERATE_VAR_TOL = 1e-12
@@ -234,6 +231,8 @@ def mc_state_block(
     for a in acts:
         if not (0 <= a < env.space.num_actions):
             raise InvalidQueryError(f"action {a} out of range")
+    if not (0 <= s < env.space.num_states):
+        raise InvalidQueryError(f"state {s} out of range")
     horizon = truncation_horizon(env.gamma, trunc_tol)
     z = _branch_returns(
         env, policy, s, acts, num_rollouts, horizon, seed, continuation_coupling
@@ -274,44 +273,6 @@ def mc_state_block(
     )
 
 
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-def build_gap_report(
-    space: StateActionSpace,
-    m: MomentCollection2,
-    s: int,
-    a: int,
-    b: int,
-    mc: McBlock,
-) -> dict:
-    """One gaps.json row: the gap mean and variance from the moments, the
-    Cantelli bound (None unless the mean gap is positive), and the Monte Carlo
-    block's gap estimates with their CI half-widths (mean, variance,
-    inferiority probability)."""
-    mean, var = gap_stats(space, m, s, a, b)
-    i, j = mc.actions.index(a), mc.actions.index(b)
-    z = mc.z_value
-    return {
-        "state": s,
-        "action_a": a,
-        "action_b": b,
-        "gap_mean": mean,
-        "gap_variance": var,
-        "cantelli_bound": cantelli_bound(mean, var) if mean > 0.0 else None,
-        "mc_gap_mean": float(mc.gap_mean[i, j]),
-        "mc_gap_variance": float(mc.gap_var[i, j]),
-        "mc_inferiority_prob": float(mc.inferiority[i, j]),
-        "mc_ci_halfwidths": [
-            float(z * mc.gap_mean_se[i, j]),
-            float(z * mc.gap_var_se[i, j]),
-            float(z * mc.inferiority_se[i, j]),
-        ],
-    }
-
-
 @dataclass(frozen=True)
 class EcdfRatio:
     state: int
@@ -334,19 +295,25 @@ def chebyshev_ecdf(
 ) -> list[EcdfRatio]:
     """Ratios of empirical inferiority frequency to its one-sided moment bound.
 
-    blocks maps each state in pairs to its all-action Monte Carlo block. Each
-    ratio is computed twice: with the bound from the solver moments and from
-    the Monte Carlo moments. Pairs whose gap mean is not strictly positive
-    under both are skipped with a note.
+    blocks maps each state in pairs to a Monte Carlo block holding branches for
+    both actions of its pairs. Each ratio is computed twice: with the bound
+    from the solver moments and from the Monte Carlo moments. Pairs whose gap
+    mean is not strictly positive under both are skipped with a note.
     """
     out: list[EcdfRatio] = []
     for s, a, b in pairs:
         mean, var = gap_stats(space, m, s, a, b)
         mc = blocks[s]
-        mc_mean = float(mc.gap_mean[a, b])
-        mc_var = float(mc.gap_var[a, b])
-        p_hat = float(mc.inferiority[a, b])
-        ci = float(mc.z_value * mc.inferiority_se[a, b])
+        for c in (a, b):
+            if c not in mc.actions:
+                raise InvalidQueryError(
+                    f"the block at state {s} has no branch for action {c}"
+                )
+        i, j = mc.actions.index(a), mc.actions.index(b)
+        mc_mean = float(mc.gap_mean[i, j])
+        mc_var = float(mc.gap_var[i, j])
+        p_hat = float(mc.inferiority[i, j])
+        ci = float(mc.z_value * mc.inferiority_se[i, j])
         if mean <= 0.0 or mc_mean <= 0.0:
             out.append(
                 EcdfRatio(
@@ -367,16 +334,3 @@ def chebyshev_ecdf(
             )
         )
     return out
-
-
-def write_ecdf_csv(ratios: list[EcdfRatio], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["state", "action_a", "action_b", "ratio_jipe", "ratio_mc", "mc_ci"]
-        )
-        for r in ratios:
-            writer.writerow(
-                [r.state, r.action_a, r.action_b,
-                 repr(r.ratio_jipe), repr(r.ratio_mc), repr(r.mc_ci)]
-            )

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,16 @@ class TestEval:
         )
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["eval", "--config", str(cfg)]) == EXIT_DIVERGENCE
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+        monkeypatch.setattr(cli, "jipe2", out_of_memory)
+        cfg = write_config(tmp_path / "c.json", base_config(out_dir=str(tmp_path / "run")))
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 1.16 TiB for an array\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(algorithm={"name": "nope"}))
@@ -318,6 +330,92 @@ class TestAnalyze:
         assert "config.analysis" in capsys.readouterr().err
         out = tmp_path / "run"
         assert not out.exists() or not any(out.iterdir())
+
+
+# Every file each run writes: CSV header rows in order, JSON top-level keys
+# sorted. The README's "Outputs" table documents the same table.
+MANIFEST_KEYS = ["config", "config_sha256", "result", "seed", "versions"]
+RESIDUALS = ["iteration", "residual_lambda", "certified_bound"]
+OUTPUTS = {
+    "dp2": {"residuals.csv": RESIDUALS,
+            "moments.json": ["format_version", "gamma", "m_mu", "m_sigma"]},
+    "dpn": {"residuals.csv": RESIDUALS,
+            "moments.json": ["format_version", "gamma", "order", "tables"]},
+    "incremental": {
+        "trace.csv": ["update_index", "lambda_distance_to_fixed_point", "step_size_last"],
+        "moments.json": ["format_version", "gamma", "m_mu", "m_sigma"],
+    },
+    "projected": {"projected.csv": ["iteration", "successive_distance"],
+                  "moments.json": ["format_version", "gamma", "theta_mu", "theta_sigma"]},
+    "analyze": {
+        "coupling.json": ["format_version", "modes", "nu_source"],
+        "corr.json": ["format_version", "matrices"],
+        "gaps.json": ["format_version", "reports"],
+        "mc_compare.csv": ["state", "action_a", "action_b", "dp_sigma", "mc_sigma", "mc_ci"],
+        "ecdf.csv": ["state", "action_a", "action_b", "ratio_jipe", "ratio_mc", "mc_ci"],
+    },
+}
+OUTPUT_RUNS = {
+    "dp2": ("eval", {}),
+    "dpn": ("eval", {"env": {"builtin": "crc", "num_states": 3, "gamma": 0.9},
+                     "algorithm": {"name": "dpn", "order": 2}}),
+    "incremental": ("eval", {"algorithm": {"name": "incremental", "num_updates": 2_000,
+                                           "trace_stride": 1_000}}),
+    "projected": ("eval", {"algorithm": {
+        "name": "projected", "features": {"builtin": "state-poly", "degree": 2}}}),
+    "analyze": ("analyze", {"env": {"builtin": "crc", "num_states": 3, "gamma": 0.9},
+                            "analysis": {"states": [0], "num_rollouts": 100,
+                                         "trunc_tol": 1e-3}}),
+}
+
+
+def readme_outputs() -> dict:
+    """The README's "Outputs" table as {run: {file: [columns or keys]}}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    table, every_run, run = {}, {}, None
+    for line in section.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) != 3 or "`" not in cells[1]:
+            continue
+        run_tokens = re.findall(r"`([^`]+)`", cells[0])
+        if cells[0].strip() == "every run":
+            rows = every_run
+        else:
+            run = run_tokens[-1] if run_tokens else run
+            rows = table.setdefault(run, {})
+        (name,) = re.findall(r"`([^`]+)`", cells[1])
+        rows[name] = re.findall(r"`([^`]+)`", cells[2])
+    return {run: {**rows, **every_run} for run, rows in table.items()}
+
+
+class TestOutputs:
+    def test_readme_documents_every_output(self):
+        documented = readme_outputs()
+        assert documented.keys() == OUTPUTS.keys()
+        for run, files in OUTPUTS.items():
+            assert documented[run].keys() == {*files, "manifest.json"}, run
+            assert sorted(documented[run]["manifest.json"]) == MANIFEST_KEYS
+            for name, fields in files.items():
+                if name.endswith(".json"):
+                    assert sorted(documented[run][name]) == fields, (run, name)
+                else:
+                    assert documented[run][name] == fields, (run, name)
+
+    @pytest.mark.parametrize("run", OUTPUT_RUNS)
+    def test_files_headers_and_keys(self, tmp_path, run):
+        command, overrides = OUTPUT_RUNS[run]
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", base_config(**overrides, out_dir=str(out)))
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        expected = {**OUTPUTS[run], "manifest.json": MANIFEST_KEYS}
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, fields in expected.items():
+            if name.endswith(".csv"):
+                with open(out / name, newline="") as fh:
+                    assert next(csv.reader(fh)) == fields, name
+            else:
+                assert sorted(json.loads((out / name).read_text())) == fields, name
 
 
 def _projected(features: dict) -> dict:

@@ -117,6 +117,16 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             LinearMoments(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("theta_mu, theta_sigma", [
+        (np.zeros(1), [[np.nan]]),
+        (np.zeros(1), [[np.inf]]),
+        ([np.nan], [[1.0]]),
+        ([np.inf], [[1.0]]),
+    ], ids=["nan_sigma", "inf_sigma", "nan_mu", "inf_mu"])
+    def test_non_finite_parameters_rejected(self, theta_mu, theta_sigma):
+        with pytest.raises(InvalidInputError, match="finite"):
+            LinearMoments(theta_mu, theta_sigma)
+
     def test_densify_produces_symmetric_tables(self):
         feats = state_poly_features(4, 2, 1)
         lm = LinearMoments(np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))

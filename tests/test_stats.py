@@ -149,6 +149,12 @@ class TestMcOracle:
         assert blk.mu[0] == pytest.approx(0.81, abs=1e-12)
         assert blk.mu_se[0] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("s", [-1, 9])
+    def test_state_out_of_range(self, s):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        with pytest.raises(InvalidQueryError, match=f"state {s} out of range"):
+            mc_state_block(env, Policy.uniform(env.space), s, (0,), 10, 1e-4, 0)
+
     def test_rollouts_must_be_positive(self):
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError, match="num_rollouts"):
@@ -233,3 +239,16 @@ class TestChebyshevEcdf:
         blocks = all_action_blocks(env, pol, pairs, 1_000, seed=2)
         ratios = chebyshev_ecdf(env.space, m, pairs, blocks)
         assert ratios[0].note.startswith("skipped")
+
+    def test_block_read_by_branch_position(self):
+        # A block over actions (1, 0): branch 0 is action 1, so the pair
+        # (3, 1, 0) reads the block's entry [0, 1], not [1, 0].
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = wgw_goal_policy(3, 3, (0, 2))
+        m = jipe2(env, pol, 1e-10).final
+        blk = mc_state_block(env, pol, 3, (1, 0), 2_000, 1e-4, seed=0)
+        (r,) = chebyshev_ecdf(env.space, m, [(3, 1, 0)], {3: blk})
+        assert r.inferiority == blk.inferiority[0, 1]
+        assert r.mc_ci == blk.z_value * blk.inferiority_se[0, 1]
+        with pytest.raises(InvalidQueryError, match="no branch for action 2"):
+            chebyshev_ecdf(env.space, m, [(3, 2, 0)], {3: blk})
