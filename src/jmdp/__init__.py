@@ -16,7 +16,6 @@ from .core import (
     StateActionSpace,
     enumerate_indices,
     lambda_norm,
-    lambda_norm_n,
 )
 from .dp import Jipe2Report, apply_t2, apply_tn, jipe2, jipe_n
 from .env import (

@@ -172,6 +172,7 @@ def _env(doc, path):
 
 
 _POSITIVE = _real("(0, inf)")
+_REFERENCE_EPSILON = 1e-10  # the incremental run's reference jipe2 solve
 _ALGORITHMS = {
     "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_int(0), 100_000)},
     "dpn": {
@@ -186,7 +187,6 @@ _ALGORITHMS = {
         "visitation": (_choice("uniform", "sweep"), "uniform"),
         "num_updates": (_int(1), 1_000_000),
         "trace_stride": (_int(1), 10_000),
-        "reference_epsilon": (_POSITIVE, 1e-10),
     },
     "projected": {
         "features": (_pick("builtin", {
@@ -385,7 +385,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             schedule = StepSchedule.harmonic(algo["c"])
         else:
             schedule = StepSchedule.constant(algo["alpha0"])
-        ref = jipe2(env, policy, algo["reference_epsilon"])
+        ref = jipe2(env, policy, _REFERENCE_EPSILON)
         result = run_incremental(
             env,
             policy,

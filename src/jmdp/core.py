@@ -20,7 +20,6 @@ __all__ = [
     "MomentCollectionN",
     "Index2",
     "lambda_norm",
-    "lambda_norm_n",
     "enumerate_indices",
 ]
 
@@ -74,78 +73,53 @@ class LambdaWeights:
         return self.lam ** (k - 1)
 
 
-_SYMMETRY_TOL = 1e-9  # absolute; NaN entries fail it
+_SYMMETRY_TOL = 1e-9  # absolute
+_CHECK_BLOCK = 1 << 13  # entries per block of the symmetry test (at least one leading slice)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class MomentCollection2:
-    """Candidate first and second joint return moments (tables over X and X x X).
-
-    The second-moment table must be symmetric: it represents expectations of
-    products, which do not depend on coordinate order.
-    """
-
-    m_mu: np.ndarray
-    m_sigma: np.ndarray
-
-    def __post_init__(self):
-        mu = _frozen(np.asarray(self.m_mu, dtype=float))
-        sig = _frozen(np.asarray(self.m_sigma, dtype=float))
-        if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
-            raise InvalidInputError(
-                f"shape mismatch: m_mu {mu.shape}, m_sigma {sig.shape}"
-            )
-        asym = float(np.max(np.abs(sig - sig.T))) if sig.size else 0.0
-        if not asym <= _SYMMETRY_TOL:
-            raise InvalidInputError(
-                f"m_sigma must be symmetric (max asymmetry {asym:.3e})"
-            )
-        object.__setattr__(self, "m_mu", mu)
-        object.__setattr__(self, "m_sigma", sig)
-
-    @classmethod
-    def zeros(cls, space: StateActionSpace) -> "MomentCollection2":
-        n = space.num_x
-        return cls(np.zeros(n), np.zeros((n, n)))
-
-    def __sub__(self, other: "MomentCollection2") -> "MomentCollection2":
-        return MomentCollection2(self.m_mu - other.m_mu, self.m_sigma - other.m_sigma)
+def _check_table(t: np.ndarray, k: int, n_x: int) -> None:
+    """Reject an order-k table that is not of shape X^k, finite and invariant
+    under swapping adjacent axes. The swap of axes 0,1 pairs every entry with
+    one (maybe itself), so a non-finite entry fails that test. The test runs
+    on blocks of leading slices, each copied once to a contiguous buffer."""
+    if t.shape != (n_x,) * k:
+        raise InvalidInputError(f"order-{k} table has shape {t.shape}, expected {(n_x,) * k}")
+    if k == 1:
+        if not np.isfinite(t).all():
+            raise InvalidInputError("order-1 table must be finite")
+        return
+    step = max(1, _CHECK_BLOCK // max(n_x ** (k - 1), 1))
+    for ax in range(k - 1):
+        swapped = t.swapaxes(ax, ax + 1)
+        for i in range(0, n_x, step):
+            d = swapped[i:i + step].copy()
+            d -= t[i:i + step]
+            if not np.abs(d, out=d).max() <= _SYMMETRY_TOL:  # NaN fails too
+                raise InvalidInputError(
+                    f"order-{k} table must be finite and symmetric in axes {ax},{ax + 1}"
+                )
 
 
 @dataclass(frozen=True)
 class MomentCollectionN:
     """Moment tables of orders 1..n; the order-k table lives on X^k.
 
-    Each table must be invariant under permutations of its k axes.
+    Every entry must be finite and each table invariant under permutations of
+    its k axes: the tables hold expectations of products, which do not depend
+    on coordinate order. m_mu and m_sigma are the order-1 and order-2 tables.
     """
 
     tables: tuple
 
+    # inf - inf is NaN and an overflow is inf: both fail the symmetry test.
+    @np.errstate(invalid="ignore", over="ignore")
     def __post_init__(self):
-        tabs = tuple(_frozen(np.asarray(t, dtype=float)) for t in self.tables)
+        tabs = tuple(np.array(t, dtype=float, copy=True) for t in self.tables)
         if not tabs:
             raise InvalidInputError("need at least the order-1 table")
-        n_x = tabs[0].size
         for k, t in enumerate(tabs, start=1):
-            if t.shape != (n_x,) * k:
-                raise InvalidInputError(
-                    f"order-{k} table has shape {t.shape}, expected {(n_x,) * k}"
-                )
-            for ax in range(k - 1):
-                # One leading slice at a time, so the check's temporaries stay
-                # a few |X|^(k-1) slices rather than twice the table.
-                swapped = np.swapaxes(t, ax, ax + 1)
-                if not all(np.allclose(t[i], swapped[i], rtol=0.0, atol=_SYMMETRY_TOL)
-                           for i in range(n_x)):
-                    raise InvalidInputError(
-                        f"order-{k} table is not permutation invariant (axes {ax},{ax + 1})"
-                    )
+            _check_table(t, k, tabs[0].size)
+            t.setflags(write=False)
         object.__setattr__(self, "tables", tabs)
 
     @property
@@ -155,6 +129,14 @@ class MomentCollectionN:
     @property
     def num_x(self) -> int:
         return self.tables[0].size
+
+    @property
+    def m_mu(self) -> np.ndarray:
+        return self.tables[0]
+
+    @property
+    def m_sigma(self) -> np.ndarray:
+        return self.table(2)
 
     def table(self, k: int) -> np.ndarray:
         if not (1 <= k <= self.order):
@@ -167,6 +149,23 @@ class MomentCollectionN:
             raise InvalidInputError(f"order must be >= 1, got {order}")
         n = space.num_x
         return cls(tuple(np.zeros((n,) * k) for k in range(1, order + 1)))
+
+    def __sub__(self, other: "MomentCollectionN") -> "MomentCollectionN":
+        if (other.order, other.num_x) != (self.order, self.num_x):
+            raise InvalidInputError("cannot subtract collections of another order or size")
+        return MomentCollectionN(tuple(a - b for a, b in zip(self.tables, other.tables)))
+
+
+class MomentCollection2(MomentCollectionN):
+    """An order-2 collection built from its first and second moment tables."""
+
+    def __init__(self, m_mu, m_sigma):
+        super().__init__((m_mu, m_sigma))
+
+    @classmethod
+    def zeros(cls, space: StateActionSpace) -> "MomentCollection2":
+        n = space.num_x
+        return cls(np.zeros(n), np.zeros((n, n)))
 
 
 @dataclass(frozen=True)
@@ -199,14 +198,10 @@ def enumerate_indices(space: StateActionSpace) -> list[Index2]:
     return out
 
 
-def lambda_norm(m: MomentCollection2, w: LambdaWeights) -> float:
-    """max(max|m_mu|, max|m_sigma| / lam); zero iff both tables vanish."""
-    return lambda_norm_n((m.m_mu, m.m_sigma), w)
-
-
-def lambda_norm_n(m, w: LambdaWeights) -> float:
-    """max over k of max|table_k| / lam**(k-1), rejecting non-finite entries.
-    m is a MomentCollectionN or the sequence of its raw order-1..n tables."""
+def lambda_norm(m, w: LambdaWeights) -> float:
+    """max over k of max|table_k| / lam**(k-1), rejecting non-finite entries;
+    at order 2, max(max|m_mu|, max|m_sigma| / lam). m is a MomentCollectionN
+    or the sequence of its raw order-1..n tables."""
     tables = m.tables if isinstance(m, MomentCollectionN) else m
     best = 0.0
     for k, t in enumerate(tables, start=1):

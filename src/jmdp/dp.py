@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm_n
+from .core import (_CHECK_BLOCK, LambdaWeights, MomentCollection2, MomentCollectionN,
+                   lambda_norm)
 from .env import ExoJmdp, Policy, marginal_mdp
 from .errors import BudgetError, InvalidInputError
 
@@ -58,18 +59,19 @@ class Jipe2Report:
     certified says whether the requested tolerance was reached within max_iter.
     """
 
-    final: MomentCollection2
+    final: MomentCollectionN
     residual_trace: list
     iterations: int
     certified: bool
     certified_error_bound: float
 
 
-def _check_dims(env: ExoJmdp, num_x: int) -> None:
-    if num_x != env.space.num_x:
+def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
+    """Reject a collection not of order `order` over env's state-action pairs."""
+    if m.order != order or m.num_x != env.space.num_x:
         raise InvalidInputError(
-            f"moment tables sized for {num_x} coordinates, "
-            f"environment has {env.space.num_x}"
+            f"moments have order {m.order} over {m.num_x} coordinates, "
+            f"expected order {order} over {env.space.num_x}"
         )
 
 
@@ -143,10 +145,10 @@ class _Backup2:
         return [t_mu.reshape(-1), 0.5 * (t_sig + t_sig.T)]
 
 
-def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentCollection2:
+def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollection2:
     """One exact application of the second-order joint Bellman operator."""
-    _check_dims(env, m.m_mu.size)
-    return MomentCollection2(*_Backup2(env, policy).apply([m.m_mu, m.m_sigma]))
+    _check_moments(env, m, 2)
+    return MomentCollection2(*_Backup2(env, policy).apply(m.tables))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:
@@ -157,42 +159,51 @@ def check_solver_args(epsilon: float, max_iter: int) -> None:
         raise InvalidInputError(f"max_iter must be >= 0, got {max_iter}")
 
 
+def _solve(env: ExoJmdp, order: int, backup, epsilon: float, max_iter: int,
+           m0: MomentCollectionN | None) -> tuple:
+    """The exact solvers' fixed-point loop. Checks the arguments and m0, then
+    builds the backup (backup() returns an object whose apply maps raw
+    order-1..n tables to their backup) and iterates it from m0, or from zero
+    tables, on raw tables. Stops at the first m with
+    ||m - backup(m)||_lambda <= epsilon * (1 - gamma), or after max_iter steps.
+    Returns (m as a frozen collection, [(iteration, residual), ...])."""
+    check_solver_args(epsilon, max_iter)
+    if order < 1:
+        raise InvalidInputError(f"order must be >= 1, got {order}")
+    if m0 is not None:
+        _check_moments(env, m0, order)
+    apply = backup().apply
+    n_x, gamma = env.space.num_x, env.gamma
+    tables = m0.tables if m0 is not None else [np.zeros((n_x,) * k) for k in range(1, order + 1)]
+    weights = LambdaWeights(gamma)
+    trace: list = []
+    for k in range(max_iter + 1):
+        t_m = apply(tables)
+        trace.append((k, lambda_norm([a - b for a, b in zip(tables, t_m)], weights)))
+        if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
+            break
+        tables = t_m
+    if m0 is not None and trace[-1][0] == 0:
+        return m0, trace
+    return MomentCollectionN(tuple(tables)), trace
+
+
 def jipe2(
     env: ExoJmdp,
     policy: Policy,
     epsilon: float,
     max_iter: int = 100_000,
-    m0: MomentCollection2 | None = None,
+    m0: MomentCollectionN | None = None,
 ) -> Jipe2Report:
     """Iterate the second-order operator until the residual certifies epsilon accuracy.
 
     Stops once ||m_k - T m_k||_lambda <= epsilon * (1 - gamma), at which point
     ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
     """
-    check_solver_args(epsilon, max_iter)
-    if m0 is not None:
-        _check_dims(env, m0.m_mu.size)
-    m = MomentCollection2.zeros(env.space) if m0 is None else m0
-    tables, trace = _iterate(_Backup2(env, policy).apply, [m.m_mu, m.m_sigma],
-                             env.gamma, epsilon, max_iter)
+    final, trace = _solve(env, 2, lambda: _Backup2(env, policy), epsilon, max_iter, m0)
     k, residual = trace[-1]
     certified = residual <= epsilon * (1.0 - env.gamma)
-    final = m if k == 0 else MomentCollection2(*tables)
     return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
-
-
-def _iterate(backup, tables, gamma: float, epsilon: float, max_iter: int) -> tuple:
-    """Fixed-point loop of the exact solvers on raw order-1..n tables: stops at
-    the first m with ||m - backup(m)||_lambda <= epsilon * (1 - gamma), or
-    after max_iter steps; returns (m, [(iteration, residual), ...])."""
-    weights = LambdaWeights(gamma)
-    trace: list = []
-    for k in range(max_iter + 1):
-        t_m = backup(tables)
-        trace.append((k, lambda_norm_n([a - b for a, b in zip(tables, t_m)], weights)))
-        if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
-            return tables, trace
-        tables = t_m
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +317,16 @@ class _BackupPlan:
     peak bytes before any array is built: five sets of order-1..n tables
     (iterate, backup, difference, gather index, frozen copy), value buffers,
     state tables, kernels, the largest transient (a term step or a
-    gather-index chunk; the frozen copy's symmetry check holds about three
-    |X|^(n-1) slices, less than a chunk) and _OBJECT_BYTES per entry.
+    gather-index chunk, or the frozen copy's symmetry check, which holds one
+    block of at most max(|X|^(n-1), _CHECK_BLOCK) entries) and _OBJECT_BYTES
+    per entry.
     """
 
     def __init__(self, env: ExoJmdp, policy: Policy, order: int, budget: int):
         s_n, a_n, u_n = env.g.shape
         n_x = env.space.num_x
         held = 5 * sum(n_x**k for k in range(1, order + 1))
-        peak = (5 * order + 4) * n_x ** (order - 1)
+        peak = max((5 * order + 4) * n_x ** (order - 1), _CHECK_BLOCK)
         layout, keys, state_keys = [], set(), set()  # layout: per order, shape -> terms
         for k in range(order):
             codes = itertools.product(range(3), repeat=k)  # the run codes of order k + 1
@@ -390,7 +402,7 @@ def apply_tn(
     memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> MomentCollectionN:
     """One exact application of the order-n joint Bellman operator."""
-    _check_dims(env, m.num_x)
+    _check_moments(env, m, m.order)
     plan = _BackupPlan(env, policy, m.order, memory_budget_bytes)
     return MomentCollectionN(tuple(plan.apply(m.tables)))
 
@@ -411,13 +423,5 @@ def jipe_n(
     ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
     frozen collection is built only for the result.
     """
-    check_solver_args(epsilon, max_iter)
-    if m0 is not None and (m0.order != order or m0.num_x != env.space.num_x):
-        raise InvalidInputError(
-            f"m0 has order {m0.order} over {m0.num_x} coordinates, expected "
-            f"order {order} over {env.space.num_x}"
-        )
-    plan = _BackupPlan(env, policy, order, memory_budget_bytes)
-    m = MomentCollectionN.zeros(env.space, order) if m0 is None else m0
-    tables, trace = _iterate(plan.apply, m.tables, env.gamma, epsilon, max_iter)
-    return (m if trace[-1][0] == 0 else MomentCollectionN(tuple(tables))), trace
+    return _solve(env, order, lambda: _BackupPlan(env, policy, order, memory_budget_bytes),
+                  epsilon, max_iter, m0)

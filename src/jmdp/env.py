@@ -170,14 +170,13 @@ def child_seed(root_seed: int, stream_index: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _sampling_cdfs(env: ExoJmdp, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Noise and per-state policy CDFs, last entries pinned to 1.0 so a U(0,1)
-    draw always lands inside the support."""
-    noise_cdf = np.cumsum(env.noise.probs)
-    noise_cdf[-1] = 1.0
-    pol_cdf = np.cumsum(policy.probs, axis=1)
-    pol_cdf[:, -1] = 1.0
-    return noise_cdf, pol_cdf
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """CDF along the last axis (the noise law's, or each state's policy row),
+    its last entries pinned to 1.0 so a U(0,1) draw always lands inside the
+    support."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
 
 
 def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -193,7 +192,7 @@ def sample_table(env: ExoJmdp, s: int, rng: np.random.Generator) -> OutcomeTable
     """Draw one outcome table at s: a single noise draw fixes all actions' outcomes."""
     if not (0 <= s < env.space.num_states):
         raise InvalidQueryError(f"state {s} out of range")
-    u = int(rng.choice(env.noise.support_size, p=env.noise.probs))
+    u = int(np.searchsorted(_cdf(env.noise.probs), rng.random(), side="right"))
     return OutcomeTable(env.g[s, :, u].copy(), env.h[s, :, u].copy())
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import MomentCollection2
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, _check_dims, check_solver_args
+from .core import MomentCollection2, MomentCollectionN
+from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import marginal_kernel, marginal_mdp
 from .errors import (
@@ -216,9 +216,10 @@ def nu2_norm(table: np.ndarray, nu: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,j,ij->", nu, nu, np.asarray(table) ** 2)))
 
 
-def beta_norm(m: MomentCollection2, nu: np.ndarray, beta: float) -> float:
-    """max(||m_mu||_nu, beta * ||m_sigma||_{nu x nu})."""
-    return max(nu_norm(m.m_mu, nu), beta * nu2_norm(m.m_sigma, nu))
+def beta_norm(m, nu: np.ndarray, beta: float) -> float:
+    """max(||m_mu||_nu, beta * ||m_sigma||_{nu x nu}) of a collection or its raw tables."""
+    mu, sig = (m.m_mu, m.m_sigma) if isinstance(m, MomentCollectionN) else m[:2]
+    return max(nu_norm(mu, nu), beta * nu2_norm(sig, nu))
 
 
 def project_mu(target: np.ndarray, features: FeatureMap, nu: np.ndarray) -> np.ndarray:
@@ -508,7 +509,9 @@ def projected_jipe2(
     memory budget) beta = 1.
     """
     check_solver_args(epsilon, max_iter)
-    _check_dims(env, features.num_x)
+    if features.num_x != env.space.num_x:
+        raise InvalidInputError(f"features cover {features.num_x} coordinates, "
+                                f"environment has {env.space.num_x}")
     nu = _check_nu(nu, env.space.num_x)
     beta, kappa = 1.0, None
     try:
@@ -530,7 +533,7 @@ def projected_jipe2(
         theta_sig, _ = project_sigma_psd(backed_sig, features, nu)
         new = LinearMoments(theta_mu, theta_sig)
         new_dense = new.densify(features)
-        dist = beta_norm(new_dense - dense, nu, beta)
+        dist = beta_norm([a - b for a, b in zip(new_dense.tables, dense.tables)], nu, beta)
         distances.append(dist)
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grow_streak += 1

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index2, LambdaWeights, MomentCollection2, lambda_norm
-from .dp import _check_dims, apply_t2
-from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs
+from .core import Index2, LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm
+from .dp import _check_moments, apply_t2
+from .env import ExoJmdp, Policy, _cdf, _draw_actions
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -154,9 +154,9 @@ def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
     y = i.x if i.kind == "mu" else i.x2
     cls = _draw_class(env.space.num_actions, i.kind, i.x, y)
     k = int(_NUM_DRAWS[cls])
+    cdfs = _cdf(env.noise.probs), _cdf(policy.probs)
     coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
-        env, _sampling_cdfs(env, policy), np.full(n, cls), np.full(n, i.x),
-        np.full(n, y), draw(k), np.arange(n) * k,
+        env, cdfs, np.full(n, cls), np.full(n, i.x), np.full(n, y), draw(k), np.arange(n) * k
     )
     mu, sig, g2 = m.m_mu, m.m_sigma, env.gamma**2
     if cls == _MU:
@@ -169,13 +169,13 @@ def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
 def sample_backup(
     env: ExoJmdp,
     policy: Policy,
-    m: MomentCollection2,
+    m: MomentCollectionN,
     i: Index2,
     rng: np.random.Generator,
 ) -> float:
     """Draw one random backup for coordinate i; its conditional mean is the
     exact operator coordinate. Takes exactly 8 uniforms from rng."""
-    _check_dims(env, m.m_mu.size)
+    _check_moments(env, m, 2)
     return float(_backups(env, policy, m, i, 1, lambda k: rng.random(8))[0])
 
 
@@ -211,8 +211,8 @@ def run_incremental(
     visitation: VisitationScheme,
     num_updates: int,
     seed: int,
-    m0: MomentCollection2 | None = None,
-    fixed_point: MomentCollection2 | None = None,
+    m0: MomentCollectionN | None = None,
+    fixed_point: MomentCollectionN | None = None,
     trace_stride: int = 10_000,
 ) -> IncrementalResult:
     """Asynchronous one-coordinate updates; deterministic given the seed.
@@ -226,7 +226,7 @@ def run_incremental(
         raise InvalidInputError(f"trace_stride must be >= 1, got {trace_stride}")
     for m in (m0, fixed_point):
         if m is not None:
-            _check_dims(env, m.m_mu.size)
+            _check_moments(env, m, 2)
     n_x = env.space.num_x
     m_start = MomentCollection2.zeros(env.space) if m0 is None else m0
     table, num_slots = _coordinate_table(env.space)
@@ -237,7 +237,7 @@ def run_incremental(
     mirror = ys * n_x + xs
     n_idx = cls.size
 
-    cdfs = _sampling_cdfs(env, policy)
+    cdfs = _cdf(env.noise.probs), _cdf(policy.probs)
     # One seeded U(0,1) sequence, consumed in order. How it is cut into
     # rng.random calls does not change its values.
     rng = np.random.default_rng(seed)
@@ -327,7 +327,7 @@ class NoiseDiagnostic:
 def noise_diagnostic(
     env: ExoJmdp,
     policy: Policy,
-    m: MomentCollection2,
+    m: MomentCollectionN,
     i: Index2,
     num_samples: int,
     seed: int,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .core import MomentCollection2, StateActionSpace
-from .env import ExoJmdp, Policy, _draw_actions, _sampling_cdfs, child_seed
+from .core import MomentCollectionN, StateActionSpace
+from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -46,7 +46,7 @@ def truncation_horizon(gamma: float, tol: float) -> int:
 
 def gap_stats(
     space: StateActionSpace,
-    m: MomentCollection2,
+    m: MomentCollectionN,
     s: int,
     a: int,
     a_tilde: int,
@@ -100,7 +100,7 @@ class CorrMatrix:
     corr: np.ndarray
 
 
-def corr_matrix(space: StateActionSpace, m: MomentCollection2, s: int) -> CorrMatrix:
+def corr_matrix(space: StateActionSpace, m: MomentCollectionN, s: int) -> CorrMatrix:
     n_a = space.num_actions
     xs = np.array([space.x(s, a) for a in range(n_a)])
     mu = m.m_mu[xs]
@@ -167,7 +167,7 @@ def _branch_returns(
     n_a = env.space.num_actions
     g_x = env.g.reshape(env.space.num_x, env.noise.support_size)
     h_x = env.h.reshape(env.space.num_x, env.noise.support_size)
-    noise_cdf, pol_cdf = _sampling_cdfs(env, policy)
+    noise_cdf, pol_cdf = _cdf(env.noise.probs), _cdf(policy.probs)
 
     rng = np.random.default_rng(child_seed(seed, 0))
     states = np.full((k, n), s, dtype=np.int64)
@@ -289,7 +289,7 @@ class EcdfRatio:
 
 def chebyshev_ecdf(
     space: StateActionSpace,
-    m: MomentCollection2,
+    m: MomentCollectionN,
     pairs,
     blocks: dict,
 ) -> list[EcdfRatio]:

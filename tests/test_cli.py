@@ -482,6 +482,9 @@ MALFORMED = [
     ("alpha0_with_harmonic_rule", "eval",
      {"algorithm": {"name": "incremental", "alpha0": 0.2}},
      {}, "config.algorithm.alpha0"),
+    ("incremental_reference_epsilon", "eval",
+     {"algorithm": {"name": "incremental", "reference_epsilon": 1e-8}},
+     {}, "config.algorithm.reference_epsilon"),
     ("policy_ragged_probs", "eval", {"policy": {"path": "pol.json"}},
      {"pol.json": json.dumps({"format_version": 1, "probs": [[0.5, 0.5], [1.0]]})},
      "pol.json.probs"),

@@ -11,7 +11,6 @@ from jmdp.core import (
     StateActionSpace,
     enumerate_indices,
     lambda_norm,
-    lambda_norm_n,
 )
 from jmdp.errors import InvalidInputError, InvalidQueryError
 
@@ -98,6 +97,61 @@ class TestMomentCollections:
         with pytest.raises(InvalidInputError, match="symmetric"):
             MomentCollection2(np.zeros(2), [[0.0, np.nan], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "tables, match",
+        [
+            (([np.nan, 0.0], np.zeros((2, 2))), "order-1"),
+            (([-np.inf, 0.0], np.zeros((2, 2))), "order-1"),
+            ((np.zeros(1), [[np.inf]]), "axes 0,1"),
+            ((np.zeros(1), [[np.nan]]), "axes 0,1"),
+            ((np.zeros(2), [[np.inf, 0.0], [0.0, np.inf]]), "axes 0,1"),
+            ((np.zeros(2), np.zeros((2, 2)), np.full((2, 2, 2), np.inf)), "axes 0,1"),
+            ((np.zeros(2), [[0.0, 1e308], [-1e308, 0.0]]), "axes 0,1"),
+        ],
+        ids=["nan_mu", "neg_inf_mu", "inf_diagonal", "nan_diagonal",
+             "symmetric_inf_sigma", "inf_order3", "overflowing_asymmetry"],
+    )
+    def test_nonfinite_entries_rejected_without_warning(self, tables, match):
+        # Warnings fail the suite, so a RuntimeWarning from inf - inf or an
+        # overflow would too.
+        with pytest.raises(InvalidInputError, match=match):
+            MomentCollectionN(tables)
+        if len(tables) == 2:
+            with pytest.raises(InvalidInputError, match=match):
+                MomentCollection2(*tables)
+
+    def test_defect_past_the_first_block_rejected(self):
+        # 200 coordinates: the order-2 check compares 40 rows at a time.
+        sig = np.zeros((200, 200))
+        sig[150, 3] = 1e-6
+        with pytest.raises(InvalidInputError, match="axes 0,1"):
+            MomentCollection2(np.zeros(200), sig)
+        sig[3, 150] = 1e-6 + 1e-10  # within the absolute tolerance
+        MomentCollection2(np.zeros(200), sig)
+
+    def test_order2_constructor_is_an_order2_collection(self):
+        rng = np.random.default_rng(0)
+        m = random_collection(rng, 3)
+        assert isinstance(m, MomentCollectionN) and m.order == 2
+        np.testing.assert_array_equal(m.table(1), m.m_mu)
+        np.testing.assert_array_equal(m.table(2), m.m_sigma)
+        t3 = np.zeros((3, 3, 3))
+        m3 = MomentCollectionN((m.m_mu, m.m_sigma, t3))
+        np.testing.assert_array_equal(m3.m_sigma, m.m_sigma)
+        with pytest.raises(InvalidQueryError):
+            MomentCollectionN((np.zeros(3),)).m_sigma
+
+    def test_difference_checks_order_and_size(self):
+        rng = np.random.default_rng(1)
+        a, b = random_collection(rng, 3), random_collection(rng, 3)
+        d = a - b
+        assert d.order == 2
+        np.testing.assert_array_equal(d.m_sigma, a.m_sigma - b.m_sigma)
+        with pytest.raises(InvalidInputError):
+            a - MomentCollectionN.zeros(StateActionSpace(3, 1), 3)
+        with pytest.raises(InvalidInputError):
+            a - random_collection(rng, 4)
+
     def test_order3_zeros_shape(self):
         m = MomentCollectionN.zeros(StateActionSpace(2, 2), 3)
         assert m.order == 3
@@ -123,16 +177,16 @@ class TestLambdaNorm:
         assert lambda_norm(m, w) == pytest.approx(2.0)
 
     def test_nonfinite_rejected(self):
+        # A collection cannot hold inf, so the norm's own check sees raw tables.
         mu = np.zeros(2)
         mu[0] = np.inf
-        m = MomentCollection2(mu, np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            lambda_norm(m, LambdaWeights(0.5))
+            lambda_norm((mu, np.zeros((2, 2))), LambdaWeights(0.5))
 
     def test_order_one_is_sup_norm(self):
         w = LambdaWeights(0.9)
         m = MomentCollectionN((np.full(4, -2.5),))
-        assert lambda_norm_n(m, w) == 2.5
+        assert lambda_norm(m, w) == 2.5
 
     def test_order_three_scaling(self):
         # lam_3 = (2/(1-gamma))^2 = 400 at gamma = 0.9
@@ -141,7 +195,7 @@ class TestLambdaNorm:
         m = MomentCollectionN(
             (np.zeros(2), np.zeros((2, 2)), np.full((2, 2, 2), 400.0))
         )
-        assert lambda_norm_n(m, w) == pytest.approx(1.0)
+        assert lambda_norm(m, w) == pytest.approx(1.0)
 
     def test_order_two_matches_bitwise(self):
         rng = np.random.default_rng(3)
@@ -149,7 +203,8 @@ class TestLambdaNorm:
         for _ in range(100):
             m2 = random_collection(rng, 6, scale=rng.uniform(0.1, 50.0))
             mn = MomentCollectionN((m2.m_mu, m2.m_sigma))
-            assert lambda_norm_n(mn, w) == lambda_norm(m2, w)
+            raw = (np.array(m2.m_mu), np.array(m2.m_sigma))
+            assert lambda_norm(mn, w) == lambda_norm(m2, w) == lambda_norm(raw, w)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), gamma=st.floats(0.05, 0.95))

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from jmdp.core import (
+    Index2,
     LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
     lambda_norm,
-    lambda_norm_n,
 )
 from jmdp.dp import _BackupPlan, apply_t2, apply_tn, jipe2, jipe_n
 from jmdp.env import (
@@ -24,6 +24,13 @@ from jmdp.env import (
     wgw_goal_policy,
 )
 from jmdp.errors import BudgetError, InvalidInputError
+from jmdp.incremental import (
+    StepSchedule,
+    VisitationScheme,
+    noise_diagnostic,
+    run_incremental,
+    sample_backup,
+)
 from jmdp.stats import _branch_returns, truncation_horizon
 
 from test_env import anticorrelated_single_state, random_env, random_policy
@@ -510,7 +517,40 @@ class TestApplyTn:
                                        rtol=0.0, atol=1e-12)
 
 
+def _run_incremental(env, pol, **moments):
+    return run_incremental(env, pol, StepSchedule.harmonic(), VisitationScheme.sweep(),
+                           10, seed=0, **moments)
+
+
+@pytest.mark.parametrize("call", [
+    apply_t2,
+    lambda env, pol, m: jipe2(env, pol, 1e-8, m0=m),
+    lambda env, pol, m: _run_incremental(env, pol, m0=m),
+    lambda env, pol, m: _run_incremental(env, pol, fixed_point=m),
+    lambda env, pol, m: sample_backup(env, pol, m, Index2("mu", 0), np.random.default_rng(0)),
+    lambda env, pol, m: noise_diagnostic(env, pol, m, Index2("mu", 0), 1000, seed=0),
+], ids=["apply_t2", "jipe2_m0", "run_incremental_m0", "run_incremental_fixed_point",
+        "sample_backup", "noise_diagnostic"])
+def test_order_two_entry_points_reject_order_three(call):
+    env = build_crc(3, 0.9)
+    with pytest.raises(InvalidInputError, match="order 3"):
+        call(env, Policy.uniform(env.space), MomentCollectionN.zeros(env.space, 3))
+
+
 class TestJipeN:
+    @pytest.mark.parametrize("m0_order, m0_states", [(2, 3), (4, 3), (3, 4)],
+                             ids=["lower_order", "higher_order", "other_env"])
+    def test_m0_of_another_order_or_env_rejected(self, m0_order, m0_states):
+        env = build_crc(3, 0.9)
+        m0 = MomentCollectionN.zeros(build_crc(m0_states, 0.9).space, m0_order)
+        with pytest.raises(InvalidInputError, match="expected order 3"):
+            jipe_n(env, Policy.uniform(env.space), 3, 1e-6, m0=m0)
+
+    def test_order_below_one_rejected(self):
+        env = build_crc(3, 0.9)
+        with pytest.raises(InvalidInputError, match="order must be >= 1"):
+            jipe_n(env, Policy.uniform(env.space), 0, 1e-6)
+
     def test_order_two_reproduces_jipe2(self):
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)

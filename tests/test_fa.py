@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jmdp import fa
-from jmdp.core import MomentCollection2, StateActionSpace
+from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
 from jmdp.dp import jipe2
 from jmdp.env import (
     ExoJmdp,
@@ -263,6 +263,17 @@ class TestNormIdentities:
             f = rng.normal(size=7)
             table = np.tile(f, (7, 1))  # (1 x f)(x, y) = f(y)
             assert nu2_norm(table, nu) == pytest.approx(nu_norm(f, nu), abs=1e-12)
+
+    def test_beta_norm_reads_orders_one_and_two(self):
+        rng = np.random.default_rng(7)
+        nu = rng.dirichlet(np.full(4, 2.0))
+        sig = rng.normal(size=(4, 4))
+        m2 = MomentCollection2(rng.normal(size=4), sig + sig.T)
+        m3 = MomentCollectionN((m2.m_mu, m2.m_sigma, np.zeros((4, 4, 4))))
+        value = beta_norm(m2, nu, 0.3)
+        assert value == max(nu_norm(m2.m_mu, nu), 0.3 * nu2_norm(m2.m_sigma, nu))
+        assert beta_norm(m3, nu, 0.3) == value
+        assert beta_norm([np.array(m2.m_mu), np.array(m2.m_sigma)], nu, 0.3) == value
 
     def test_marginal_kernel_nonexpansive_under_stationary_weight(self):
         env = build_ring_chain(6, 0.9)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jmdp.core import MomentCollection2
-from jmdp.dp import jipe2
+from jmdp.core import LambdaWeights, MomentCollection2
+from jmdp.dp import jipe2, jipe_n
 from jmdp.env import Policy, build_crc, build_wgw, child_seed, wgw_goal_policy
 from jmdp.errors import AssumptionError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
@@ -137,6 +137,35 @@ class TestCorrMatrix:
             [np.nanmax(np.abs(a - matrices[0])) for a in matrices[1:]]
         )
         assert spread > 0.05
+
+
+class TestHigherOrderCollections:
+    def test_order3_solve_agrees_with_jipe2(self):
+        # Each solve is within its certificate of m* in the lambda norm, so a
+        # first moment moves by at most delta and a second by lam * delta.
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = wgw_goal_policy(3, 3, (0, 2))
+        rep = jipe2(env, pol, 1e-8)
+        m3, trace = jipe_n(env, pol, 3, 1e-8)
+        assert rep.certified and trace[-1][1] <= 1e-8 * (1 - env.gamma)
+        delta = rep.certified_error_bound + trace[-1][1] / (1 - env.gamma)
+        lam = LambdaWeights(env.gamma).lam
+        n_a = env.space.num_actions
+        for s in range(env.space.num_states):
+            c2, c3 = corr_matrix(env.space, rep.final, s), corr_matrix(env.space, m3, s)
+            mu = np.abs(rep.final.m_mu[s * n_a:(s + 1) * n_a])
+            cov_tol = lam * delta + delta * (mu[:, None] + mu[None, :] + delta)
+            assert np.all(np.abs(c3.cov - c2.cov) <= cov_tol)
+            np.testing.assert_allclose(c3.corr, c2.corr, rtol=0.0, atol=1e-6)
+            for a in range(n_a):
+                for b in range(n_a):
+                    if a == b:
+                        continue
+                    mean2, var2 = gap_stats(env.space, rep.final, s, a, b)
+                    mean3, var3 = gap_stats(env.space, m3, s, a, b)
+                    assert abs(mean3 - mean2) <= 2 * delta
+                    var_tol = 4 * lam * delta + 2 * delta * (2 * abs(mean2) + 2 * delta)
+                    assert abs(var3 - var2) <= var_tol
 
 
 class TestMcOracle:
