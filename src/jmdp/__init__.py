@@ -21,7 +21,6 @@ from .dp import Jipe2Report, apply_t2, apply_tn, jipe2, jipe_n
 from .env import (
     ExoJmdp,
     NoiseModel,
-    OutcomeTable,
     Policy,
     build_crc,
     build_hub_successors,
@@ -35,7 +34,7 @@ from .env import (
     load_env,
     load_policy,
     marginal_mdp,
-    sample_table,
+    sample_outcomes,
     save_env,
     save_policy,
     wgw_goal_policy,

@@ -1,9 +1,10 @@
 """JMDP environments in exogenous-noise form.
 
 An environment is (g, h, noise, gamma): at a state s, one noise draw u fixes the
-full counterfactual outcome table ((g[s,a,u], h[s,a,u]))_a across all actions.
-Marginalizing over u recovers an ordinary MDP; the joint law of several queried
-actions (an m-JSTM) is the pushforward of the noise law through (g, h).
+full counterfactual outcome table ((g[s,a,u], h[s,a,u]))_a across all actions;
+`sample_outcomes` is the package's one noise draw. Marginalizing over u recovers
+an ordinary MDP; the joint law of several queried actions (an m-JSTM,
+`induced_jstm`) is the pushforward of the noise law through (g, h).
 
 Benchmark builders:
   * build_crc  -- chain with anti-correlated two-action rewards, shared dynamics.
@@ -15,6 +16,7 @@ Benchmark builders:
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -28,10 +30,8 @@ from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQue
 __all__ = [
     "NoiseModel",
     "ExoJmdp",
-    "OutcomeTable",
     "Policy",
-    "JointOutcomeDist",
-    "sample_table",
+    "sample_outcomes",
     "induced_jstm",
     "marginal_mdp",
     "marginal_kernel",
@@ -129,14 +129,6 @@ class ExoJmdp:
 
 
 @dataclass(frozen=True)
-class OutcomeTable:
-    """One sampled step: per-action (reward, successor) for every action."""
-
-    rewards: np.ndarray
-    successors: np.ndarray
-
-
-@dataclass(frozen=True)
 class Policy:
     """Markov policy; probs[s, a] rows sum to one."""
 
@@ -188,66 +180,43 @@ def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.
     return acts
 
 
-def sample_table(env: ExoJmdp, s: int, rng: np.random.Generator) -> OutcomeTable:
-    """Draw one outcome table at s: a single noise draw fixes all actions' outcomes."""
+def sample_outcomes(env: ExoJmdp, x: np.ndarray, r: np.ndarray) -> tuple:
+    """One step from flat state-action coordinates x: the noise atom is drawn
+    by inverse CDF from the matching U(0,1) entry of r, and (reward, successor)
+    is gathered for it. Coordinates given the same uniform share one noise
+    draw, as all actions at a state do; x must lie in 0..|X|-1, r in [0, 1)."""
+    u = np.searchsorted(_cdf(env.noise.probs), r, side="right")
+    flat = x * env.noise.support_size + u  # row-major position of (x, u) in g and h
+    return env.g.ravel().take(flat), env.h.ravel().take(flat)
+
+
+def _groups(p: np.ndarray, *keys: np.ndarray) -> tuple:
+    """Group entries by their tuple of keys, groups numbered in lexicographic
+    key order. Returns each entry's group, each group's first entry, and each
+    group's total of p, summed in entry order."""
+    order = np.lexsort(keys[::-1])
+    new = np.r_[True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)]
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels, order[new], np.bincount(labels, weights=p)
+
+
+def induced_jstm(env: ExoJmdp, s: int, actions: tuple[int, ...]) -> tuple:
+    """Joint law of the queried actions' outcomes at s, pushed forward from
+    the noise law: (rewards[K, m], successors[K, m], probs[K]) over its K
+    distinct outcomes, in order of first occurrence over the noise atoms."""
     if not (0 <= s < env.space.num_states):
         raise InvalidQueryError(f"state {s} out of range")
-    u = int(np.searchsorted(_cdf(env.noise.probs), rng.random(), side="right"))
-    return OutcomeTable(env.g[s, :, u].copy(), env.h[s, :, u].copy())
-
-
-@dataclass(frozen=True)
-class JointOutcomeDist:
-    """Exact finite-support joint law of m queried (reward, successor) pairs.
-
-    atoms[i] is a tuple of (reward, successor) pairs, one per queried action;
-    probs[i] its probability. Atoms keep first-occurrence order, so a given
-    environment always produces the same representation.
-    """
-
-    atoms: tuple
-    probs: np.ndarray
-
-    def marginal(self, coord: int) -> "JointOutcomeDist":
-        agg: dict = {}
-        order = []
-        for atom, p in zip(self.atoms, self.probs):
-            key = atom[coord]
-            if key not in agg:
-                agg[key] = 0.0
-                order.append(key)
-            agg[key] += p
-        return JointOutcomeDist(
-            tuple((k,) for k in order), np.array([agg[k] for k in order])
-        )
-
-    def as_dict(self) -> dict:
-        return {atom: float(p) for atom, p in zip(self.atoms, self.probs)}
-
-
-def induced_jstm(env: ExoJmdp, s: int, actions: tuple[int, ...]) -> JointOutcomeDist:
-    """Joint law of the queried coordinates, pushed forward from the noise law."""
-    if not (0 <= s < env.space.num_states):
-        raise InvalidQueryError(f"state {s} out of range")
-    acts = tuple(int(a) for a in actions)
-    if not (1 <= len(acts) <= env.space.num_actions):
-        raise InvalidQueryError(f"need between 1 and {env.space.num_actions} actions")
-    if len(set(acts)) != len(acts):
-        raise InvalidQueryError(f"queried actions must be distinct, got {acts}")
+    acts = [int(a) for a in actions]
+    if not (acts and len(set(acts)) == len(acts)):
+        raise InvalidQueryError(f"need one or more distinct actions, got {tuple(acts)}")
     for a in acts:
         if not (0 <= a < env.space.num_actions):
             raise InvalidQueryError(f"action {a} out of range")
-    agg: dict = {}
-    order = []
-    for u in range(env.noise.support_size):
-        atom = tuple(
-            (float(env.g[s, a, u]), int(env.h[s, a, u])) for a in acts
-        )
-        if atom not in agg:
-            agg[atom] = 0.0
-            order.append(atom)
-        agg[atom] += float(env.noise.probs[u])
-    return JointOutcomeDist(tuple(order), np.array([agg[a] for a in order]))
+    rewards, successors = env.g[s, acts].T, env.h[s, acts].T
+    _, first, probs = _groups(env.noise.probs, *rewards.T, *successors.T)
+    order = np.argsort(first)
+    return rewards[first[order]], successors[first[order]], probs[order]
 
 
 def marginal_mdp(env: ExoJmdp) -> tuple[np.ndarray, np.ndarray]:
@@ -270,19 +239,31 @@ def marginal_kernel(env: ExoJmdp, policy: Policy) -> np.ndarray:
 
 
 def is_coupled_dynamics(env: ExoJmdp) -> bool:
-    """True iff some same-state two-action joint law is not the product of its marginals."""
-    for s in range(env.space.num_states):
-        for a in range(env.space.num_actions):
-            for b in range(a + 1, env.space.num_actions):
-                joint = induced_jstm(env, s, (a, b)).as_dict()
-                ma = induced_jstm(env, s, (a,)).as_dict()
-                mb = induced_jstm(env, s, (b,)).as_dict()
-                keys = set(joint)
-                keys.update((ka[0], kb[0]) for ka in ma for kb in mb)
-                for key in keys:
-                    prod = ma.get((key[0],), 0.0) * mb.get((key[1],), 0.0)
-                    if abs(joint.get(key, 0.0) - prod) > _PROB_TOL:
-                        return True
+    """True iff at some state the joint outcome law of two actions is not the
+    product of its marginals: some outcome pair (o_a, o_b) has
+    |P(o_a, o_b) - P(o_a) P(o_b)| > 1e-12, P(o_a, o_b) being 0 for a pair that
+    never occurs. Works on (state, noise atom) arrays, one action pair at a
+    time, and never forms the table of outcome pairs."""
+    s_n, a_n, u_n = env.g.shape
+    p = np.tile(env.noise.probs, s_n)
+    state = np.repeat(np.arange(s_n), u_n)
+    for a, b in itertools.combinations(range(a_n), 2):
+        ia, first_a, pa = _groups(p, state, env.g[:, a].ravel(), env.h[:, a].ravel())
+        ib, _, pb = _groups(p, state, env.g[:, b].ravel(), env.h[:, b].ravel())
+        # Renumber the b-outcomes by state, then by falling mass.
+        ib, first_b, pb = _groups(p, state, -pb[ib], ib)
+        _, first, pj = _groups(p, ia, ib)
+        ja, jb = ia[first], ib[first]  # sorted by a-outcome, then b-outcome
+        if np.any(np.abs(pj - pa[ja] * pb[jb]) > _PROB_TOL):
+            return True
+        # The heaviest b-outcome that an a-outcome never meets is the first of
+        # its state's b-outcomes missing from its partners.
+        a_state, start = state[first_a], np.searchsorted(state[first_b], np.arange(s_n + 1))
+        seen = jb - start[a_state[ja]] == np.arange(ja.size) - np.searchsorted(ja, ja)
+        gap = start[a_state] + np.bincount(ja[seen], minlength=pa.size)
+        heaviest = np.where(gap < start[a_state + 1], pb[np.minimum(gap, pb.size - 1)], 0.0)
+        if np.any(pa * heaviest > _PROB_TOL):
+            return True
     return False
 
 
@@ -298,15 +279,9 @@ def build_crc(num_states: int, gamma: float) -> ExoJmdp:
         raise ConfigError(f"chain needs at least 2 states, got {num_states}")
     space = StateActionSpace(num_states, 2)
     noise = NoiseModel(np.array([0.5, 0.5]))
-    g = np.zeros((num_states, 2, 2))
-    h = np.zeros((num_states, 2, 2), dtype=np.int64)
-    for s in range(num_states):
-        nxt = min(s + 1, num_states - 1)
-        for u in (0, 1):
-            g[s, 0, u] = float(u)
-            g[s, 1, u] = 1.0 - float(u)
-            h[s, :, u] = nxt
-    return ExoJmdp(space, noise, g, h, gamma)
+    g = np.tile([[0.0, 1.0], [1.0, 0.0]], (num_states, 1, 1))
+    h = np.repeat(np.minimum(np.arange(num_states) + 1, num_states - 1), 4)
+    return ExoJmdp(space, noise, g, h.reshape(num_states, 2, 2), gamma)
 
 
 def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
@@ -322,16 +297,10 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
     space = StateActionSpace(num_states, 2)
     # u = (coin for the reward, step size); four equally likely atoms.
     noise = NoiseModel(np.full(4, 0.25))
-    g = np.zeros((num_states, 2, 4))
-    h = np.zeros((num_states, 2, 4), dtype=np.int64)
-    for s in range(num_states):
-        for u in range(4):
-            coin = u % 2
-            step = 1 if u < 2 else 2
-            g[s, 0, u] = float(coin)
-            g[s, 1, u] = 1.0 - float(coin)
-            h[s, :, u] = (s + step) % num_states
-    return ExoJmdp(space, noise, g, h, gamma)
+    coin = np.array([0.0, 1.0, 0.0, 1.0])
+    g = np.tile([coin, 1.0 - coin], (num_states, 1, 1))
+    h = (np.arange(num_states)[:, None, None] + np.array([1, 1, 2, 2])) % num_states
+    return ExoJmdp(space, noise, g, np.repeat(h, 2, axis=1), gamma)
 
 
 _WGW_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))  # up, right, down, left

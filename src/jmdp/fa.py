@@ -98,8 +98,9 @@ class LinearMoments:
             raise InvalidInputError("parameter shapes inconsistent")
         if not np.isfinite(tm).all():
             raise InvalidInputError("theta_mu must be finite")
-        # NaN or inf in theta_sigma makes the asymmetry NaN, which fails too.
-        with np.errstate(invalid="ignore"):
+        # NaN or inf in theta_sigma makes the asymmetry NaN and an overflow
+        # makes it inf: both fail the test.
+        with np.errstate(invalid="ignore", over="ignore"):
             asym = np.max(np.abs(ts - ts.T), initial=0.0)
         if not asym <= 1e-12:
             raise InvalidInputError("theta_sigma must be finite and symmetric")

@@ -1,7 +1,8 @@
 """Asynchronous one-sample stochastic approximation of the second-order backup.
 
-Each update draws fresh outcomes for the selected coordinate (generative
-access through the induced one- and two-action joint laws), forms the
+Each update draws fresh outcomes for the selected coordinate through
+`env.sample_outcomes` (a same-state pair passes both actions one shared
+uniform, so one noise draw; a cross-state pair passes two), forms the
 one-sample backup, and relaxes the table entry toward it. Off-diagonal
 second-moment updates are mirrored to the swapped coordinate, which preserves
 symmetry without changing the fixed point.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import Index2, LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm
 from .dp import _check_moments, apply_t2
-from .env import ExoJmdp, Policy, _cdf, _draw_actions
+from .env import ExoJmdp, Policy, _cdf, _draw_actions, sample_outcomes
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -118,7 +119,7 @@ def _draw_class(n_a: int, kind: str, x: int, y: int) -> int:
     return _SAME if x // n_a == y // n_a else _CROSS
 
 
-def _sample_terms(env: ExoJmdp, cdfs, cls, x, y, w, o):
+def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
     """Successors and backup coefficients for coordinates (cls, x, y) whose
     draws start at w[o], one entry per coordinate.
 
@@ -127,17 +128,11 @@ def _sample_terms(env: ExoJmdp, cdfs, cls, x, y, w, o):
     A + B mu[y1] + C mu[x1] + gamma^2 sig[x1, y1] (off-diagonal). Same-state
     coordinates share one noise draw; cross-state ones draw two.
     """
-    noise_cdf, pol_cdf = cdfs
-    n_a, gamma = env.space.num_actions, env.gamma
-    s, a = np.divmod(x, n_a)
-    s2, a2 = np.divmod(y, n_a)
+    n_a, gamma, pol_cdf = env.space.num_actions, env.gamma, _cdf(policy.probs)
     cross = cls == _CROSS
     ia = o + 1 + cross
-    u1 = np.searchsorted(noise_cdf, w[o], side="right")
-    u2 = np.searchsorted(noise_cdf, w.take(o + 1, mode="clip"), side="right")
-    u2 = np.where(cross, u2, u1)
-    r1, s1 = env.g[s, a, u1], env.h[s, a, u1]
-    r2, t1 = env.g[s2, a2, u2], env.h[s2, a2, u2]
+    r1, s1 = sample_outcomes(env, x, w[o])
+    r2, t1 = sample_outcomes(env, y, np.where(cross, w.take(o + 1, mode="clip"), w[o]))
     x1 = s1 * n_a + _draw_actions(pol_cdf, s1, w[ia])
     y1 = t1 * n_a + _draw_actions(pol_cdf, t1, w.take(ia + 1, mode="clip"))
     y1 = np.where(cls <= _DIAG, x1, y1)
@@ -154,9 +149,8 @@ def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
     y = i.x if i.kind == "mu" else i.x2
     cls = _draw_class(env.space.num_actions, i.kind, i.x, y)
     k = int(_NUM_DRAWS[cls])
-    cdfs = _cdf(env.noise.probs), _cdf(policy.probs)
     coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
-        env, cdfs, np.full(n, cls), np.full(n, i.x), np.full(n, y), draw(k), np.arange(n) * k
+        env, policy, np.full(n, cls), np.full(n, i.x), np.full(n, y), draw(k), np.arange(n) * k
     )
     mu, sig, g2 = m.m_mu, m.m_sigma, env.gamma**2
     if cls == _MU:
@@ -237,7 +231,6 @@ def run_incremental(
     mirror = ys * n_x + xs
     n_idx = cls.size
 
-    cdfs = _cdf(env.noise.probs), _cdf(policy.probs)
     # One seeded U(0,1) sequence, consumed in order. How it is cut into
     # rng.random calls does not change its values.
     rng = np.random.default_rng(seed)
@@ -277,7 +270,7 @@ def run_incremental(
             carry = w[used:]
         c = cls[pos]
         coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
-            env, cdfs, c, xs[pos], ys[pos], w, start
+            env, policy, c, xs[pos], ys[pos], w, start
         )
         alphas = schedule.steps(slots[pos])
         for kd, t, t2, ca, cb, cc, i, j, f, al in zip(

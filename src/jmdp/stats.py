@@ -3,10 +3,11 @@ Monte Carlo oracle used to ground-truth every moment computation.
 
 The oracle simulates counterfactual return branches under the same coupling the
 dynamic-programming operator encodes: branches occupying a common state share
-that step's noise draw, branches whose full coordinates coincide share the next
-action as well (they denote one random return), and branches at distinct states
-evolve on independent draws. An `independent` continuation mode is also
-available, where cross-branch coupling is confined to the very first step.
+that step's noise draw (they pass one uniform to `env.sample_outcomes`),
+branches whose full coordinates coincide share the next action as well (they
+denote one random return), and branches at distinct states evolve on
+independent draws. An `independent` continuation mode is also available, where
+cross-branch coupling is confined to the very first step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .core import MomentCollectionN, StateActionSpace
-from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed
+from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed, sample_outcomes
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -165,9 +166,7 @@ def _branch_returns(
     n = num_rollouts
     k = len(actions)
     n_a = env.space.num_actions
-    g_x = env.g.reshape(env.space.num_x, env.noise.support_size)
-    h_x = env.h.reshape(env.space.num_x, env.noise.support_size)
-    noise_cdf, pol_cdf = _cdf(env.noise.probs), _cdf(policy.probs)
+    pol_cdf = _cdf(policy.probs)
 
     rng = np.random.default_rng(child_seed(seed, 0))
     states = np.full((k, n), s, dtype=np.int64)
@@ -175,19 +174,17 @@ def _branch_returns(
     z = np.zeros((k, n))
     disc = 1.0
     for t in range(horizon):
-        u = np.searchsorted(noise_cdf, rng.random((k, n)), side="right")
-        # Share the noise draw with the lowest-indexed branch at the same state.
+        r = rng.random((k, n))
+        # Share the noise uniform with the lowest-indexed branch at the same state.
         if continuation_coupling == "shared-state" or t == 0:
             for i in range(1, k):
                 taken = np.zeros(n, dtype=bool)
                 for j in range(i):
                     mask = (states[i] == states[j]) & ~taken
-                    u[i] = np.where(mask, u[j], u[i])
+                    r[i] = np.where(mask, r[j], r[i])
                     taken |= mask
-        x = states * n_a + acts
-        rew = g_x[x, u]
+        rew, nxt = sample_outcomes(env, states * n_a + acts, r)
         z += disc * rew
-        nxt = h_x[x, u]
         r_act = rng.random((k, n))
         new_acts = np.empty_like(acts)
         for i in range(k):

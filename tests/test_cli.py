@@ -16,7 +16,15 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
-from jmdp.env import build_crc, build_wgw, save_env
+from jmdp.env import (
+    build_crc,
+    build_hub_successors,
+    build_indep_successors,
+    build_ring_chain,
+    build_shared_successors,
+    build_wgw,
+    save_env,
+)
 from jmdp.errors import ConfigError
 from jmdp.fa import check_coupling_budget
 
@@ -79,18 +87,20 @@ class TestRunConfig:
 
 
 class TestValidateEnv:
-    def test_coupled_chain(self, tmp_path, capsys):
-        path = tmp_path / "crc.json"
-        save_env(build_crc(5, 0.9), path)
+    @pytest.mark.parametrize("build, coupled", [
+        (lambda: build_crc(5, 0.9), "yes"),
+        (lambda: build_wgw(3, 3, (0, 2), 0.3, 0.9), "yes"),
+        (lambda: build_wgw(3, 3, (0, 2), 0.0, 0.9), "no"),
+        (lambda: build_ring_chain(6, 0.9), "yes"),
+        (lambda: build_indep_successors(3, 0.9), "no"),
+        (lambda: build_shared_successors(3, 0.9), "yes"),
+        (lambda: build_hub_successors(4, 0.9), "yes"),
+    ], ids=["crc", "wgw", "wgw-windless", "ring", "indep", "shared", "hub"])
+    def test_coupled_dynamics_line(self, tmp_path, capsys, build, coupled):
+        path = tmp_path / "env.json"
+        save_env(build(), path)
         assert main(["validate-env", str(path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "coupled-dynamics: yes" in out
-
-    def test_windless_grid_is_product(self, tmp_path, capsys):
-        path = tmp_path / "wgw.json"
-        save_env(build_wgw(3, 3, (0, 2), 0.0, 0.9), path)
-        assert main(["validate-env", str(path)]) == EXIT_OK
-        assert "coupled-dynamics: no" in capsys.readouterr().out
+        assert f"coupled-dynamics: {coupled}\n" in capsys.readouterr().out
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,10 +1,13 @@
+import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jmdp.env
 from jmdp.core import StateActionSpace
 from jmdp.env import (
     ExoJmdp,
@@ -22,7 +25,7 @@ from jmdp.env import (
     load_env,
     load_policy,
     marginal_mdp,
-    sample_table,
+    sample_outcomes,
     save_env,
     save_policy,
     wgw_goal_policy,
@@ -94,37 +97,61 @@ class TestConstruction:
                     np.zeros((1, 2, 1), int), 0.9)
 
 
+def law(env, s, actions):
+    """induced_jstm as a dict {((reward, successor), ...): probability}."""
+    rewards, successors, probs = induced_jstm(env, s, actions)
+    return {
+        tuple(zip(r.tolist(), t.tolist())): float(p)
+        for r, t, p in zip(rewards, successors, probs)
+    }
+
+
+def marginal(joint, coord):
+    out = {}
+    for atom, p in joint.items():
+        out[(atom[coord],)] = out.get((atom[coord],), 0.0) + p
+    return out
+
+
+def sample_table(env, s, r):
+    """Every action's outcome at s from one shared uniform r."""
+    x = s * env.space.num_actions + np.arange(env.space.num_actions)
+    return sample_outcomes(env, x, np.full(x.size, r))
+
+
 class TestSampleTable:
+    """One shared uniform per state fixes the outcome table of every action."""
+
     def test_deterministic_noise_gives_unique_table(self):
         env = build_wgw(2, 2, (0, 1), 0.0, 0.9)
-        t1 = sample_table(env, 0, np.random.default_rng(0))
-        t2 = sample_table(env, 0, np.random.default_rng(999))
-        np.testing.assert_array_equal(t1.rewards, t2.rewards)
-        np.testing.assert_array_equal(t1.successors, t2.successors)
+        r1, s1 = sample_table(env, 0, np.random.default_rng(0).random())
+        r2, s2 = sample_table(env, 0, np.random.default_rng(999).random())
+        np.testing.assert_array_equal(r1, r2)
+        np.testing.assert_array_equal(s1, s2)
 
     def test_crc_tables_are_anticorrelated(self):
         env = build_crc(3, 0.9)
         rng = np.random.default_rng(7)
         for _ in range(50):
-            t = sample_table(env, 0, rng)
-            assert tuple(t.rewards) in ((1.0, 0.0), (0.0, 1.0))
-            assert t.successors[0] == t.successors[1] == 1
+            rewards, successors = sample_table(env, 0, rng.random())
+            assert tuple(rewards) in ((1.0, 0.0), (0.0, 1.0))
+            assert successors[0] == successors[1] == 1
 
     def test_empirical_frequencies_match_noise_law(self):
         env = random_env(5)
-        rng = np.random.default_rng(11)
+        n_a = env.space.num_actions
         n = 100_000
-        counts = np.zeros(env.noise.support_size)
         # identify the drawn noise atom via the full outcome signature at s=0
         signatures = {}
         for u in range(env.noise.support_size):
             sig = tuple(env.g[0, :, u]) + tuple(env.h[0, :, u])
             signatures.setdefault(sig, []).append(u)
-        for _ in range(n):
-            t = sample_table(env, 0, rng)
-            sig = tuple(t.rewards) + tuple(t.successors)
-            atoms = signatures[sig]
-            counts[atoms[0]] += 1
+        # n steps at state 0, every action of one step on one shared uniform
+        r = np.repeat(np.random.default_rng(11).random(n), n_a)
+        rewards, successors = sample_outcomes(env, np.tile(np.arange(n_a), n), r)
+        counts = np.zeros(env.noise.support_size)
+        for row in np.hstack([rewards.reshape(n, n_a), successors.reshape(n, n_a)]):
+            counts[signatures[tuple(row.tolist())][0]] += 1
         for sig, atoms in signatures.items():
             p = env.noise.probs[atoms].sum()
             observed = counts[atoms].sum() / n
@@ -138,17 +165,14 @@ class TestInducedJointLaw:
         r_mean, p_s = marginal_mdp(env)
         for s in range(3):
             for a in range(2):
-                dist = induced_jstm(env, s, (a,))
-                mean = sum(p * atom[0][0] for atom, p in zip(dist.atoms, dist.probs))
-                assert mean == pytest.approx(r_mean[s, a], abs=1e-12)
-                succ = np.zeros(3)
-                for atom, p in zip(dist.atoms, dist.probs):
-                    succ[atom[0][1]] += p
+                rewards, successors, probs = induced_jstm(env, s, (a,))
+                assert probs @ rewards[:, 0] == pytest.approx(r_mean[s, a], abs=1e-12)
+                succ = np.bincount(successors[:, 0], weights=probs, minlength=3)
                 np.testing.assert_allclose(succ, p_s[s, a], atol=1e-12)
 
     def test_anticorrelated_pair_law(self):
         env = anticorrelated_single_state()
-        joint = induced_jstm(env, 0, (0, 1)).as_dict()
+        joint = law(env, 0, (0, 1))
         assert joint[((0.0, 0), (1.0, 0))] == pytest.approx(0.5)
         assert joint[((1.0, 0), (0.0, 0))] == pytest.approx(0.5)
         p_superior = sum(
@@ -160,12 +184,10 @@ class TestInducedJointLaw:
 
     def test_shared_successor_concentrates_on_diagonal(self):
         env = build_shared_successors(4, 0.9)
-        dist = induced_jstm(env, 2, (0, 1))
-        for atom, p in zip(dist.atoms, dist.probs):
-            assert atom[0][1] == atom[1][1]
-            assert p == pytest.approx(0.25)
-        marg = dist.marginal(0)
-        assert sorted(a[0][1] for a in marg.atoms) == [0, 1, 2, 3]
+        _, successors, probs = induced_jstm(env, 2, (0, 1))
+        np.testing.assert_array_equal(successors[:, 0], successors[:, 1])
+        np.testing.assert_allclose(probs, 0.25)
+        assert sorted(successors[:, 0]) == [0, 1, 2, 3]
 
     def test_mirrored_successors_concentrate_off_diagonal(self):
         # two states, two actions; one branch jumps to u, the other to 1-u:
@@ -178,13 +200,22 @@ class TestInducedJointLaw:
             h[:, 0, u] = u
             h[:, 1, u] = 1 - u
         env = ExoJmdp(space, noise, g, h, 0.9)
-        dist = induced_jstm(env, 0, (0, 1))
-        for atom, p in zip(dist.atoms, dist.probs):
+        joint = law(env, 0, (0, 1))
+        for atom, p in joint.items():
             assert atom[0][1] == 1 - atom[1][1]
             assert p == pytest.approx(0.5)
         for coord in (0, 1):
-            marg = dist.marginal(coord)
-            np.testing.assert_allclose(marg.probs, 0.5)
+            np.testing.assert_allclose(list(marginal(joint, coord).values()), 0.5)
+
+    def test_first_occurrence_order(self):
+        space = StateActionSpace(1, 2)
+        noise = NoiseModel(np.array([0.1, 0.2, 0.3, 0.4]))
+        g = np.array([[[1.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.0, 0.0]]])
+        env = ExoJmdp(space, noise, g, np.zeros((1, 2, 4), int), 0.9)
+        rewards, successors, probs = induced_jstm(env, 0, (0, 1))
+        np.testing.assert_array_equal(rewards, [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        np.testing.assert_array_equal(successors, np.zeros((3, 2)))
+        np.testing.assert_allclose(probs, [0.4, 0.2, 0.4])
 
     def test_duplicate_actions_rejected(self):
         env = build_crc(3, 0.9)
@@ -196,10 +227,10 @@ class TestInducedJointLaw:
     def test_marginal_consistency(self, seed):
         env = random_env(seed)
         for s in range(env.space.num_states):
-            joint = induced_jstm(env, s, (0, 1))
+            joint = law(env, s, (0, 1))
             for coord, action in ((0, 0), (1, 1)):
-                marg = joint.marginal(coord).as_dict()
-                direct = induced_jstm(env, s, (action,)).as_dict()
+                marg = marginal(joint, coord)
+                direct = law(env, s, (action,))
                 assert set(marg) == set(direct)
                 for key, p in direct.items():
                     assert marg[key] == pytest.approx(p, abs=1e-13)
@@ -240,9 +271,8 @@ class TestBuilders:
         assert env.space.num_states == 25
         assert env.space.num_actions == 2
         # absorbing last state keeps the anti-correlated rewards
-        joint = induced_jstm(env, 24, (0, 1)).as_dict()
-        rewards = {(atom[0][0], atom[1][0]) for atom in joint}
-        assert rewards == {(0.0, 1.0), (1.0, 0.0)}
+        rewards, _, _ = induced_jstm(env, 24, (0, 1))
+        assert sorted(map(tuple, rewards.tolist())) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_crc_requires_two_states(self):
         with pytest.raises(ConfigError):
@@ -268,11 +298,11 @@ class TestBuilders:
     def test_wgw_wind_couples_counterfactuals(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         center = 4
-        joint = induced_jstm(env, center, (0, 1)).as_dict()
+        joint = law(env, center, (0, 1))
         # only both-shifted or both-unshifted outcomes occur
         assert len(joint) == 2
-        marg_u = induced_jstm(env, center, (0,)).as_dict()
-        marg_r = induced_jstm(env, center, (1,)).as_dict()
+        marg_u = law(env, center, (0,))
+        marg_r = law(env, center, (1,))
         for key, p in joint.items():
             prod = marg_u[(key[0],)] * marg_r[(key[1],)]
             assert abs(p - prod) > 0.05
@@ -300,6 +330,90 @@ class TestBuilders:
         assert is_coupled_dynamics(build_shared_successors(3, 0.9))
         assert is_coupled_dynamics(build_hub_successors(4, 0.9))
         assert is_coupled_dynamics(build_ring_chain(4, 0.9))
+
+
+def largest_deviation(env):
+    """Reference for is_coupled_dynamics: at every state and action pair, each
+    pair of noise atoms (u, v) names the outcome pair (o_a(u), o_b(v)); return
+    the largest |joint mass - product of the marginal masses| over them."""
+    p, n_u, dev = env.noise.probs, env.noise.support_size, 0.0
+    for s in range(env.space.num_states):
+        for a, b in itertools.combinations(range(env.space.num_actions), 2):
+            oa = [(env.g[s, a, w], env.h[s, a, w]) for w in range(n_u)]
+            ob = [(env.g[s, b, w], env.h[s, b, w]) for w in range(n_u)]
+            for u, v in itertools.product(range(n_u), repeat=2):
+                joint = sum(p[w] for w in range(n_u) if oa[w] == oa[u] and ob[w] == ob[v])
+                ma = sum(p[w] for w in range(n_u) if oa[w] == oa[u])
+                mb = sum(p[w] for w in range(n_u) if ob[w] == ob[v])
+                dev = max(dev, abs(joint - ma * mb))
+    return dev
+
+
+def few_valued_env(seed):
+    """Noise u = (u0, u1) with independent components, some atoms dropped;
+    each (state, action) reads u0, u1 or all of u through few reward and
+    successor values, so that outcome ties, exact product laws and outcome
+    pairs that never occur are all common."""
+    rng = np.random.default_rng(seed)
+    s_n, a_n = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    w0 = rng.choice([1, 2, 3, 30], size=int(rng.integers(1, 4)))
+    w1 = rng.choice([1, 2, 3, 30], size=3)
+    probs = np.outer(w0, w1).ravel()
+    u0, u1 = np.divmod(np.arange(probs.size), w1.size)
+    keep = rng.random(probs.size) >= 0.2
+    keep[rng.integers(probs.size)] = True
+    reads = np.stack([u0, u1, np.arange(probs.size)])
+    reads = reads[rng.choice(3, p=[0.45, 0.45, 0.1], size=(s_n, a_n))][..., keep]
+    g = rng.choice([0.0, 0.5, 1.0], size=(s_n, a_n, probs.size))
+    h = rng.integers(0, s_n, size=(s_n, a_n, probs.size))
+    g, h = np.take_along_axis(g, reads, 2), np.take_along_axis(h, reads, 2)
+    noise = NoiseModel(probs[keep] / probs[keep].sum())
+    return ExoJmdp(StateActionSpace(s_n, a_n), noise, g, h, 0.9)
+
+
+class TestCoupledDynamics:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_enumeration_on_few_valued_envs(self, seed):
+        env = few_valued_env(seed)
+        dev = largest_deviation(env)
+        assert is_coupled_dynamics(env) == (dev > 1e-12)
+        # With the tolerance at the largest deviation, and just below it, the
+        # answer flips: the array check finds that same largest deviation,
+        # also when it is the product mass of a pair that never occurs.
+        with mock.patch.object(jmdp.env, "_PROB_TOL", dev):
+            assert not is_coupled_dynamics(env)
+        with mock.patch.object(jmdp.env, "_PROB_TOL", np.nextafter(dev, -1.0)):
+            assert is_coupled_dynamics(env)
+
+    @settings(max_examples=5, deadline=None)
+    @given(num_states=st.integers(2, 6))
+    def test_matches_enumeration_on_independent_successors(self, num_states):
+        env = build_indep_successors(num_states, 0.9)
+        assert largest_deviation(env) <= 1e-12
+        assert not is_coupled_dynamics(env)
+
+    @pytest.mark.parametrize("e_q, e_s, coupled", [
+        (1.5e-12, 0.3e-12, True), (0.5e-12, 0.3e-12, False)])
+    def test_tolerance_covers_pairs_that_never_occur(self, e_q, e_s, coupled):
+        # Outcomes X, Y, Z of action 0 and P, Q, R, S of action 1. The joint
+        # law is the product law moved so that (Y, Q) and (Y, S) never occur:
+        # their product masses e_q > e_s go to the other cells of their row
+        # and column, and come back from the four corners. Every pair that
+        # occurs is off by at most (e_q + e_s)/2 <= 1e-12, so only (Y, Q), the
+        # heavier pair that never occurs, can exceed 1e-12.
+        y, half = 1e-6, (e_q + e_s) / 2
+        ma = np.array([0.5, y, 0.5 - y])
+        mb = np.array([(1 - (e_q + e_s) / y) / 2, e_q / y, (1 - (e_q + e_s) / y) / 2, e_s / y])
+        move = np.array([[-half / 2, e_q / 2, -half / 2, e_s / 2],
+                         [half, -e_q, half, -e_s],
+                         [-half / 2, e_q / 2, -half / 2, e_s / 2]])
+        joint = np.outer(ma, mb) + move
+        cells = [c for c in np.ndindex(3, 4) if c not in ((1, 1), (1, 3))]
+        g = np.array([[[i / 2 for i, _ in cells], [j / 4 for _, j in cells]]])
+        env = ExoJmdp(StateActionSpace(1, 2), NoiseModel(np.array([joint[c] for c in cells])),
+                      g, np.zeros((1, 2, len(cells)), int), 0.9)
+        assert is_coupled_dynamics(env) == (largest_deviation(env) > 1e-12) == coupled
 
 
 class TestFileFormats:

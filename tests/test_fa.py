@@ -122,7 +122,8 @@ class TestTypes:
         (np.zeros(1), [[np.inf]]),
         ([np.nan], [[1.0]]),
         ([np.inf], [[1.0]]),
-    ], ids=["nan_sigma", "inf_sigma", "nan_mu", "inf_mu"])
+        (np.zeros(2), [[0.0, 1e308], [-1e308, 0.0]]),
+    ], ids=["nan_sigma", "inf_sigma", "nan_mu", "inf_mu", "overflowing_asymmetry"])
     def test_non_finite_parameters_rejected(self, theta_mu, theta_sigma):
         with pytest.raises(InvalidInputError, match="finite"):
             LinearMoments(theta_mu, theta_sigma)
