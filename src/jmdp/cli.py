@@ -473,7 +473,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 
     # One pass over the states. Each state's Monte Carlo block is dropped
     # once the state's rows are built.
-    matrices, gap_rows, mc_rows, ratios = [], [], [], []
+    matrices, gap_rows, mc_rows, ratios, mc = [], [], [], [], {}
     for s in states:
         if ana["corr"]:
             cm = corr_matrix(env.space, fixed, s)
@@ -490,6 +490,9 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             ana["trunc_tol"], seed=child_seed(cfg.seed, s),
             confidence=ana["confidence"],
         )
+        mc = {"horizon": blk.horizon, "num_rollouts": blk.num_rollouts,
+              "truncation_bias_bound": env.gamma**blk.horizon / (1.0 - env.gamma),
+              "max_steps": max(blk.steps, mc.get("max_steps", 0))}
         z = blk.z_value
         pairs = []
         for a in range(n_a):
@@ -536,6 +539,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     status = {"analysis": True, "certified": solve.certified,
               "iterations": solve.iterations,
               "certified_error_bound": solve.certified_error_bound}
+    if mc:
+        status["monte_carlo"] = mc
     return _finish(cfg, out_dir, status,
                    EXIT_OK if solve.certified else EXIT_NOT_CERTIFIED)
 

@@ -8,6 +8,12 @@ branches whose full coordinates coincide share the next action as well (they
 denote one random return), and branches at distinct states evolve on
 independent draws. An `independent` continuation mode is also available, where
 cross-branch coupling is confined to the very first step.
+
+Rollouts stop before the truncation horizon once every branch lies in the
+env's largest reward-free closed set (no action and no noise atom leads from it
+to a nonzero reward). Each later term would add exactly 0.0, so returns are
+bit-identical to the full-horizon run in both modes, and a block that stops
+early (`McBlock.steps < horizon`) carries no truncation bias.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.stats import norm as _norm
 
 from .core import MomentCollectionN, StateActionSpace
@@ -128,13 +136,15 @@ class McBlock:
 
     All branches start at `state`; branch j executes actions[j] first and the
     policy afterwards. sigma[i, j] estimates the mixed second moment of the
-    branch returns; gap_* tables are indexed by ordered branch pairs.
+    branch returns; gap_* tables are indexed by ordered branch pairs. steps is
+    the number of steps simulated, at most the truncation horizon.
     """
 
     state: int
     actions: tuple
     num_rollouts: int
     horizon: int
+    steps: int
     mu: np.ndarray
     mu_se: np.ndarray
     sigma: np.ndarray
@@ -152,6 +162,24 @@ class McBlock:
         return float(_norm.ppf(0.5 + self.confidence / 2.0))
 
 
+def _reward_free_sink(env: ExoJmdp) -> np.ndarray:
+    """Mask of the largest reward-free closed set: the states from which no
+    action and no noise atom ever reaches a state with a nonzero reward.
+
+    One breadth-first search over the reversed successor graph, from an extra
+    root node linked to every rewarding state, marks the states that can reach
+    a reward; the rest is the set. O(S·A·U) time and memory."""
+    s_n = env.space.num_states
+    rewarding = np.flatnonzero(env.g.reshape(s_n, -1).any(axis=1))
+    # Edge h[s, a, u] -> s for every (s, a, u), and root s_n -> each rewarding state.
+    rows = np.r_[env.h.ravel(), np.full(rewarding.size, s_n)]
+    cols = np.r_[np.repeat(np.arange(s_n), env.h[0].size), rewarding]
+    graph = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(s_n + 1, s_n + 1))
+    sink = np.ones(s_n + 1, dtype=bool)
+    sink[breadth_first_order(graph, s_n, return_predecessors=False)] = False
+    return sink[:s_n]
+
+
 def _branch_returns(
     env: ExoJmdp,
     policy: Policy,
@@ -161,19 +189,23 @@ def _branch_returns(
     horizon: int,
     seed: int,
     continuation_coupling: str,
-) -> np.ndarray:
-    """Simulate coupled branch returns; rows are branches, columns rollouts."""
+) -> tuple[np.ndarray, int]:
+    """Simulate coupled branch returns (rows are branches, columns rollouts);
+    return them with the number of steps simulated, below horizon once every
+    branch lies in the reward-free closed set."""
     n = num_rollouts
     k = len(actions)
     n_a = env.space.num_actions
     pol_cdf = _cdf(policy.probs)
+    sink = _reward_free_sink(env)
 
     rng = np.random.default_rng(child_seed(seed, 0))
     states = np.full((k, n), s, dtype=np.int64)
     acts = np.stack([np.full(n, a, dtype=np.int64) for a in actions])
     z = np.zeros((k, n))
     disc = 1.0
-    for t in range(horizon):
+    t = 0
+    while t < horizon and not sink[states].all():
         r = rng.random((k, n))
         # Share the noise uniform with the lowest-indexed branch at the same state.
         if continuation_coupling == "shared-state" or t == 0:
@@ -185,10 +217,7 @@ def _branch_returns(
                     taken |= mask
         rew, nxt = sample_outcomes(env, states * n_a + acts, r)
         z += disc * rew
-        r_act = rng.random((k, n))
-        new_acts = np.empty_like(acts)
-        for i in range(k):
-            new_acts[i] = _draw_actions(pol_cdf, nxt[i], r_act[i])
+        new_acts = _draw_actions(pol_cdf, nxt, rng.random((k, n)))
         if continuation_coupling == "shared-state":
             # Identical coordinates denote one return: share the next action too.
             for i in range(1, k):
@@ -200,7 +229,8 @@ def _branch_returns(
         states = nxt
         acts = new_acts
         disc *= env.gamma
-    return z
+        t += 1
+    return z, t
 
 
 def mc_state_block(
@@ -231,7 +261,7 @@ def mc_state_block(
     if not (0 <= s < env.space.num_states):
         raise InvalidQueryError(f"state {s} out of range")
     horizon = truncation_horizon(env.gamma, trunc_tol)
-    z = _branch_returns(
+    z, steps = _branch_returns(
         env, policy, s, acts, num_rollouts, horizon, seed, continuation_coupling
     )
     k, n = z.shape
@@ -256,6 +286,7 @@ def mc_state_block(
         actions=acts,
         num_rollouts=n,
         horizon=horizon,
+        steps=steps,
         mu=mu,
         mu_se=mu_se,
         sigma=sigma,

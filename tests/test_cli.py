@@ -27,6 +27,7 @@ from jmdp.env import (
 )
 from jmdp.errors import ConfigError
 from jmdp.fa import check_coupling_budget
+from jmdp.stats import truncation_horizon
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -280,6 +281,29 @@ class TestAnalyze:
         assert rows[0] == "state,action_a,action_b,ratio_jipe,ratio_mc,mc_ci"
         assert len(rows) > 1
 
+    @pytest.mark.parametrize("overrides, absorbed", [
+        # every rollout of the goal policy ends in the absorbing goal
+        ({"env": {"builtin": "wgw", "width": 3, "height": 3, "goal_row": 0,
+                  "goal_col": 2, "p_wind": 0.3, "gamma": 0.9},
+          "policy": {"builtin": "wgw-goal"}}, True),
+        # the chain's absorbing end state pays, so rollouts run to the horizon
+        ({}, False),
+    ], ids=["wgw", "crc"])
+    def test_manifest_records_monte_carlo(self, tmp_path, overrides, absorbed):
+        analysis = {"corr": False, "gaps": True, "ecdf": False, "coupling": False,
+                    "mc_compare": False, "states": [0, 3], "num_rollouts": 500,
+                    "trunc_tol": 1e-4}
+        out = tmp_path / "run"
+        doc = base_config(**overrides, analysis=analysis, out_dir=str(out))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        mc = json.loads((out / "manifest.json").read_text())["result"]["monte_carlo"]
+        assert sorted(mc) == ["horizon", "max_steps", "num_rollouts",
+                              "truncation_bias_bound"]
+        horizon = truncation_horizon(0.9, 1e-4)
+        assert mc["horizon"] == horizon and mc["num_rollouts"] == 500
+        assert mc["truncation_bias_bound"] == 0.9**horizon / (1 - 0.9) <= 1e-4
+        assert (mc["max_steps"] < horizon) if absorbed else (mc["max_steps"] == horizon)
 
     def test_uncertified_solve_exit_code(self, tmp_path, monkeypatch):
         solve = cli.jipe2
@@ -295,6 +319,7 @@ class TestAnalyze:
         result = json.loads((out / "manifest.json").read_text())["result"]
         assert result["certified"] is False and result["iterations"] == 3
         assert result["certified_error_bound"] > 1e-10
+        assert "monte_carlo" not in result  # no Monte Carlo block was run
         assert (out / "corr.json").exists()
 
     def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):

@@ -595,7 +595,7 @@ def check_third_moments(env, pol, state, actions):
     assert trace[-1][1] <= 1e-8 * (1 - env.gamma)
     n = 60_000
     horizon = truncation_horizon(env.gamma, 1e-5)
-    z = _branch_returns(env, pol, state, actions, n, horizon, 123, "shared-state")
+    z, _ = _branch_returns(env, pol, state, actions, n, horizon, 123, "shared-state")
     for combo in [(0, 0, 0), (0, 0, 1), (0, 1, 1)]:
         sample = z[combo[0]] * z[combo[1]] * z[combo[2]]
         est = sample.mean()

@@ -1,11 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jmdp.core import LambdaWeights, MomentCollection2
+import jmdp.stats
+from jmdp.core import LambdaWeights, MomentCollection2, StateActionSpace
 from jmdp.dp import jipe2, jipe_n
-from jmdp.env import Policy, build_crc, build_wgw, child_seed, wgw_goal_policy
+from jmdp.env import (
+    ExoJmdp,
+    NoiseModel,
+    Policy,
+    build_crc,
+    build_shared_successors,
+    build_wgw,
+    child_seed,
+    wgw_goal_policy,
+)
 from jmdp.errors import AssumptionError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
+    _branch_returns,
+    _reward_free_sink,
     cantelli_bound,
     chebyshev_ecdf,
     corr_matrix,
@@ -281,3 +297,100 @@ class TestChebyshevEcdf:
         assert r.mc_ci == blk.z_value * blk.inferiority_se[0, 1]
         with pytest.raises(InvalidQueryError, match="no branch for action 2"):
             chebyshev_ecdf(env.space, m, [(3, 2, 0)], {3: blk})
+
+
+def sink_by_sweep(env):
+    """Reference for _reward_free_sink: start from the reward-free states and
+    drop, until nothing changes, every state that some action and noise atom
+    leads out of the set."""
+    s_n = env.space.num_states
+    sink = ~env.g.reshape(s_n, -1).any(axis=1)
+    while True:
+        keep = sink & sink[env.h.reshape(s_n, -1)].all(axis=1)
+        if (keep == sink).all():
+            return sink
+        sink = keep
+
+
+def sparse_reward_env(seed):
+    """Few rewarding states, many self-loops and short hops, so that sinks of
+    every size, closed cycles and states that leave them by one action or one
+    noise atom are all common."""
+    rng = np.random.default_rng(seed)
+    s_n, a_n, u_n = (int(rng.integers(1, n)) for n in (9, 4, 4))
+    stay = rng.random((s_n, a_n, u_n)) < 0.5
+    hop = (np.arange(s_n)[:, None, None] + rng.integers(-1, 3, (s_n, a_n, u_n))) % s_n
+    far = rng.integers(0, s_n, (s_n, a_n, u_n))
+    h = np.where(stay, np.arange(s_n)[:, None, None],
+                 np.where(rng.random((s_n, a_n, u_n)) < 0.8, hop, far))
+    pays = rng.random(s_n) < 0.3
+    g = np.where(pays[:, None, None] & (rng.random((s_n, a_n, u_n)) < 0.5), 0.5, 0.0)
+    noise = NoiseModel(np.full(u_n, 1.0 / u_n))
+    return ExoJmdp(StateActionSpace(s_n, a_n), noise, g, h, 0.9)
+
+
+def small_env(g, h):
+    g, h = np.asarray(g, dtype=float), np.asarray(h)
+    noise = NoiseModel(np.full(g.shape[2], 1.0 / g.shape[2]))
+    return ExoJmdp(StateActionSpace(*g.shape[:2]), noise, g, h, 0.9)
+
+
+class TestRewardFreeSink:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_sweep_on_sparse_reward_envs(self, seed):
+        env = sparse_reward_env(seed)
+        np.testing.assert_array_equal(_reward_free_sink(env), sink_by_sweep(env))
+
+    @pytest.mark.parametrize("env, expected", [
+        (build_wgw(3, 3, (0, 2), 0.3, 0.9), [2]),  # the absorbing goal only
+        (build_crc(5, 0.9), []),  # the absorbing end state pays
+        (build_shared_successors(4, 0.9), [0, 1, 2, 3]),  # no state pays
+        # 0 feeds the reward-free cycle 1 <-> 2; the paying state 3 feeds 0
+        (small_env([[[0]], [[0]], [[0]], [[1]]], [[[1]], [[2]], [[1]], [[0]]]), [0, 1, 2]),
+        # 0 loops on itself but pays under its second noise atom
+        (small_env([[[0, 0.5]], [[0, 0]]], [[[0, 0]], [[1, 1]]]), [1]),
+        # 0 pays nothing, but its action 1 leads to the paying state 1
+        (small_env([[[0], [0]], [[1], [1]], [[0], [0]]],
+                   [[[0], [1]], [[1], [1]], [[2], [2]]]), [2]),
+    ], ids=["wgw", "crc", "shared", "fed_cycle", "paying_atom", "leaving_action"])
+    def test_named_cases(self, env, expected):
+        assert np.flatnonzero(_reward_free_sink(env)).tolist() == expected
+
+    @pytest.mark.parametrize("last_reward, expected", [(0.0, True), (1.0, False)])
+    def test_long_chain(self, last_reward, expected):
+        # s -> s + 1 on 20 000 states; only the absorbing last state may pay,
+        # so every state lies in the set, or none does.
+        s_n = 20_000
+        h = np.minimum(np.arange(s_n) + 1, s_n - 1).reshape(s_n, 1, 1)
+        g = np.zeros((s_n, 1, 1))
+        g[-1] = last_reward
+        sink = _reward_free_sink(small_env(g, h))
+        assert sink.all() if expected else not sink.any()
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("coupling", ["shared-state", "independent"])
+    def test_returns_match_the_full_horizon(self, coupling):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = wgw_goal_policy(3, 3, (0, 2))
+        args = (env, pol, 6, (0, 1, 2, 3, 1), 2_000, 60, 7, coupling)
+        z, steps = _branch_returns(*args)
+        no_sink = lambda env: np.zeros(env.space.num_states, dtype=bool)
+        with mock.patch.object(jmdp.stats, "_reward_free_sink", no_sink):
+            z_full, full_steps = _branch_returns(*args)
+        assert steps < full_steps == 60
+        np.testing.assert_array_equal(z, z_full)
+
+    def test_block_steps(self):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        blk = mc_state_block(env, wgw_goal_policy(3, 3, (0, 2)), 6, range(4), 2_000, 1e-4, 0)
+        assert blk.steps < blk.horizon == truncation_horizon(0.9, 1e-4)
+        env = build_crc(5, 0.9)
+        blk = mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 200, 1e-4, 0)
+        assert blk.steps == blk.horizon
+
+    def test_start_in_the_set_takes_no_step(self):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        blk = mc_state_block(env, Policy.uniform(env.space), 2, range(4), 10, 1e-4, 0)
+        assert blk.steps == 0 and not blk.mu.any()

@@ -81,7 +81,7 @@ BRANCHES = {
 def test_branch_return_stream(name, coupling):
     env, policy = env_and_policy(name)
     actions = tuple(range(env.space.num_actions)) + (1,)  # one repeated branch
-    z = _branch_returns(env, policy, 1, actions, 1500, 25, 11, coupling)
+    z, _ = _branch_returns(env, policy, 1, actions, 1500, 25, 11, coupling)
     assert digest(z) == BRANCHES[name, coupling]
 
 
