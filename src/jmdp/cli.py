@@ -57,7 +57,8 @@ from .fa import (
     stationary_distribution,
 )
 from .incremental import StepSchedule, VisitationScheme, run_incremental
-from .stats import cantelli_bound, chebyshev_ecdf, corr_matrix, gap_stats, mc_state_block
+from .stats import (cantelli_bound, chebyshev_ecdf, check_mc_budget, corr_matrix, gap_stats,
+                    mc_state_block)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -408,10 +409,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         code = EXIT_OK
 
     else:  # projected
-        nu = stationary_distribution(env, policy).nu
+        nu = stationary_distribution(env, policy)
+        status.update(nu_source=nu.source)
         try:
             report = projected_jipe2(
-                env, policy, features, nu, algo["epsilon"], algo["max_iter"]
+                env, policy, features, nu.nu, algo["epsilon"], algo["max_iter"]
             )
         except DivergenceError as exc:
             status.update(diverged=True, detail=str(exc))
@@ -445,9 +447,11 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             f"config.analysis.states: entries must lie in 0..{n_s - 1}, got {states!r}"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Coupling needs no moments; run it first, and check its memory budget
-    # before any work, so an env over budget fails before the jipe2 solve
-    # and the Monte Carlo blocks.
+    # Every budget is checked before any work. Coupling needs no moments, so
+    # it runs first, before the jipe2 solve and the Monte Carlo blocks.
+    mc_blocks = ana["gaps"] or ana["mc_compare"] or ana["ecdf"]
+    if mc_blocks and states:
+        check_mc_budget(n_a, ana["num_rollouts"])
     if ana["coupling"]:
         budget = DEFAULT_ORDER_BUDGET_BYTES
         for mode in COUPLING_MODES:
@@ -483,7 +487,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
                 "corr": [[None if np.isnan(v) else v for v in row]
                          for row in cm.corr.tolist()],
             })
-        if not (ana["gaps"] or ana["mc_compare"] or ana["ecdf"]):
+        if not mc_blocks:
             continue
         blk = mc_state_block(
             env, policy, s, tuple(range(n_a)), ana["num_rollouts"],

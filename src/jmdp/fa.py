@@ -10,11 +10,10 @@ coefficient of the two-branch transition kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import MomentCollection2, MomentCollectionN
 from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, check_solver_args
@@ -136,25 +135,11 @@ class StationaryDist:
 
 
 def _chain_period(adj: np.ndarray) -> int:
-    """Period of a strongly connected directed graph via BFS-level gcd."""
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    edges = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                edges.append((u, int(v)))
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u, v in edges:
-        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g) if g != 0 else 1
+    """Period of a strongly connected directed graph: the gcd, over its edges
+    u -> v, of level[u] + 1 - level[v], with BFS levels from node 0."""
+    level = shortest_path(adj, unweighted=True, indices=0).astype(np.int64)
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 _STATIONARY_TOL = 1e-12  # l1 change between power steps

@@ -3,9 +3,10 @@
 Each update draws fresh outcomes for the selected coordinate through
 `env.sample_outcomes` (a same-state pair passes both actions one shared
 uniform, so one noise draw; a cross-state pair passes two), forms the
-one-sample backup, and relaxes the table entry toward it. Off-diagonal
-second-moment updates are mirrored to the swapped coordinate, which preserves
-symmetry without changing the fixed point.
+one-sample backup, and relaxes the table entry toward it. The backup of every
+coordinate class has one form, A + B mu[y'] + C mu[x'] + gamma^2 sigma[x', y'].
+Off-diagonal second-moment updates are mirrored to the swapped coordinate,
+which preserves symmetry without changing the fixed point.
 """
 
 from __future__ import annotations
@@ -111,53 +112,50 @@ _NUM_DRAWS = np.array([2, 2, 3, 4])
 _CHUNK = 2048  # updates presampled at once; bounds the extra memory
 
 
-def _draw_class(n_a: int, kind: str, x: int, y: int) -> int:
-    if kind == "mu":
-        return _MU
-    if x == y:
-        return _DIAG
-    return _SAME if x // n_a == y // n_a else _CROSS
+def _draw_classes(n_a: int, x, y, mean) -> np.ndarray:
+    """Draw class of each coordinate (x, y); mean marks the mean coordinates."""
+    pair = np.where(x == y, _DIAG, np.where(x // n_a == y // n_a, _SAME, _CROSS))
+    return np.where(mean, _MU, pair)
 
 
 def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
     """Successors and backup coefficients for coordinates (cls, x, y) whose
     draws start at w[o], one entry per coordinate.
 
-    Returns (A, B, C, x1, y1); the one-sample backup is A + B mu[x1] (mu),
-    A + B mu[x1] + gamma^2 sig[x1, x1] (diagonal, y1 = x1) or
-    A + B mu[y1] + C mu[x1] + gamma^2 sig[x1, y1] (off-diagonal). Same-state
-    coordinates share one noise draw; cross-state ones draw two.
+    Returns (A, B, C, x1, y1, f); every class's one-sample backup is
+    A + B v[y1] + C v[x1] + gamma^2 v[f] over the value list v: the mean
+    table, the flattened second-moment table, then one 0.0. f is the place of
+    sigma[x1, y1], or of that 0.0 for a mean coordinate; mean and diagonal
+    coordinates have C = 0 and y1 = x1. Same-state coordinates share one
+    noise draw; cross-state ones draw two.
     """
-    n_a, gamma, pol_cdf = env.space.num_actions, env.gamma, _cdf(policy.probs)
+    n_x, n_a = env.space.num_x, env.space.num_actions
+    gamma, pol_cdf = env.gamma, _cdf(policy.probs)
     cross = cls == _CROSS
     ia = o + 1 + cross
     r1, s1 = sample_outcomes(env, x, w[o])
     r2, t1 = sample_outcomes(env, y, np.where(cross, w.take(o + 1, mode="clip"), w[o]))
     x1 = s1 * n_a + _draw_actions(pol_cdf, s1, w[ia])
     y1 = t1 * n_a + _draw_actions(pol_cdf, t1, w.take(ia + 1, mode="clip"))
-    y1 = np.where(cls <= _DIAG, x1, y1)
-    coef_a = np.where(cls == _MU, r1, r1 * r2)
-    coef_b = np.where(
-        cls == _MU, gamma, np.where(cls == _DIAG, 2.0 * gamma * r1, gamma * r1)
-    )
-    return coef_a, coef_b, gamma * r2, x1, y1
+    mean, single = cls == _MU, cls <= _DIAG
+    y1 = np.where(single, x1, y1)
+    coef_a = np.where(mean, r1, r1 * r2)
+    coef_b = np.where(mean, gamma, np.where(single, 2.0 * gamma * r1, gamma * r1))
+    coef_c = np.where(single, 0.0, gamma * r2)
+    return coef_a, coef_b, coef_c, x1, y1, n_x + np.where(mean, n_x * n_x, x1 * n_x + y1)
 
 
 def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
     """n one-sample backups at coordinate i; draw(k) returns the uniforms,
     sample j reading its k draws from position j*k."""
-    y = i.x if i.kind == "mu" else i.x2
-    cls = _draw_class(env.space.num_actions, i.kind, i.x, y)
-    k = int(_NUM_DRAWS[cls])
-    coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
-        env, policy, np.full(n, cls), np.full(n, i.x), np.full(n, y), draw(k), np.arange(n) * k
+    xs, ys = np.full(n, i.x), np.full(n, i.x if i.kind == "mu" else i.x2)
+    cls = _draw_classes(env.space.num_actions, xs, ys, i.kind == "mu")
+    k = int(_NUM_DRAWS[cls[0]])
+    coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
+        env, policy, cls, xs, ys, draw(k), np.arange(n) * k
     )
-    mu, sig, g2 = m.m_mu, m.m_sigma, env.gamma**2
-    if cls == _MU:
-        return coef_a + coef_b * mu[x1]
-    if cls == _DIAG:
-        return coef_a + coef_b * mu[x1] + g2 * sig[x1, y1]
-    return coef_a + coef_b * mu[y1] + coef_c * mu[x1] + g2 * sig[x1, y1]
+    v = np.r_[m.m_mu, m.m_sigma.ravel(), 0.0]
+    return coef_a + coef_b * v[y1] + coef_c * v[x1] + env.gamma**2 * v[f]
 
 
 def sample_backup(
@@ -179,16 +177,14 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
     Slots are numbered by first appearance: mean x has slot x, and pair
     {i <= j}, first met at row-major position (i, j), slot
     |X| + i |X| - i (i - 1) / 2 + (j - i)."""
-    n, n_a = space.num_x, space.num_actions
-    x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    n = space.num_x
+    # Mean x is listed as the pair (x, x), flat position x (n + 1).
+    x, y = np.divmod(np.r_[np.arange(n) * (n + 1), np.arange(n * n)].astype(np.int64), n)
+    mean = np.arange(n + n * n) < n
     lo, hi = np.minimum(x, y), np.maximum(x, y)
-    cls = np.where(x == y, _DIAG, np.where(x // n_a == y // n_a, _SAME, _CROSS))
-    mu = np.arange(n, dtype=np.int64)
-    table = np.empty((n + n * n, 4), dtype=np.int64)
-    table[:n] = np.stack([np.full(n, _MU), mu, mu, mu], axis=1)
-    for col, pairs in enumerate((cls, x, y, n + lo * n - lo * (lo - 1) // 2 + hi - lo)):
-        table[n:, col] = pairs
-    return table, n + n * (n + 1) // 2
+    slot = np.where(mean, x, n + lo * n - lo * (lo - 1) // 2 + hi - lo)
+    cls = _draw_classes(space.num_actions, x, y, mean)
+    return np.stack([cls, x, y, slot], axis=1), n + n * (n + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,9 @@ def run_incremental(
     schedule.bind(num_slots)
     cls, xs, ys, slots = table.T
     hops = _NUM_DRAWS[cls] + 1  # uniform mode: one visitation draw first
-    target = np.where(cls == _MU, xs, xs * n_x + ys)
-    mirror = ys * n_x + xs
+    # Each coordinate's place in the value list; a mean row mirrors onto itself.
+    target = np.where(cls == _MU, xs, n_x + xs * n_x + ys)
+    mirror = np.where(cls == _MU, xs, n_x + ys * n_x + xs)
     n_idx = cls.size
 
     # One seeded U(0,1) sequence, consumed in order. How it is cut into
@@ -237,9 +234,9 @@ def run_incremental(
     carry = np.empty(0)  # drawn ahead by the visitation walk, not yet used
     weights = LambdaWeights(env.gamma)
     g2 = env.gamma**2
-    # The relaxation is sequential; plain lists make it cheap per update.
-    mu = m_start.m_mu.tolist()
-    sig = m_start.m_sigma.ravel().tolist()
+    # The relaxation is sequential; a plain value list (see _sample_terms)
+    # makes it cheap per update.
+    vals = m_start.m_mu.tolist() + m_start.m_sigma.ravel().tolist() + [0.0]
 
     trace: list = []
     k = 0
@@ -268,38 +265,32 @@ def run_incremental(
             pos = visit[offsets]
             start = offsets + 1
             carry = w[used:]
-        c = cls[pos]
-        coef_a, coef_b, coef_c, x1, y1 = _sample_terms(
-            env, policy, c, xs[pos], ys[pos], w, start
+        coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
+            env, policy, cls[pos], xs[pos], ys[pos], w, start
         )
         alphas = schedule.steps(slots[pos])
-        for kd, t, t2, ca, cb, cc, i, j, f, al in zip(
-            c.tolist(), target[pos].tolist(), mirror[pos].tolist(),
-            coef_a.tolist(), coef_b.tolist(), coef_c.tolist(), x1.tolist(),
-            y1.tolist(), (x1 * n_x + y1).tolist(), alphas.tolist(),
+        for t, t2, ca, cb, cc, i, j, q, al in zip(
+            target[pos].tolist(), mirror[pos].tolist(), coef_a.tolist(),
+            coef_b.tolist(), coef_c.tolist(), x1.tolist(), y1.tolist(),
+            f.tolist(), alphas.tolist(),
         ):
-            if kd == _MU:
-                mu[t] = (1.0 - al) * mu[t] + al * (ca + cb * mu[i])
-            elif kd == _DIAG:
-                sig[t] = (1.0 - al) * sig[t] + al * (ca + cb * mu[i] + g2 * sig[f])
-            else:
-                new = (1.0 - al) * sig[t] + al * (ca + cb * mu[j] + cc * mu[i] + g2 * sig[f])
-                sig[t] = new
-                sig[t2] = new
+            new = (1.0 - al) * vals[t] + al * (ca + cb * vals[j] + cc * vals[i] + g2 * vals[q])
+            vals[t] = new
+            vals[t2] = new
         k = stop
         if k % trace_stride == 0 or k == num_updates:
             if fixed_point is None:
                 dist = float("nan")
             else:
-                dist = lambda_norm(_collection(mu, sig, n_x) - fixed_point, weights)
+                dist = lambda_norm(_collection(vals, n_x) - fixed_point, weights)
             trace.append((k, dist, float(alphas[-1])))
 
-    return IncrementalResult(_collection(mu, sig, n_x), trace, num_updates)
+    return IncrementalResult(_collection(vals, n_x), trace, num_updates)
 
 
-def _collection(mu: list, sig: list, n_x: int) -> MomentCollection2:
-    s = np.array(sig).reshape(n_x, n_x)
-    return MomentCollection2(np.array(mu), 0.5 * (s + s.T))
+def _collection(vals: list, n_x: int) -> MomentCollection2:
+    s = np.array(vals[n_x:-1]).reshape(n_x, n_x)
+    return MomentCollection2(np.array(vals[:n_x]), 0.5 * (s + s.T))
 
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:

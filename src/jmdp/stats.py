@@ -26,8 +26,9 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.stats import norm as _norm
 
 from .core import MomentCollectionN, StateActionSpace
+from .dp import DEFAULT_ORDER_BUDGET_BYTES
 from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed, sample_outcomes
-from .errors import AssumptionError, InvalidInputError, InvalidQueryError
+from .errors import AssumptionError, BudgetError, InvalidInputError, InvalidQueryError
 
 __all__ = [
     "CorrMatrix",
@@ -37,6 +38,7 @@ __all__ = [
     "gap_stats",
     "cantelli_bound",
     "corr_matrix",
+    "check_mc_budget",
     "mc_state_block",
     "chebyshev_ecdf",
 ]
@@ -233,6 +235,21 @@ def _branch_returns(
     return z, t
 
 
+def check_mc_budget(num_branches: int, num_rollouts: int) -> int:
+    """Bytes the per-rollout arrays of one Monte Carlo block hold at most:
+    eleven (k, n) 8-byte arrays in _branch_returns, plus the returns, four
+    (k, k, n) floats and one (k, k, n) bool in mc_state_block. Raises
+    BudgetError when that exceeds the default budget."""
+    k, n = num_branches, num_rollouts
+    need = 8 * n * (11 * k + k + 4 * k * k) + k * k * n
+    if need > DEFAULT_ORDER_BUDGET_BYTES:
+        raise BudgetError(
+            f"Monte Carlo block of {k} branches and {n} rollouts needs "
+            f"{need} bytes; budget is {DEFAULT_ORDER_BUDGET_BYTES}"
+        )
+    return need
+
+
 def mc_state_block(
     env: ExoJmdp,
     policy: Policy,
@@ -260,6 +277,7 @@ def mc_state_block(
             raise InvalidQueryError(f"action {a} out of range")
     if not (0 <= s < env.space.num_states):
         raise InvalidQueryError(f"state {s} out of range")
+    check_mc_budget(len(acts), num_rollouts)
     horizon = truncation_horizon(env.gamma, trunc_tol)
     z, steps = _branch_returns(
         env, policy, s, acts, num_rollouts, horizon, seed, continuation_coupling

@@ -149,6 +149,8 @@ class TestEval:
         )
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["eval", "--config", str(cfg)]) == EXIT_DIVERGENCE
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["diverged"] is True and result["nu_source"] == "uniform-fallback"
 
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
@@ -198,6 +200,23 @@ class TestEval:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "projected.csv").exists()
+
+    @pytest.mark.parametrize("env, source", [
+        # crc's absorbing end state leaves the chain reducible
+        ({"builtin": "crc", "num_states": 5, "gamma": 0.9}, "uniform-fallback"),
+        ({"builtin": "ring", "num_states": 5, "gamma": 0.9}, "stationary"),
+    ], ids=["crc", "ring"])
+    def test_projected_manifest_records_nu_source(self, tmp_path, env, source):
+        doc = base_config(
+            env=env,
+            algorithm={"name": "projected",
+                       "features": {"builtin": "state-poly", "degree": 2}},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["nu_source"] == source
 
     def test_projected_with_feature_file(self, tmp_path):
         phi = np.repeat(
@@ -337,6 +356,21 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "error: BudgetError: " in err and f"needs {need} bytes" in err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    def test_rollout_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("heavy work started before the budget check")
+
+        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+                     "mc_state_block"):
+            monkeypatch.setattr(cli, name, never)
+        doc = base_config(analysis={"states": [0], "num_rollouts": 10**9},
+                          out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: BudgetError: Monte Carlo block of 2 branches and 1000000000" in err
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
     def test_coupling_on_large_gridworld(self, tmp_path):

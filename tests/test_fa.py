@@ -1,7 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from jmdp import fa
 from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
@@ -175,6 +179,50 @@ class TestStationaryDistribution:
 
         kernel = marginal_kernel(env, pol)
         assert np.max(np.abs(sd.nu @ kernel - sd.nu)) <= 1e-10
+
+
+def brute_force_period(adj):
+    """gcd of the closed-walk lengths <= 3n at node 0. Every cycle of length l
+    lies on closed walks of lengths p + q and p + q + l, with p, q <= n, so in
+    a strongly connected graph this gcd is the gcd of all cycle lengths."""
+    n = adj.shape[0]
+    step = adj.astype(np.int64)
+    reach, g = np.eye(n, dtype=np.int64), 0
+    for length in range(1, 3 * n + 1):
+        reach = np.minimum(reach @ step, 1)
+        if reach[0, 0]:
+            g = math.gcd(g, length)
+    return g
+
+
+def _edges(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return adj
+
+
+class TestChainPeriod:
+    @pytest.mark.parametrize("adj, period", [
+        (_edges(3, [(0, 1), (1, 2), (2, 0)]), 3),
+        (_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)]), 1),
+        (_edges(4, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]), 1),
+    ], ids=["3-cycle", "3-cycle-and-2-cycle-through-0", "4-cycle-with-self-loop"])
+    def test_named_graphs(self, adj, period):
+        assert fa._chain_period(adj) == period == brute_force_period(adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, seed):
+        """On the strongly connected component of node 0 of a random digraph."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        adj = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        _, label = connected_components(adj, directed=True, connection="strong")
+        keep = np.flatnonzero(label == label[0])
+        adj = adj[np.ix_(keep, keep)]
+        assume(adj.any())  # one node needs its self-loop to be a chain
+        assert fa._chain_period(adj) == brute_force_period(adj)
 
 
 class TestProjectMu:

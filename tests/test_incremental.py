@@ -22,7 +22,6 @@ from jmdp.errors import InvalidInputError
 from jmdp.incremental import (
     _CHUNK,
     _coordinate_table,
-    _draw_class,
     StepSchedule,
     VisitationScheme,
     noise_bound_constants,
@@ -136,6 +135,15 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
     return trace, MomentCollection2(mu, 0.5 * (sig + sig.T)), counts
 
 
+def _ref_draw_class(n_a, kind, x, y):
+    """0 mean, 1 diagonal, 2 same state, 3 cross state."""
+    if kind == "mu":
+        return 0
+    if x == y:
+        return 1
+    return 2 if x // n_a == y // n_a else 3
+
+
 def _ref_coordinate_table(space):
     """(draw class, x, y, slot) rows in enumerate_indices order, slots numbered
     by first appearance of the unordered pair in a dict."""
@@ -143,7 +151,7 @@ def _ref_coordinate_table(space):
     for idx in enumerate_indices(space):
         y = idx.x if idx.kind == "mu" else idx.x2
         slot = slot_of.setdefault((idx.kind, min(idx.x, y), max(idx.x, y)), len(slot_of))
-        rows.append((_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
+        rows.append((_ref_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
     return np.array(rows, dtype=np.int64), len(slot_of)
 
 

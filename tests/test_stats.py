@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,17 +19,20 @@ from jmdp.env import (
     child_seed,
     wgw_goal_policy,
 )
-from jmdp.errors import AssumptionError, InvalidInputError, InvalidQueryError
+from jmdp.errors import AssumptionError, BudgetError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
     _branch_returns,
     _reward_free_sink,
     cantelli_bound,
     chebyshev_ecdf,
+    check_mc_budget,
     corr_matrix,
     gap_stats,
     mc_state_block,
     truncation_horizon,
 )
+
+from test_env import random_policy
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +208,30 @@ class TestMcOracle:
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError, match="num_rollouts"):
             mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 0, 1e-4, 0)
+
+    def test_rollouts_over_budget_rejected(self):
+        env = build_crc(3, 0.9)
+        with pytest.raises(BudgetError, match="Monte Carlo block of 2 branches"):
+            mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 10**9, 1e-4, 0)
+
+    @pytest.mark.parametrize("actions, num_rollouts", [
+        ((0,), 2_000), ((0, 1), 20_000), ((0, 1, 2, 3), 5_000),
+        ((0, 1, 2, 3, 1), 20_000), ((2, 2), 8_000),
+    ], ids=["k1", "k2", "k4", "k5-repeated", "k2-same-action"])
+    @pytest.mark.parametrize("coupling", ["shared-state", "independent"])
+    def test_budget_count_bounds_measured_peak(self, actions, num_rollouts, coupling):
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = random_policy(5, env.space)
+        run = lambda: mc_state_block(env, pol, 4, actions, num_rollouts, 1e-4, 0,
+                                     continuation_coupling=coupling)
+        run()  # first-call allocations (imports, caches) are not the block's
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_mc_budget(len(actions), num_rollouts)
 
     def test_cross_term_agrees_with_solver(self, crc_fixed_point):
         env, pol, m = crc_fixed_point

@@ -65,6 +65,29 @@ def test_incremental_stream(name, mode):
     assert digest(res.final.m_mu, res.final.m_sigma, alphas) == INCREMENTAL[name, mode]
 
 
+SIGNED_START = {
+    "sweep": "4efd87dd082b5cb7c4abaf2c0d179dd0f97301591584c2af60ecf0e4c59dca9e",
+    "uniform": "6b6a22c6c95c0dbeaea240dcb9c390db4222d50845c19eccb1a757435fbea165",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SIGNED_START))
+def test_incremental_stream_signed_start(mode):
+    """A constant step from a start with negative entries and exact zeros, so
+    zero coefficients meet negative table entries."""
+    env, policy = env_and_policy("rand")
+    mu = np.linspace(-1.0, 1.0, env.space.num_x)
+    mu[::3] = 0.0
+    sig = np.add.outer(mu, mu) - 0.25
+    sig[::2, ::2] = 0.0
+    res = run_incremental(
+        env, policy, StepSchedule.constant(0.3), VisitationScheme(mode),
+        num_updates=5000, seed=7, m0=MomentCollectionN((mu, sig)), trace_stride=700,
+    )
+    alphas = np.array([alpha for _, _, alpha in res.trace])
+    assert digest(res.final.m_mu, res.final.m_sigma, alphas) == SIGNED_START[mode]
+
+
 BRANCHES = {
     ("wgw3", "shared-state"):
         "a8e20498a844b50905390699d4e1aef52d3ac55d446c679e097ee5f933ff103f",
