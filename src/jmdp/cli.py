@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, jipe2, jipe_n
+from .dp import jipe2, jipe_n
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -313,13 +313,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 # -- outputs -----------------------------------------------------------------
-# Every file a run writes goes through _write_csv or _write_json; the README's
-# "Outputs" table lists each file's CSV columns or JSON keys.
+# Every file a run writes goes through _write_csv or _write_json, which create
+# the run directory, so a run refused before its first file leaves none. The
+# README's "Outputs" table lists each file's CSV columns or JSON keys.
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
     """Header row, then the rows; floats, numpy ones too, are written as
     repr(float(v)), the shortest text that reads back to the same double."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -331,6 +333,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -357,7 +360,6 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     algo = cfg.algorithm
     name = algo["name"]
     features = cfg.build_features(env) if name == "projected" else None
-    out_dir.mkdir(parents=True, exist_ok=True)
     status = {"algorithm": name}
     moments = {"format_version": 1, "gamma": env.gamma}
 
@@ -446,22 +448,18 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(
             f"config.analysis.states: entries must lie in 0..{n_s - 1}, got {states!r}"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Every budget is checked before any work. Coupling needs no moments, so
-    # it runs first, before the jipe2 solve and the Monte Carlo blocks.
+    # Every budget is checked before any work or output. Coupling needs no
+    # moments, so it runs first, before the jipe2 solve and the Monte Carlo blocks.
     mc_blocks = ana["gaps"] or ana["mc_compare"] or ana["ecdf"]
     if mc_blocks and states:
         check_mc_budget(n_a, ana["num_rollouts"])
     if ana["coupling"]:
-        budget = DEFAULT_ORDER_BUDGET_BYTES
         for mode in COUPLING_MODES:
-            check_coupling_budget(env, mode, budget)
+            check_coupling_budget(env, mode)
         nu = stationary_distribution(env, policy)
         reports = {}
         for mode in COUPLING_MODES:
-            rep = coupling_coefficient(
-                env, policy, nu.nu, mode=mode, memory_budget_bytes=budget
-            )
+            rep = coupling_coefficient(env, policy, nu.nu, mode=mode)
             reports[mode] = {
                 key: getattr(rep, key)
                 for key in ("sqrt_c_rho", "gamma", "product", "satisfied",

@@ -1,4 +1,5 @@
-"""Index spaces, moment collections, and the weighted sup norms used by every solver.
+"""Index spaces, moment collections, the weighted sup norms used by every
+solver, and the one byte budget that every large allocation is checked against.
 
 A state-action pair (s, a) is flattened to x = s * num_actions + a throughout.
 Second-moment tables live on X x X, order-k tables on X^k.
@@ -11,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidQueryError
+from .errors import BudgetError, InvalidInputError, InvalidQueryError
 
 __all__ = [
+    "BUDGET_BYTES",
+    "check_budget",
     "StateActionSpace",
     "LambdaWeights",
     "MomentCollection2",
@@ -22,6 +25,18 @@ __all__ = [
     "lambda_norm",
     "enumerate_indices",
 ]
+
+# Bytes any one solve, coupling computation or Monte Carlo block may hold.
+# Read at call time, so setting jmdp.core.BUDGET_BYTES moves every check.
+BUDGET_BYTES = 256 * 1024 * 1024
+
+
+def check_budget(what: str, need: int) -> int:
+    """Return need, the bytes `what` holds at most; raise BudgetError before
+    any work when that exceeds BUDGET_BYTES."""
+    if need > BUDGET_BYTES:
+        raise BudgetError(f"{what} needs {need} bytes; budget is {BUDGET_BYTES}")
+    return need
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ policy-averaged state table (S^j, one axis per continuing tau-block), which
 each sigma-block contracts with its noise kernel: a dense matrix, such as the
 marginal kernel P for one continuing position, or a gather over h with the
 shared draw enumerated. Memory is S^k-sized per pattern plus the |X|^k tables
-and a gather index, all counted against a byte budget before any work.
+and a gather index, all counted against core.BUDGET_BYTES before any work.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_CHECK_BLOCK, LambdaWeights, MomentCollection2, MomentCollectionN,
-                   lambda_norm)
+                   check_budget, lambda_norm)
 from .env import ExoJmdp, Policy, marginal_mdp
-from .errors import BudgetError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "Jipe2Report",
@@ -47,8 +47,6 @@ __all__ = [
     "apply_tn",
     "jipe_n",
 ]
-
-DEFAULT_ORDER_BUDGET_BYTES = 256 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,7 @@ class _BackupPlan:
     per entry.
     """
 
-    def __init__(self, env: ExoJmdp, policy: Policy, order: int, budget: int):
+    def __init__(self, env: ExoJmdp, policy: Policy, order: int):
         s_n, a_n, u_n = env.g.shape
         n_x = env.space.num_x
         held = 5 * sum(n_x**k for k in range(1, order + 1))
@@ -346,12 +344,8 @@ class _BackupPlan:
             held += rows * cells if dense else 2 * cells * u_n
         held += sum(s_n ** len(m) for m in state_keys)
         objects = len(keys) + sum(3**k + sum(map(len, r.values())) for k, r in enumerate(layout))
-        self.need = 8 * (held + peak) + _OBJECT_BYTES * objects
-        if self.need > budget:
-            raise BudgetError(
-                f"order-{order} backup over {n_x} coordinates needs {self.need} "
-                f"bytes; budget is {budget}"
-            )
+        self.need = check_budget(f"order-{order} backup over {n_x} coordinates",
+                                 8 * (held + peak) + _OBJECT_BYTES * objects)
         self.pi_x = np.zeros((n_x, s_n))
         self.pi_x[np.arange(n_x), np.arange(n_x) // a_n] = policy.probs.reshape(-1)
         self.state_tables = {}  # key -> byte strides of its diagonal view
@@ -395,15 +389,10 @@ class _BackupPlan:
         return out
 
 
-def apply_tn(
-    env: ExoJmdp,
-    policy: Policy,
-    m: MomentCollectionN,
-    memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
-) -> MomentCollectionN:
+def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
     """One exact application of the order-n joint Bellman operator."""
     _check_moments(env, m, m.order)
-    plan = _BackupPlan(env, policy, m.order, memory_budget_bytes)
+    plan = _BackupPlan(env, policy, m.order)
     return MomentCollectionN(tuple(plan.apply(m.tables)))
 
 
@@ -414,7 +403,6 @@ def jipe_n(
     epsilon: float,
     max_iter: int = 100_000,
     m0: MomentCollectionN | None = None,
-    memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> tuple[MomentCollectionN, list]:
     """Iterate the order-n operator; returns (final collection, residual trace).
 
@@ -423,5 +411,4 @@ def jipe_n(
     ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
     frozen collection is built only for the result.
     """
-    return _solve(env, order, lambda: _BackupPlan(env, policy, order, memory_budget_bytes),
-                  epsilon, max_iter, m0)
+    return _solve(env, order, lambda: _BackupPlan(env, policy, order), epsilon, max_iter, m0)

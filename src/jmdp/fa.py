@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .core import MomentCollection2, MomentCollectionN
-from .dp import DEFAULT_ORDER_BUDGET_BYTES, _Backup2, check_solver_args
+from .core import MomentCollection2, MomentCollectionN, check_budget
+from .dp import _Backup2, check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import marginal_kernel, marginal_mdp
 from .errors import (
@@ -394,11 +394,9 @@ class _PairKernel:
         return out
 
 
-def check_coupling_budget(
-    env: ExoJmdp, mode: str, memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES
-) -> int:
+def check_coupling_budget(env: ExoJmdp, mode: str) -> int:
     """Bytes the matrix-free coupling computation holds at once; raises
-    BudgetError when that exceeds the budget."""
+    BudgetError when that exceeds core.BUDGET_BYTES."""
     if mode not in COUPLING_MODES:
         raise InvalidQueryError(f"unknown pair-coupling mode {mode!r}")
     n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
@@ -411,13 +409,8 @@ def check_coupling_budget(
         # (row, noise) flat indices, gathered values and scatter weights
         rows = n_s * n_a * (n_a - 1)
         words += n_x * n_s + rows * (2 + 3 * n_u)
-    need = 8 * words + _COUPLING_SLACK_BYTES
-    if need > memory_budget_bytes:
-        raise BudgetError(
-            f"coupling coefficient over {n_x} coordinates ({mode}) needs "
-            f"{need} bytes; budget is {memory_budget_bytes}"
-        )
-    return need
+    return check_budget(f"coupling coefficient over {n_x} coordinates ({mode})",
+                        8 * words + _COUPLING_SLACK_BYTES)
 
 
 def coupling_coefficient(
@@ -425,16 +418,15 @@ def coupling_coefficient(
     policy: Policy,
     nu: np.ndarray,
     mode: str = "same_state",
-    memory_budget_bytes: int = DEFAULT_ORDER_BUDGET_BYTES,
 ) -> CouplingReport:
     """Operator norm of the two-branch kernel in the product-weighted geometry.
 
     Computed as the largest singular value of A = D^(1/2) P2 D^(-1/2) with
     D = diag(nu x nu), by power iteration on A'A to _POWER_TOL. The kernel is applied
     matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
-    against `memory_budget_bytes` before any work.
+    against core.BUDGET_BYTES before any work.
     """
-    check_coupling_budget(env, mode, memory_budget_bytes)
+    check_coupling_budget(env, mode)
     n_x = env.space.num_x
     nu = _check_nu(nu, n_x)
     kernel = _PairKernel(env, policy, mode)

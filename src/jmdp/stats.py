@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
-from .core import MomentCollectionN, StateActionSpace
-from .dp import DEFAULT_ORDER_BUDGET_BYTES
+from .core import MomentCollectionN, StateActionSpace, check_budget
 from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed, sample_outcomes
-from .errors import AssumptionError, BudgetError, InvalidInputError, InvalidQueryError
+from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
     "CorrMatrix",
@@ -118,7 +117,6 @@ def corr_matrix(space: StateActionSpace, m: MomentCollectionN, s: int) -> CorrMa
     block = m.m_sigma[np.ix_(xs, xs)]
     cov = block - np.outer(mu, mu)
     var = np.diag(cov).copy()
-    corr = np.full((n_a, n_a), np.nan)
     ok = var > DEGENERATE_VAR_TOL
     denom = np.sqrt(np.outer(np.where(ok, var, np.nan), np.where(ok, var, np.nan)))
     with np.errstate(invalid="ignore"):
@@ -161,7 +159,7 @@ class McBlock:
 
     @property
     def z_value(self) -> float:
-        return float(_norm.ppf(0.5 + self.confidence / 2.0))
+        return float(ndtri(0.5 + self.confidence / 2.0))
 
 
 def _reward_free_sink(env: ExoJmdp) -> np.ndarray:
@@ -209,25 +207,22 @@ def _branch_returns(
     t = 0
     while t < horizon and not sink[states].all():
         r = rng.random((k, n))
-        # Share the noise uniform with the lowest-indexed branch at the same state.
+        # Share the noise uniform with the lowest-indexed branch at the same
+        # state. Every earlier branch there already holds that uniform, since
+        # equal states are transitive, so each match may overwrite.
         if continuation_coupling == "shared-state" or t == 0:
             for i in range(1, k):
-                taken = np.zeros(n, dtype=bool)
                 for j in range(i):
-                    mask = (states[i] == states[j]) & ~taken
-                    r[i] = np.where(mask, r[j], r[i])
-                    taken |= mask
+                    r[i] = np.where(states[i] == states[j], r[j], r[i])
         rew, nxt = sample_outcomes(env, states * n_a + acts, r)
         z += disc * rew
         new_acts = _draw_actions(pol_cdf, nxt, rng.random((k, n)))
         if continuation_coupling == "shared-state":
             # Identical coordinates denote one return: share the next action too.
             for i in range(1, k):
-                taken = np.zeros(n, dtype=bool)
                 for j in range(i):
-                    mask = (states[i] == states[j]) & (acts[i] == acts[j]) & ~taken
-                    new_acts[i] = np.where(mask, new_acts[j], new_acts[i])
-                    taken |= mask
+                    same = (states[i] == states[j]) & (acts[i] == acts[j])
+                    new_acts[i] = np.where(same, new_acts[j], new_acts[i])
         states = nxt
         acts = new_acts
         disc *= env.gamma
@@ -237,17 +232,12 @@ def _branch_returns(
 
 def check_mc_budget(num_branches: int, num_rollouts: int) -> int:
     """Bytes the per-rollout arrays of one Monte Carlo block hold at most:
-    eleven (k, n) 8-byte arrays in _branch_returns, plus the returns, four
+    eleven (k, n) 8-byte arrays in _branch_returns, plus the returns, three
     (k, k, n) floats and one (k, k, n) bool in mc_state_block. Raises
-    BudgetError when that exceeds the default budget."""
+    BudgetError when that exceeds core.BUDGET_BYTES."""
     k, n = num_branches, num_rollouts
-    need = 8 * n * (11 * k + k + 4 * k * k) + k * k * n
-    if need > DEFAULT_ORDER_BUDGET_BYTES:
-        raise BudgetError(
-            f"Monte Carlo block of {k} branches and {n} rollouts needs "
-            f"{need} bytes; budget is {DEFAULT_ORDER_BUDGET_BYTES}"
-        )
-    return need
+    return check_budget(f"Monte Carlo block of {k} branches and {n} rollouts",
+                        8 * n * (11 * k + k + 3 * k * k) + k * k * n)
 
 
 def mc_state_block(
@@ -290,6 +280,7 @@ def mc_state_block(
     sigma_se = (
         prods.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
     )
+    del prods  # at most three (k, k, n) float arrays live at once
     gaps = z[:, None, :] - z[None, :, :]
     gap_mean = gaps.mean(axis=2)
     gap_mean_se = gaps.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))

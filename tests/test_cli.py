@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,9 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
+from jmdp.dp import _BackupPlan
 from jmdp.env import (
+    Policy,
     build_crc,
     build_hub_successors,
     build_indep_successors,
@@ -45,6 +50,14 @@ def base_config(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+def test_import_leaves_out_scipy_stats():
+    code = "import sys, jmdp.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestRunConfig:
@@ -239,6 +252,25 @@ class TestEval:
         moments = json.loads((tmp_path / "run" / "moments.json").read_text())
         assert len(moments["theta_mu"]) == 2
 
+    def test_dpn_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
+        env = build_crc(3, 0.8)
+        need = _BackupPlan(env, Policy.uniform(env.space), 3).need
+        doc = base_config(
+            env={"builtin": "crc", "num_states": 3, "gamma": 0.8},
+            algorithm={"name": "dpn", "order": 3, "epsilon": 1e-6},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: BudgetError: order-3 backup over 6 coordinates needs "
+                       f"{need} bytes; budget is {need - 1}\n")
+        assert not (tmp_path / "run").exists()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "run" / "moments.json").exists()
+
     def test_dpn_order_three(self, tmp_path):
         doc = base_config(
             env={"builtin": "crc", "num_states": 3, "gamma": 0.8},
@@ -342,21 +374,25 @@ class TestAnalyze:
         assert (out / "corr.json").exists()
 
     def test_coupling_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
-        # wgw(6x6), |X| = 144, fits the default budget; a budget one byte
-        # below the same_state need must fail before any other work.
+        # wgw(6x6), |X| = 144: a budget one byte below the same_state need
+        # (the larger mode, checked first) fails before any other work.
         env = build_wgw(6, 6, (0, 5), 0.3, 0.9)
         need = check_coupling_budget(env, "same_state")
-        monkeypatch.setattr(cli, "DEFAULT_ORDER_BUDGET_BYTES", need - 1)
+        assert check_coupling_budget(env, "global") < need
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         doc = base_config(
             env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
-            analysis={"states": [0], "num_rollouts": 10},
+            analysis={"states": [0], "num_rollouts": 10, "corr": False},
             out_dir=str(tmp_path / "run"),
         )
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "error: BudgetError: " in err and f"needs {need} bytes" in err
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "run" / "coupling.json").exists()
 
     def test_rollout_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -371,7 +407,7 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "error: BudgetError: Monte Carlo block of 2 branches and 1000000000" in err
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_coupling_on_large_gridworld(self, tmp_path):
         doc = base_config(

@@ -481,22 +481,32 @@ class TestApplyTn:
         np.testing.assert_array_equal(t3, np.swapaxes(t3, 0, 1))
         np.testing.assert_array_equal(t3, np.swapaxes(t3, 0, 2))
 
-    def test_memory_budget_refused(self):
+    def test_memory_budget_refused(self, monkeypatch):
         env = build_crc(3, 0.8)
-        with pytest.raises(BudgetError, match="bytes"):
-            jipe_n(env, Policy.uniform(env.space), 4, 1e-6,
-                   memory_budget_bytes=1000)
+        pol = Policy.uniform(env.space)
+        m = MomentCollectionN.zeros(env.space, 4)
+        need = _BackupPlan(env, pol, 4).need
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        for run in (lambda: apply_tn(env, pol, m), lambda: jipe_n(env, pol, 4, 1e-6)):
+            with pytest.raises(BudgetError, match=f"order-4 backup over 6 coordinates "
+                                                  f"needs {need} bytes; budget is {need - 1}"):
+                run()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        apply_tn(env, pol, m)
+        jipe_n(env, pol, 4, 1e-6, max_iter=2)
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("case", ["crc3", "wgw2x2"])
-    def test_budget_bounds_measured_peak(self, case, order):
+    def test_budget_bounds_measured_peak(self, case, order, monkeypatch):
         env, pol, _ = REFERENCE_CASES[case]()
-        need = _BackupPlan(env, pol, order, 1 << 40).need
-        with pytest.raises(BudgetError):
-            jipe_n(env, pol, order, 1e-8, max_iter=3, memory_budget_bytes=need - 1)
+        need = _BackupPlan(env, pol, order).need
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=f"needs {need} bytes"):
+            jipe_n(env, pol, order, 1e-8, max_iter=3)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         tracemalloc.start()
         try:
-            jipe_n(env, pol, order, 1e-8, max_iter=3, memory_budget_bytes=need)
+            jipe_n(env, pol, order, 1e-8, max_iter=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

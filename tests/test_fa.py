@@ -507,15 +507,17 @@ class TestCouplingCoefficient:
             assert rep.iterations == ref_iters
             assert rep.converged
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         env = build_wgw(4, 4, (0, 3), 0.3, 0.9)
         pol = Policy.uniform(env.space)
         nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
         for mode in ("same_state", "global"):
             need = check_coupling_budget(env, mode)
-            with pytest.raises(BudgetError, match=f"needs {need} bytes"):
-                coupling_coefficient(env, pol, nu, mode=mode, memory_budget_bytes=need - 1)
-            coupling_coefficient(env, pol, nu, mode=mode, memory_budget_bytes=need)
+            monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+            with pytest.raises(BudgetError, match=f"needs {need} bytes; budget is {need - 1}"):
+                coupling_coefficient(env, pol, nu, mode=mode)
+            monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+            coupling_coefficient(env, pol, nu, mode=mode)
 
     @pytest.mark.parametrize("mode", ["same_state", "global"])
     def test_budget_bounds_measured_peak(self, mode):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 import jmdp.stats
 from jmdp.core import LambdaWeights, MomentCollection2, StateActionSpace
@@ -209,10 +210,24 @@ class TestMcOracle:
         with pytest.raises(InvalidInputError, match="num_rollouts"):
             mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 0, 1e-4, 0)
 
-    def test_rollouts_over_budget_rejected(self):
+    def test_rollouts_over_budget_rejected(self, monkeypatch):
         env = build_crc(3, 0.9)
+        run = lambda n: mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), n, 1e-4, 0)
         with pytest.raises(BudgetError, match="Monte Carlo block of 2 branches"):
-            mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 10**9, 1e-4, 0)
+            run(10**9)
+        need = check_mc_budget(2, 300)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=f"needs {need} bytes; budget is {need - 1}"):
+            run(300)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        run(300)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_z_value_is_the_normal_quantile(self, confidence):
+        env = build_crc(3, 0.9)
+        blk = mc_state_block(env, Policy.uniform(env.space), 0, (0,), 10, 1e-2, 0,
+                             confidence=confidence)
+        assert blk.z_value == float(norm.ppf(0.5 + confidence / 2.0))
 
     @pytest.mark.parametrize("actions, num_rollouts", [
         ((0,), 2_000), ((0, 1), 20_000), ((0, 1, 2, 3), 5_000),

@@ -16,7 +16,7 @@ import pytest
 from jmdp.core import Index2, MomentCollectionN
 from jmdp.env import build_crc, build_wgw
 from jmdp.incremental import StepSchedule, VisitationScheme, _backups, run_incremental
-from jmdp.stats import _branch_returns
+from jmdp.stats import _branch_returns, mc_state_block
 
 from test_env import random_env, random_policy
 
@@ -106,6 +106,34 @@ def test_branch_return_stream(name, coupling):
     actions = tuple(range(env.space.num_actions)) + (1,)  # one repeated branch
     z, _ = _branch_returns(env, policy, 1, actions, 1500, 25, 11, coupling)
     assert digest(z) == BRANCHES[name, coupling]
+
+
+MC_BLOCKS = {
+    ("wgw3", "shared-state"):
+        "fff87853cf5dce9270cccde6f4f410436cc564ae11617ad33cca234ca97eaf80",
+    ("wgw3", "independent"):
+        "7880d4074d7d80b7df2518204015d9f0ec6687236d373a1baba751eecbb940ce",
+    ("rand", "shared-state"):
+        "c2ec652524983bf8f5ea12df87a6d9d7b092944bc223c77c9327615dee66dc3d",
+    ("rand", "independent"):
+        "b5798eb5cc813dab5aa5d507bc24b423792269e15749227c87939525858b4043",
+}
+
+
+@pytest.mark.parametrize("name, coupling", sorted(MC_BLOCKS))
+def test_mc_block_stream(name, coupling):
+    """Every table of a Monte Carlo block; its reductions are numpy's own
+    pairwise sums, not BLAS. The fourth power in gap_var_se goes through
+    numpy's SIMD `power`, which can differ from libm's `pow` by an ulp; these
+    digests read the same with numpy's x86-64-v3/v4 kernels disabled
+    (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")."""
+    env, policy = env_and_policy(name)
+    actions = tuple(range(env.space.num_actions)) + (1,)  # one repeated branch
+    blk = mc_state_block(env, policy, 1, actions, 1500, 1e-3, 11,
+                         continuation_coupling=coupling)
+    tables = (blk.mu, blk.mu_se, blk.sigma, blk.sigma_se, blk.gap_mean, blk.gap_mean_se,
+              blk.gap_var, blk.gap_var_se, blk.inferiority, blk.inferiority_se)
+    assert digest(blk.steps, *tables) == MC_BLOCKS[name, coupling]
 
 
 BACKUPS = "ba7a898fa82e3290527087edeef6310adb47525f43d07e1ef37a817f90903713"
