@@ -425,12 +425,15 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
                    enumerate(report.distances))
         moments.update(theta_mu=report.moments.theta_mu.tolist(),
                        theta_sigma=report.moments.theta_sigma.tolist())
+        coupling = report.coupling
         status.update(
             converged=report.converged,
             iterations=report.iterations,
             beta=report.beta,
             kappa=report.kappa,
-            sqrt_c_rho=report.sqrt_c_rho,
+            sqrt_c_rho=coupling and coupling.sqrt_c_rho,
+            coupling_iterations=coupling and coupling.iterations,
+            coupling_converged=coupling and coupling.converged,
         )
         code = EXIT_OK if report.converged else EXIT_NOT_CERTIFIED
 

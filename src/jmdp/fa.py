@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import MomentCollection2, MomentCollectionN, check_budget
@@ -287,17 +288,18 @@ class CouplingReport:
     product: float  # gamma^2 * sqrt_c_rho
     satisfied: bool
     mode: str
-    iterations: int  # power-loop steps taken
-    converged: bool  # False when the iteration cap was hit before `tol` was met
+    iterations: int  # Lanczos steps taken, one application of A'A each
+    converged: bool  # False when the step cap was hit before the residual stop
 
 
 COUPLING_MODES = ("same_state", "global")
-_POWER_TOL = 1e-10  # relative change of the top eigenvalue of A'A
-_POWER_MAX_ITER = 100_000
-# |X| x |X| tables alive at the peak of one power step: the iterate, the
-# weights D^(1/2), the policy outer product pi(a'|s') pi(b'|t'), and three
-# temporaries of one kernel application or adjoint.
-_COUPLING_TABLES = 6
+_LANCZOS_TOL = 1e-10  # residual bound of the top Ritz pair, relative to max(theta, 1)
+_LANCZOS_MAX_ITER = 1_000
+# |X| x |X| tables alive at the peak of one Lanczos step: the iterate, the
+# previous vector, w, the weights D^(1/2), the policy outer product
+# pi(a'|s') pi(b'|t'), and two temporaries of one kernel application or
+# adjoint.
+_COUPLING_TABLES = 7
 # numpy's iterator buffers and the interpreter's small objects.
 _COUPLING_SLACK_BYTES = 64 * 1024
 
@@ -422,7 +424,12 @@ def coupling_coefficient(
     """Operator norm of the two-branch kernel in the product-weighted geometry.
 
     Computed as the largest singular value of A = D^(1/2) P2 D^(-1/2) with
-    D = diag(nu x nu), by power iteration on A'A to _POWER_TOL. The kernel is applied
+    D = diag(nu x nu): the top eigenvalue theta of A'A, by Lanczos without
+    reorthogonalization from the uniform positive table. Each step applies A'A
+    once and takes the top Ritz pair (theta, y) of the tridiagonal T_k; the loop
+    stops once the residual bound beta_k |y[-1]| is at most
+    _LANCZOS_TOL * max(theta, 1) (this covers the breakdown beta_k = 0). The
+    Ritz value is a lower bound on the top eigenvalue. The kernel is applied
     matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
     against core.BUDGET_BYTES before any work.
     """
@@ -432,20 +439,27 @@ def coupling_coefficient(
     kernel = _PairKernel(env, policy, mode)
     d_half = np.sqrt(np.outer(nu, nu))
     v = np.full((n_x, n_x), 1.0 / np.sqrt(n_x * n_x))
-    lam = 0.0
+    v_prev = None  # read from the second step on
+    alphas: list = []
+    betas: list = []
     converged = False
-    for iterations in range(1, _POWER_MAX_ITER + 1):
-        nv = kernel.normal(v, d_half)
-        new_lam = float(np.linalg.norm(nv))
-        if new_lam == 0.0:
-            lam, converged = 0.0, True
+    for iterations in range(1, _LANCZOS_MAX_ITER + 1):
+        w = kernel.normal(v, d_half)
+        alpha = float(np.vdot(w, v))
+        w -= alpha * v
+        if betas:
+            w -= betas[-1] * v_prev
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        ritz, y = eigh_tridiagonal(np.array(alphas), np.array(betas), select="i",
+                                   select_range=(iterations - 1, iterations - 1))
+        lam = float(ritz[0])
+        if beta * abs(y[-1, 0]) <= _LANCZOS_TOL * max(lam, 1.0):
+            converged = True
             break
-        nv /= new_lam
-        if abs(new_lam - lam) <= _POWER_TOL * max(new_lam, 1.0):
-            lam, converged = new_lam, True
-            break
-        lam = new_lam
-        v = nv
+        betas.append(beta)
+        w /= beta
+        v_prev, v = v, w
     sqrt_c = float(np.sqrt(lam))
     product = env.gamma**2 * sqrt_c
     return CouplingReport(
@@ -461,7 +475,7 @@ class ProjectedReport:
     iterations: int
     beta: float
     kappa: float | None
-    sqrt_c_rho: float | None
+    coupling: CouplingReport | None  # None when the coupling step is over budget
 
 
 _DIVERGENCE_WINDOW = 10
@@ -493,11 +507,11 @@ def projected_jipe2(
     nu = _check_nu(nu, env.space.num_x)
     beta, kappa = 1.0, None
     try:
-        sqrt_c_rho = coupling_coefficient(env, policy, nu).sqrt_c_rho
+        coupling = coupling_coefficient(env, policy, nu)
     except BudgetError:
-        sqrt_c_rho = None
-    if sqrt_c_rho is not None and env.gamma**2 * sqrt_c_rho < 1.0:
-        beta, kappa = beta_weight(env.gamma, sqrt_c_rho)
+        coupling = None
+    if coupling is not None and coupling.satisfied:
+        beta, kappa = beta_weight(env.gamma, coupling.sqrt_c_rho)
 
     backup = _Backup2(env, policy)
     d = features.dim
@@ -518,9 +532,7 @@ def projected_jipe2(
         else:
             grow_streak = 0
         if grow_streak >= _DIVERGENCE_WINDOW:
-            product = (
-                env.gamma**2 * sqrt_c_rho if sqrt_c_rho is not None else float("nan")
-            )
+            product = coupling.product if coupling is not None else float("nan")
             raise DivergenceError(
                 f"successive-iterate distance grew for {_DIVERGENCE_WINDOW} "
                 f"consecutive iterations (last {dist:.3e}); "
@@ -529,8 +541,8 @@ def projected_jipe2(
             )
         current, dense = new, new_dense
         if dist <= epsilon:
-            return ProjectedReport(current, distances, True, k + 1, beta, kappa, sqrt_c_rho)
-    return ProjectedReport(current, distances, False, max_iter, beta, kappa, sqrt_c_rho)
+            return ProjectedReport(current, distances, True, k + 1, beta, kappa, coupling)
+    return ProjectedReport(current, distances, False, max_iter, beta, kappa, coupling)
 
 
 # ---------------------------------------------------------------------------

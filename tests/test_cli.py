@@ -213,6 +213,10 @@ class TestEval:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "projected.csv").exists()
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["sqrt_c_rho"] > 0.0
+        assert result["coupling_converged"] is True
+        assert 1 <= result["coupling_iterations"] <= 40
 
     @pytest.mark.parametrize("env, source", [
         # crc's absorbing end state leaves the chain reducible
@@ -693,6 +697,23 @@ class TestDeterminism:
 
     def test_dp2_byte_identical(self, tmp_path):
         self._run_twice(tmp_path, base_config())
+
+    def test_coupling_json_byte_identical(self, tmp_path):
+        doc = base_config(
+            env={"builtin": "wgw", "width": 3, "height": 3, "goal_row": 0,
+                 "goal_col": 2, "p_wind": 0.3, "gamma": 0.9},
+            policy={"builtin": "wgw-goal"},
+            analysis={"corr": False, "gaps": False, "ecdf": False,
+                      "mc_compare": False, "coupling": True},
+            seed=3,
+        )
+        blobs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"run_{tag}"
+            cfg = write_config(tmp_path / f"c_{tag}.json", {**doc, "out_dir": str(out)})
+            assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+            blobs.append((out / "coupling.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_incremental_byte_identical(self, tmp_path):
         self._run_twice(

@@ -398,27 +398,12 @@ def dense_pair_kernel(env, pol, mode):
     return kernel.reshape(n_x * n_x, n_x * n_x)
 
 
-def dense_coupling_reference(env, pol, nu, mode, tol=1e-10):
-    """Power iteration on the dense normal matrix A'A, A = D^(1/2) P2 D^(-1/2):
-    the same start vector, stop rule and cap as coupling_coefficient.
-    Returns (sqrt_c_rho, iterations)."""
+def dense_coupling_reference(env, pol, nu, mode):
+    """The exact largest singular value of the dense A = D^(1/2) P2 D^(-1/2)."""
     p2 = dense_pair_kernel(env, pol, mode)
     w = np.kron(nu, nu)
     a = (np.sqrt(w)[:, None] * p2) / np.sqrt(w)[None, :]
-    ata = a.T @ a
-    v = np.full(ata.shape[0], 1.0 / np.sqrt(ata.shape[0]))
-    lam = 0.0
-    for k in range(1, 100_001):
-        nv = ata @ v
-        new_lam = float(np.linalg.norm(nv))
-        if new_lam == 0.0:
-            return 0.0, k
-        nv /= new_lam
-        if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
-            return float(np.sqrt(new_lam)), k
-        lam = new_lam
-        v = nv
-    return float(np.sqrt(lam)), 100_000
+    return float(np.linalg.norm(a, 2))
 
 
 def kernel_cases():
@@ -501,11 +486,21 @@ class TestCouplingCoefficient:
     @pytest.mark.parametrize("mode", ["same_state", "global"])
     def test_matches_dense_reference(self, mode):
         for env, pol, nu in coupling_cases():
-            ref, ref_iters = dense_coupling_reference(env, pol, nu, mode)
+            exact = dense_coupling_reference(env, pol, nu, mode)
             rep = coupling_coefficient(env, pol, nu, mode=mode)
-            assert abs(rep.sqrt_c_rho - ref) <= 1e-10
-            assert rep.iterations == ref_iters
+            assert abs(rep.sqrt_c_rho - exact) <= 1e-10
+            assert rep.iterations <= 40
             assert rep.converged
+
+    def test_eigenvector_start_stops_after_one_step(self):
+        # In global mode the uniform start table is an eigenvector of A'A on
+        # the ring, so the first Lanczos residual vanishes (a breakdown).
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        rep = coupling_coefficient(env, pol, nu, mode="global")
+        assert rep.converged and rep.iterations == 1
+        assert abs(rep.sqrt_c_rho - 1.0) <= 1e-12
 
     def test_size_cap(self, monkeypatch):
         env = build_wgw(4, 4, (0, 3), 0.3, 0.9)
@@ -535,12 +530,12 @@ class TestCouplingCoefficient:
         assert peak <= need < 2 * 1024 * 1024
 
     def test_iteration_cap_reported(self, monkeypatch):
-        env = build_ring_chain(8, 0.9)
-        pol = Policy.uniform(env.space)
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = wgw_goal_policy(3, 3, (0, 2))
         nu = stationary_distribution(env, pol).nu
         full = coupling_coefficient(env, pol, nu)
         assert full.converged and full.iterations > 3
-        monkeypatch.setattr(fa, "_POWER_MAX_ITER", 3)
+        monkeypatch.setattr(fa, "_LANCZOS_MAX_ITER", 3)
         capped = coupling_coefficient(env, pol, nu)
         assert not capped.converged
         assert capped.iterations == 3
