@@ -266,7 +266,8 @@ def _block_kernel(env: ExoJmdp, sizes: tuple, conts: tuple, scale: float) -> tup
     weight, row = scale * env.noise.probs, 0
     for j, (m, t) in enumerate(zip(sizes, conts)):
         axes = (s_n,) + (1,) * j + (a_n,) + (1,) * (len(sizes) - 1 - j) + (u_n,)
-        weight = weight * env.g.reshape(axes) ** (m - t)
+        # 1 * g * ... * g, not numpy's CPU-dispatched power: CPU-independent bytes.
+        weight = weight * math.prod([env.g.reshape(axes)] * (m - t), start=1.0)
         row = row * s_n + env.h.reshape(axes) if t else row
     full = (s_n,) + (a_n,) * len(sizes) + (u_n,)
     weight, row = (np.broadcast_to(v, full).reshape(-1, u_n) for v in (weight, row))

@@ -2,9 +2,10 @@
 
 An environment is (g, h, noise, gamma): at a state s, one noise draw u fixes the
 full counterfactual outcome table ((g[s,a,u], h[s,a,u]))_a across all actions;
-`sample_outcomes` is the package's one noise draw. Marginalizing over u recovers
-an ordinary MDP; the joint law of several queried actions (an m-JSTM,
-`induced_jstm`) is the pushforward of the noise law through (g, h).
+`sample_outcomes` is the package's one noise draw, `sample_step` its one action
+draw. Marginalizing over u recovers an ordinary MDP; the joint law of several
+queried actions (an m-JSTM, `induced_jstm`) is the pushforward of the noise law
+through (g, h).
 
 Benchmark builders:
   * build_crc  -- chain with anti-correlated two-action rewards, shared dynamics.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "ExoJmdp",
     "Policy",
     "sample_outcomes",
+    "sample_step",
     "induced_jstm",
     "marginal_mdp",
     "marginal_kernel",
@@ -70,6 +72,7 @@ class NoiseModel:
     """Finite exogenous noise law: support {0..U-1} with strictly positive probs."""
 
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # _cdf(probs)
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float, copy=True)
@@ -82,6 +85,7 @@ class NoiseModel:
             )
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "cdf", _cdf(p))
 
     @property
     def support_size(self) -> int:
@@ -133,6 +137,7 @@ class Policy:
     """Markov policy; probs[s, a] rows sum to one."""
 
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # _cdf(probs)
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float, copy=True)
@@ -143,6 +148,7 @@ class Policy:
         _check_entries("probs", rows, np.abs(rows - 1.0) <= _PROB_TOL, "row must sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "cdf", _cdf(p))
 
     @classmethod
     def uniform(cls, space: StateActionSpace) -> "Policy":
@@ -163,21 +169,13 @@ def child_seed(root_seed: int, stream_index: int) -> int:
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """CDF along the last axis (the noise law's, or each state's policy row),
-    its last entries pinned to 1.0 so a U(0,1) draw always lands inside the
-    support."""
+    """Read-only CDF along the last axis; every entry from a row's last positive
+    probability on is 1.0, so no U(0,1) draw selects a zero-probability tail."""
+    pos = probs > 0.0
     cdf = np.cumsum(probs, axis=-1)
-    cdf[..., -1] = 1.0
+    cdf[np.cumsum(pos[..., ::-1], axis=-1)[..., ::-1] - pos == 0] = 1.0
+    cdf.setflags(write=False)
     return cdf
-
-
-def _draw_actions(pol_cdf: np.ndarray, states: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Inverse-CDF action draw at each state from the matching uniform in r; the
-    last CDF column is pinned to 1.0 > r, so only the first A-1 are compared."""
-    acts = np.zeros(states.shape, dtype=np.int64)
-    for col in pol_cdf.T[:-1]:
-        acts += r >= col[states]
-    return acts
 
 
 def sample_outcomes(env: ExoJmdp, x: np.ndarray, r: np.ndarray) -> tuple:
@@ -185,9 +183,22 @@ def sample_outcomes(env: ExoJmdp, x: np.ndarray, r: np.ndarray) -> tuple:
     by inverse CDF from the matching U(0,1) entry of r, and (reward, successor)
     is gathered for it. Coordinates given the same uniform share one noise
     draw, as all actions at a state do; x must lie in 0..|X|-1, r in [0, 1)."""
-    u = np.searchsorted(_cdf(env.noise.probs), r, side="right")
+    u = np.searchsorted(env.noise.cdf, r, side="right")
     flat = x * env.noise.support_size + u  # row-major position of (x, u) in g and h
     return env.g.ravel().take(flat), env.h.ravel().take(flat)
+
+
+def sample_step(env: ExoJmdp, policy: Policy, x: np.ndarray, r: np.ndarray,
+                r_a: np.ndarray) -> tuple:
+    """One policy step from flat coordinates x: sample_outcomes(env, x, r),
+    then the next action at each successor by inverse CDF of its policy row
+    from the matching U(0,1) entry of r_a. Returns (rewards, successors, next
+    coordinates); coordinates given the same (r, r_a) get the same next one."""
+    rewards, successors = sample_outcomes(env, x, r)
+    x_next = successors * env.space.num_actions
+    for col in policy.cdf.T[:-1]:  # the last column is 1.0 > r_a
+        x_next += r_a >= col[successors]
+    return rewards, successors, x_next
 
 
 def _groups(p: np.ndarray, *keys: np.ndarray) -> tuple:

@@ -560,7 +560,8 @@ def state_poly_features(num_states: int, num_actions: int, degree: int) -> Featu
         raise InvalidInputError(f"degree must be >= 0, got {degree}")
     t = np.arange(num_states, dtype=float)
     t = t / max(num_states - 1, 1)
-    cols = np.stack([t**p for p in range(degree + 1)], axis=1)
+    # Column p is 1 * t * ... * t, not numpy's CPU-dispatched t**p.
+    cols = np.cumprod(np.column_stack([np.ones_like(t)] + [t] * degree), axis=1)
     phi = np.repeat(cols, num_actions, axis=0)
     return FeatureMap(phi)
 

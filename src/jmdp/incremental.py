@@ -1,10 +1,10 @@
 """Asynchronous one-sample stochastic approximation of the second-order backup.
 
-Each update draws fresh outcomes for the selected coordinate through
-`env.sample_outcomes` (a same-state pair passes both actions one shared
-uniform, so one noise draw; a cross-state pair passes two), forms the
-one-sample backup, and relaxes the table entry toward it. The backup of every
-coordinate class has one form, A + B mu[y'] + C mu[x'] + gamma^2 sigma[x', y'].
+Each update takes one `env.sample_step` per position of the selected
+coordinate (a same-state pair shares one noise uniform, a cross-state pair
+draws two, a diagonal pair shares the action uniform too), forms the
+one-sample backup, and relaxes the table entry toward it. Every class's
+backup has one form, A + B mu[y'] + C mu[x'] + gamma^2 sigma[x', y'].
 Off-diagonal second-moment updates are mirrored to the swapped coordinate,
 which preserves symmetry without changing the fixed point.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Index2, LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm
 from .dp import _check_moments, apply_t2
-from .env import ExoJmdp, Policy, _cdf, _draw_actions, sample_outcomes
+from .env import ExoJmdp, Policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -60,9 +60,6 @@ class StepSchedule:
 
     def bind(self, num_slots: int) -> None:
         self._counts = np.zeros(num_slots, dtype=np.int64)
-
-    def step(self, slot: int) -> float:
-        return float(self.steps(np.array([slot]))[0])
 
     def steps(self, slots: np.ndarray) -> np.ndarray:
         """Step sizes for consecutive visits to slots[0], slots[1], ..."""
@@ -126,17 +123,14 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
     A + B v[y1] + C v[x1] + gamma^2 v[f] over the value list v: the mean
     table, the flattened second-moment table, then one 0.0. f is the place of
     sigma[x1, y1], or of that 0.0 for a mean coordinate; mean and diagonal
-    coordinates have C = 0 and y1 = x1. Same-state coordinates share one
-    noise draw; cross-state ones draw two.
+    coordinates have C = 0 and y1 = x1.
     """
-    n_x, n_a = env.space.num_x, env.space.num_actions
-    gamma, pol_cdf = env.gamma, _cdf(policy.probs)
+    n_x, gamma = env.space.num_x, env.gamma
     cross = cls == _CROSS
     ia = o + 1 + cross
-    r1, s1 = sample_outcomes(env, x, w[o])
-    r2, t1 = sample_outcomes(env, y, np.where(cross, w.take(o + 1, mode="clip"), w[o]))
-    x1 = s1 * n_a + _draw_actions(pol_cdf, s1, w[ia])
-    y1 = t1 * n_a + _draw_actions(pol_cdf, t1, w.take(ia + 1, mode="clip"))
+    r1, _, x1 = sample_step(env, policy, x, w[o], w[ia])
+    r = np.where(cross, w.take(o + 1, mode="clip"), w[o])  # same state: one noise draw
+    r2, _, y1 = sample_step(env, policy, y, r, w.take(ia + 1, mode="clip"))
     mean, single = cls == _MU, cls <= _DIAG
     y1 = np.where(single, x1, y1)
     coef_a = np.where(mean, r1, r1 * r2)

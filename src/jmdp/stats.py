@@ -2,10 +2,10 @@
 Monte Carlo oracle used to ground-truth every moment computation.
 
 The oracle simulates counterfactual return branches under the same coupling the
-dynamic-programming operator encodes: branches occupying a common state share
-that step's noise draw (they pass one uniform to `env.sample_outcomes`),
-branches whose full coordinates coincide share the next action as well (they
-denote one random return), and branches at distinct states evolve on
+dynamic-programming operator encodes, one `env.sample_step` per step: branches
+occupying a common state share that step's noise uniform, so its noise draw;
+branches at one coordinate share the action uniform as well, so the next action
+(they denote one random return); branches at distinct states evolve on
 independent draws. An `independent` continuation mode is also available, where
 cross-branch coupling is confined to the very first step.
 
@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.special import ndtri
 
 from .core import MomentCollectionN, StateActionSpace, check_budget
-from .env import ExoJmdp, Policy, _cdf, _draw_actions, child_seed, sample_outcomes
+from .env import ExoJmdp, Policy, child_seed, sample_step
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -180,6 +180,15 @@ def _reward_free_sink(env: ExoJmdp) -> np.ndarray:
     return sink[:s_n]
 
 
+def _share(r: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Give each branch (row) the uniform of the lowest-indexed branch with the
+    same key, per rollout; equal keys are transitive, so matches may overwrite."""
+    for i in range(1, len(r)):
+        for j in range(i):
+            r[i] = np.where(key[i] == key[j], r[j], r[i])
+    return r
+
+
 def _branch_returns(
     env: ExoJmdp,
     policy: Policy,
@@ -192,39 +201,22 @@ def _branch_returns(
 ) -> tuple[np.ndarray, int]:
     """Simulate coupled branch returns (rows are branches, columns rollouts);
     return them with the number of steps simulated, below horizon once every
-    branch lies in the reward-free closed set."""
-    n = num_rollouts
-    k = len(actions)
-    n_a = env.space.num_actions
-    pol_cdf = _cdf(policy.probs)
+    branch lies in the reward-free closed set. A step's noise uniforms are
+    shared by state (at step 0 only under independent), then its action
+    uniforms by coordinate (under shared-state only)."""
+    n, k = num_rollouts, len(actions)
+    shared = continuation_coupling == "shared-state"
     sink = _reward_free_sink(env)
-
     rng = np.random.default_rng(child_seed(seed, 0))
     states = np.full((k, n), s, dtype=np.int64)
-    acts = np.stack([np.full(n, a, dtype=np.int64) for a in actions])
+    x = s * env.space.num_actions + np.repeat(np.array(actions)[:, None], n, axis=1)
     z = np.zeros((k, n))
-    disc = 1.0
-    t = 0
+    disc, t = 1.0, 0
     while t < horizon and not sink[states].all():
-        r = rng.random((k, n))
-        # Share the noise uniform with the lowest-indexed branch at the same
-        # state. Every earlier branch there already holds that uniform, since
-        # equal states are transitive, so each match may overwrite.
-        if continuation_coupling == "shared-state" or t == 0:
-            for i in range(1, k):
-                for j in range(i):
-                    r[i] = np.where(states[i] == states[j], r[j], r[i])
-        rew, nxt = sample_outcomes(env, states * n_a + acts, r)
+        r = _share(rng.random((k, n)), states) if shared or t == 0 else rng.random((k, n))
+        r_a = rng.random((k, n))
+        rew, states, x = sample_step(env, policy, x, r, _share(r_a, x) if shared else r_a)
         z += disc * rew
-        new_acts = _draw_actions(pol_cdf, nxt, rng.random((k, n)))
-        if continuation_coupling == "shared-state":
-            # Identical coordinates denote one return: share the next action too.
-            for i in range(1, k):
-                for j in range(i):
-                    same = (states[i] == states[j]) & (acts[i] == acts[j])
-                    new_acts[i] = np.where(same, new_acts[j], new_acts[i])
-        states = nxt
-        acts = new_acts
         disc *= env.gamma
         t += 1
     return z, t
@@ -232,9 +224,9 @@ def _branch_returns(
 
 def check_mc_budget(num_branches: int, num_rollouts: int) -> int:
     """Bytes the per-rollout arrays of one Monte Carlo block hold at most:
-    eleven (k, n) 8-byte arrays in _branch_returns, plus the returns, three
-    (k, k, n) floats and one (k, k, n) bool in mc_state_block. Raises
-    BudgetError when that exceeds core.BUDGET_BYTES."""
+    eleven (k, n) 8-byte arrays in _branch_returns (one sample_step and the
+    loop's state), plus the returns, three (k, k, n) floats and one (k, k, n)
+    bool in mc_state_block. Raises BudgetError when that exceeds core.BUDGET_BYTES."""
     k, n = num_branches, num_rollouts
     return check_budget(f"Monte Carlo block of {k} branches and {n} rollouts",
                         8 * n * (11 * k + k + 3 * k * k) + k * k * n)
@@ -286,7 +278,8 @@ def mc_state_block(
     gap_mean_se = gaps.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
     centered = gaps - gap_mean[:, :, None]
     gap_var = (centered**2).sum(axis=2) / max(n - 1, 1)
-    m4 = (centered**4).mean(axis=2)
+    # Products, not numpy's CPU-dispatched `power`: the same bytes on every CPU.
+    m4 = (centered * centered * centered * centered).mean(axis=2)
     gap_var_se = np.sqrt(np.maximum(m4 - gap_var**2, 0.0) / n)
     inferior = (gaps <= 0.0).mean(axis=2)
     inferiority_se = np.sqrt(inferior * (1.0 - inferior) / n)

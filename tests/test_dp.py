@@ -12,7 +12,8 @@ from jmdp.core import (
     StateActionSpace,
     lambda_norm,
 )
-from jmdp.dp import _BackupPlan, apply_t2, apply_tn, jipe2, jipe_n
+import jmdp.dp
+from jmdp.dp import _BackupPlan, _block_kernel, apply_t2, apply_tn, jipe2, jipe_n
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -436,6 +437,18 @@ def test_solver_arguments_rejected(solver, epsilon, max_iter):
             jipe2(env, pol, epsilon, max_iter=max_iter)
         else:
             jipe_n(env, pol, 2, epsilon, max_iter=max_iter)
+
+
+def test_block_kernel_powers_are_products(monkeypatch):
+    """Each reward factor g^e is 1 * g * ... * g, never numpy's CPU-dispatched
+    power, so the kernel's bytes do not depend on the CPU."""
+    env = random_env(9, num_states=20, num_actions=4, num_noise=10)
+    monkeypatch.setattr(jmdp.dp, "_DENSE_KERNEL_MAX", 0)  # return the weights
+    power = np.ones_like(env.g)
+    for e in range(1, 6):
+        power = power * env.g
+        _, _, weight = _block_kernel(env, (e,), (0,), 0.7)
+        np.testing.assert_array_equal(weight, (0.7 * env.noise.probs * power).reshape(-1, 10))
 
 
 class TestApplyTn:

@@ -26,6 +26,7 @@ from jmdp.env import (
     load_policy,
     marginal_mdp,
     sample_outcomes,
+    sample_step,
     save_env,
     save_policy,
     wgw_goal_policy,
@@ -157,6 +158,86 @@ class TestSampleTable:
             observed = counts[atoms].sum() / n
             se = np.sqrt(p * (1 - p) / n)
             assert abs(observed - p) <= 4 * se + 1e-12
+
+
+def policy_with_zeros(seed, space):
+    """Random policy whose rows have zero-probability actions, zero tails
+    included; every row keeps at least one positive action."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(space.num_actions), size=space.num_states)
+    probs[rng.random(probs.shape) < 0.5] = 0.0
+    keep = rng.integers(0, space.num_actions, space.num_states)
+    probs[np.arange(space.num_states), keep] += 0.1
+    return Policy(probs / probs.sum(axis=1, keepdims=True))
+
+
+def ref_next_coordinate(env, policy, x, r, r_a):
+    """Scalar reference for one entry: the successor from sample_outcomes,
+    then the first action whose running policy sum exceeds r_a, or else the
+    row's last positive action."""
+    _, succ = sample_outcomes(env, np.array([x]), np.array([r]))
+    s1 = int(succ[0])
+    row = policy.probs[s1].tolist()
+    cum, act = 0.0, max(a for a, p in enumerate(row) if p > 0.0)
+    for a, p in enumerate(row):
+        cum += p
+        if r_a < cum:
+            act = min(act, a)
+            break
+    return s1 * env.space.num_actions + act
+
+
+class TestSampleStep:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 5),
+           num_actions=st.integers(1, 6), num_noise=st.integers(1, 4))
+    def test_matches_scalar_reference(self, seed, num_states, num_actions, num_noise):
+        env = random_env(seed, num_states, num_actions, num_noise)
+        policy = policy_with_zeros(seed, env.space)
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.integers(0, env.space.num_x, n)
+        r = rng.random(n)
+        r_a = np.r_[rng.random(n - 2), 0.0, np.nextafter(1.0, 0.0)]
+        rewards, successors, x1 = sample_step(env, policy, x, r, r_a)
+        ref_r, ref_s = sample_outcomes(env, x, r)
+        np.testing.assert_array_equal(rewards, ref_r)
+        np.testing.assert_array_equal(successors, ref_s)
+        assert x1.tolist() == [ref_next_coordinate(env, policy, *e)
+                               for e in zip(x.tolist(), r.tolist(), r_a.tolist())]
+        n_a = env.space.num_actions
+        assert (x1 // n_a == successors).all()
+        assert (policy.probs[successors, x1 % n_a] > 0.0).all()
+
+    def test_one_coordinate_one_draw(self):
+        # Entries 2i and 2i+1 sit at one state-action and get the same (r, r_a).
+        env = random_env(3, num_states=4, num_actions=3, num_noise=4)
+        policy = random_policy(4, env.space)
+        rng = np.random.default_rng(5)
+        r, r_a = np.repeat(rng.random(500), 2), np.repeat(rng.random(500), 2)
+        rewards, successors, x1 = sample_step(env, policy, np.full(1000, 7), r, r_a)
+        for out in (rewards, successors, x1):
+            np.testing.assert_array_equal(out[::2], out[1::2])
+        assert len(set(x1.tolist())) > 1  # the draws themselves vary
+
+    def test_zero_probability_tail_never_drawn(self):
+        # The tenth running sum of 0.1 is 1 - 2**-53, the largest U(0,1) draw.
+        space = StateActionSpace(1, 11)
+        env = ExoJmdp(space, NoiseModel(np.ones(1)), np.zeros((1, 11, 1)),
+                      np.zeros((1, 11, 1), dtype=np.int64), 0.9)
+        policy = Policy(np.array([[0.1] * 10 + [0.0]]))
+        assert np.cumsum(policy.probs[0])[9] == np.nextafter(1.0, 0.0)
+        _, _, x1 = sample_step(env, policy, np.array([0]), np.array([0.5]),
+                               np.array([np.nextafter(1.0, 0.0)]))
+        assert x1.tolist() == [9]
+
+    def test_cdf_tables_are_read_only_and_pinned(self):
+        env = random_env(1)
+        policy = random_policy(2, env.space)
+        for table in (env.noise.cdf, policy.cdf):
+            assert not table.flags.writeable and (table[..., -1] == 1.0).all()
+        cumsum = np.cumsum(policy.probs, axis=1)
+        np.testing.assert_array_equal(policy.cdf[:, :-1], cumsum[:, :-1])
 
 
 class TestInducedJointLaw:

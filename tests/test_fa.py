@@ -132,6 +132,14 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match="finite"):
             LinearMoments(theta_mu, theta_sigma)
 
+    def test_state_poly_powers_are_products(self):
+        # Column p is 1 * t * ... * t, never numpy's CPU-dispatched t**p.
+        phi = state_poly_features(50, 1, 5).phi
+        t, col = np.arange(50) / 49, np.ones(50)
+        for p in range(6):
+            np.testing.assert_array_equal(phi[:, p], col)
+            col = col * t
+
     def test_densify_produces_symmetric_tables(self):
         feats = state_poly_features(4, 2, 1)
         lm = LinearMoments(np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))

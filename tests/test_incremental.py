@@ -258,7 +258,8 @@ class TestStepSchedule:
     def test_harmonic_sequence(self):
         sched = StepSchedule.harmonic(10.0)
         sched.bind(1)
-        alphas = [sched.step(0) for _ in range(5)]
+        # Five visits to one slot in one batch: each earlier visit counts.
+        alphas = sched.steps(np.zeros(5, dtype=np.int64)).tolist()
         assert alphas == [1.0, 10 / 11, 10 / 12, 10 / 13, 10 / 14]
 
     def test_harmonic_satisfies_step_conditions(self):

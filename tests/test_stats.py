@@ -248,6 +248,19 @@ class TestMcOracle:
             tracemalloc.stop()
         assert peak <= check_mc_budget(len(actions), num_rollouts)
 
+    def test_fourth_moment_is_a_product(self):
+        # gap_var_se reads m4 as c * c * c * c, never numpy's CPU-dispatched power.
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        # (Two of this block's 25 entries differ under c**4 on any CPU.)
+        pol, acts, n = random_policy(17, env.space), (0, 1, 2, 3, 1), 1_500
+        blk = mc_state_block(env, pol, 1, acts, n, 1e-3, 11)
+        z, _ = _branch_returns(env, pol, 1, acts, n, blk.horizon, 11, "shared-state")
+        c = z[:, None, :] - z[None, :, :]
+        c = c - c.mean(axis=2)[:, :, None]
+        var = (c**2).sum(axis=2) / (n - 1)
+        m4 = (c * c * c * c).mean(axis=2)
+        np.testing.assert_array_equal(blk.gap_var_se, np.sqrt(np.maximum(m4 - var**2, 0.0) / n))
+
     def test_cross_term_agrees_with_solver(self, crc_fixed_point):
         env, pol, m = crc_fixed_point
         blk = mc_state_block(env, pol, 0, (0, 1), 50_000, 1e-6, seed=11, confidence=0.99)

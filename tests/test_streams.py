@@ -110,9 +110,9 @@ def test_branch_return_stream(name, coupling):
 
 MC_BLOCKS = {
     ("wgw3", "shared-state"):
-        "fff87853cf5dce9270cccde6f4f410436cc564ae11617ad33cca234ca97eaf80",
+        "7406ebec24b528bfe7f68a0f1c5e48204394f3982dc6eceb183a18186a5f98e1",
     ("wgw3", "independent"):
-        "7880d4074d7d80b7df2518204015d9f0ec6687236d373a1baba751eecbb940ce",
+        "075366c2477e81c9df26bcc7fd8206ed4f91581c4c333264d26c96bda854d516",
     ("rand", "shared-state"):
         "c2ec652524983bf8f5ea12df87a6d9d7b092944bc223c77c9327615dee66dc3d",
     ("rand", "independent"):
@@ -123,10 +123,9 @@ MC_BLOCKS = {
 @pytest.mark.parametrize("name, coupling", sorted(MC_BLOCKS))
 def test_mc_block_stream(name, coupling):
     """Every table of a Monte Carlo block; its reductions are numpy's own
-    pairwise sums, not BLAS. The fourth power in gap_var_se goes through
-    numpy's SIMD `power`, which can differ from libm's `pow` by an ulp; these
-    digests read the same with numpy's x86-64-v3/v4 kernels disabled
-    (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")."""
+    pairwise sums, not BLAS. The fourth power in gap_var_se is a product of
+    four factors, not numpy's CPU-dispatched `power`, so these digests read the
+    same with numpy's dispatched kernels disabled (NPY_DISABLE_CPU_FEATURES)."""
     env, policy = env_and_policy(name)
     actions = tuple(range(env.space.num_actions)) + (1,)  # one repeated branch
     blk = mc_state_block(env, policy, 1, actions, 1500, 1e-3, 11,
