@@ -172,7 +172,7 @@ class MomentCollectionN:
 
 
 class MomentCollection2(MomentCollectionN):
-    """An order-2 collection built from its first and second moment tables."""
+    """An order-2 collection from its two tables; no solver returns one."""
 
     def __init__(self, m_mu, m_sigma):
         super().__init__((m_mu, m_sigma))

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_CHECK_BLOCK, LambdaWeights, MomentCollection2, MomentCollectionN,
-                   check_budget, lambda_norm)
+from .core import _CHECK_BLOCK, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
 from .env import ExoJmdp, Policy, marginal_mdp
 from .errors import InvalidInputError
 
@@ -143,10 +142,10 @@ class _Backup2:
         return [t_mu.reshape(-1), 0.5 * (t_sig + t_sig.T)]
 
 
-def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollection2:
+def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
     """One exact application of the second-order joint Bellman operator."""
     _check_moments(env, m, 2)
-    return MomentCollection2(*_Backup2(env, policy).apply(m.tables))
+    return MomentCollectionN(tuple(_Backup2(env, policy).apply(m.tables)))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:

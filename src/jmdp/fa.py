@@ -3,8 +3,8 @@
 The mean table is fit by weighted least squares over a feature span; the
 second-moment table by the nearest (in the product-weighted Frobenius norm)
 quadratic form phi(x)' Theta phi(y) with Theta in the PSD cone. The projected
-fixed-point iteration applies the exact tabular backup to the densified
-approximant and projects back, with convergence governed by the coupling
+fixed-point iteration applies the exact tabular backup to the approximant's
+raw dense tables and projects back, with convergence governed by the coupling
 coefficient of the two-branch transition kernel.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .core import MomentCollection2, MomentCollectionN, check_budget
+from .core import MomentCollectionN, check_budget
 from .dp import _Backup2, check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import marginal_kernel, marginal_mdp
@@ -114,15 +114,11 @@ class LinearMoments:
         object.__setattr__(self, "theta_mu", tm)
         object.__setattr__(self, "theta_sigma", ts)
 
-    def mu_table(self, features: FeatureMap) -> np.ndarray:
-        return features.phi @ self.theta_mu
-
-    def sigma_table(self, features: FeatureMap) -> np.ndarray:
-        return features.phi @ self.theta_sigma @ features.phi.T
-
-    def densify(self, features: FeatureMap) -> MomentCollection2:
-        sig = self.sigma_table(features)
-        return MomentCollection2(self.mu_table(features), 0.5 * (sig + sig.T))
+    def tables(self, features: FeatureMap) -> list:
+        """The approximant's raw [m_mu, m_sigma]: [Phi theta_mu, (S + S')/2]
+        with S = Phi Theta_sigma Phi'."""
+        sig = features.phi @ self.theta_sigma @ features.phi.T
+        return [features.phi @ self.theta_mu, 0.5 * (sig + sig.T)]
 
 
 @dataclass(frozen=True)
@@ -219,12 +215,15 @@ def project_mu(target: np.ndarray, features: FeatureMap, nu: np.ndarray) -> np.n
         )
     w_phi = phi * nu[:, None]
     gram = phi.T @ w_phi
-    theta = np.linalg.solve(gram, w_phi.T @ target)
+    try:
+        theta = np.linalg.solve(gram, w_phi.T @ target)
+    except np.linalg.LinAlgError as exc:
+        raise FeatureRankError(f"weighted Gram matrix Phi' D Phi is singular ({exc})") from exc
     resid = phi @ theta - target
     check = float(np.max(np.abs(w_phi.T @ resid)))
     scale = max(float(np.max(np.abs(target))), 1.0)
     if check > 1e-7 * scale:
-        raise ArithmeticError(
+        raise FeatureRankError(
             f"projection residual not orthogonal to the span (|Phi' D r| = {check:.3e})"
         )
     return theta
@@ -268,8 +267,8 @@ def beta_weight(gamma: float, sqrt_c_rho: float) -> tuple[float, float]:
     beta = (1 - gamma^2 sqrt_c_rho) / (4 gamma); kappa = max(gamma,
     2 beta gamma + gamma^2 sqrt_c_rho) < 1. Requires gamma^2 sqrt_c_rho < 1.
     """
-    if sqrt_c_rho < 0.0:
-        raise InvalidInputError(f"sqrt_c_rho must be >= 0, got {sqrt_c_rho}")
+    if not (np.isfinite(sqrt_c_rho) and sqrt_c_rho >= 0.0):
+        raise InvalidInputError(f"sqrt_c_rho must be finite and >= 0, got {sqrt_c_rho}")
     product = gamma**2 * sqrt_c_rho
     if product >= 1.0:
         raise AssumptionError(
@@ -489,9 +488,9 @@ def projected_jipe2(
     epsilon: float,
     max_iter: int = 10_000,
 ) -> ProjectedReport:
-    """Projected fixed-point iteration: exact backup on the densified tables,
-    then weighted least squares for the mean and traffic into the PSD cone for
-    the second moment.
+    """Projected fixed-point iteration: exact backup on the approximant's raw
+    tables (LinearMoments.tables), then weighted least squares for the mean
+    and projection onto the PSD cone for the second moment.
 
     Stops when the beta-weighted distance between successive densified
     approximants drops below epsilon. If that distance grows for
@@ -516,16 +515,17 @@ def projected_jipe2(
     backup = _Backup2(env, policy)
     d = features.dim
     current = LinearMoments(np.zeros(d), np.zeros((d, d)))
-    dense = current.densify(features)
+    dense = current.tables(features)
     distances: list = []
     grow_streak = 0
     for k in range(max_iter):
-        backed_mu, backed_sig = backup.apply([dense.m_mu, dense.m_sigma])
+        backed_mu, backed_sig = backup.apply(dense)
         theta_mu = project_mu(backed_mu, features, nu)
         theta_sig, _ = project_sigma_psd(backed_sig, features, nu)
+        # Its d x d PSD check stops an ill-conditioned feature map early.
         new = LinearMoments(theta_mu, theta_sig)
-        new_dense = new.densify(features)
-        dist = beta_norm([a - b for a, b in zip(new_dense.tables, dense.tables)], nu, beta)
+        new_dense = new.tables(features)
+        dist = beta_norm([a - b for a, b in zip(new_dense, dense)], nu, beta)
         distances.append(dist)
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grow_streak += 1

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index2, LambdaWeights, MomentCollection2, MomentCollectionN, lambda_norm
-from .dp import _check_moments, apply_t2
+from .core import Index2, LambdaWeights, MomentCollectionN, lambda_norm
+from .dp import _Backup2, _check_moments
 from .env import ExoJmdp, Policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
@@ -48,8 +48,8 @@ class StepSchedule:
 
     @classmethod
     def harmonic(cls, c: float = 10.0) -> "StepSchedule":
-        if c <= 0.0:
-            raise InvalidInputError(f"harmonic constant must be > 0, got {c}")
+        if not (np.isfinite(c) and c > 0.0):
+            raise InvalidInputError(f"harmonic constant must be finite and > 0, got {c}")
         return cls("harmonic", c=c)
 
     @classmethod
@@ -183,7 +183,7 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class IncrementalResult:
-    final: MomentCollection2
+    final: MomentCollectionN
     trace: list  # (update_index, lambda_distance_to_fixed_point or nan, last alpha)
     num_updates: int
 
@@ -212,7 +212,6 @@ def run_incremental(
         if m is not None:
             _check_moments(env, m, 2)
     n_x = env.space.num_x
-    m_start = MomentCollection2.zeros(env.space) if m0 is None else m0
     table, num_slots = _coordinate_table(env.space)
     schedule.bind(num_slots)
     cls, xs, ys, slots = table.T
@@ -230,7 +229,8 @@ def run_incremental(
     g2 = env.gamma**2
     # The relaxation is sequential; a plain value list (see _sample_terms)
     # makes it cheap per update.
-    vals = m_start.m_mu.tolist() + m_start.m_sigma.ravel().tolist() + [0.0]
+    vals = ([0.0] * (n_x + n_x * n_x) if m0 is None
+            else m0.m_mu.tolist() + m0.m_sigma.ravel().tolist()) + [0.0]
 
     trace: list = []
     k = 0
@@ -273,18 +273,17 @@ def run_incremental(
             vals[t2] = new
         k = stop
         if k % trace_stride == 0 or k == num_updates:
-            if fixed_point is None:
-                dist = float("nan")
-            else:
-                dist = lambda_norm(_collection(vals, n_x) - fixed_point, weights)
+            dist = float("nan") if fixed_point is None else lambda_norm(
+                [a - b for a, b in zip(_tables(vals, n_x), fixed_point.tables)], weights)
             trace.append((k, dist, float(alphas[-1])))
 
-    return IncrementalResult(_collection(vals, n_x), trace, num_updates)
+    return IncrementalResult(MomentCollectionN(tuple(_tables(vals, n_x))), trace, num_updates)
 
 
-def _collection(vals: list, n_x: int) -> MomentCollection2:
+def _tables(vals: list, n_x: int) -> list:
+    """The value list's raw [m_mu, m_sigma], the second moment symmetrized."""
     s = np.array(vals[n_x:-1]).reshape(n_x, n_x)
-    return MomentCollection2(np.array(vals[:n_x]), 0.5 * (s + s.T))
+    return [np.array(vals[:n_x]), 0.5 * (s + s.T)]
 
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:
@@ -317,11 +316,9 @@ def noise_diagnostic(
     """
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
-    exact_full = apply_t2(env, policy, m)
-    if i.kind == "mu":
-        exact = float(exact_full.m_mu[i.x])
-    else:
-        exact = float(exact_full.m_sigma[i.x, i.x2])
+    _check_moments(env, m, 2)
+    t_mu, t_sig = _Backup2(env, policy).apply(m.tables)
+    exact = float(t_mu[i.x] if i.kind == "mu" else t_sig[i.x, i.x2])
 
     rng = np.random.default_rng(seed)
     n = num_samples

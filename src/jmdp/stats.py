@@ -48,8 +48,8 @@ DEGENERATE_VAR_TOL = 1e-12
 def truncation_horizon(gamma: float, tol: float) -> int:
     """Smallest T with gamma^T / (1 - gamma) <= tol; valid because rewards
     lie in [0, 1], so the discarded tail is at most that geometric sum."""
-    if tol <= 0.0:
-        raise InvalidInputError(f"truncation tolerance must be > 0, got {tol}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"truncation tolerance must be finite and > 0, got {tol}")
     t = int(np.ceil(np.log(tol * (1.0 - gamma)) / np.log(gamma)))
     return max(t, 1)
 
@@ -87,8 +87,8 @@ def gap_stats(
 
 def cantelli_bound(mean: float, variance: float) -> float:
     """One-sided bound on P(gap <= 0): variance / (variance + mean^2)."""
-    if variance < 0.0:
-        raise InvalidInputError(f"variance must be >= 0, got {variance}")
+    if not (np.isfinite(mean) and np.isfinite(variance) and variance >= 0.0):
+        raise InvalidInputError(f"need a finite mean and variance >= 0, got {mean}, {variance}")
     if mean <= 0.0:
         raise AssumptionError(
             f"bound needs a strictly positive gap mean, got {mean}"

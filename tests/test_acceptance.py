@@ -360,9 +360,11 @@ def test_criterion_10_projected_contraction_and_divergence():
     tab = jipe2(env, pol, 1e-11).final
     theta_mu = project_mu(tab.m_mu, feats, nu)
     theta_sig, _ = project_sigma_psd(tab.m_sigma, feats, nu)
-    proj_star = LinearMoments(theta_mu, theta_sig).densify(feats)
-    err = beta_norm(rep.moments.densify(feats) - tab, nu, rep.beta)
-    bound = beta_norm(proj_star - tab, nu, rep.beta) / (1.0 - rep.kappa)
+    proj_star = LinearMoments(theta_mu, theta_sig).tables(feats)
+    err = beta_norm([a - b for a, b in zip(rep.moments.tables(feats), tab.tables)],
+                    nu, rep.beta)
+    bound = beta_norm([a - b for a, b in zip(proj_star, tab.tables)], nu,
+                      rep.beta) / (1.0 - rep.kappa)
     assert err <= bound + 1e-6
 
     hub = build_hub_successors(16, 0.9)  # 16 > gamma^-4 = 1.52

@@ -256,6 +256,32 @@ class TestEval:
         moments = json.loads((tmp_path / "run" / "moments.json").read_text())
         assert len(moments["theta_mu"]) == 2
 
+    def test_singular_feature_gram_is_an_error_without_output(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # A 40 x 6 map with singular values down to 1e-9 passes FeatureMap's
+        # rank test; whether np.linalg.solve then calls Phi' D Phi singular
+        # depends on the BLAS, so the LinAlgError is injected.
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.normal(size=(40, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        phi = u @ np.diag(np.logspace(0, -9, 6)) @ v.T
+        (tmp_path / "phi.json").write_text(
+            json.dumps({"format_version": 1, "phi": phi.tolist()}))
+        doc = base_config(
+            env={"builtin": "ring", "num_states": 20, "gamma": 0.9},
+            algorithm={"name": "projected", "features": {"path": "phi.json"}},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: FeatureRankError: ")
+        assert not (tmp_path / "run").exists()
+
     def test_dpn_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         env = build_crc(3, 0.8)
         need = _BackupPlan(env, Policy.uniform(env.space), 3).need

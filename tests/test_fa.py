@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from jmdp import fa
 from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
-from jmdp.dp import jipe2
+from jmdp.dp import apply_t2, jipe2
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -143,8 +143,9 @@ class TestTypes:
     def test_densify_produces_symmetric_tables(self):
         feats = state_poly_features(4, 2, 1)
         lm = LinearMoments(np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
-        dense = lm.densify(feats)
-        np.testing.assert_array_equal(dense.m_sigma, dense.m_sigma.T)
+        mu, sig = lm.tables(feats)
+        np.testing.assert_array_equal(mu, feats.phi @ lm.theta_mu)
+        np.testing.assert_array_equal(sig, sig.T)
 
 
 class TestStationaryDistribution:
@@ -255,6 +256,21 @@ class TestProjectMu:
         target = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         theta = project_mu(target, feats, nu)
         assert theta[0] == pytest.approx(3.0)
+
+    def test_singular_gram_is_a_feature_rank_error(self, monkeypatch):
+        # Injected, so the test does not depend on where a BLAS decides that
+        # an ill-conditioned Gram matrix is exactly singular.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(FeatureRankError, match="Singular matrix"):
+            project_mu(np.arange(5.0), FeatureMap(np.ones((5, 1))), np.full(5, 0.2))
+
+    def test_non_orthogonal_residual_is_a_feature_rank_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))
+        with pytest.raises(FeatureRankError, match="not orthogonal"):
+            project_mu(np.arange(5.0), FeatureMap(np.ones((5, 1))), np.full(5, 0.2))
 
 
 class TestProjectSigmaPsd:
@@ -555,7 +571,67 @@ class TestCouplingCoefficient:
             coupling_coefficient(env, pol, np.full(6, 1 / 6), mode="shared")
 
 
+def reference_projected(env, policy, features, nu, epsilon, max_iter):
+    """The projected loop stepping checked collections: every iterate is
+    densified into a MomentCollection2 and backed up by apply_t2.
+    Returns (moments, distances, converged, iterations)."""
+    def densify(lm):
+        sig = features.phi @ lm.theta_sigma @ features.phi.T
+        return MomentCollection2(features.phi @ lm.theta_mu, 0.5 * (sig + sig.T))
+
+    coupling = coupling_coefficient(env, policy, nu)
+    beta = beta_weight(env.gamma, coupling.sqrt_c_rho)[0] if coupling.satisfied else 1.0
+    d = features.dim
+    current = LinearMoments(np.zeros(d), np.zeros((d, d)))
+    dense = densify(current)
+    distances = []
+    for k in range(max_iter):
+        backed = apply_t2(env, policy, dense)
+        theta_sig, _ = project_sigma_psd(backed.m_sigma, features, nu)
+        current = LinearMoments(project_mu(backed.m_mu, features, nu), theta_sig)
+        new_dense = densify(current)
+        distances.append(beta_norm(new_dense - dense, nu, beta))
+        dense = new_dense
+        if distances[-1] <= epsilon:
+            return current, distances, True, k + 1
+    return current, distances, False, max_iter
+
+
 class TestProjectedIteration:
+    @pytest.mark.parametrize("case", [
+        lambda: (build_ring_chain(32, 0.9), None, state_poly_features(32, 2, 2)),
+        lambda: (build_crc(5, 0.9), None, state_poly_features(5, 2, 2)),
+        lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2)),
+                 state_poly_features(9, 4, 2)),
+    ], ids=["ring32", "crc5", "wgw3x3_goal"])
+    def test_matches_collection_reference(self, case):
+        # The loop runs on raw tables; the result is bit-identical to the
+        # loop that wrapped every iterate in a checked collection.
+        env, pol, feats = case()
+        pol = pol if pol is not None else Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        rep = projected_jipe2(env, pol, feats, nu, 1e-9, 500)
+        moments, distances, converged, iterations = reference_projected(
+            env, pol, feats, nu, 1e-9, 500)
+        assert rep.distances == distances
+        assert (rep.converged, rep.iterations) == (converged, iterations)
+        assert np.array_equal(rep.moments.theta_mu, moments.theta_mu)
+        assert np.array_equal(rep.moments.theta_sigma, moments.theta_sigma)
+
+    def test_loop_builds_no_collection(self, monkeypatch):
+        builds = []
+        check = MomentCollectionN.__post_init__
+        monkeypatch.setattr(MomentCollectionN, "__post_init__",
+                            lambda self: builds.append(1) or check(self))
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        rep = projected_jipe2(env, pol, state_poly_features(8, 2, 2), nu, 1e-9)
+        assert rep.converged and rep.iterations > 10
+        assert builds == []
+        MomentCollectionN.zeros(env.space, 2)  # the counter sees a build
+        assert builds == [1]
+
     def test_identity_features_recover_tabular_fixed_point(self):
         env = build_crc(5, 0.9)
         pol = Policy.uniform(env.space)
@@ -564,9 +640,9 @@ class TestProjectedIteration:
         feats = identity_features(env.space.num_x)
         rep = projected_jipe2(env, pol, feats, nu, epsilon=1e-9)
         assert rep.converged
-        dense = rep.moments.densify(feats)
-        np.testing.assert_allclose(dense.m_mu, tab.m_mu, atol=1e-7)
-        np.testing.assert_allclose(dense.m_sigma, tab.m_sigma, atol=1e-6)
+        mu, sig = rep.moments.tables(feats)
+        np.testing.assert_allclose(mu, tab.m_mu, atol=1e-7)
+        np.testing.assert_allclose(sig, tab.m_sigma, atol=1e-6)
 
     def test_chain_poly_features_converge_with_bounded_error(self):
         env = build_crc(5, 0.9)
@@ -586,9 +662,10 @@ class TestProjectedIteration:
         tab = jipe2(env, pol, 1e-11).final
         theta_mu = project_mu(tab.m_mu, feats, nu)
         theta_sig, _ = project_sigma_psd(tab.m_sigma, feats, nu)
-        proj_star = LinearMoments(theta_mu, theta_sig).densify(feats)
-        err = beta_norm(rep.moments.densify(feats) - tab, nu, rep.beta)
-        proj_err = beta_norm(proj_star - tab, nu, rep.beta)
+        proj_star = LinearMoments(theta_mu, theta_sig).tables(feats)
+        err = beta_norm([a - b for a, b in zip(rep.moments.tables(feats), tab.tables)],
+                        nu, rep.beta)
+        proj_err = beta_norm([a - b for a, b in zip(proj_star, tab.tables)], nu, rep.beta)
         assert err <= proj_err / (1.0 - kappa_meas) + 1e-6
 
     def test_formula_contraction_factor_bounds_ratios(self):

@@ -5,6 +5,7 @@ from jmdp.core import (
     Index2,
     LambdaWeights,
     MomentCollection2,
+    MomentCollectionN,
     StateActionSpace,
     enumerate_indices,
     lambda_norm,
@@ -383,6 +384,23 @@ class TestRunIncremental:
         dists = {k: d for k, d, _ in res.trace}
         assert dists[400_000] < dists[100_000]
         assert lambda_norm(res.final - star, w) == pytest.approx(dists[400_000])
+
+    def test_only_the_result_is_a_collection(self, monkeypatch):
+        # Checkpoint distances are taken on raw tables; the one checked
+        # collection is the final result.
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        star = jipe2(env, pol, 1e-10).final
+        builds = []
+        check = MomentCollectionN.__post_init__
+        monkeypatch.setattr(MomentCollectionN, "__post_init__",
+                            lambda self: builds.append(1) or check(self))
+        res = run_incremental(
+            env, pol, StepSchedule.harmonic(10.0), VisitationScheme.uniform(),
+            5_000, seed=0, fixed_point=star, trace_stride=1_000,
+        )
+        assert len(res.trace) == 5 and all(np.isfinite(d) for _, d, _ in res.trace)
+        assert len(builds) == 1
 
 
 class TestNoiseDiagnostic:

@@ -33,6 +33,9 @@ from jmdp.stats import (
     truncation_horizon,
 )
 
+from jmdp.fa import beta_weight
+from jmdp.incremental import StepSchedule
+
 from test_env import random_policy
 
 
@@ -119,6 +122,22 @@ class TestCantelli:
         for _ in range(100):
             b = cantelli_bound(rng.uniform(0.01, 5), rng.uniform(0, 10))
             assert 0.0 <= b <= 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("guard", [
+    StepSchedule.harmonic,
+    lambda v: truncation_horizon(0.9, v),
+    lambda v: mc_state_block(build_crc(3, 0.9), Policy.uniform(StateActionSpace(3, 2)),
+                             0, (0, 1), 100, v, seed=0),
+    lambda v: beta_weight(0.9, v),
+    lambda v: cantelli_bound(1.0, v),
+], ids=["harmonic", "truncation_horizon", "mc_state_block", "beta_weight", "cantelli_bound"])
+def test_non_finite_arguments_rejected(guard, value):
+    with mock.patch.object(jmdp.stats, "_branch_returns",
+                           side_effect=AssertionError("rollouts started")):
+        with pytest.raises(InvalidInputError, match="finite"):
+            guard(value)
 
 
 class TestCorrMatrix:
