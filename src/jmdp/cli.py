@@ -48,6 +48,8 @@ from .fa import (
     COUPLING_MODES,
     FeatureMap,
     check_coupling_budget,
+    check_projected_budget,
+    check_stationary_budget,
     coupling_coefficient,
     identity_features,
     load_features,
@@ -411,6 +413,10 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         code = EXIT_OK
 
     else:  # projected
+        # Both counts are checked before any work; an over-budget coupling
+        # step only falls back to beta = 1.
+        check_stationary_budget(env)
+        check_projected_budget(env, features, algo["max_iter"])
         nu = stationary_distribution(env, policy)
         status.update(nu_source=nu.source)
         try:
@@ -459,6 +465,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     if ana["coupling"]:
         for mode in COUPLING_MODES:
             check_coupling_budget(env, mode)
+        check_stationary_budget(env)
         nu = stationary_distribution(env, policy)
         reports = {}
         for mode in COUPLING_MODES:

@@ -3,9 +3,11 @@
 The mean table is fit by weighted least squares over a feature span; the
 second-moment table by the nearest (in the product-weighted Frobenius norm)
 quadratic form phi(x)' Theta phi(y) with Theta in the PSD cone. The projected
-fixed-point iteration applies the exact tabular backup to the approximant's
-raw dense tables and projects back, with convergence governed by the coupling
-coefficient of the two-branch transition kernel.
+fixed-point iteration applies the exact tabular backup to the approximant and
+projects back, with convergence governed by the coupling coefficient of the
+two-branch transition kernel. It runs in feature space: the backup of an
+approximant is projected through d-sized, |X| x d-sized and per-state arrays,
+and no |X| x |X| table is built (see _FeatureStep).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import MomentCollectionN, check_budget
-from .dp import _Backup2, check_solver_args
+from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import marginal_kernel, marginal_mdp
 from .errors import (
@@ -36,9 +38,11 @@ __all__ = [
     "CouplingReport",
     "ProjectedReport",
     "stationary_distribution",
+    "check_stationary_budget",
     "project_mu",
     "project_sigma_psd",
     "projected_jipe2",
+    "check_projected_budget",
     "coupling_coefficient",
     "check_coupling_budget",
     "beta_weight",
@@ -141,12 +145,32 @@ def _chain_period(adj: np.ndarray) -> int:
 
 _STATIONARY_TOL = 1e-12  # l1 change between power steps
 _STATIONARY_MAX_ITER = 200_000
+# numpy's iterator buffers and the interpreter's small objects.
+_STATIONARY_SLACK_BYTES = 64 * 1024
+
+
+def check_stationary_budget(env: ExoJmdp) -> int:
+    """Bytes stationary_distribution holds at once; raises BudgetError when
+    that exceeds core.BUDGET_BYTES."""
+    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    n_u = env.noise.support_size
+    edges = n_x * min(n_x, n_u * a_n)  # a row reaches U successors, A actions each
+    # Per |X| x |X| entry: the dense marginal kernel (8 bytes), the boolean
+    # adjacency (1) and csgraph's dense-graph conversion, a float copy, its
+    # mask and a comparison table (10). Per edge: the sparse graph's data and
+    # indices, or np.nonzero's two index arrays (16). marginal_mdp's (S, A, S)
+    # table and its (S, A, U) index and weight arrays; csgraph's node arrays.
+    need = (19 * n_x * n_x + 16 * edges + 8 * n_x * s_n + 32 * n_x * n_u + 64 * n_x
+            + _STATIONARY_SLACK_BYTES)
+    return check_budget(f"stationary distribution over {n_x} coordinates", need)
 
 
 def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     """Invariant state-action law of the policy's marginal chain, by power
     iteration; falls back to uniform (with a diagnostic note) when the chain is
-    not irreducible and aperiodic."""
+    not irreducible and aperiodic. Its bytes (check_stationary_budget) are
+    checked before the dense marginal kernel is built."""
+    check_stationary_budget(env)
     kernel = marginal_kernel(env, policy)
     n = kernel.shape[0]
     adj = kernel > 0.0
@@ -205,6 +229,25 @@ def beta_norm(m, nu: np.ndarray, beta: float) -> float:
     return max(nu_norm(mu, nu), beta * nu2_norm(sig, nu))
 
 
+def _fit_mu(target: np.ndarray, phi: np.ndarray, psi: np.ndarray,
+            gram: np.ndarray) -> np.ndarray:
+    """theta of the weighted least-squares fit Phi theta of target: solves
+    gram theta = psi' target (gram = Phi' D Phi, psi = D Phi) and checks that
+    the residual is orthogonal to the span."""
+    try:
+        theta = np.linalg.solve(gram, psi.T @ target)
+    except np.linalg.LinAlgError as exc:
+        raise FeatureRankError(f"weighted Gram matrix Phi' D Phi is singular ({exc})") from exc
+    resid = phi @ theta - target
+    check = float(np.max(np.abs(psi.T @ resid)))
+    scale = max(float(np.max(np.abs(target))), 1.0)
+    if check > 1e-7 * scale:
+        raise FeatureRankError(
+            f"projection residual not orthogonal to the span (|Phi' D r| = {check:.3e})"
+        )
+    return theta
+
+
 def project_mu(target: np.ndarray, features: FeatureMap, nu: np.ndarray) -> np.ndarray:
     """Weighted least-squares fit of the mean table onto the feature span."""
     target = np.asarray(target, dtype=float)
@@ -214,19 +257,26 @@ def project_mu(target: np.ndarray, features: FeatureMap, nu: np.ndarray) -> np.n
             f"target has shape {target.shape}, features cover {phi.shape[0]} coordinates"
         )
     w_phi = phi * nu[:, None]
-    gram = phi.T @ w_phi
-    try:
-        theta = np.linalg.solve(gram, w_phi.T @ target)
-    except np.linalg.LinAlgError as exc:
-        raise FeatureRankError(f"weighted Gram matrix Phi' D Phi is singular ({exc})") from exc
-    resid = phi @ theta - target
-    check = float(np.max(np.abs(w_phi.T @ resid)))
-    scale = max(float(np.max(np.abs(target))), 1.0)
-    if check > 1e-7 * scale:
-        raise FeatureRankError(
-            f"projection residual not orthogonal to the span (|Phi' D r| = {check:.3e})"
-        )
-    return theta
+    return _fit_mu(target, phi, w_phi, phi.T @ w_phi)
+
+
+def _weighted_qr(phi: np.ndarray, nu: np.ndarray) -> tuple:
+    """(Q, R) with D^(1/2) Phi = QR; raises FeatureRankError when diag(R)
+    shows D^(1/2) Phi numerically rank deficient."""
+    q, r = np.linalg.qr(phi * np.sqrt(nu)[:, None])
+    if np.min(np.abs(np.diag(r))) <= 1e-12 * max(np.max(np.abs(np.diag(r))), 1.0):
+        raise FeatureRankError("weighted feature matrix is numerically rank deficient")
+    return q, r
+
+
+def _clip_psd(core: np.ndarray, r_inv: np.ndarray) -> tuple:
+    """(R^-1 clip(core) R^-T symmetrized, clip(core)), where clip zeroes the
+    negative eigenvalues of the symmetrized core."""
+    core = 0.5 * (core + core.T)
+    eigval, eigvec = np.linalg.eigh(core)
+    clipped = (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
+    theta = r_inv @ clipped @ r_inv.T
+    return 0.5 * (theta + theta.T), clipped
 
 
 def project_sigma_psd(
@@ -246,19 +296,9 @@ def project_sigma_psd(
     asym = float(np.max(np.abs(s_raw - s_raw.T), initial=0.0))
     s_sym = 0.5 * (s_raw + s_raw.T)
     d_half = np.sqrt(nu)
-    b = features.phi * d_half[:, None]
-    q, r = np.linalg.qr(b)
-    if np.min(np.abs(np.diag(r))) <= 1e-12 * max(np.max(np.abs(np.diag(r))), 1.0):
-        raise FeatureRankError("weighted feature matrix is numerically rank deficient")
+    q, r = _weighted_qr(features.phi, nu)
     s_w = d_half[:, None] * s_sym * d_half[None, :]
-    core = q.T @ s_w @ q
-    core = 0.5 * (core + core.T)
-    eigval, eigvec = np.linalg.eigh(core)
-    clipped = (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
-    r_inv = np.linalg.inv(r)
-    theta = r_inv @ clipped @ r_inv.T
-    theta = 0.5 * (theta + theta.T)
-    return theta, asym
+    return _clip_psd(q.T @ s_w @ q, np.linalg.inv(r))[0], asym
 
 
 def beta_weight(gamma: float, sqrt_c_rho: float) -> tuple[float, float]:
@@ -478,6 +518,115 @@ class ProjectedReport:
 
 
 _DIVERGENCE_WINDOW = 10
+# numpy's iterator buffers and the interpreter's small objects.
+_PROJECTED_SLACK_BYTES = 64 * 1024
+# One successive distance: a float object and its list slot, with the list's
+# over-allocation.
+_DISTANCE_BYTES = 40
+
+
+class _FeatureStep:
+    """One projected backup of a linear approximant, run in feature space.
+
+    The exact backup T of the approximant's tables (as dp._Backup2 defines it)
+    is never formed. With D^(1/2) Phi = QR and Psi = D Phi, the mean fit needs
+    Psi' t_mu and the PSD fit the core Q' D^(1/2) T D^(1/2) Q. The second
+    moment is carried in the whitened basis Phi R^-1 = D^(-1/2) Q, as the
+    core parameter R Theta_sigma R' (the clipped core), so that no product is
+    amplified by R^-1: forming Psi' T Psi and then R^-T (.) R^-1 would square
+    the feature map's condition number. With G = Pi Phi R^-1 (S x d, Pi the
+    policy average) and F = P Pi Phi R^-1, the gather E_u G[h] (|X| x d), and
+    Psi_w = D Phi R^-1:
+    - t_mu = r + gamma e with e = F R theta_mu;
+    - T's cross-state part is r r' + gamma (r e' + e r') + gamma^2 F C F' for
+      the core parameter C, whose Psi_w-form is d x d products of Psi_w' r
+      and Psi_w' F;
+    - each state adds one A x A correction: its same-state block (one shared
+      noise draw; on the diagonal, one shared next action) minus the
+      cross-state formula there. Each of its terms is a covariance under the
+      shared draw: of the rewards, of the rewards and mbar = G R theta_mu at
+      the successors, and of G C and G at the successors, which costs
+      O(S d^2 + S U A^2 d).
+    Only T's symmetric part matters, because the clip symmetrizes the core, so
+    a pair of transposed terms is added as twice one of them. Memory is
+    O(|X| (d + A) + S U A d + d^2); check_projected_budget counts it.
+    """
+
+    def __init__(self, env: ExoJmdp, policy: Policy, features: FeatureMap, nu: np.ndarray):
+        s_n, a_n = env.space.num_states, env.space.num_actions
+        probs, g, h = env.noise.probs, env.g, env.h
+        phi, d = features.phi, features.dim
+        self.gamma, self.probs, self.h, self.phi = env.gamma, probs, h, phi
+        self.r = _weighted_qr(phi, nu)[1]
+        self.r_inv = np.linalg.inv(self.r)
+        self.psi = phi * nu[:, None]
+        self.gram = phi.T @ self.psi
+        phi_w = phi @ self.r_inv  # the whitened features
+        self.psi_w = (phi_w * nu[:, None]).reshape(s_n, a_n, d)
+        self.g_pi = np.einsum("sa,sak->sk", policy.probs, phi_w.reshape(s_n, a_n, d))
+        g_h = self.g_pi[h]  # G at the successors, (S, A, U, d)
+        self.f = np.einsum("u,sauk->sak", probs, g_h).reshape(-1, d)
+        g_h -= self.f.reshape(s_n, a_n, 1, d)
+        g_h *= probs[:, None]
+        # p_u (G[h] - F) as (S, U d, A): a matmul's right side, (u, k) contracted
+        self.g_dev = np.ascontiguousarray(g_h.transpose(0, 2, 3, 1)).reshape(s_n, -1, a_n)
+        del g_h
+        # The features centred on their policy average, weighted by the policy.
+        self.phi_c = phi_w.reshape(s_n, a_n, d) - self.g_pi[:, None, :]
+        del phi_w
+        self.phi_cw = self.phi_c * policy.probs[:, :, None]
+        self.r_mean = (g @ probs).reshape(-1)
+        r_c = g - self.r_mean.reshape(s_n, a_n, 1)
+        self.pg_c = r_c * probs  # p_u (g - r)
+        psi_w = self.psi_w.reshape(-1, d)
+        self.psi_r = psi_w.T @ self.r_mean
+        self.psi_f = psi_w.T @ self.f
+        # T's terms that read no parameter: r r' and the reward covariances.
+        rr = (self.pg_c @ r_c.transpose(0, 2, 1)) @ self.psi_w
+        self.m_0 = np.outer(self.psi_r, self.psi_r) + psi_w.T @ rr.reshape(-1, d)
+
+    def __call__(self, theta_mu: np.ndarray, core: np.ndarray) -> tuple:
+        """The projected backup of the approximant with mean weights theta_mu
+        and core parameter core = R Theta_sigma R': returns its theta_mu,
+        Theta_sigma and core parameter."""
+        gamma, (s_n, a_n, d) = self.gamma, self.psi_w.shape
+        mu_w = self.r @ theta_mu
+        new_mu = _fit_mu(self.r_mean + gamma * (self.f @ mu_w), self.phi, self.psi,
+                         self.gram)
+        m = self.m_0 + np.outer(self.psi_r, 2.0 * gamma * (self.psi_f @ mu_w))
+        m += gamma**2 * (self.psi_f @ core @ self.psi_f.T)
+
+        mbar = self.g_pi @ mu_w
+        corr = 2.0 * gamma * (self.pg_c @ mbar[self.h].transpose(0, 2, 1))
+        corr += gamma**2 * ((self.g_pi @ core)[self.h].reshape(s_n, a_n, -1) @ self.g_dev)
+        # Repeated coordinate: one shared next action, so the continuation
+        # reads E_pi[phi' C phi] = G C G' + E_pi[phi_c' C phi_c].
+        spread = np.einsum("sak,sak->s", self.phi_c @ core, self.phi_cw)
+        corr.reshape(s_n, -1)[:, ::a_n + 1] += gamma**2 * (spread[self.h] @ self.probs)
+        m += self.psi_w.reshape(-1, d).T @ (corr @ self.psi_w).reshape(-1, d)
+        return (new_mu, *_clip_psd(m, self.r_inv))
+
+
+def check_projected_budget(env: ExoJmdp, features: FeatureMap, max_iter: int) -> int:
+    """Bytes the feature-space loop of projected_jipe2 holds at once; raises
+    BudgetError when that exceeds core.BUDGET_BYTES. The coupling step has
+    its own count, check_coupling_budget."""
+    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    n_u, d = env.noise.support_size, features.dim
+    # |X| x d: Psi, Psi_w, F and the centred features (plain and
+    # policy-weighted) held; the whitened features or the QR's copies and Q
+    # while they are built, or two of the loop's products. S x U x A x d: the
+    # weighted G[h] held and a gather of G or G C at the successors, twice
+    # while it is built. S x A x A: the correction and its temporaries.
+    # d x d: the Gram matrix, R, R^-1, Psi_w' F and the constant part held;
+    # the cross-state products, the clip's tables, two parameter copies, the
+    # core parameters and the distance's products. Room for 16 vectors each of
+    # |X|, |X| x U (rewards, successor indices and their gathers), S x d and d
+    # entries.
+    words = (8 * n_x * d + 4 * n_u * n_x * d + 8 * n_x * a_n + 24 * d * d
+             + 16 * (n_x + n_u * n_x + s_n * d + d))
+    return check_budget(f"projected iteration over {n_x} coordinates ({d} features)",
+                        8 * words + _DISTANCE_BYTES * max_iter + _PROJECTED_SLACK_BYTES)
 
 
 def projected_jipe2(
@@ -488,14 +637,18 @@ def projected_jipe2(
     epsilon: float,
     max_iter: int = 10_000,
 ) -> ProjectedReport:
-    """Projected fixed-point iteration: exact backup on the approximant's raw
-    tables (LinearMoments.tables), then weighted least squares for the mean
-    and projection onto the PSD cone for the second moment.
+    """Projected fixed-point iteration: the exact backup of the approximant,
+    then weighted least squares for the mean and projection onto the PSD cone
+    for the second moment, all in feature space (see _FeatureStep): the loop
+    holds no |X| x |X| table, and its bytes (check_projected_budget) are
+    checked before any work.
 
-    Stops when the beta-weighted distance between successive densified
-    approximants drops below epsilon. If that distance grows for
-    _DIVERGENCE_WINDOW consecutive iterations the run aborts with a diagnostic
-    quoting gamma^2 * sqrt_c_rho. beta comes from sqrt_c_rho when
+    Stops when the beta-weighted distance between successive approximants,
+    max(||R dtheta_mu||, beta ||R dTheta_sigma R'||_F) with D^(1/2) Phi = QR,
+    drops below epsilon. If that distance grows for _DIVERGENCE_WINDOW
+    consecutive iterations the run aborts with a diagnostic quoting
+    gamma^2 * sqrt_c_rho. An iterate failing its parameter check is a
+    FeatureRankError naming cond(R). beta comes from sqrt_c_rho when
     gamma^2 * sqrt_c_rho < 1, else (or when the coupling step is over its
     memory budget) beta = 1.
     """
@@ -504,6 +657,7 @@ def projected_jipe2(
         raise InvalidInputError(f"features cover {features.num_x} coordinates, "
                                 f"environment has {env.space.num_x}")
     nu = _check_nu(nu, env.space.num_x)
+    check_projected_budget(env, features, max_iter)
     beta, kappa = 1.0, None
     try:
         coupling = coupling_coefficient(env, policy, nu)
@@ -512,20 +666,25 @@ def projected_jipe2(
     if coupling is not None and coupling.satisfied:
         beta, kappa = beta_weight(env.gamma, coupling.sqrt_c_rho)
 
-    backup = _Backup2(env, policy)
+    step = _FeatureStep(env, policy, features, nu)
     d = features.dim
     current = LinearMoments(np.zeros(d), np.zeros((d, d)))
-    dense = current.tables(features)
+    core = np.zeros((d, d))  # R Theta_sigma R'
     distances: list = []
     grow_streak = 0
     for k in range(max_iter):
-        backed_mu, backed_sig = backup.apply(dense)
-        theta_mu = project_mu(backed_mu, features, nu)
-        theta_sig, _ = project_sigma_psd(backed_sig, features, nu)
-        # Its d x d PSD check stops an ill-conditioned feature map early.
-        new = LinearMoments(theta_mu, theta_sig)
-        new_dense = new.tables(features)
-        dist = beta_norm([a - b for a, b in zip(new_dense, dense)], nu, beta)
+        theta_mu, theta_sig, new_core = step(current.theta_mu, core)
+        try:
+            new = LinearMoments(theta_mu, theta_sig)
+        except InvalidInputError as exc:
+            raise FeatureRankError(
+                f"iterate {k + 1} fails its parameter check ({exc}); the weighted "
+                f"feature map D^(1/2) Phi = QR is ill-conditioned "
+                f"(cond(R) = {np.linalg.cond(step.r):.3e})"
+            ) from exc
+        # R dTheta_sigma R' is the change of the core parameter.
+        dist = max(float(np.linalg.norm(step.r @ (new.theta_mu - current.theta_mu))),
+                   beta * float(np.linalg.norm(new_core - core)))
         distances.append(dist)
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grow_streak += 1
@@ -539,7 +698,7 @@ def projected_jipe2(
                 f"gamma^2 * sqrt_c_rho = {product:.6g} "
                 f"(contraction requires < 1)"
             )
-        current, dense = new, new_dense
+        current, core = new, new_core
         if dist <= epsilon:
             return ProjectedReport(current, distances, True, k + 1, beta, kappa, coupling)
     return ProjectedReport(current, distances, False, max_iter, beta, kappa, coupling)

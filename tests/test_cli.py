@@ -31,7 +31,13 @@ from jmdp.env import (
     save_env,
 )
 from jmdp.errors import ConfigError
-from jmdp.fa import check_coupling_budget
+from jmdp import fa
+from jmdp.fa import (
+    check_coupling_budget,
+    check_projected_budget,
+    check_stationary_budget,
+    state_poly_features,
+)
 from jmdp.stats import truncation_horizon
 
 
@@ -282,6 +288,57 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: FeatureRankError: ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("count", ["stationary", "loop"])
+    def test_projected_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                        count):
+        env = build_ring_chain(32, 0.9)
+        loop_need = check_projected_budget(env, state_poly_features(32, 2, 2), 10_000)
+        stationary_need = check_stationary_budget(env)
+        assert stationary_need < loop_need  # so each count is the first to refuse
+        need = stationary_need if count == "stationary" else loop_need
+        doc = base_config(
+            env={"builtin": "ring", "num_states": 32, "gamma": 0.9},
+            algorithm={"name": "projected", "features": {"builtin": "state-poly",
+                                                         "degree": 2}},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the budget checks")
+
+        for name in ("stationary_distribution", "projected_jipe2"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        what = ("stationary distribution over 64 coordinates" if count == "stationary"
+                else "projected iteration over 64 coordinates (3 features)")
+        assert capsys.readouterr().err == (f"error: BudgetError: {what} needs {need} bytes; "
+                                           f"budget is {need - 1}\n")
+        assert not (tmp_path / "run").exists()
+        if count == "loop":  # at the loop's count, both counts pass
+            monkeypatch.undo()
+            monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+            assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+            assert (tmp_path / "run" / "projected.csv").exists()
+
+    def test_indefinite_iterate_is_an_error_without_output(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # The shared clip is patched to return an indefinite iterate, as an
+        # ill-conditioned feature map can through rounding.
+        monkeypatch.setattr(fa, "_clip_psd", lambda core, r_inv: (-np.eye(core.shape[0]), core))
+        doc = base_config(
+            algorithm={"name": "projected", "features": {"builtin": "state-poly",
+                                                         "degree": 2}},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: FeatureRankError: iterate 1 fails its parameter check")
+        assert "cond(R) = " in err
+        assert not (tmp_path / "run").exists()
+
     def test_dpn_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         env = build_crc(3, 0.8)
         need = _BackupPlan(env, Policy.uniform(env.space), 3).need
@@ -423,6 +480,30 @@ class TestAnalyze:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "coupling.json").exists()
+
+    def test_stationary_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("heavy work started before the budget check")
+
+        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+                     "mc_state_block"):
+            monkeypatch.setattr(cli, name, never)
+        # The coupling count is larger; passed here, the stationary count refuses.
+        monkeypatch.setattr(cli, "check_coupling_budget", lambda env, mode: 0)
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        need = check_stationary_budget(env)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        doc = base_config(
+            env={"builtin": "wgw", "width": 3, "height": 3, "gamma": 0.9},
+            analysis={"states": [0], "num_rollouts": 10},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert ("error: BudgetError: stationary distribution over 36 coordinates "
+                f"needs {need} bytes") in err
+        assert not (tmp_path / "run").exists()
 
     def test_rollout_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):

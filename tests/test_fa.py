@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from jmdp import fa
+from jmdp import dp, fa
+from jmdp import env as jenv
 from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
 from jmdp.dp import apply_t2, jipe2
 from jmdp.env import (
@@ -38,6 +39,8 @@ from jmdp.fa import (
     beta_weight,
     _PairKernel,
     check_coupling_budget,
+    check_projected_budget,
+    check_stationary_budget,
     coupling_coefficient,
     identity_features,
     nu2_norm,
@@ -66,6 +69,24 @@ def deterministic_ring(num_states=6, gamma=0.9):
             g[s, 1, u] = 1 - u
             h[s, :, u] = (s + 1) % num_states
     return ExoJmdp(space, noise, g, h, gamma)
+
+
+def over_budget(*args, **kwargs):
+    raise BudgetError("over budget")
+
+
+def never(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_psd_fit(phi, nu, target, iters=100_000):
@@ -188,6 +209,29 @@ class TestStationaryDistribution:
 
         kernel = marginal_kernel(env, pol)
         assert np.max(np.abs(sd.nu @ kernel - sd.nu)) <= 1e-10
+
+    @pytest.mark.parametrize("case", [
+        lambda: (build_ring_chain(300, 0.9), None),  # stationary, |X| = 600
+        lambda: (build_wgw(6, 6, (0, 5), 0.3, 0.9), wgw_goal_policy(6, 6, (0, 5))),
+        lambda: (random_env(1, 200, 2, 200, 0.9), random_policy(1, StateActionSpace(200, 2))),
+    ], ids=["ring300", "wgw6x6_goal", "dense_random"])
+    def test_budget_bounds_measured_peak(self, case):
+        env, pol = case()
+        pol = pol if pol is not None else Policy.uniform(env.space)
+        peak = traced_peak(stationary_distribution, env, pol)
+        assert peak <= check_stationary_budget(env)
+
+    def test_budget_refused_before_the_kernel(self, monkeypatch):
+        env = build_ring_chain(32, 0.9)
+        need = check_stationary_budget(env)
+        monkeypatch.setattr(fa, "marginal_kernel", never)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=f"stationary distribution over 64 coordinates "
+                                              f"needs {need} bytes; budget is {need - 1}"):
+            stationary_distribution(env, Policy.uniform(env.space))
+        monkeypatch.undo()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert stationary_distribution(env, Policy.uniform(env.space)).source == "stationary"
 
 
 def brute_force_period(adj):
@@ -600,23 +644,30 @@ def reference_projected(env, policy, features, nu, epsilon, max_iter):
 class TestProjectedIteration:
     @pytest.mark.parametrize("case", [
         lambda: (build_ring_chain(32, 0.9), None, state_poly_features(32, 2, 2)),
+        lambda: (build_ring_chain(128, 0.9), None, state_poly_features(128, 2, 2)),
         lambda: (build_crc(5, 0.9), None, state_poly_features(5, 2, 2)),
         lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2)),
                  state_poly_features(9, 4, 2)),
-    ], ids=["ring32", "crc5", "wgw3x3_goal"])
+        # Action-dependent features: the repeated-coordinate correction is nonzero.
+        lambda: (build_crc(5, 0.9), None, identity_features(10)),
+        lambda: (random_env(1, 12, 3, 4, 0.9), random_policy(1, StateActionSpace(12, 3)),
+                 FeatureMap(np.random.default_rng(1).normal(size=(36, 5)))),
+    ], ids=["ring32", "ring128", "crc5", "wgw3x3_goal", "crc5_identity", "random_features"])
     def test_matches_collection_reference(self, case):
-        # The loop runs on raw tables; the result is bit-identical to the
-        # loop that wrapped every iterate in a checked collection.
+        # The loop runs in feature space, so its sums run in another order
+        # than the dense reference's: the iteration counts agree exactly, the
+        # distances and the final tables to float tolerance.
         env, pol, feats = case()
         pol = pol if pol is not None else Policy.uniform(env.space)
         nu = stationary_distribution(env, pol).nu
         rep = projected_jipe2(env, pol, feats, nu, 1e-9, 500)
         moments, distances, converged, iterations = reference_projected(
             env, pol, feats, nu, 1e-9, 500)
-        assert rep.distances == distances
         assert (rep.converged, rep.iterations) == (converged, iterations)
-        assert np.array_equal(rep.moments.theta_mu, moments.theta_mu)
-        assert np.array_equal(rep.moments.theta_sigma, moments.theta_sigma)
+        assert converged
+        np.testing.assert_allclose(rep.distances, distances, rtol=0.0, atol=1e-12)
+        deviation = [a - b for a, b in zip(rep.moments.tables(feats), moments.tables(feats))]
+        assert beta_norm(deviation, nu, 1.0) <= 1e-10
 
     def test_loop_builds_no_collection(self, monkeypatch):
         builds = []
@@ -631,6 +682,80 @@ class TestProjectedIteration:
         assert builds == []
         MomentCollectionN.zeros(env.space, 2)  # the counter sees a build
         assert builds == [1]
+
+    def test_loop_reads_no_dense_table(self, monkeypatch):
+        # The coupling step (skipped here) reads the marginal kernel; the loop
+        # reads no |X| x |X| or |X| x S table.
+        monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
+        for module, name in ((fa, "marginal_mdp"), (fa, "marginal_kernel"),
+                             (jenv, "marginal_mdp"), (jenv, "marginal_kernel"),
+                             (dp, "_Backup2"), (LinearMoments, "tables")):
+            monkeypatch.setattr(module, name, never)
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
+        rep = projected_jipe2(env, wgw_goal_policy(3, 3, (0, 2)),
+                              state_poly_features(9, 4, 2), nu, 1e-9)
+        assert rep.converged and rep.coupling is None
+
+    @pytest.mark.parametrize("case", [
+        lambda: (build_ring_chain(256, 0.9), None, state_poly_features(256, 2, 2)),
+        lambda: (build_wgw(4, 4, (0, 3), 0.3, 0.9), wgw_goal_policy(4, 4, (0, 3)),
+                 identity_features(64)),
+        lambda: (random_env(2, 12, 3, 4, 0.9), random_policy(2, StateActionSpace(12, 3)),
+                 FeatureMap(np.random.default_rng(2).normal(size=(36, 5)))),
+    ], ids=["ring256_poly", "wgw4x4_identity", "random_features"])
+    def test_budget_bounds_measured_peak(self, case, monkeypatch):
+        # The coupling step has its own count; with it skipped, the peak is the loop's.
+        monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
+        env, pol, feats = case()
+        pol = pol if pol is not None else Policy.uniform(env.space)
+        nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
+        need = check_projected_budget(env, feats, 500)
+        peak = traced_peak(projected_jipe2, env, pol, feats, nu, 1e-9, 500)
+        assert peak <= need
+
+    def test_budget_refused_before_any_work(self, monkeypatch):
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        feats = state_poly_features(8, 2, 2)
+        nu = stationary_distribution(env, pol).nu
+        need = check_projected_budget(env, feats, 300)
+        monkeypatch.setattr(fa, "coupling_coefficient", never)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=f"projected iteration over 16 coordinates "
+                                              f"\\(3 features\\) needs {need} bytes; "
+                                              f"budget is {need - 1}"):
+            projected_jipe2(env, pol, feats, nu, 1e-9, 300)
+        monkeypatch.undo()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert projected_jipe2(env, pol, feats, nu, 1e-9, 300).converged
+
+    def test_large_ring_converges_inside_default_budget(self):
+        # |X| = 4096: one |X| x |X| table takes 128 MiB, so the coupling step is
+        # over its budget and beta = 1; the loop needs a few MiB.
+        env = build_ring_chain(2048, 0.9)
+        feats = state_poly_features(2048, 2, 2)
+        with pytest.raises(BudgetError):
+            check_coupling_budget(env, "same_state")
+        assert check_projected_budget(env, feats, 10_000) < 16 * 1024 * 1024
+        nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
+        rep = projected_jipe2(env, Policy.uniform(env.space), feats, nu, 1e-9)
+        assert rep.converged and rep.coupling is None and rep.beta == 1.0
+
+    def test_indefinite_iterate_is_a_feature_rank_error(self, monkeypatch):
+        # An indefinite iterate is injected through the shared clip, so the
+        # test does not depend on how the BLAS rounds an ill-conditioned map.
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        feats = state_poly_features(8, 2, 2)
+        nu = stationary_distribution(env, pol).nu
+        cond = np.linalg.cond(np.linalg.qr(feats.phi * np.sqrt(nu)[:, None])[1])
+        monkeypatch.setattr(fa, "_clip_psd", lambda core, r_inv: (-np.eye(core.shape[0]), core))
+        with pytest.raises(FeatureRankError) as info:
+            projected_jipe2(env, pol, feats, nu, 1e-9, 50)
+        message = str(info.value)
+        assert message.startswith("iterate 1 fails its parameter check (theta_sigma must be PSD")
+        assert f"cond(R) = {cond:.3e}" in message
 
     def test_identity_features_recover_tabular_fixed_point(self):
         env = build_crc(5, 0.9)
@@ -702,9 +827,6 @@ class TestProjectedIteration:
     def test_bad_nu_rejected_without_coupling_step(self, monkeypatch, nu):
         # Over budget, the coupling step is skipped (beta = 1), so it cannot
         # be what rejects nu.
-        def over_budget(*args, **kwargs):
-            raise BudgetError("over budget")
-
         monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
         env = build_crc(3, 0.9)
         feats = state_poly_features(3, 2, 1)
