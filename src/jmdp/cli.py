@@ -13,13 +13,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dp import jipe2, jipe_n
+from .dp import check_backup2_budget, jipe2, jipe_n
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -339,6 +340,15 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _blas_versions() -> dict:
+    """The BLAS numpy was built against (null fields before numpy 1.26, which
+    does not record it), and the thread settings its pool reads."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    threads = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads_env": {**threads, "cpu_count": os.cpu_count()}}
+
+
 def _finish(cfg: RunConfig, out_dir: Path, result: dict, code: int) -> int:
     """Write manifest.json (config, its hash, seed, versions, result); return code."""
     doc = {
@@ -349,6 +359,7 @@ def _finish(cfg: RunConfig, out_dir: Path, result: dict, code: int) -> int:
             "jmdp": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            **_blas_versions(),
         },
         "result": result,
     }
@@ -466,6 +477,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         for mode in COUPLING_MODES:
             check_coupling_budget(env, mode)
         check_stationary_budget(env)
+    check_backup2_budget(env)
+    if ana["coupling"]:
         nu = stationary_distribution(env, policy)
         reports = {}
         for mode in COUPLING_MODES:

@@ -43,6 +43,7 @@ __all__ = [
     "Jipe2Report",
     "apply_t2",
     "jipe2",
+    "check_backup2_budget",
     "apply_tn",
     "jipe_n",
 ]
@@ -72,6 +73,27 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
         )
 
 
+_BACKUP2_SLACK_BYTES = 64 * 1024  # the interpreter's small objects and array headers
+
+
+def check_backup2_budget(env: ExoJmdp) -> int:
+    """Bytes a second-order solve holds at once; raises BudgetError when that
+    exceeds core.BUDGET_BYTES. The iterate and the reward products rr are held
+    through the loop, and at most three more |X|^2 tables live at once: apply's
+    temporaries (its output among them), or the backup, the difference and its
+    absolute value in the residual, or the backup and the frozen copy. Beside
+    them: the |X| x S kernel and a matrix product with it, the S x S averaged
+    table, the same-state gather over (S, A, A, U) with its index pairs,
+    (S, A, A) blocks, marginal_mdp's (S, A, U) index arrays and per-coordinate
+    vectors."""
+    s_n, a_n, u_n = env.g.shape
+    n_x = env.space.num_x
+    words = (5 * n_x * n_x + 2 * n_x * s_n + s_n * s_n + 3 * s_n * a_n * a_n * u_n
+             + 8 * s_n * a_n * a_n + 5 * n_x * u_n + 16 * n_x)
+    return check_budget(f"second-order backup over {n_x} coordinates",
+                        8 * words + _BACKUP2_SLACK_BYTES)
+
+
 class _Backup2:
     """The second-order backup, built once per solve.
 
@@ -79,12 +101,14 @@ class _Backup2:
     _BackupPlan.apply does for order n. The build holds what does not read
     the tables: the marginal MDP's mean rewards and kernel, the reward
     products, E[g_a g_b] and E[g^2] under the noise, and the successor index
-    pairs of same-state entries.
+    pairs of same-state entries. Its bytes (check_backup2_budget) are checked
+    before any array is built.
     """
 
     def __init__(self, env: ExoJmdp, policy: Policy):
-        self.env, self.pi = env, policy.probs
+        check_backup2_budget(env)
         s_n, n_x = env.space.num_states, env.space.num_x
+        self.env, self.pi = env, policy.probs
         u_probs, g, h = env.noise.probs, env.g, env.h
         self.r_mean, p_s = marginal_mdp(env)
         self.r = self.r_mean.reshape(n_x, 1)

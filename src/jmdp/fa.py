@@ -8,6 +8,10 @@ projects back, with convergence governed by the coupling coefficient of the
 two-branch transition kernel. It runs in feature space: the backup of an
 approximant is projected through d-sized, |X| x d-sized and per-state arrays,
 and no |X| x |X| table is built (see _FeatureStep).
+
+scipy is imported where it is called, on first use: shortest_path in
+_chain_period, connected_components in stationary_distribution and
+eigh_tridiagonal in coupling_coefficient. `import jmdp` loads numpy only.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import MomentCollectionN, check_budget
 from .dp import check_solver_args
@@ -138,6 +140,8 @@ class StationaryDist:
 def _chain_period(adj: np.ndarray) -> int:
     """Period of a strongly connected directed graph: the gcd, over its edges
     u -> v, of level[u] + 1 - level[v], with BFS levels from node 0."""
+    from scipy.sparse.csgraph import shortest_path
+
     level = shortest_path(adj, unweighted=True, indices=0).astype(np.int64)
     u, v = np.nonzero(adj)
     return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
@@ -170,6 +174,8 @@ def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     iteration; falls back to uniform (with a diagnostic note) when the chain is
     not irreducible and aperiodic. Its bytes (check_stationary_budget) are
     checked before the dense marginal kernel is built."""
+    from scipy.sparse.csgraph import connected_components
+
     check_stationary_budget(env)
     kernel = marginal_kernel(env, policy)
     n = kernel.shape[0]
@@ -472,6 +478,8 @@ def coupling_coefficient(
     matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
     against core.BUDGET_BYTES before any work.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     check_coupling_budget(env, mode)
     n_x = env.space.num_x
     nu = _check_nu(nu, n_x)

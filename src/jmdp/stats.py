@@ -14,6 +14,10 @@ env's largest reward-free closed set (no action and no noise atom leads from it
 to a nonzero reward). Each later term would add exactly 0.0, so returns are
 bit-identical to the full-horizon run in both modes, and a block that stops
 early (`McBlock.steps < horizon`) carries no truncation bias.
+
+scipy is imported where it is called, on first use: csr_matrix and
+breadth_first_order in _reward_free_sink, ndtri in McBlock.z_value. `import
+jmdp` loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.special import ndtri
 
 from .core import MomentCollectionN, StateActionSpace, check_budget
 from .env import ExoJmdp, Policy, child_seed, sample_step
@@ -159,6 +160,8 @@ class McBlock:
 
     @property
     def z_value(self) -> float:
+        from scipy.special import ndtri
+
         return float(ndtri(0.5 + self.confidence / 2.0))
 
 
@@ -169,6 +172,9 @@ def _reward_free_sink(env: ExoJmdp) -> np.ndarray:
     One breadth-first search over the reversed successor graph, from an extra
     root node linked to every rewarding state, marks the states that can reach
     a reward; the rest is the set. O(S·A·U) time and memory."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     s_n = env.space.num_states
     rewarding = np.flatnonzero(env.g.reshape(s_n, -1).any(axis=1))
     # Edge h[s, a, u] -> s for every (s, a, u), and root s_n -> each rewarding state.
@@ -251,6 +257,8 @@ def mc_state_block(
         )
     if num_rollouts < 1:
         raise InvalidInputError(f"num_rollouts must be >= 1, got {num_rollouts}")
+    if not 0.0 < confidence < 1.0:  # false for nan too
+        raise InvalidInputError(f"confidence must lie in (0, 1), got {confidence}")
     acts = tuple(int(a) for a in actions)
     if not acts:
         raise InvalidQueryError("need at least one action branch")

@@ -19,7 +19,7 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
-from jmdp.dp import _BackupPlan
+from jmdp.dp import _BackupPlan, check_backup2_budget
 from jmdp.env import (
     Policy,
     build_crc,
@@ -64,6 +64,66 @@ def test_import_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter with this checkout's jmdp."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+# Prints, last, the scipy modules loaded after `import jmdp, jmdp.cli` and the
+# `main` calls given as a JSON list of argv lists (each must exit 0).
+_SCIPY_PROBE = """
+import json, sys
+import jmdp, jmdp.cli
+for argv in json.loads(sys.argv[1]):
+    assert jmdp.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_leaves_out_scipy():
+    proc = _fresh_python("-c", _SCIPY_PROBE, "[]")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_exact_and_incremental_runs_leave_out_scipy(tmp_path):
+    runs = {
+        "dp2": {},
+        "dpn": {"env": {"builtin": "crc", "num_states": 3, "gamma": 0.9},
+                "algorithm": {"name": "dpn", "order": 3}},
+        "incremental": {"algorithm": {"name": "incremental", "num_updates": 2_000,
+                                      "trace_stride": 1_000}},
+    }
+    argvs = [["eval", "--config", str(write_config(
+        tmp_path / f"{name}.json", base_config(**doc, out_dir=str(tmp_path / name))))]
+        for name, doc in runs.items()]
+    save_env(build_crc(5, 0.9), tmp_path / "env.json")
+    argvs.append(["validate-env", str(tmp_path / "env.json")])
+    proc = _fresh_python("-c", _SCIPY_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert "coupled-dynamics: yes\n" in proc.stdout  # validate-env ran
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for name in runs:
+        assert (tmp_path / name / "moments.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, written", [
+    ("analyze", {"env": {"builtin": "crc", "num_states": 3, "gamma": 0.9},
+                 "analysis": {"states": [0], "num_rollouts": 100, "trunc_tol": 1e-3}},
+     ["coupling.json", "corr.json", "gaps.json", "mc_compare.csv", "ecdf.csv"]),
+    ("eval", {"algorithm": {"name": "projected",
+                            "features": {"builtin": "state-poly", "degree": 2}}},
+     ["projected.csv", "moments.json"]),
+], ids=["analyze", "projected"])
+def test_scipy_commands_import_it_on_first_use(tmp_path, command, overrides, written):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", base_config(**overrides, out_dir=str(out)))
+    proc = _fresh_python("-m", "jmdp", command, "--config", str(cfg))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in [*written, "manifest.json"]:
+        assert (out / name).exists(), name
 
 
 class TestRunConfig:
@@ -358,6 +418,19 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "moments.json").exists()
 
+    def test_dp2_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
+        need = check_backup2_budget(build_crc(5, 0.9))
+        cfg = write_config(tmp_path / "c.json", base_config(out_dir=str(tmp_path / "run")))
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: BudgetError: second-order backup over 10 coordinates "
+                       f"needs {need} bytes; budget is {need - 1}\n")
+        assert not (tmp_path / "run").exists()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "run" / "moments.json").exists()
+
     def test_dpn_order_three(self, tmp_path):
         doc = base_config(
             env={"builtin": "crc", "num_states": 3, "gamma": 0.8},
@@ -505,6 +578,26 @@ class TestAnalyze:
                 f"needs {need} bytes") in err
         assert not (tmp_path / "run").exists()
 
+    def test_backup2_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("heavy work started before the budget check")
+
+        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+                     "mc_state_block"):
+            monkeypatch.setattr(cli, name, never)
+        for name in ("check_coupling_budget", "check_stationary_budget", "check_mc_budget"):
+            monkeypatch.setattr(cli, name, lambda *args: 0)
+        need = check_backup2_budget(build_crc(5, 0.9))
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        doc = base_config(analysis={"states": [0], "num_rollouts": 10},
+                          out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert ("error: BudgetError: second-order backup over 10 coordinates "
+                f"needs {need} bytes") in err
+        assert not (tmp_path / "run").exists()
+
     def test_rollout_budget_fails_before_other_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("heavy work started before the budget check")
@@ -632,6 +725,14 @@ class TestOutputs:
                     assert next(csv.reader(fh)) == fields, name
             else:
                 assert sorted(json.loads((out / name).read_text())) == fields, name
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert sorted(versions) == ["blas", "blas_threads_env", "jmdp", "numpy", "python"]
+        assert sorted(versions["blas"]) == ["name", "version"]
+        assert versions["blas_threads_env"] == {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
+        }
 
 
 def _projected(features: dict) -> dict:

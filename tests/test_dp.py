@@ -13,7 +13,15 @@ from jmdp.core import (
     lambda_norm,
 )
 import jmdp.dp
-from jmdp.dp import _BackupPlan, _block_kernel, apply_t2, apply_tn, jipe2, jipe_n
+from jmdp.dp import (
+    _BackupPlan,
+    _block_kernel,
+    apply_t2,
+    apply_tn,
+    check_backup2_budget,
+    jipe2,
+    jipe_n,
+)
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -387,6 +395,31 @@ class TestJipe2:
         assert rep.iterations == 0
         assert rep.residual_trace[0][1] <= 1e-6 * (1 - env.gamma)
         assert rep.certified
+
+    # The reference cases, plus crc(100), where the |X|^2 tables dominate the count.
+    @pytest.mark.parametrize("case", [*REFERENCE_CASES, "crc100"])
+    def test_budget_bounds_measured_peak(self, case, monkeypatch):
+        if case == "crc100":
+            env = build_crc(100, 0.9)
+            pol = Policy.uniform(env.space)
+        else:
+            env, pol, _ = REFERENCE_CASES[case]()
+        need = check_backup2_budget(env)
+        m = MomentCollectionN.zeros(env.space, 2)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        for run in (lambda: jipe2(env, pol, 1e-8, max_iter=3), lambda: apply_t2(env, pol, m)):
+            with pytest.raises(BudgetError, match=(
+                    f"second-order backup over {env.space.num_x} coordinates "
+                    f"needs {need} bytes; budget is {need - 1}")):
+                run()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        tracemalloc.start()
+        try:
+            jipe2(env, pol, 1e-8, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_crc_mean_closed_form(self):
         env = build_crc(25, 0.9)

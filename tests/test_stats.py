@@ -229,6 +229,18 @@ class TestMcOracle:
         with pytest.raises(InvalidInputError, match="num_rollouts"):
             mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 0, 1e-4, 0)
 
+    @pytest.mark.parametrize("confidence", [1.5, 0.0, 1.0, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a rollout started before the argument check")
+
+        monkeypatch.setattr(jmdp.stats, "_branch_returns", never)
+        env = build_crc(3, 0.9)
+        # 10**9 rollouts are over budget: the confidence check comes first.
+        with pytest.raises(InvalidInputError, match="confidence must lie in"):
+            mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 10**9, 1e-4, 0,
+                           confidence=confidence)
+
     def test_rollouts_over_budget_rejected(self, monkeypatch):
         env = build_crc(3, 0.9)
         run = lambda n: mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), n, 1e-4, 0)
