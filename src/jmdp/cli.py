@@ -59,7 +59,7 @@ from .fa import (
     state_ramp_features,
     stationary_distribution,
 )
-from .incremental import StepSchedule, VisitationScheme, run_incremental
+from .incremental import StepSchedule, VisitationScheme, check_incremental_budget, run_incremental
 from .stats import (cantelli_bound, chebyshev_ecdf, check_mc_budget, corr_matrix, gap_stats,
                     mc_state_block)
 
@@ -177,6 +177,7 @@ def _env(doc, path):
 
 _POSITIVE = _real("(0, inf)")
 _REFERENCE_EPSILON = 1e-10  # the incremental run's reference jipe2 solve
+_ANALYSIS_MAX_ITER = 100_000  # the analyze run's jipe2 solve
 _ALGORITHMS = {
     "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_int(0), 100_000)},
     "dpn": {
@@ -401,6 +402,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             schedule = StepSchedule.harmonic(algo["c"])
         else:
             schedule = StepSchedule.constant(algo["alpha0"])
+        check_incremental_budget(env)  # the reference solve checks its own count
         ref = jipe2(env, policy, _REFERENCE_EPSILON)
         result = run_incremental(
             env,
@@ -477,7 +479,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         for mode in COUPLING_MODES:
             check_coupling_budget(env, mode)
         check_stationary_budget(env)
-    check_backup2_budget(env)
+    check_backup2_budget(env, _ANALYSIS_MAX_ITER)
     if ana["coupling"]:
         nu = stationary_distribution(env, policy)
         reports = {}
@@ -493,7 +495,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             {"format_version": 1, "nu_source": nu.source, "modes": reports},
         )
 
-    solve = jipe2(env, policy, ana["epsilon"])
+    solve = jipe2(env, policy, ana["epsilon"], _ANALYSIS_MAX_ITER)
     fixed = solve.final
 
     # One pass over the states. Each state's Monte Carlo block is dropped

@@ -23,8 +23,11 @@ choice of continuing positions, the order-j table enters only through a
 policy-averaged state table (S^j, one axis per continuing tau-block), which
 each sigma-block contracts with its noise kernel: a dense matrix, such as the
 marginal kernel P for one continuing position, or a gather over h with the
-shared draw enumerated. Memory is S^k-sized per pattern plus the |X|^k tables
-and a gather index, all counted against core.BUDGET_BYTES before any work.
+shared draw enumerated. The state tables share one vector z by total order; a
+pattern class whose map from z's order-k prefix fits in _DENSE_KERNEL_MAX
+entries is composed at build time into one dense matrix. Memory is S^k-sized
+per pattern plus the |X|^k tables and a gather index, all counted against
+core.BUDGET_BYTES before any work.
 """
 
 from __future__ import annotations
@@ -74,24 +77,25 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
 
 
 _BACKUP2_SLACK_BYTES = 64 * 1024  # the interpreter's small objects and array headers
+_TRACE_BYTES = 128  # one (iteration, residual) entry of _solve's trace, list slot included
 
 
-def check_backup2_budget(env: ExoJmdp) -> int:
-    """Bytes a second-order solve holds at once; raises BudgetError when that
-    exceeds core.BUDGET_BYTES. The iterate and the reward products rr are held
-    through the loop, and at most three more |X|^2 tables live at once: apply's
-    temporaries (its output among them), or the backup, the difference and its
-    absolute value in the residual, or the backup and the frozen copy. Beside
-    them: the |X| x S kernel and a matrix product with it, the S x S averaged
-    table, the same-state gather over (S, A, A, U) with its index pairs,
-    (S, A, A) blocks, marginal_mdp's (S, A, U) index arrays and per-coordinate
-    vectors."""
+def check_backup2_budget(env: ExoJmdp, max_iter: int = 100_000) -> int:
+    """Bytes a second-order solve of at most max_iter steps holds at once;
+    raises BudgetError when that exceeds core.BUDGET_BYTES. The iterate and
+    the reward products rr are held through the loop, and at most three more
+    |X|^2 tables live at once: apply's temporaries (its output among them), or
+    the backup, the difference and its absolute value in the residual, or the
+    backup and the frozen copy. Beside them: the |X| x S kernel and a matrix
+    product with it, the S x S averaged table, the same-state gather over
+    (S, A, A, U) with its index pairs, (S, A, A) blocks, marginal_mdp's
+    (S, A, U) index arrays and per-coordinate vectors, and the residual trace."""
     s_n, a_n, u_n = env.g.shape
     n_x = env.space.num_x
     words = (5 * n_x * n_x + 2 * n_x * s_n + s_n * s_n + 3 * s_n * a_n * a_n * u_n
              + 8 * s_n * a_n * a_n + 5 * n_x * u_n + 16 * n_x)
     return check_budget(f"second-order backup over {n_x} coordinates",
-                        8 * words + _BACKUP2_SLACK_BYTES)
+                        8 * words + _TRACE_BYTES * (max_iter + 1) + _BACKUP2_SLACK_BYTES)
 
 
 class _Backup2:
@@ -105,8 +109,8 @@ class _Backup2:
     before any array is built.
     """
 
-    def __init__(self, env: ExoJmdp, policy: Policy):
-        check_backup2_budget(env)
+    def __init__(self, env: ExoJmdp, policy: Policy, max_iter: int):
+        check_backup2_budget(env, max_iter)
         s_n, n_x = env.space.num_states, env.space.num_x
         self.env, self.pi = env, policy.probs
         u_probs, g, h = env.noise.probs, env.g, env.h
@@ -169,7 +173,7 @@ class _Backup2:
 def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
     """One exact application of the second-order joint Bellman operator."""
     _check_moments(env, m, 2)
-    return MomentCollectionN(tuple(_Backup2(env, policy).apply(m.tables)))
+    return MomentCollectionN(tuple(_Backup2(env, policy, 0).apply(m.tables)))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:
@@ -221,7 +225,7 @@ def jipe2(
     Stops once ||m_k - T m_k||_lambda <= epsilon * (1 - gamma), at which point
     ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
     """
-    final, trace = _solve(env, 2, lambda: _Backup2(env, policy), epsilon, max_iter, m0)
+    final, trace = _solve(env, 2, lambda: _Backup2(env, policy, max_iter), epsilon, max_iter, m0)
     k, residual = trace[-1]
     certified = residual <= epsilon * (1.0 - env.gamma)
     return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
@@ -232,7 +236,7 @@ def jipe2(
 # ---------------------------------------------------------------------------
 
 
-_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger block kernel is applied by gather
+_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger block kernel is a gather, a larger view factored
 _OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
 
 
@@ -302,6 +306,16 @@ def _block_kernel(env: ExoJmdp, sizes: tuple, conts: tuple, scale: float) -> tup
     return rows, matrix, None
 
 
+def _contract(x: np.ndarray, ops) -> np.ndarray:
+    """Run x's leading axes through one (rows, kernel, weights) op per
+    sigma-block, a dense product or a weighted gather; each op appends its
+    cells last, so axes after the consumed ones (a batch axis) come out first."""
+    for rows, kern, weight in ops:
+        x = x.reshape(rows, -1).T
+        x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=-1)
+    return x
+
+
 def _gather_index(k: int, n_x: int, s_n: int, a_n: int, offsets: dict) -> np.ndarray:
     """Value-buffer index of every tuple of X^k, read at its sorted coordinates
     so that permuted tuples share one entry. Per run code, a row holds the
@@ -332,60 +346,82 @@ class _BackupPlan:
     """The order-n backup grouped by coincidence pattern, built once per solve.
 
     Per order and run-shape class (see _run_blocks), the representative's
-    values are a tensor with one axis (a state, one action per tau-block) per
-    sigma-block, summed over terms that each contract a policy-averaged state
-    table block by block with noise kernels. Tuples read it through a gather
-    index, so each output table is exactly symmetric. `need` bounds a solve's
-    peak bytes before any array is built: five sets of order-1..n tables
-    (iterate, backup, difference, gather index, frozen copy), value buffers,
-    state tables, kernels, the largest transient (a term step or a
-    gather-index chunk, or the frozen copy's symmetry check, which holds one
-    block of at most max(|X|^(n-1), _CHECK_BLOCK) entries) and _OBJECT_BYTES
-    per entry.
+    values are a view: a tensor with one axis (a state, one action per
+    tau-block) per sigma-block, a sum of terms that each _contract a
+    policy-averaged state table with noise kernels or, where Z_k x cells <=
+    _DENSE_KERNEL_MAX, one term of one dense (Z_k, cells) op, those terms run
+    on the identity at build time. The state tables share one buffer z (the
+    scalar 1, then the tables by total order), so an order-k view reads the
+    prefix z[:Z_k]. Tuples read it through a gather index: exact symmetry.
+    `need` bounds a solve's peak bytes before any array is built: five sets
+    of order-1..n tables (iterate, backup, difference, gather index, frozen
+    copy), value buffers, z, composed matrices, the kernels factored views
+    keep, the largest transient (a term step, a gather-index chunk, the frozen
+    copy's symmetry check of at most max(|X|^(n-1), _CHECK_BLOCK) entries, or
+    a batched composition step beside the kernels only it reads),
+    _OBJECT_BYTES per entry and _TRACE_BYTES per residual of max_iter steps.
     """
 
-    def __init__(self, env: ExoJmdp, policy: Policy, order: int):
+    def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
         s_n, a_n, u_n = env.g.shape
         n_x = env.space.num_x
-        held = 5 * sum(n_x**k for k in range(1, order + 1))
-        peak = max((5 * order + 4) * n_x ** (order - 1), _CHECK_BLOCK)
-        layout, keys, state_keys = [], set(), set()  # layout: per order, shape -> terms
+        layout = []  # per order, shape -> terms
         for k in range(order):
             codes = itertools.product(range(3), repeat=k)  # the run codes of order k + 1
-            layout.append({})
-            for shape in sorted({_run_blocks(code)[0] for code in codes}):
-                layout[-1][shape] = terms = list(_terms(shape, env.gamma))
-                held += math.prod(s_n * a_n ** len(b) for b in shape)
+            layout.append({shape: list(_terms(shape, env.gamma))
+                           for shape in sorted({_run_blocks(code)[0] for code in codes})})
+        keys = sorted({t[0] for reps in layout for terms in reps.values() for t in terms},
+                      key=lambda mults: (sum(mults), mults))  # z's layout
+        ends = list(itertools.accumulate(s_n ** len(mults) for mults in keys))
+        prefix = [max(e for m, e in zip(keys, ends) if sum(m) <= k) for k in range(1, order + 1)]
+        held = 5 * sum(n_x**k for k in range(1, order + 1)) + ends[-1]
+        peak = [max((5 * order + 4) * n_x ** (order - 1), _CHECK_BLOCK), 0]  # apply, compose
+        kept, composed = set(), set()  # kernel keys of factored and of composed views
+        for z_k, reps in zip(prefix, layout):
+            for shape, terms in reps.items():
+                cells = math.prod(s_n * a_n ** len(b) for b in shape)
+                small = z_k * cells <= _DENSE_KERNEL_MAX
+                held += cells + small * z_k * cells
                 for mults, _, ops in terms:
-                    state_keys.add(mults)
-                    keys.update(ops)
-                    size = s_n ** len(mults)
-                    for rows, cells, dense in (_kernel_size(env, *op[:2]) for op in ops):
-                        out = size // rows * cells
-                        peak = max(peak, 2 * size + out * (1 if dense else 1 + 2 * u_n))
-                        size = out
-        for rows, cells, dense in (_kernel_size(env, *key[:2]) for key in keys):
-            held += rows * cells if dense else 2 * cells * u_n
-        held += sum(s_n ** len(m) for m in state_keys)
-        objects = len(keys) + sum(3**k + sum(map(len, r.values())) for k, r in enumerate(layout))
+                    (composed if small else kept).update(ops)
+                    size, batch = s_n ** len(mults), s_n ** (len(mults) * small)
+                    for rows, out, dense in (_kernel_size(env, *op[:2]) for op in ops):
+                        out *= size // rows
+                        step = batch * (2 * size + out * (1 if dense else 1 + 2 * u_n))
+                        peak[small], size = max(peak[small], step), out
+        words = {key: rows * cells if dense else 2 * cells * u_n for key in kept | composed
+                 for rows, cells, dense in [_kernel_size(env, *key[:2])]}
+        objects = len(words) + sum(3**k + sum(map(len, r.values())) for k, r in enumerate(layout))
+        build = peak[1] + sum(words[key] for key in composed - kept)
+        held += sum(words[key] for key in kept) + max(peak[0], build)
         self.need = check_budget(f"order-{order} backup over {n_x} coordinates",
-                                 8 * (held + peak) + _OBJECT_BYTES * objects)
+                                 8 * held + _OBJECT_BYTES * objects + _TRACE_BYTES * (max_iter + 1))
         self.pi_x = np.zeros((n_x, s_n))
         self.pi_x[np.arange(n_x), np.arange(n_x) // a_n] = policy.probs.reshape(-1)
-        self.state_tables = {}  # key -> byte strides of its diagonal view
-        for mults in state_keys - {()}:
-            ends = list(itertools.accumulate(mults))
-            self.state_tables[mults] = tuple(
-                8 * sum(n_x ** (ends[-1] - 1 - q) for q in range(e - t, e))
-                for t, e in zip(mults, ends))
-        kernels = {key: _block_kernel(env, *key) for key in keys}
+        self.z = np.r_[1.0, np.zeros(ends[-1] - 1)]  # 1 is the table of the all-reward term
+        starts = dict(zip(keys, [0] + ends))
+        state = {m: self.z[starts[m]:e].reshape((s_n,) * len(m)) for m, e in zip(keys, ends)}
+        self.state_tables = []  # (key, byte strides of its diagonal view, its table in z)
+        for mults in keys[1:]:
+            tops = list(itertools.accumulate(mults))
+            self.state_tables.append((mults, tuple(
+                8 * sum(n_x ** (tops[-1] - 1 - q) for q in range(e - t, e))
+                for t, e in zip(mults, tops)), state[mults]))
+        kernels = {key: _block_kernel(env, *key) for key in words}
         self.orders = []
-        for k, reps in enumerate(layout, start=1):
+        for k, (z_k, reps) in enumerate(zip(prefix, layout), start=1):
             offsets, terms, size = {}, [], 0
             for shape, shape_terms in reps.items():
                 offsets[shape], cells = size, math.prod(s_n * a_n ** len(b) for b in shape)
-                terms += [(size, cells, mults, perm, [kernels[o] for o in ops])
-                          for mults, perm, ops in shape_terms]
+                shape_terms = [(state[m], starts[m], perm, [kernels[o] for o in ops])
+                               for m, perm, ops in shape_terms]
+                if z_k * cells <= _DENSE_KERNEL_MAX:
+                    matrix = np.zeros((z_k, cells))
+                    for x, lo, perm, ops in shape_terms:
+                        eye = np.eye(x.size).reshape(x.shape + (x.size,)).transpose(*perm, x.ndim)
+                        matrix[lo:lo + x.size] += _contract(eye, ops).reshape(x.size, cells)
+                    shape_terms = [(self.z[:z_k], 0, (0,), [(z_k, matrix, None)])]
+                terms += [(size, cells, x, perm, ops) for x, _, perm, ops in shape_terms]
                 size += cells
             buf = np.empty(size)
             self.orders.append((buf, [(buf[o:o + n], *t) for o, n, *t in terms],
@@ -393,22 +429,17 @@ class _BackupPlan:
 
     def apply(self, tables) -> list:
         """One backup of the raw order-1..n tables; returns the new tables."""
-        n_x, s_n = self.pi_x.shape
-        state = {(): np.ones(())}  # the table of the all-reward term
-        for mults, strides in self.state_tables.items():
+        n_x = self.pi_x.shape[0]
+        for mults, strides, table in self.state_tables:
             t = np.ndarray((n_x,) * len(mults), float, tables[sum(mults) - 1], 0, strides)
             for _ in mults:
                 t = t.reshape(n_x, -1).T @ self.pi_x
-            state[mults] = t.reshape((s_n,) * len(mults))
+            table[...] = t.reshape(table.shape)
         out = []
         for k, (buf, terms, index) in enumerate(self.orders, start=1):
             buf.fill(0.0)
-            for view, mults, perm, ops in terms:
-                x = state[mults].transpose(perm)
-                for rows, kern, weight in ops:
-                    x = x.reshape(rows, -1).T
-                    x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=-1)
-                view += x.reshape(-1)
+            for view, x, perm, ops in terms:
+                view += _contract(x.transpose(perm), ops).reshape(-1)
             out.append(buf[index].reshape((n_x,) * k))
         return out
 
@@ -416,7 +447,7 @@ class _BackupPlan:
 def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
     """One exact application of the order-n joint Bellman operator."""
     _check_moments(env, m, m.order)
-    plan = _BackupPlan(env, policy, m.order)
+    plan = _BackupPlan(env, policy, m.order, 0)
     return MomentCollectionN(tuple(plan.apply(m.tables)))
 
 
@@ -435,4 +466,5 @@ def jipe_n(
     ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
     frozen collection is built only for the result.
     """
-    return _solve(env, order, lambda: _BackupPlan(env, policy, order), epsilon, max_iter, m0)
+    return _solve(env, order, lambda: _BackupPlan(env, policy, order, max_iter), epsilon,
+                  max_iter, m0)

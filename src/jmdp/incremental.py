@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index2, LambdaWeights, MomentCollectionN, lambda_norm
+from .core import Index2, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
 from .dp import _Backup2, _check_moments
 from .env import ExoJmdp, Policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
@@ -25,6 +25,7 @@ __all__ = [
     "VisitationScheme",
     "sample_backup",
     "run_incremental",
+    "check_incremental_budget",
     "IncrementalResult",
     "noise_diagnostic",
     "NoiseDiagnostic",
@@ -181,6 +182,27 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
     return np.stack([cls, x, y, slot], axis=1), n + n * (n + 1) // 2
 
 
+_UPDATE_BYTES = 512  # per update of a chunk: its draws, terms and their lists
+_INCREMENTAL_SLACK_BYTES = 64 * 1024  # the interpreter's small objects and array headers
+
+
+def check_incremental_budget(env: ExoJmdp) -> int:
+    """Bytes run_incremental holds at once; raises BudgetError when that
+    exceeds core.BUDGET_BYTES. Per row of the coordinate table (|X| + |X|^2):
+    ten words for its four columns, the target, mirror and hop arrays and the
+    temporaries that build them, and 40 bytes of value list (a pointer and a
+    float, and a pointer of the list m0 is concatenated from); per slot a
+    step counter; at a checkpoint or for the result, four |X|^2 tables (the
+    list's second moment, its symmetrization, the difference to the fixed
+    point and its absolute value); per update of a chunk, _UPDATE_BYTES."""
+    n_x = env.space.num_x
+    rows = n_x + n_x * n_x
+    words = 10 * rows + (n_x + n_x * (n_x + 1) // 2) + 4 * n_x * n_x
+    return check_budget(f"incremental run over {n_x} coordinates",
+                        8 * words + 40 * rows + _UPDATE_BYTES * _CHUNK
+                        + _INCREMENTAL_SLACK_BYTES)
+
+
 @dataclass(frozen=True)
 class IncrementalResult:
     final: MomentCollectionN
@@ -211,6 +233,7 @@ def run_incremental(
     for m in (m0, fixed_point):
         if m is not None:
             _check_moments(env, m, 2)
+    check_incremental_budget(env)
     n_x = env.space.num_x
     table, num_slots = _coordinate_table(env.space)
     schedule.bind(num_slots)
@@ -317,7 +340,7 @@ def noise_diagnostic(
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
     _check_moments(env, m, 2)
-    t_mu, t_sig = _Backup2(env, policy).apply(m.tables)
+    t_mu, t_sig = _Backup2(env, policy, 0).apply(m.tables)
     exact = float(t_mu[i.x] if i.kind == "mu" else t_sig[i.x, i.x2])
 
     rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ from jmdp.env import (
     save_env,
 )
 from jmdp.errors import ConfigError
+from jmdp.incremental import check_incremental_budget
 from jmdp import fa
 from jmdp.fa import (
     check_coupling_budget,
@@ -401,7 +402,7 @@ class TestEval:
 
     def test_dpn_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         env = build_crc(3, 0.8)
-        need = _BackupPlan(env, Policy.uniform(env.space), 3).need
+        need = _BackupPlan(env, Policy.uniform(env.space), 3, 100_000).need  # default max_iter
         doc = base_config(
             env={"builtin": "crc", "num_states": 3, "gamma": 0.8},
             algorithm={"name": "dpn", "order": 3, "epsilon": 1e-6},
@@ -417,6 +418,21 @@ class TestEval:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "moments.json").exists()
+
+    def test_incremental_budget_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(cli, "jipe2", never)  # the reference solve comes first
+        need = check_incremental_budget(build_crc(5, 0.9))
+        doc = base_config(algorithm={"name": "incremental", "num_updates": 1_000},
+                          out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (f"error: BudgetError: incremental run over 10 "
+                                           f"coordinates needs {need} bytes; budget is {need - 1}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_dp2_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
         need = check_backup2_budget(build_crc(5, 0.9))
@@ -517,8 +533,7 @@ class TestAnalyze:
         assert (mc["max_steps"] < horizon) if absorbed else (mc["max_steps"] == horizon)
 
     def test_uncertified_solve_exit_code(self, tmp_path, monkeypatch):
-        solve = cli.jipe2
-        monkeypatch.setattr(cli, "jipe2", lambda env, pol, eps: solve(env, pol, eps, 3))
+        monkeypatch.setattr(cli, "_ANALYSIS_MAX_ITER", 3)
         doc = base_config(
             analysis={"gaps": False, "ecdf": False, "coupling": False,
                       "mc_compare": False},
@@ -539,6 +554,9 @@ class TestAnalyze:
         env = build_wgw(6, 6, (0, 5), 0.3, 0.9)
         need = check_coupling_budget(env, "same_state")
         assert check_coupling_budget(env, "global") < need
+        # The jipe2 solve's count, with its 100 000-entry residual trace, is
+        # the larger here; at both counts the run goes through.
+        both = max(need, check_backup2_budget(env))
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         doc = base_config(
             env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
@@ -550,7 +568,7 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "error: BudgetError: " in err and f"needs {need} bytes" in err
         assert not (tmp_path / "run").exists()
-        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", both)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "coupling.json").exists()
 

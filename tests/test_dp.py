@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 
@@ -404,14 +405,17 @@ class TestJipe2:
             pol = Policy.uniform(env.space)
         else:
             env, pol, _ = REFERENCE_CASES[case]()
-        need = check_backup2_budget(env)
         m = MomentCollectionN.zeros(env.space, 2)
-        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
-        for run in (lambda: jipe2(env, pol, 1e-8, max_iter=3), lambda: apply_t2(env, pol, m)):
+        # The count holds the residual trace, so each run is refused at its own max_iter.
+        needs = [check_backup2_budget(env, max_iter) for max_iter in (3, 0)]
+        for run, need in zip((lambda: jipe2(env, pol, 1e-8, max_iter=3),
+                              lambda: apply_t2(env, pol, m)), needs):
+            monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
             with pytest.raises(BudgetError, match=(
                     f"second-order backup over {env.space.num_x} coordinates "
                     f"needs {need} bytes; budget is {need - 1}")):
                 run()
+        need = needs[0]
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         tracemalloc.start()
         try:
@@ -531,21 +535,25 @@ class TestApplyTn:
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)
         m = MomentCollectionN.zeros(env.space, 4)
-        need = _BackupPlan(env, pol, 4).need
-        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
-        for run in (lambda: apply_tn(env, pol, m), lambda: jipe_n(env, pol, 4, 1e-6)):
+        # The count holds the residual trace: apply_tn counts none, jipe_n
+        # one entry per step of its max_iter (100 000 by default).
+        need_tn, need_n, need_2 = (_BackupPlan(env, pol, 4, k).need for k in (0, 100_000, 2))
+        for run, need in ((lambda: apply_tn(env, pol, m), need_tn),
+                          (lambda: jipe_n(env, pol, 4, 1e-6), need_n)):
+            monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
             with pytest.raises(BudgetError, match=f"order-4 backup over 6 coordinates "
                                                   f"needs {need} bytes; budget is {need - 1}"):
                 run()
-        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need_tn)
         apply_tn(env, pol, m)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need_2)
         jipe_n(env, pol, 4, 1e-6, max_iter=2)
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("case", ["crc3", "wgw2x2"])
     def test_budget_bounds_measured_peak(self, case, order, monkeypatch):
         env, pol, _ = REFERENCE_CASES[case]()
-        need = _BackupPlan(env, pol, order).need
+        need = _BackupPlan(env, pol, order, 3).need  # the count of a 3-step solve
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         with pytest.raises(BudgetError, match=f"needs {need} bytes"):
             jipe_n(env, pol, order, 1e-8, max_iter=3)
@@ -571,6 +579,87 @@ class TestApplyTn:
             block = np.ix_(*[coords] * k)
             np.testing.assert_allclose(out.table(k)[block], ref.table(k)[block],
                                        rtol=0.0, atol=1e-12)
+
+
+def _terms_per_view(plan):
+    """Per order of the plan, the sorted term counts of its views (a view is
+    told apart by where it starts in its order's value buffer)."""
+    return [sorted(collections.Counter(view.ctypes.data for view, *_ in terms).values())
+            for _, terms, _ in plan.orders]
+
+
+class TestComposedViews:
+    """A view small enough is one dense matrix over the state tables; with
+    _DENSE_KERNEL_MAX = 0 every view keeps its factored terms."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_factored_plan(self, case, order, monkeypatch):
+        env, pol, _ = REFERENCE_CASES[case]()
+        m = random_tables(np.random.default_rng(order), env.space.num_x, order)
+        out = apply_tn(env, pol, m)
+        monkeypatch.setattr(jmdp.dp, "_DENSE_KERNEL_MAX", 0)
+        ref = apply_tn(env, pol, m)
+        for k in range(1, order + 1):
+            np.testing.assert_allclose(out.table(k), ref.table(k), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (build_crc(3, 0.9), Policy.uniform(StateActionSpace(3, 2))),
+        lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2))),
+    ], ids=["crc3", "wgw3x3-goal"])
+    def test_same_iterations_as_factored_plan(self, make, monkeypatch):
+        env, pol = make()
+        final, trace = jipe_n(env, pol, 3, 1e-8)
+        monkeypatch.setattr(jmdp.dp, "_DENSE_KERNEL_MAX", 0)
+        ref, ref_trace = jipe_n(env, pol, 3, 1e-8)
+        assert trace[-1][0] == ref_trace[-1][0]
+        diff = [a - b for a, b in zip(final.tables, ref.tables)]
+        assert lambda_norm(diff, LambdaWeights(env.gamma)) <= 1e-12
+
+    def test_small_plan_holds_one_term_per_view(self):
+        # crc(3), order 3: Z_3 = 55 state entries, the largest view 216 cells.
+        env = build_crc(3, 0.8)
+        counts = _terms_per_view(_BackupPlan(env, Policy.uniform(env.space), 3, 0))
+        assert [len(c) for c in counts] == [1, 3, 6]
+        assert all(c == 1 for per_order in counts for c in per_order)
+
+    def test_order_four_plan_mixes_composed_and_factored_views(self):
+        # Z_4 = 184: the order-4 view of one coordinate (6 cells) is composed,
+        # that of four distinct states (6^4 cells) is not.
+        env = build_crc(3, 0.8)
+        plan = _BackupPlan(env, Policy.uniform(env.space), 4, 0)
+        counts = _terms_per_view(plan)
+        assert all(c == 1 for per_order in counts[:3] for c in per_order)
+        assert counts[3][0] == 1 and counts[3][-1] > 1
+        matrices = [ops[0][1].shape for _, _, _, ops in plan.orders[3][1]
+                    if len(ops) == 1 and ops[0][0] == 184]
+        assert (184, 6) in matrices
+
+
+@pytest.mark.parametrize("solver", ["jipe2", "jipe_n"])
+def test_budget_counts_residual_trace(solver, monkeypatch):
+    """A solve that runs out of max_iter keeps max_iter + 1 residuals, which
+    its count holds: the measured peak stays within it, one byte less refuses."""
+    env = build_crc(3, 0.9999)
+    pol = Policy.uniform(env.space)
+    if solver == "jipe2":
+        need = check_backup2_budget(env, 2_000)
+        run = lambda: jipe2(env, pol, 1e-8, max_iter=2_000).residual_trace
+    else:
+        need = _BackupPlan(env, pol, 2, 2_000).need
+        run = lambda: jipe_n(env, pol, 2, 1e-8, max_iter=2_000)[1]
+    monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+    with pytest.raises(BudgetError, match=f"needs {need} bytes; budget is {need - 1}"):
+        run()
+    monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        trace = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 2_001
+    assert peak <= need
 
 
 def _run_incremental(env, pol, **moments):

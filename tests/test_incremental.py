@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,13 @@ from jmdp.env import (
     build_wgw,
     wgw_goal_policy,
 )
-from jmdp.errors import InvalidInputError
+from jmdp.errors import BudgetError, InvalidInputError
 from jmdp.incremental import (
     _CHUNK,
     _coordinate_table,
     StepSchedule,
     VisitationScheme,
+    check_incremental_budget,
     noise_bound_constants,
     noise_diagnostic,
     run_incremental,
@@ -452,3 +455,36 @@ class TestNoiseDiagnostic:
         assert c1_small == pytest.approx(
             8.0 * max(0.05**2, (0.1 + 0.05**2 * (2 / 0.95)) ** 2)
         )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_crc(3, 0.9),
+    lambda: build_wgw(6, 6, (0, 5), 0.3, 0.9),
+], ids=["crc3", "wgw6x6"])
+@pytest.mark.parametrize("visitation", ["uniform", "sweep"])
+def test_budget_bounds_measured_peak(make, visitation, monkeypatch):
+    """One byte below check_incremental_budget refuses before any work; at the
+    count, a run that starts from m0 and takes checkpoint distances peaks
+    within it under tracemalloc."""
+    env = make()
+    pol = Policy.uniform(env.space)
+    ref = jipe2(env, pol, 1e-6).final
+
+    def run():
+        return run_incremental(env, pol, StepSchedule.harmonic(), VisitationScheme(visitation),
+                               3 * _CHUNK, seed=0, m0=ref, fixed_point=ref, trace_stride=_CHUNK)
+
+    need = check_incremental_budget(env)
+    monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+    with pytest.raises(BudgetError, match=(f"incremental run over {env.space.num_x} "
+                                           f"coordinates needs {need} bytes; budget is {need - 1}")):
+        run()
+    monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+    run()  # the first run imports the seed machinery's modules
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
