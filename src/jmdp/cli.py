@@ -519,7 +519,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         )
         mc = {"horizon": blk.horizon, "num_rollouts": blk.num_rollouts,
               "truncation_bias_bound": env.gamma**blk.horizon / (1.0 - env.gamma),
-              "max_steps": max(blk.steps, mc.get("max_steps", 0))}
+              "max_steps": max(blk.steps, mc.get("max_steps", 0)),
+              "rollout_steps": blk.rollout_steps + mc.get("rollout_steps", 0)}
         z = blk.z_value
         pairs = []
         for a in range(n_a):

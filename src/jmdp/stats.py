@@ -9,11 +9,16 @@ branches at one coordinate share the action uniform as well, so the next action
 independent draws. An `independent` continuation mode is also available, where
 cross-branch coupling is confined to the very first step.
 
-Rollouts stop before the truncation horizon once every branch lies in the
-env's largest reward-free closed set (no action and no noise atom leads from it
-to a nonzero reward). Each later term would add exactly 0.0, so returns are
-bit-identical to the full-horizon run in both modes, and a block that stops
-early (`McBlock.steps < horizon`) carries no truncation bias.
+A rollout finishes once every branch lies in the env's largest reward-free
+closed set (no action and no noise atom leads from it to a nonzero reward).
+Each later term would add exactly 0.0, so a finished rollout's return is final:
+it leaves the simulated arrays, and the block stops before the truncation
+horizon once every rollout has finished. Each step still draws its uniforms
+for all rollouts and gathers the live ones' columns, so the random stream, and
+every return, is bit-identical to the full-horizon run in both modes, and a
+block that stops early (`McBlock.steps < horizon`) carries no truncation bias.
+The gap and product tables are reduced once per unordered branch pair and
+mirrored.
 
 scipy is imported where it is called, on first use: csr_matrix and
 breadth_first_order in _reward_free_sink, ndtri in McBlock.z_value. `import
@@ -138,7 +143,9 @@ class McBlock:
     All branches start at `state`; branch j executes actions[j] first and the
     policy afterwards. sigma[i, j] estimates the mixed second moment of the
     branch returns; gap_* tables are indexed by ordered branch pairs. steps is
-    the number of steps simulated, at most the truncation horizon.
+    the number of steps simulated, at most the truncation horizon, and
+    rollout_steps the rollout-steps simulated: the sum over those steps of the
+    rollouts still live at each.
     """
 
     state: int
@@ -146,6 +153,7 @@ class McBlock:
     num_rollouts: int
     horizon: int
     steps: int
+    rollout_steps: int
     mu: np.ndarray
     mu_se: np.ndarray
     sigma: np.ndarray
@@ -204,38 +212,66 @@ def _branch_returns(
     horizon: int,
     seed: int,
     continuation_coupling: str,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, list]:
     """Simulate coupled branch returns (rows are branches, columns rollouts);
-    return them with the number of steps simulated, below horizon once every
-    branch lies in the reward-free closed set. A step's noise uniforms are
-    shared by state (at step 0 only under independent), then its action
-    uniforms by coordinate (under shared-state only)."""
+    return them with the number of rollouts live at each simulated step. A
+    rollout is live until every branch lies in the reward-free closed set; only
+    live columns are simulated, but each step still draws its uniforms for all
+    columns, so the stream does not depend on when rollouts finish. A step's
+    noise uniforms are shared by state (at step 0 only under independent), then
+    its action uniforms by coordinate (under shared-state only)."""
     n, k = num_rollouts, len(actions)
     shared = continuation_coupling == "shared-state"
     sink = _reward_free_sink(env)
     rng = np.random.default_rng(child_seed(seed, 0))
+    live = np.arange(n)
     states = np.full((k, n), s, dtype=np.int64)
     x = s * env.space.num_actions + np.repeat(np.array(actions)[:, None], n, axis=1)
-    z = np.zeros((k, n))
-    disc, t = 1.0, 0
-    while t < horizon and not sink[states].all():
-        r = _share(rng.random((k, n)), states) if shared or t == 0 else rng.random((k, n))
-        r_a = rng.random((k, n))
+    z, z_live = np.zeros((k, n)), np.zeros((k, n))
+    disc, counts = 1.0, []
+
+    def draw():  # every column's uniforms, then the live ones'
+        r = rng.random((k, n))
+        return r if live.size == n else r.take(live, axis=1)
+
+    while len(counts) < horizon:
+        done = sink[states].all(axis=0)
+        if done.any():  # later terms of a finished rollout add exactly 0.0
+            z[:, live[done]] = z_live[:, done]
+            keep = np.flatnonzero(~done)
+            live, states, x, z_live = live[keep], states[:, keep], x[:, keep], z_live[:, keep]
+            if not live.size:
+                break
+        r = _share(draw(), states) if shared or not counts else draw()
+        r_a = draw()
         rew, states, x = sample_step(env, policy, x, r, _share(r_a, x) if shared else r_a)
-        z += disc * rew
+        z_live += disc * rew
         disc *= env.gamma
-        t += 1
-    return z, t
+        counts.append(live.size)
+    z[:, live] = z_live
+    return z, counts
 
 
 def check_mc_budget(num_branches: int, num_rollouts: int) -> int:
-    """Bytes the per-rollout arrays of one Monte Carlo block hold at most:
-    eleven (k, n) 8-byte arrays in _branch_returns (one sample_step and the
-    loop's state), plus the returns, three (k, k, n) floats and one (k, k, n)
-    bool in mc_state_block. Raises BudgetError when that exceeds core.BUDGET_BYTES."""
+    """Bytes the per-rollout arrays of one Monte Carlo block hold at most, in
+    (k, n) 8-byte arrays: _branch_returns holds eleven (one sample_step and
+    the loop's state) plus z_live, one full draw beside its live gather, and
+    the live index (n entries); mc_state_block then holds the returns and
+    k(k+1)/2 product rows of n floats beside one temporary of their size (the
+    k(k-1)/2 gap rows, with one bool table, take less). Raises BudgetError
+    when that exceeds core.BUDGET_BYTES."""
     k, n = num_branches, num_rollouts
     return check_budget(f"Monte Carlo block of {k} branches and {n} rollouts",
-                        8 * n * (11 * k + k + 3 * k * k) + k * k * n)
+                        8 * n * (k * k + 15 * k + 1) + n * k * (k - 1) // 2)
+
+
+def _mirror(upper, lower, iu, ju, k, diag=0.0):
+    """(k, k) table holding upper at (iu, ju), lower at (ju, iu), and diag on
+    any diagonal entry those leave out."""
+    table = np.full((k, k), diag)
+    table[iu, ju] = upper
+    table[ju, iu] = lower
+    return table
 
 
 def mc_state_block(
@@ -269,34 +305,46 @@ def mc_state_block(
         raise InvalidQueryError(f"state {s} out of range")
     check_mc_budget(len(acts), num_rollouts)
     horizon = truncation_horizon(env.gamma, trunc_tol)
-    z, steps = _branch_returns(
+    z, counts = _branch_returns(
         env, policy, s, acts, num_rollouts, horizon, seed, continuation_coupling
     )
     k, n = z.shape
     mu = z.mean(axis=1)
     mu_se = z.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(k)
-    prods = z[:, None, :] * z[None, :, :]
-    sigma = prods.mean(axis=2)
-    sigma_se = (
-        prods.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
-    )
-    del prods  # at most three (k, k, n) float arrays live at once
-    gaps = z[:, None, :] - z[None, :, :]
-    gap_mean = gaps.mean(axis=2)
-    gap_mean_se = gaps.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
-    centered = gaps - gap_mean[:, :, None]
-    gap_var = (centered**2).sum(axis=2) / max(n - 1, 1)
+    # Each unordered branch pair is reduced once, as one row of n rollouts, and
+    # mirrored: products are symmetric, gaps antisymmetric.
+    iu, ju = np.triu_indices(k)
+    prods = z[iu]
+    prods *= z[ju]
+    sigma = prods.mean(axis=1)
+    sigma_se = prods.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(iu.size)
+    sigma, sigma_se = (_mirror(v, v, iu, ju, k) for v in (sigma, sigma_se))
+    del prods  # the gap rows below take its place
+    iu, ju = np.triu_indices(k, 1)
+    gaps = z[iu]
+    gaps -= z[ju]
+    gap_mean = gaps.mean(axis=1)
+    gap_mean_se = gaps.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(iu.size)
+    inferior = _mirror((gaps <= 0.0).mean(axis=1), (gaps >= 0.0).mean(axis=1), iu, ju, k, 1.0)
+    gaps -= gap_mean[:, None]  # centered in place
+    pw = gaps * gaps
+    gap_var = pw.sum(axis=1) / max(n - 1, 1)
     # Products, not numpy's CPU-dispatched `power`: the same bytes on every CPU.
-    m4 = (centered * centered * centered * centered).mean(axis=2)
-    gap_var_se = np.sqrt(np.maximum(m4 - gap_var**2, 0.0) / n)
-    inferior = (gaps <= 0.0).mean(axis=2)
+    pw *= gaps
+    pw *= gaps  # the fourth power, ((c * c) * c) * c
+    gap_var_se = np.sqrt(np.maximum(pw.mean(axis=1) - gap_var**2, 0.0) / n)
+    # 0.0 - m, not -m: a gap that is zero in every rollout has mean +0.0 both ways.
+    gap_mean = _mirror(gap_mean, 0.0 - gap_mean, iu, ju, k)
+    gap_mean_se, gap_var, gap_var_se = (
+        _mirror(v, v, iu, ju, k) for v in (gap_mean_se, gap_var, gap_var_se))
     inferiority_se = np.sqrt(inferior * (1.0 - inferior) / n)
     return McBlock(
         state=s,
         actions=acts,
         num_rollouts=n,
         horizon=horizon,
-        steps=steps,
+        steps=len(counts),
+        rollout_steps=sum(counts),
         mu=mu,
         mu_se=mu_se,
         sigma=sigma,

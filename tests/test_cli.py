@@ -39,7 +39,7 @@ from jmdp.fa import (
     check_stationary_budget,
     state_poly_features,
 )
-from jmdp.stats import truncation_horizon
+from jmdp.stats import check_mc_budget, truncation_horizon
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -525,12 +525,16 @@ class TestAnalyze:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
         mc = json.loads((out / "manifest.json").read_text())["result"]["monte_carlo"]
-        assert sorted(mc) == ["horizon", "max_steps", "num_rollouts",
+        assert sorted(mc) == ["horizon", "max_steps", "num_rollouts", "rollout_steps",
                               "truncation_bias_bound"]
         horizon = truncation_horizon(0.9, 1e-4)
         assert mc["horizon"] == horizon and mc["num_rollouts"] == 500
         assert mc["truncation_bias_bound"] == 0.9**horizon / (1 - 0.9) <= 1e-4
         assert (mc["max_steps"] < horizon) if absorbed else (mc["max_steps"] == horizon)
+        # The live rollout-steps summed over both blocks: finished rollouts
+        # leave the simulation, so on wgw they fall short of the full count.
+        full = 500 * mc["max_steps"] * 2
+        assert (0 < mc["rollout_steps"] < full) if absorbed else (mc["rollout_steps"] == full)
 
     def test_uncertified_solve_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_ANALYSIS_MAX_ITER", 3)
@@ -629,6 +633,16 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "error: BudgetError: Monte Carlo block of 2 branches and 1000000000" in err
+        assert not (tmp_path / "run").exists()
+        # One byte below the count of a small block refuses as well.
+        need = check_mc_budget(2, 300)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        doc["analysis"]["num_rollouts"] = 300
+        write_config(tmp_path / "c.json", doc)
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert ("error: BudgetError: Monte Carlo block of 2 branches and 300 rollouts "
+                f"needs {need} bytes; budget is {need - 1}") in err
         assert not (tmp_path / "run").exists()
 
     def test_coupling_on_large_gridworld(self, tmp_path):

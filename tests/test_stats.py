@@ -18,12 +18,14 @@ from jmdp.env import (
     build_shared_successors,
     build_wgw,
     child_seed,
+    sample_step,
     wgw_goal_policy,
 )
 from jmdp.errors import AssumptionError, BudgetError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
     _branch_returns,
     _reward_free_sink,
+    _share,
     cantelli_bound,
     chebyshev_ecdf,
     check_mc_budget,
@@ -279,6 +281,27 @@ class TestMcOracle:
             tracemalloc.stop()
         assert peak <= check_mc_budget(len(actions), num_rollouts)
 
+    @pytest.mark.parametrize("build, s, drops", [
+        (lambda: build_wgw(3, 3, (0, 2), 0.3, 0.9), 1, True),  # next to the goal
+        (lambda: build_crc(5, 0.9), 0, False),  # no reward-free state
+    ], ids=["wgw-drops-rollouts-early", "crc-never-drops"])
+    @pytest.mark.parametrize("coupling", ["shared-state", "independent"])
+    def test_budget_count_bounds_peak_with_and_without_compaction(self, build, s, drops,
+                                                                  coupling):
+        env = build()
+        pol, acts, n = Policy.uniform(env.space), (0, 1, 1), 12_000
+        run = lambda: mc_state_block(env, pol, s, acts, n, 1e-4, 0,
+                                     continuation_coupling=coupling)
+        blk = run()  # also takes the first-call allocations out of the peak
+        assert (blk.rollout_steps < n * blk.steps) == drops
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_mc_budget(len(acts), n)
+
     def test_fourth_moment_is_a_product(self):
         # gap_var_se reads m4 as c * c * c * c, never numpy's CPU-dispatched power.
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
@@ -462,11 +485,11 @@ class TestEarlyStop:
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
         args = (env, pol, 6, (0, 1, 2, 3, 1), 2_000, 60, 7, coupling)
-        z, steps = _branch_returns(*args)
+        z, counts = _branch_returns(*args)
         no_sink = lambda env: np.zeros(env.space.num_states, dtype=bool)
         with mock.patch.object(jmdp.stats, "_reward_free_sink", no_sink):
-            z_full, full_steps = _branch_returns(*args)
-        assert steps < full_steps == 60
+            z_full, full_counts = _branch_returns(*args)
+        assert len(counts) < len(full_counts) == 60 and full_counts == [2_000] * 60
         np.testing.assert_array_equal(z, z_full)
 
     def test_block_steps(self):
@@ -481,3 +504,95 @@ class TestEarlyStop:
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         blk = mc_state_block(env, Policy.uniform(env.space), 2, range(4), 10, 1e-4, 0)
         assert blk.steps == 0 and not blk.mu.any()
+
+
+def full_width_block(env, policy, s, actions, n, trunc_tol, seed, coupling):
+    """The oracle as it was before finished rollouts left the simulation: every
+    step works on all n columns, and every table is reduced over all k² ordered
+    branch pairs of (k, k, n) arrays. Returns the tables, steps and
+    rollout-steps (the columns with a branch outside the set, per step)."""
+    horizon = truncation_horizon(env.gamma, trunc_tol)
+    k, shared = len(actions), coupling == "shared-state"
+    sink = _reward_free_sink(env)
+    rng = np.random.default_rng(child_seed(seed, 0))
+    states = np.full((k, n), s, dtype=np.int64)
+    x = s * env.space.num_actions + np.repeat(np.array(actions)[:, None], n, axis=1)
+    z = np.zeros((k, n))
+    disc, t, rollout_steps = 1.0, 0, 0
+    while t < horizon and not sink[states].all():
+        rollout_steps += int((~sink[states].all(axis=0)).sum())
+        r = _share(rng.random((k, n)), states) if shared or t == 0 else rng.random((k, n))
+        r_a = rng.random((k, n))
+        rew, states, x = sample_step(env, policy, x, r, _share(r_a, x) if shared else r_a)
+        z += disc * rew
+        disc *= env.gamma
+        t += 1
+    mu = z.mean(axis=1)
+    mu_se = z.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(k)
+    prods = z[:, None, :] * z[None, :, :]
+    sigma = prods.mean(axis=2)
+    sigma_se = prods.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
+    gaps = z[:, None, :] - z[None, :, :]
+    gap_mean = gaps.mean(axis=2)
+    gap_mean_se = gaps.std(axis=2, ddof=1) / np.sqrt(n) if n > 1 else np.zeros((k, k))
+    centered = gaps - gap_mean[:, :, None]
+    gap_var = (centered**2).sum(axis=2) / max(n - 1, 1)
+    m4 = (centered * centered * centered * centered).mean(axis=2)
+    gap_var_se = np.sqrt(np.maximum(m4 - gap_var**2, 0.0) / n)
+    inferiority = (gaps <= 0.0).mean(axis=2)
+    inferiority_se = np.sqrt(inferiority * (1.0 - inferiority) / n)
+    tables = dict(mu=mu, mu_se=mu_se, sigma=sigma, sigma_se=sigma_se, gap_mean=gap_mean,
+                  gap_mean_se=gap_mean_se, gap_var=gap_var, gap_var_se=gap_var_se,
+                  inferiority=inferiority, inferiority_se=inferiority_se)
+    return tables, t, rollout_steps
+
+
+def _wgw():
+    return build_wgw(3, 3, (0, 2), 0.3, 0.9)
+
+
+REFERENCE_CASES = [
+    # every wgw(3x3) state under the goal policy, the goal itself (2) taking no step
+    *[(f"wgw-goal-s{s}", _wgw, lambda env: wgw_goal_policy(3, 3, (0, 2)), s,
+       (0, 1, 2, 3, 1), 400, 1e-4) for s in range(9)],
+    # a horizon of 22 steps, shorter than many uniform rollouts take to the goal
+    ("wgw-short-horizon", _wgw, lambda env: Policy.uniform(env.space), 1, (0, 1, 2, 3),
+     500, 1.0),
+    ("crc", lambda: build_crc(5, 0.9), lambda env: Policy.uniform(env.space), 1,
+     (0, 1, 1), 300, 1e-3),
+    ("k1", _wgw, lambda env: random_policy(3, env.space), 3, (2,), 400, 1e-4),
+    ("n1", _wgw, lambda env: random_policy(3, env.space), 3, (0, 1, 2, 3, 1), 1, 1e-4),
+]
+
+
+class TestFullWidthReference:
+    @pytest.mark.parametrize("coupling", ["shared-state", "independent"])
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+    def test_block_matches_the_full_width_loop(self, case, coupling):
+        _, build, make_policy, s, actions, n, tol = case
+        env = build()
+        pol = make_policy(env)
+        blk = mc_state_block(env, pol, s, actions, n, tol, 5, continuation_coupling=coupling)
+        tables, steps, rollout_steps = full_width_block(env, pol, s, actions, n, tol, 5,
+                                                        coupling)
+        assert (blk.steps, blk.rollout_steps) == (steps, rollout_steps)
+        for name, want in tables.items():
+            got = getattr(blk, name)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+    def test_cases_cover_both_stops(self):
+        # The goal block takes no step, the other goal-policy blocks drop
+        # rollouts before they stop, the short horizon stops with rollouts
+        # still live, and crc never drops one.
+        blocks = {}
+        for name, build, make_policy, *args in REFERENCE_CASES:
+            env = build()
+            blocks[name] = mc_state_block(env, make_policy(env), *args, seed=5)
+        dropped = lambda b: b.rollout_steps < b.num_rollouts * b.steps
+        assert blocks["wgw-goal-s2"].steps == 0
+        assert all(dropped(blocks[f"wgw-goal-s{s}"]) for s in range(9) if s != 2)
+        short = blocks["wgw-short-horizon"]
+        assert short.steps == short.horizon == 22 and dropped(short)
+        crc = blocks["crc"]
+        assert crc.steps == crc.horizon and not dropped(crc)
