@@ -14,7 +14,6 @@ from .core import (
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
-    enumerate_indices,
     lambda_norm,
 )
 from .dp import Jipe2Report, apply_t2, apply_tn, jipe2, jipe_n

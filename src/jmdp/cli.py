@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import check_backup2_budget, jipe2, jipe_n
+from .dp import check_backup_budget, jipe2, jipe_n
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -479,7 +479,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
         for mode in COUPLING_MODES:
             check_coupling_budget(env, mode)
         check_stationary_budget(env)
-    check_backup2_budget(env, _ANALYSIS_MAX_ITER)
+    check_backup_budget(env, 2, _ANALYSIS_MAX_ITER)
     if ana["coupling"]:
         nu = stationary_distribution(env, policy)
         reports = {}

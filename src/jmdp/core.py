@@ -7,7 +7,6 @@ Second-moment tables live on X x X, order-k tables on X^k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,21 @@ __all__ = [
     "MomentCollectionN",
     "Index2",
     "lambda_norm",
-    "enumerate_indices",
 ]
 
 # Bytes any one solve, coupling computation or Monte Carlo block may hold.
 # Read at call time, so setting jmdp.core.BUDGET_BYTES moves every check.
 BUDGET_BYTES = 256 * 1024 * 1024
+# Added to every count: the interpreter's small objects, array headers and
+# numpy's iterator buffers, which no count lists.
+_SMALL_OBJECT_BYTES = 64 * 1024
 
 
 def check_budget(what: str, need: int) -> int:
-    """Return need, the bytes `what` holds at most; raise BudgetError before
-    any work when that exceeds BUDGET_BYTES."""
+    """Return the bytes `what` holds at most, its count need plus the
+    small-object allowance; raise BudgetError before any work when that
+    exceeds BUDGET_BYTES."""
+    need += _SMALL_OBJECT_BYTES
     if need > BUDGET_BYTES:
         raise BudgetError(f"{what} needs {need} bytes; budget is {BUDGET_BYTES}")
     return need
@@ -201,16 +204,6 @@ class Index2:
             raise InvalidQueryError("sigma index needs both coordinates")
         if self.kind == "mu" and self.x2 is not None:
             raise InvalidQueryError("mu index takes a single coordinate")
-
-
-def enumerate_indices(space: StateActionSpace) -> list[Index2]:
-    """All |X| + |X|^2 coordinates, mu entries first, sigma pairs row-major."""
-    n = space.num_x
-    out = [Index2("mu", x) for x in range(n)]
-    out.extend(
-        Index2("sigma", x, y) for x, y in itertools.product(range(n), range(n))
-    )
-    return out
 
 
 def lambda_norm(m, w: LambdaWeights) -> float:

@@ -1,37 +1,35 @@
 """Exact joint Bellman operators and their fixed-point iterations.
 
-Both orders run one certified algorithm: build the backup of the chosen order
-once per (env, policy), iterate it on raw moment tables until the residual
-certifies accuracy through the computable bound
+Every order runs one certified algorithm: build the backup of the chosen
+order once per (env, policy), iterate it on raw moment tables until the
+residual certifies accuracy through the computable bound
 ||m - m*|| <= residual / (1 - gamma), and wrap only the result in a frozen,
-symmetry-checked collection.
+symmetry-checked collection. The second-order operator is the order-2 case of
+the one backup, _BackupPlan.
 
-The second-order backup enumerates the noise support and the policy; no
-sampling anywhere, so contraction properties can be checked to float
-precision. Queries at distinct states use independent draws, so the
-cross-state block factors through the marginal MDP (env.marginal_mdp): with
-mean rewards r, expected continuation means e, marginal kernel P (|X| x S) and
-policy-averaged second moments M (S x S), it is r r' + gamma (r e' + e r') +
-gamma^2 P M P'. Only same-state entries enumerate the shared noise draw. The
-build computes every term that does not read the tables.
-
-The order-n backup works on whole tensors, grouped by the coincidence
-pattern of a tuple's k positions: sigma groups positions at one state (one
-shared noise draw), tau refines it to positions at one coordinate (one shared
-next action, as they denote one random return). Per pattern class and per
-choice of continuing positions, the order-j table enters only through a
-policy-averaged state table (S^j, one axis per continuing tau-block), which
-each sigma-block contracts with its noise kernel: a dense matrix, such as the
-marginal kernel P for one continuing position, or a gather over h with the
-shared draw enumerated. The state tables share one vector z by total order; a
-pattern class whose map from z's order-k prefix fits in _DENSE_KERNEL_MAX
-entries is composed at build time into one dense matrix. Memory is S^k-sized
-per pattern plus the |X|^k tables and a gather index, all counted against
-core.BUDGET_BYTES before any work.
+The backup enumerates the noise support and the policy; no sampling
+anywhere, so contraction properties can be checked to float precision. It
+works on whole tensors, grouped by the coincidence pattern of a tuple's k
+positions: sigma groups positions at one state (one shared noise draw), tau
+refines it to positions at one coordinate (one shared next action, as they
+denote one random return). The order-j table enters only through
+policy-averaged state tables (S^j, one axis per continuing tau-block). A
+pattern class stacks them in one state tensor with an axis per tau-block,
+the constant 1 for positions that end with their reward, so one contraction
+with a noise kernel per sigma-block covers every choice of continuing
+positions: a dense matrix, such as K = [r'; gamma P'] for one position (mean
+rewards r, marginal kernel P, |X| x S), or a gather over h with the shared
+draw enumerated. At order 2 the class of distinct states is K' Z K with
+Z = [[1, mbar'], [mbar, M2]], two matrix products straight into the output
+table. Classes of several sigma-blocks small enough are composed at build
+time into one dense matrix. The other classes' values are written at the
+sorted tuples and copied to their permutations. Every byte is counted
+(check_backup_budget) against core.BUDGET_BYTES before any array is built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,14 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _CHECK_BLOCK, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
-from .env import ExoJmdp, Policy, marginal_mdp
+from .env import ExoJmdp, Policy
 from .errors import InvalidInputError
 
 __all__ = [
     "Jipe2Report",
     "apply_t2",
     "jipe2",
-    "check_backup2_budget",
+    "check_backup_budget",
     "apply_tn",
     "jipe_n",
 ]
@@ -76,104 +74,336 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
         )
 
 
-_BACKUP2_SLACK_BYTES = 64 * 1024  # the interpreter's small objects and array headers
+_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger class stays factored, a larger kernel gathers
+_OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
 _TRACE_BYTES = 128  # one (iteration, residual) entry of _solve's trace, list slot included
 
 
-def check_backup2_budget(env: ExoJmdp, max_iter: int = 100_000) -> int:
-    """Bytes a second-order solve of at most max_iter steps holds at once;
-    raises BudgetError when that exceeds core.BUDGET_BYTES. The iterate and
-    the reward products rr are held through the loop, and at most three more
-    |X|^2 tables live at once: apply's temporaries (its output among them), or
-    the backup, the difference and its absolute value in the residual, or the
-    backup and the frozen copy. Beside them: the |X| x S kernel and a matrix
-    product with it, the S x S averaged table, the same-state gather over
-    (S, A, A, U) with its index pairs, (S, A, A) blocks, marginal_mdp's
-    (S, A, U) index arrays and per-coordinate vectors, and the residual trace."""
+def _run_blocks(code: tuple) -> tuple:
+    """(shape, blocks) of a sorted tuple whose position i+1 repeats the
+    coordinate of position i (code[i] = 0), only its state (1) or neither (2).
+    Blocks are sigma-blocks (lists of tau-blocks of positions) in the order of
+    the class representative: sigma-blocks by decreasing (size, tau-block
+    sizes), tau-blocks by decreasing size; shape lists their sizes."""
+    blocks = [[[0]]]
+    for i, d in enumerate(code, start=1):
+        if d == 2:
+            blocks.append([[i]])
+        elif d == 1:
+            blocks[-1].append([i])
+        else:
+            blocks[-1][-1].append(i)
+    blocks = [sorted(b, key=len, reverse=True) for b in blocks]
+    blocks.sort(key=lambda b: [sum(map(len, b))] + [len(t) for t in b], reverse=True)
+    return tuple(tuple(map(len, b)) for b in blocks), tuple(tuple(map(tuple, b)) for b in blocks)
+
+
+@functools.cache
+def _classes(k: int) -> tuple:
+    """Order k's run-shape classes as sorted (shape, the blocks of each of its
+    run codes) pairs: the class of k distinct states, ((1,),) * k, comes first."""
+    classes: dict = {}
+    for code in itertools.product(range(3), repeat=k - 1):
+        shape, blocks = _run_blocks(code)
+        classes.setdefault(shape, []).append(blocks)
+    return tuple((shape, tuple(codes)) for shape, codes in sorted(classes.items()))
+
+
+def _kernel_size(env: ExoJmdp, sizes: tuple) -> tuple:
+    """(rows, cells, atoms, dense) of the kernel of a sigma-block whose
+    tau-blocks hold sizes[j] positions: rows over the blocks' state axes,
+    S * N^J cells, an atom per noise draw and continuing counts. Dense when no
+    larger than _DENSE_KERNEL_MAX entries or than one position's kernel."""
     s_n, a_n, u_n = env.g.shape
+    rows = math.prod(1 + m * s_n for m in sizes)
+    cells, atoms = s_n * a_n ** len(sizes), u_n * math.prod(m + 1 for m in sizes)
+    return rows, cells, atoms, rows * cells <= max(_DENSE_KERNEL_MAX, (1 + s_n) * s_n * a_n)
+
+
+def _block_kernel(env: ExoJmdp, sizes: tuple) -> tuple:
+    """Noise kernel of one sigma-block, whose tau-block j holds sizes[j]
+    positions with one action a_j. Its state axis j has 1 + sizes[j] * S rows:
+    the constant 1, then per t = 1..sizes[j] continuing positions the state
+    table at their successor. Cell (s, a_1..a_J) collects, per noise draw u
+    and counts t_j, p_u prod_j C(m_j, t_j) gamma^t_j g[s,a_j,u]^(m_j - t_j)
+    times the row at h[s,a_j,u]. Returns (rows, dense (rows, cells) matrix,
+    None) or (rows, (atoms, cells) row index, weights)."""
+    s_n, a_n, u_n = env.g.shape
+    rows, cells, _, dense = _kernel_size(env, sizes)
+    full = (s_n,) + (a_n,) * len(sizes) + (u_n,)
+    index, weights = [], []
+    for ts in itertools.product(*(range(m + 1) for m in sizes)):
+        weight, row = env.noise.probs * np.ones(full), np.zeros(full, dtype=np.intp)
+        for j, (m, t) in enumerate(zip(sizes, ts)):
+            axes = (s_n,) + (1,) * j + (a_n,) + (1,) * (len(sizes) - 1 - j) + (u_n,)
+            # 1 * g * ... * g, not numpy's CPU-dispatched power: CPU-independent bytes.
+            weight = math.comb(m, t) * env.gamma ** t * weight * math.prod(
+                [env.g.reshape(axes)] * (m - t), start=1.0)
+            row = row * (1 + m * s_n) + (1 + (t - 1) * s_n + env.h.reshape(axes) if t else 0)
+        index.append(row.reshape(cells, u_n).T)
+        weights.append(weight.reshape(cells, u_n).T)
+    index, weights = np.concatenate(index), np.concatenate(weights)
+    if not dense:
+        return rows, index, weights
+    matrix = np.zeros((rows, cells))
+    np.add.at(matrix, (index, np.arange(cells)), weights)
+    return rows, matrix, None
+
+
+def _contract(x: np.ndarray, ops) -> np.ndarray:
+    """Run x's leading axes through one (rows, kernel, weights) op per
+    sigma-block, a dense product or a weighted gather; each op appends its
+    cells last, so axes after the consumed ones (a batch axis) come out first.
+    A single row gathers every atom at once, a batch one atom at a time."""
+    for rows, kern, weight in ops:
+        x = x.reshape(rows, -1).T
+        if weight is None:
+            x = x @ kern
+        elif len(x) == 1:
+            x = (x[0, kern] * weight).sum(axis=0, keepdims=True)
+        else:
+            acc = x[:, kern[0]] * weight[0]
+            for index, w in zip(kern[1:], weight[1:]):
+                t = x[:, index]
+                t *= w
+                acc += t
+            x = acc
+    return x
+
+
+@functools.cache
+def _patterns(taus: tuple) -> tuple:
+    """The blocks of the state tensor over tau-blocks of sizes taus, one per
+    nonzero choice ts of t_j continuing positions in each tau-block: ts, the
+    key of its state table (the nonzero t_j, decreasing) and the transpose
+    putting the table's axes in tau-block order."""
+    out = []
+    for ts in itertools.product(*(range(m + 1) for m in taus)):
+        mults = [t for t in ts if t]
+        if mults:
+            rank = sorted(range(len(mults)), key=lambda i: -mults[i])  # stable
+            perm = sorted(range(len(rank)), key=rank.__getitem__)
+            out.append((ts, tuple(mults[i] for i in rank), tuple(perm)))
+    return tuple(out)
+
+
+def _increasing(n: int, r: int) -> np.ndarray:
+    """The strictly increasing r-tuples of range(n), one per row."""
+    return np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(-1, r)
+
+
+def _class_index(env: ExoJmdp, k: int, codes) -> tuple:
+    """(flat positions in the order-k table, positions in the class's values)
+    of the sorted tuples with the given run codes' blocks. In a sorted tuple the
+    sigma-blocks are runs of positions at increasing states and a block's
+    tau-blocks runs at increasing actions; its value is its representative's
+    cell, at the state of each sigma-block and the action of each tau-block."""
+    s_n, a_n, _ = env.g.shape
+    pos, val = [], []
+    for blocks in codes:
+        coef = np.zeros((2, k), dtype=np.intp)  # per position, of its state and action
+        for c, block in enumerate(blocks):
+            stride = math.prod(s_n * a_n ** len(b) for b in blocks[c + 1:])
+            coef[0, min(t[0] for t in block)] = stride * a_n ** len(block)
+            for j, tau in enumerate(block):
+                coef[1, tau[0]] = stride * a_n ** (len(block) - 1 - j)
+        runs = sorted(sorted(b) for b in blocks)  # by position
+        grids = [_increasing(s_n, len(runs))] + [_increasing(a_n, len(b)) for b in runs]
+        mesh = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
+        xs = np.empty((k, mesh.shape[1]), dtype=np.intp)
+        for c, run in enumerate(runs):
+            for j, tau in enumerate(run):
+                xs[list(tau)] = grids[0][mesh[0], c] * a_n + grids[1 + c][mesh[1 + c], j]
+        s = xs // a_n
+        pos.append((s_n * a_n) ** np.arange(k - 1, -1, -1) @ xs)
+        val.append(coef[0] @ s + coef[1] @ (xs - a_n * s))
+    return np.concatenate(pos), np.concatenate(val)
+
+
+def _mirror(t: np.ndarray) -> None:
+    """Give every entry of the order-k table t its value at the sorted
+    coordinates, in place: exact permutation invariance. A pass copies each
+    entry whose positions p, p+1 are out of order from its swapped twin; the
+    passes run the bubble-sort network's comparators last first, in blocks of
+    leading rows of at most max(|X|^(k-1), _CHECK_BLOCK) entries."""
+    k, n = t.ndim, len(t)
+    step = min(n, max(1, _CHECK_BLOCK // n ** (k - 1)))
+    below = (np.arange(step)[:, None] > np.arange(step))[:, :, None]
+    for p in reversed([p for end in range(k - 1, 0, -1) for p in range(end)]):
+        v = t.reshape(n**p, n, n, -1)
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            if i0:
+                v[:, i0:i1, :i0] = v[:, :i0, i0:i1].swapaxes(1, 2)
+            tile = v[:, i0:i1, i0:i1]
+            np.copyto(tile, tile.swapaxes(1, 2), where=below[:i1 - i0, :i1 - i0])
+
+
+def _steps(env: ExoJmdp, size: int, shape: tuple) -> list:
+    """Words live at each op of a _contract over `size` entries through the
+    kernels of shape's sigma-blocks: its input, output and gather temporaries."""
+    steps = []
+    for sizes in shape:
+        rows, cells, atoms, dense = _kernel_size(env, sizes)
+        n = size // rows
+        out = n * cells
+        steps.append(size + out + (0 if dense else 2 * atoms * cells if n == 1 else out))
+        size = out
+    return steps
+
+
+def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> int:
+    """Bytes an order-`order` solve of at most max_iter steps holds at once;
+    raises BudgetError when that exceeds core.BUDGET_BYTES, before any array
+    is built. The iterate and its backup are held throughout, and beside them
+    the largest of: the residual's difference tables and the absolute value
+    of one; the frozen copy and a block of its symmetry check; a state-table
+    average; one class's contraction (a distinct-state class writes into the
+    backup, any other adds its values and the gathered ones); a mirror block
+    and its copy; or the build's composition, kernel and index temporaries.
+    The plan holds the state tables and tensors, the kernels factored classes
+    read, composed matrices and per-class indexes; _OBJECT_BYTES per entry
+    and _TRACE_BYTES per residual of max_iter steps."""
+    s_n, a_n, _ = env.g.shape
     n_x = env.space.num_x
-    words = (5 * n_x * n_x + 2 * n_x * s_n + s_n * s_n + 3 * s_n * a_n * a_n * u_n
-             + 8 * s_n * a_n * a_n + 5 * n_x * u_n + 16 * n_x)
-    return check_budget(f"second-order backup over {n_x} coordinates",
-                        8 * words + _TRACE_BYTES * (max_iter + 1) + _BACKUP2_SLACK_BYTES)
+    tables = sum(n_x**k for k in range(1, order + 1))
+    held, build = 2 * tables + s_n * a_n, [0]
+    peak = [tables + n_x**order, tables + min(n_x**order, max(n_x ** (order - 1), _CHECK_BLOCK))]
+    keys, states, kept, built = set(), set(), set(), set()
+    for k in range(2, order + 1):
+        rows = min(n_x, max(1, _CHECK_BLOCK // n_x ** (k - 1)))
+        peak.append(rows * rows * (n_x ** (k - 2) + 1))  # a mirror tile's copy and mask
+    for k in range(1, order + 1):
+        for shape, codes in _classes(k):
+            taus = tuple(m for block in shape for m in block)
+            z = math.prod(1 + m * s_n for m in taus)
+            cells = math.prod(s_n * a_n ** len(b) for b in shape)
+            count = 0 if len(shape) == k else sum(  # sorted tuples, as _class_index lists them
+                math.comb(s_n, len(blocks)) * math.prod(math.comb(a_n, len(b)) for b in blocks)
+                for blocks in codes)
+            states.add(taus)
+            keys.update(m for _, m, _ in _patterns(taus))
+            held += 2 * count
+            build.append((4 * k + 5) * count)
+            if len(shape) > 1 and z * cells <= _DENSE_KERNEL_MAX:
+                built.update(shape)
+                held += z * cells
+                build.append(z * z + max(_steps(env, z * z, shape)))
+                steps = [z + cells]
+            else:
+                kept.update(shape)
+                steps = _steps(env, z, shape)
+            if len(shape) == k:  # the distinct-state class's output is the backup
+                peak.append(max(steps[:-1] + [steps[-1] - n_x**k]))
+            else:
+                peak.append(max(steps + [cells + count]))
+    held += sum(math.prod(1 + m * s_n for m in taus) for taus in states)
+    held += sum(s_n ** len(m) for m in keys)
+    peak += [3 * s_n * n_x ** (len(m) - 1) for m in keys]  # an average's pass, copy and input
+    words = {}
+    for sizes in kept | built:
+        rows, cells, atoms, dense = _kernel_size(env, sizes)
+        words[sizes] = rows * cells if dense else 2 * atoms * cells
+        build.append(4 * atoms * cells)
+    held += sum(words[sizes] for sizes in kept)
+    peak.append(max(build) + sum(words[sizes] for sizes in built - kept))
+    objects = len(words) + len(keys) + len(states) + 3**order + sum(
+        len(_classes(k)) for k in range(1, order + 1))
+    return check_budget(f"order-{order} backup over {n_x} coordinates",
+                        8 * (held + max(peak)) + _OBJECT_BYTES * objects
+                        + _TRACE_BYTES * (max_iter + 1))
 
 
-class _Backup2:
-    """The second-order backup, built once per solve.
+class _BackupPlan:
+    """The order-n backup grouped by coincidence pattern, built once per solve.
 
-    apply(tables) maps raw [m_mu, m_sigma] to the backed-up pair, as
-    _BackupPlan.apply does for order n. The build holds what does not read
-    the tables: the marginal MDP's mean rewards and kernel, the reward
-    products, E[g_a g_b] and E[g^2] under the noise, and the successor index
-    pairs of same-state entries. Its bytes (check_backup2_budget) are checked
-    before any array is built.
+    Per order and run-shape class (see _run_blocks), the representative's
+    values are a tensor with one axis (a state, one action per tau-block) per
+    sigma-block: its state tensor run through one kernel per sigma-block
+    (_contract), or, where that tensor's entries times the cells are at most
+    _DENSE_KERNEL_MAX, through one matrix composed at build time. A class's
+    state tensor has an axis per tau-block: the constant 1 and the
+    policy-averaged state tables of its continuing positions, so every
+    choice of continuing positions runs in one contraction. The class of
+    distinct states is the order-k table itself; every other class writes
+    its sorted tuples through an index, and _mirror copies each sorted tuple
+    to its permutations. `need` is check_backup_budget's count.
     """
 
-    def __init__(self, env: ExoJmdp, policy: Policy, max_iter: int):
-        check_backup2_budget(env, max_iter)
-        s_n, n_x = env.space.num_states, env.space.num_x
-        self.env, self.pi = env, policy.probs
-        u_probs, g, h = env.noise.probs, env.g, env.h
-        self.r_mean, p_s = marginal_mdp(env)
-        self.r = self.r_mean.reshape(n_x, 1)
-        self.p = p_s.reshape(n_x, s_n)
-        self.rr = self.r * self.r.T
-        self.gg = np.einsum("u,sau,sbu->sab", u_probs, g, g)
-        self.g2 = (g * g) @ u_probs
-        self.hh = (h[:, :, None, :], h[:, None, :, :])
+    def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
+        self.need = check_backup_budget(env, order, max_iter)
+        s_n, a_n, _ = env.g.shape
+        n_x = env.space.num_x
+        self.pi = policy.probs[:, None, :]
+        kernels, states, self.orders = {}, {}, []
+        for k in range(1, order + 1):
+            classes = []
+            for shape, codes in _classes(k):
+                taus = tuple(m for block in shape for m in block)
+                if taus not in states:
+                    states[taus] = np.zeros([1 + m * s_n for m in taus])
+                    states[taus][(0,) * len(taus)] = 1.0  # the all-reward term
+                z = states[taus]
+                for sizes in shape:
+                    if sizes not in kernels:
+                        kernels[sizes] = _block_kernel(env, sizes)
+                ops = [kernels[sizes] for sizes in shape]
+                cells = math.prod(s_n * a_n ** len(b) for b in shape)
+                if len(shape) > 1 and z.size * cells <= _DENSE_KERNEL_MAX:
+                    eye = np.eye(z.size).reshape(z.shape + (z.size,))
+                    ops = [(z.size, _contract(eye, ops).reshape(z.size, cells), None)]
+                index = () if len(shape) == k else _class_index(env, k, codes)
+                classes.append((z, ops, *index))
+            self.orders.append(classes)
+        targets: dict = {}
+        for taus, z in states.items():
+            for ts, mults, perm in _patterns(taus):
+                index = tuple(slice(1 + (t - 1) * s_n, 1 + t * s_n) if t else 0 for t in ts)
+                targets.setdefault(mults, []).append((z[index], perm))
+        self.state_tables = []  # (key, byte strides of its diagonal view, its table, targets)
+        for mults in sorted(targets, key=lambda m: (sum(m), m)):
+            tops = list(itertools.accumulate(mults))
+            self.state_tables.append((mults, tuple(
+                8 * sum(n_x ** (tops[-1] - 1 - q) for q in range(e - t, e))
+                for t, e in zip(mults, tops)), np.empty((s_n,) * len(mults)), targets[mults]))
 
     def apply(self, tables) -> list:
-        """One backup of the raw [m_mu, m_sigma]; returns the new pair."""
-        env, pi, gamma = self.env, self.pi, self.env.gamma
-        s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
-        u_probs, g, h = env.noise.probs, env.g, env.h
-        mu = tables[0].reshape(s_n, a_n)
-        sig = tables[1].reshape(s_n, a_n, s_n, a_n)
-
-        # Policy-averaged lookups of the input tables.
-        mbar = np.einsum("sa,sa->s", pi, mu)  # E_pi[m_mu(s', .)]
-        msum2 = np.einsum("ia,iajb,jb->ij", pi, sig, pi)  # independent next actions
-        diag_sa = np.einsum("sasa->sa", sig)
-        mdiag = np.einsum("sa,sa->s", pi, diag_sa)  # one shared next action
-
-        mbar_h = mbar[h]  # (S, N, U)
-        e_mb = mbar_h @ u_probs  # E[mbar(S') | s, a]
-
-        t_mu = self.r_mean + gamma * e_mb
-
-        # Cross-state coordinates: the two queries use independent draws, so
-        # every term factorizes through the marginal MDP.
-        r, e, p = self.r, e_mb.reshape(n_x, 1), self.p
-        t_sig = (
-            self.rr + gamma * (r * e.T) + gamma * (e * r.T) + gamma**2 * (p @ msum2 @ p.T)
-        ).reshape(s_n, a_n, s_n, a_n)
-
-        # Same-state coordinates: one shared noise draw couples the two actions.
-        cross = gamma * np.einsum("u,sau,sbu->sab", u_probs, g, mbar_h)
-        t4 = gamma**2 * np.einsum("u,sabu->sab", u_probs, msum2[self.hh])
-        same_block = self.gg + cross + cross.transpose(0, 2, 1) + t4
-
-        # Repeated coordinate (same state and action): the query denotes a
-        # single random return, so the continuation shares one next action.
-        diag_val = (
-            self.g2
-            + 2.0 * gamma * np.einsum("u,sau,sau->sa", u_probs, g, mbar_h)
-            + gamma**2 * mdiag[h] @ u_probs
-        )
-
-        states = np.arange(s_n)
-        t_sig[states, :, states, :] = same_block
-        acts = np.arange(a_n)
-        t_sig[states[:, None], acts[None, :], states[:, None], acts[None, :]] = diag_val
-
-        t_sig = t_sig.reshape(n_x, n_x)
-        return [t_mu.reshape(-1), 0.5 * (t_sig + t_sig.T)]
+        """One backup of the raw order-1..n tables; returns the new tables."""
+        s_n, _, a_n = self.pi.shape
+        n_x = s_n * a_n
+        for mults, strides, table, targets in self.state_tables:
+            t = np.ndarray((n_x,) * len(mults), float, tables[sum(mults) - 1], 0, strides)
+            for _ in mults:
+                t = np.matmul(self.pi, t.reshape(s_n, a_n, -1)).reshape(s_n, -1).T
+            table.reshape(-1, s_n)[...] = t
+            for view, perm in targets:
+                view[...] = table.transpose(perm)
+        out = []
+        for k, ((z, ops), *rest) in enumerate(self.orders, start=1):
+            t = _contract(z, ops).reshape((n_x,) * k)
+            flat = t.reshape(-1)
+            for z, ops, pos, val in rest:
+                flat[pos] = _contract(z, ops).reshape(-1)[val]
+            if k > 1:
+                _mirror(t)
+            out.append(t)
+        return out
 
 
 def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
-    """One exact application of the second-order joint Bellman operator."""
+    """One exact application of the second-order joint Bellman operator. Each
+    call builds the backup; an iterating caller should use jipe2, which builds
+    it once."""
     _check_moments(env, m, 2)
-    return MomentCollectionN(tuple(_Backup2(env, policy, 0).apply(m.tables)))
+    return apply_tn(env, policy, m)
+
+
+def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
+    """One exact application of the order-n joint Bellman operator. Each call
+    builds the backup; an iterating caller should use jipe_n, which builds it
+    once."""
+    _check_moments(env, m, m.order)
+    return MomentCollectionN(tuple(_BackupPlan(env, policy, m.order, 0).apply(m.tables)))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:
@@ -184,11 +414,10 @@ def check_solver_args(epsilon: float, max_iter: int) -> None:
         raise InvalidInputError(f"max_iter must be >= 0, got {max_iter}")
 
 
-def _solve(env: ExoJmdp, order: int, backup, epsilon: float, max_iter: int,
+def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: int,
            m0: MomentCollectionN | None) -> tuple:
     """The exact solvers' fixed-point loop. Checks the arguments and m0, then
-    builds the backup (backup() returns an object whose apply maps raw
-    order-1..n tables to their backup) and iterates it from m0, or from zero
+    builds the order-`order` backup and iterates it from m0, or from zero
     tables, on raw tables. Stops at the first m with
     ||m - backup(m)||_lambda <= epsilon * (1 - gamma), or after max_iter steps.
     Returns (m as a frozen collection, [(iteration, residual), ...])."""
@@ -197,7 +426,7 @@ def _solve(env: ExoJmdp, order: int, backup, epsilon: float, max_iter: int,
         raise InvalidInputError(f"order must be >= 1, got {order}")
     if m0 is not None:
         _check_moments(env, m0, order)
-    apply = backup().apply
+    apply = _BackupPlan(env, policy, order, max_iter).apply
     n_x, gamma = env.space.num_x, env.gamma
     tables = m0.tables if m0 is not None else [np.zeros((n_x,) * k) for k in range(1, order + 1)]
     weights = LambdaWeights(gamma)
@@ -225,230 +454,10 @@ def jipe2(
     Stops once ||m_k - T m_k||_lambda <= epsilon * (1 - gamma), at which point
     ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
     """
-    final, trace = _solve(env, 2, lambda: _Backup2(env, policy, max_iter), epsilon, max_iter, m0)
+    final, trace = _solve(env, policy, 2, epsilon, max_iter, m0)
     k, residual = trace[-1]
     certified = residual <= epsilon * (1.0 - env.gamma)
     return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
-
-
-# ---------------------------------------------------------------------------
-# Arbitrary-order operator
-# ---------------------------------------------------------------------------
-
-
-_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger block kernel is a gather, a larger view factored
-_OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
-
-
-def _run_blocks(code: tuple) -> tuple:
-    """(shape, blocks) of a sorted tuple whose position i+1 repeats the
-    coordinate of position i (code[i] = 0), only its state (1) or neither (2).
-    Blocks are sigma-blocks (lists of tau-blocks of positions) in the order of
-    the class representative: sigma-blocks by decreasing (size, tau-block
-    sizes), tau-blocks by decreasing size; shape lists their sizes."""
-    blocks = [[[0]]]
-    for i, d in enumerate(code, start=1):
-        if d == 2:
-            blocks.append([[i]])
-        elif d == 1:
-            blocks[-1].append([i])
-        else:
-            blocks[-1][-1].append(i)
-    blocks = [sorted(b, key=len, reverse=True) for b in blocks]
-    blocks.sort(key=lambda b: [sum(map(len, b))] + [len(t) for t in b], reverse=True)
-    return tuple(tuple(map(len, b)) for b in blocks), blocks
-
-
-def _terms(shape: tuple, gamma: float):
-    """Terms of the representative with tau-block sizes `shape`: one per choice
-    of t_j continuing positions in each tau-block j, weighing gamma^sum(t)
-    prod_j C(m_j, t_j). Yields its state table's key (the nonzero t_j,
-    decreasing), the transpose putting that table's axes in tau-block order,
-    and a (sizes, t, scale) kernel key per sigma-block, the weight riding on
-    the last one."""
-    sizes = [m for block in shape for m in block]
-    cuts = list(itertools.accumulate([0] + [len(b) for b in shape]))
-    for ts in itertools.product(*(range(m + 1) for m in sizes)):
-        mults = [t for t in ts if t]
-        ops = [(b, ts[lo:hi], 1.0) for b, lo, hi in zip(shape, cuts, cuts[1:])]
-        ops[-1] = ops[-1][:2] + (gamma ** sum(ts) * math.prod(map(math.comb, sizes, ts)),)
-        rank = np.argsort([-t for t in mults], kind="stable")
-        yield tuple(sorted(mults, reverse=True)), np.argsort(rank), ops
-
-
-def _kernel_size(env: ExoJmdp, sizes: tuple, conts: tuple) -> tuple:
-    """(rows, cells, dense): S^(continuing tau-blocks) rows, S * N^J cells."""
-    s_n, a_n, _ = env.g.shape
-    rows, cells = s_n ** sum(map(bool, conts)), s_n * a_n ** len(sizes)
-    return rows, cells, rows * cells <= _DENSE_KERNEL_MAX
-
-
-def _block_kernel(env: ExoJmdp, sizes: tuple, conts: tuple, scale: float) -> tuple:
-    """Noise kernel of one sigma-block, whose tau-block j holds sizes[j]
-    positions with one action a_j, conts[j] of them continuing. Cell
-    (s, a_1..a_J) collects scale * sum_u p_u prod_j g[s,a_j,u]^(sizes[j]-conts[j])
-    times the state-table row at the continuing successors h[s,a_j,u]. Returns
-    (rows, dense (rows, cells) matrix, None) or (rows, row index, weights)."""
-    s_n, a_n, u_n = env.g.shape
-    weight, row = scale * env.noise.probs, 0
-    for j, (m, t) in enumerate(zip(sizes, conts)):
-        axes = (s_n,) + (1,) * j + (a_n,) + (1,) * (len(sizes) - 1 - j) + (u_n,)
-        # 1 * g * ... * g, not numpy's CPU-dispatched power: CPU-independent bytes.
-        weight = weight * math.prod([env.g.reshape(axes)] * (m - t), start=1.0)
-        row = row * s_n + env.h.reshape(axes) if t else row
-    full = (s_n,) + (a_n,) * len(sizes) + (u_n,)
-    weight, row = (np.broadcast_to(v, full).reshape(-1, u_n) for v in (weight, row))
-    rows, cells, dense = _kernel_size(env, sizes, conts)
-    if not dense:
-        return rows, row, weight
-    matrix = np.zeros((rows, cells))
-    np.add.at(matrix, (row, np.arange(cells)[:, None]), weight)
-    return rows, matrix, None
-
-
-def _contract(x: np.ndarray, ops) -> np.ndarray:
-    """Run x's leading axes through one (rows, kernel, weights) op per
-    sigma-block, a dense product or a weighted gather; each op appends its
-    cells last, so axes after the consumed ones (a batch axis) come out first."""
-    for rows, kern, weight in ops:
-        x = x.reshape(rows, -1).T
-        x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=-1)
-    return x
-
-
-def _gather_index(k: int, n_x: int, s_n: int, a_n: int, offsets: dict) -> np.ndarray:
-    """Value-buffer index of every tuple of X^k, read at its sorted coordinates
-    so that permuted tuples share one entry. Per run code, a row holds the
-    representative's offset and per position a coefficient of its state and
-    one of its action, nonzero only at a block's first position. The index is
-    built one leading coordinate at a time to bound its working set."""
-    coefs = np.zeros((3 ** (k - 1), 1 + 2 * k), dtype=np.intp)
-    for row, code in zip(coefs, itertools.product(range(3), repeat=k - 1)):
-        shape, blocks = _run_blocks(code)
-        row[0] = offsets[shape]
-        for c, block in enumerate(blocks):
-            stride = math.prod(s_n * a_n ** len(b) for b in blocks[c + 1:])
-            row[1 + min(t[0] for t in block)] = stride * a_n ** len(block)
-            for j, tau in enumerate(block):
-                row[1 + k + tau[0]] = stride * a_n ** (len(block) - 1 - j)
-    rest = np.indices((n_x,) * (k - 1)).reshape(k - 1, n_x ** (k - 1))
-    powers = 3 ** np.arange(k - 2, -1, -1)
-    index = np.empty((n_x, rest.shape[1]), dtype=np.intp)
-    for x0 in range(n_x):
-        xs = np.sort(np.vstack([np.full((1, rest.shape[1]), x0), rest]), axis=0)
-        s = xs // a_n
-        row = coefs[powers @ (2 - (s[1:] == s[:-1]) - (xs[1:] == xs[:-1]))]
-        index[x0] = row[:, 0] + (np.vstack([s, xs - a_n * s]).T * row[:, 1:]).sum(1)
-    return index.ravel()
-
-
-class _BackupPlan:
-    """The order-n backup grouped by coincidence pattern, built once per solve.
-
-    Per order and run-shape class (see _run_blocks), the representative's
-    values are a view: a tensor with one axis (a state, one action per
-    tau-block) per sigma-block, a sum of terms that each _contract a
-    policy-averaged state table with noise kernels or, where Z_k x cells <=
-    _DENSE_KERNEL_MAX, one term of one dense (Z_k, cells) op, those terms run
-    on the identity at build time. The state tables share one buffer z (the
-    scalar 1, then the tables by total order), so an order-k view reads the
-    prefix z[:Z_k]. Tuples read it through a gather index: exact symmetry.
-    `need` bounds a solve's peak bytes before any array is built: five sets
-    of order-1..n tables (iterate, backup, difference, gather index, frozen
-    copy), value buffers, z, composed matrices, the kernels factored views
-    keep, the largest transient (a term step, a gather-index chunk, the frozen
-    copy's symmetry check of at most max(|X|^(n-1), _CHECK_BLOCK) entries, or
-    a batched composition step beside the kernels only it reads),
-    _OBJECT_BYTES per entry and _TRACE_BYTES per residual of max_iter steps.
-    """
-
-    def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
-        s_n, a_n, u_n = env.g.shape
-        n_x = env.space.num_x
-        layout = []  # per order, shape -> terms
-        for k in range(order):
-            codes = itertools.product(range(3), repeat=k)  # the run codes of order k + 1
-            layout.append({shape: list(_terms(shape, env.gamma))
-                           for shape in sorted({_run_blocks(code)[0] for code in codes})})
-        keys = sorted({t[0] for reps in layout for terms in reps.values() for t in terms},
-                      key=lambda mults: (sum(mults), mults))  # z's layout
-        ends = list(itertools.accumulate(s_n ** len(mults) for mults in keys))
-        prefix = [max(e for m, e in zip(keys, ends) if sum(m) <= k) for k in range(1, order + 1)]
-        held = 5 * sum(n_x**k for k in range(1, order + 1)) + ends[-1]
-        peak = [max((5 * order + 4) * n_x ** (order - 1), _CHECK_BLOCK), 0]  # apply, compose
-        kept, composed = set(), set()  # kernel keys of factored and of composed views
-        for z_k, reps in zip(prefix, layout):
-            for shape, terms in reps.items():
-                cells = math.prod(s_n * a_n ** len(b) for b in shape)
-                small = z_k * cells <= _DENSE_KERNEL_MAX
-                held += cells + small * z_k * cells
-                for mults, _, ops in terms:
-                    (composed if small else kept).update(ops)
-                    size, batch = s_n ** len(mults), s_n ** (len(mults) * small)
-                    for rows, out, dense in (_kernel_size(env, *op[:2]) for op in ops):
-                        out *= size // rows
-                        step = batch * (2 * size + out * (1 if dense else 1 + 2 * u_n))
-                        peak[small], size = max(peak[small], step), out
-        words = {key: rows * cells if dense else 2 * cells * u_n for key in kept | composed
-                 for rows, cells, dense in [_kernel_size(env, *key[:2])]}
-        objects = len(words) + sum(3**k + sum(map(len, r.values())) for k, r in enumerate(layout))
-        build = peak[1] + sum(words[key] for key in composed - kept)
-        held += sum(words[key] for key in kept) + max(peak[0], build)
-        self.need = check_budget(f"order-{order} backup over {n_x} coordinates",
-                                 8 * held + _OBJECT_BYTES * objects + _TRACE_BYTES * (max_iter + 1))
-        self.pi_x = np.zeros((n_x, s_n))
-        self.pi_x[np.arange(n_x), np.arange(n_x) // a_n] = policy.probs.reshape(-1)
-        self.z = np.r_[1.0, np.zeros(ends[-1] - 1)]  # 1 is the table of the all-reward term
-        starts = dict(zip(keys, [0] + ends))
-        state = {m: self.z[starts[m]:e].reshape((s_n,) * len(m)) for m, e in zip(keys, ends)}
-        self.state_tables = []  # (key, byte strides of its diagonal view, its table in z)
-        for mults in keys[1:]:
-            tops = list(itertools.accumulate(mults))
-            self.state_tables.append((mults, tuple(
-                8 * sum(n_x ** (tops[-1] - 1 - q) for q in range(e - t, e))
-                for t, e in zip(mults, tops)), state[mults]))
-        kernels = {key: _block_kernel(env, *key) for key in words}
-        self.orders = []
-        for k, (z_k, reps) in enumerate(zip(prefix, layout), start=1):
-            offsets, terms, size = {}, [], 0
-            for shape, shape_terms in reps.items():
-                offsets[shape], cells = size, math.prod(s_n * a_n ** len(b) for b in shape)
-                shape_terms = [(state[m], starts[m], perm, [kernels[o] for o in ops])
-                               for m, perm, ops in shape_terms]
-                if z_k * cells <= _DENSE_KERNEL_MAX:
-                    matrix = np.zeros((z_k, cells))
-                    for x, lo, perm, ops in shape_terms:
-                        eye = np.eye(x.size).reshape(x.shape + (x.size,)).transpose(*perm, x.ndim)
-                        matrix[lo:lo + x.size] += _contract(eye, ops).reshape(x.size, cells)
-                    shape_terms = [(self.z[:z_k], 0, (0,), [(z_k, matrix, None)])]
-                terms += [(size, cells, x, perm, ops) for x, _, perm, ops in shape_terms]
-                size += cells
-            buf = np.empty(size)
-            self.orders.append((buf, [(buf[o:o + n], *t) for o, n, *t in terms],
-                                _gather_index(k, n_x, s_n, a_n, offsets)))
-
-    def apply(self, tables) -> list:
-        """One backup of the raw order-1..n tables; returns the new tables."""
-        n_x = self.pi_x.shape[0]
-        for mults, strides, table in self.state_tables:
-            t = np.ndarray((n_x,) * len(mults), float, tables[sum(mults) - 1], 0, strides)
-            for _ in mults:
-                t = t.reshape(n_x, -1).T @ self.pi_x
-            table[...] = t.reshape(table.shape)
-        out = []
-        for k, (buf, terms, index) in enumerate(self.orders, start=1):
-            buf.fill(0.0)
-            for view, x, perm, ops in terms:
-                view += _contract(x.transpose(perm), ops).reshape(-1)
-            out.append(buf[index].reshape((n_x,) * k))
-        return out
-
-
-def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
-    """One exact application of the order-n joint Bellman operator."""
-    _check_moments(env, m, m.order)
-    plan = _BackupPlan(env, policy, m.order, 0)
-    return MomentCollectionN(tuple(plan.apply(m.tables)))
 
 
 def jipe_n(
@@ -466,5 +475,4 @@ def jipe_n(
     ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
     frozen collection is built only for the result.
     """
-    return _solve(env, order, lambda: _BackupPlan(env, policy, order, max_iter), epsilon,
-                  max_iter, m0)
+    return _solve(env, policy, order, epsilon, max_iter, m0)

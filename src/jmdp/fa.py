@@ -149,8 +149,6 @@ def _chain_period(adj: np.ndarray) -> int:
 
 _STATIONARY_TOL = 1e-12  # l1 change between power steps
 _STATIONARY_MAX_ITER = 200_000
-# numpy's iterator buffers and the interpreter's small objects.
-_STATIONARY_SLACK_BYTES = 64 * 1024
 
 
 def check_stationary_budget(env: ExoJmdp) -> int:
@@ -164,8 +162,7 @@ def check_stationary_budget(env: ExoJmdp) -> int:
     # mask and a comparison table (10). Per edge: the sparse graph's data and
     # indices, or np.nonzero's two index arrays (16). marginal_mdp's (S, A, S)
     # table and its (S, A, U) index and weight arrays; csgraph's node arrays.
-    need = (19 * n_x * n_x + 16 * edges + 8 * n_x * s_n + 32 * n_x * n_u + 64 * n_x
-            + _STATIONARY_SLACK_BYTES)
+    need = 19 * n_x * n_x + 16 * edges + 8 * n_x * s_n + 32 * n_x * n_u + 64 * n_x
     return check_budget(f"stationary distribution over {n_x} coordinates", need)
 
 
@@ -345,8 +342,6 @@ _LANCZOS_MAX_ITER = 1_000
 # pi(a'|s') pi(b'|t'), and two temporaries of one kernel application or
 # adjoint.
 _COUPLING_TABLES = 7
-# numpy's iterator buffers and the interpreter's small objects.
-_COUPLING_SLACK_BYTES = 64 * 1024
 
 
 class _PairKernel:
@@ -457,7 +452,7 @@ def check_coupling_budget(env: ExoJmdp, mode: str) -> int:
         rows = n_s * n_a * (n_a - 1)
         words += n_x * n_s + rows * (2 + 3 * n_u)
     return check_budget(f"coupling coefficient over {n_x} coordinates ({mode})",
-                        8 * words + _COUPLING_SLACK_BYTES)
+                        8 * words)
 
 
 def coupling_coefficient(
@@ -526,8 +521,6 @@ class ProjectedReport:
 
 
 _DIVERGENCE_WINDOW = 10
-# numpy's iterator buffers and the interpreter's small objects.
-_PROJECTED_SLACK_BYTES = 64 * 1024
 # One successive distance: a float object and its list slot, with the list's
 # over-allocation.
 _DISTANCE_BYTES = 40
@@ -536,8 +529,8 @@ _DISTANCE_BYTES = 40
 class _FeatureStep:
     """One projected backup of a linear approximant, run in feature space.
 
-    The exact backup T of the approximant's tables (as dp._Backup2 defines it)
-    is never formed. With D^(1/2) Phi = QR and Psi = D Phi, the mean fit needs
+    The exact order-2 backup T of the approximant's tables (dp.apply_t2) is
+    never formed. With D^(1/2) Phi = QR and Psi = D Phi, the mean fit needs
     Psi' t_mu and the PSD fit the core Q' D^(1/2) T D^(1/2) Q. The second
     moment is carried in the whitened basis Phi R^-1 = D^(-1/2) Q, as the
     core parameter R Theta_sigma R' (the clipped core), so that no product is
@@ -634,7 +627,7 @@ def check_projected_budget(env: ExoJmdp, features: FeatureMap, max_iter: int) ->
     words = (8 * n_x * d + 4 * n_u * n_x * d + 8 * n_x * a_n + 24 * d * d
              + 16 * (n_x + n_u * n_x + s_n * d + d))
     return check_budget(f"projected iteration over {n_x} coordinates ({d} features)",
-                        8 * words + _DISTANCE_BYTES * max_iter + _PROJECTED_SLACK_BYTES)
+                        8 * words + _DISTANCE_BYTES * max_iter)
 
 
 def projected_jipe2(

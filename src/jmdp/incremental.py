@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Index2, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
-from .dp import _Backup2, _check_moments
+from .dp import _BackupPlan, _check_moments
 from .env import ExoJmdp, Policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
@@ -167,11 +167,11 @@ def sample_backup(
 
 
 def _coordinate_table(space) -> tuple[np.ndarray, int]:
-    """Rows (draw class, x, y, slot) in enumerate_indices order, and the slot
-    count; mirrored second-moment pairs share a slot (one visit counter).
-    Slots are numbered by first appearance: mean x has slot x, and pair
-    {i <= j}, first met at row-major position (i, j), slot
-    |X| + i |X| - i (i - 1) / 2 + (j - i)."""
+    """Rows (draw class, x, y, slot), the |X| mean coordinates first, then the
+    |X|^2 pairs row-major, and the slot count; mirrored second-moment pairs
+    share a slot (one visit counter). Slots are numbered by first appearance:
+    mean x has slot x, and pair {i <= j}, first met at row-major position
+    (i, j), slot |X| + i |X| - i (i - 1) / 2 + (j - i)."""
     n = space.num_x
     # Mean x is listed as the pair (x, x), flat position x (n + 1).
     x, y = np.divmod(np.r_[np.arange(n) * (n + 1), np.arange(n * n)].astype(np.int64), n)
@@ -183,7 +183,6 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
 
 
 _UPDATE_BYTES = 512  # per update of a chunk: its draws, terms and their lists
-_INCREMENTAL_SLACK_BYTES = 64 * 1024  # the interpreter's small objects and array headers
 
 
 def check_incremental_budget(env: ExoJmdp) -> int:
@@ -199,8 +198,7 @@ def check_incremental_budget(env: ExoJmdp) -> int:
     rows = n_x + n_x * n_x
     words = 10 * rows + (n_x + n_x * (n_x + 1) // 2) + 4 * n_x * n_x
     return check_budget(f"incremental run over {n_x} coordinates",
-                        8 * words + 40 * rows + _UPDATE_BYTES * _CHUNK
-                        + _INCREMENTAL_SLACK_BYTES)
+                        8 * words + 40 * rows + _UPDATE_BYTES * _CHUNK)
 
 
 @dataclass(frozen=True)
@@ -340,7 +338,7 @@ def noise_diagnostic(
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
     _check_moments(env, m, 2)
-    t_mu, t_sig = _Backup2(env, policy, 0).apply(m.tables)
+    t_mu, t_sig = _BackupPlan(env, policy, 2, 0).apply(m.tables)
     exact = float(t_mu[i.x] if i.kind == "mu" else t_sig[i.x, i.x2])
 
     rng = np.random.default_rng(seed)

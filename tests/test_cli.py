@@ -19,7 +19,7 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
-from jmdp.dp import _BackupPlan, check_backup2_budget
+from jmdp.dp import _BackupPlan, check_backup_budget
 from jmdp.env import (
     Policy,
     build_crc,
@@ -435,12 +435,12 @@ class TestEval:
         assert not (tmp_path / "run").exists()
 
     def test_dp2_budget_refused_before_any_output(self, tmp_path, capsys, monkeypatch):
-        need = check_backup2_budget(build_crc(5, 0.9))
+        need = check_backup_budget(build_crc(5, 0.9), 2)
         cfg = write_config(tmp_path / "c.json", base_config(out_dir=str(tmp_path / "run")))
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err == (f"error: BudgetError: second-order backup over 10 coordinates "
+        assert err == (f"error: BudgetError: order-2 backup over 10 coordinates "
                        f"needs {need} bytes; budget is {need - 1}\n")
         assert not (tmp_path / "run").exists()
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
@@ -560,7 +560,7 @@ class TestAnalyze:
         assert check_coupling_budget(env, "global") < need
         # The jipe2 solve's count, with its 100 000-entry residual trace, is
         # the larger here; at both counts the run goes through.
-        both = max(need, check_backup2_budget(env))
+        both = max(need, check_backup_budget(env, 2))
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         doc = base_config(
             env={"builtin": "wgw", "width": 6, "height": 6, "gamma": 0.9},
@@ -609,14 +609,14 @@ class TestAnalyze:
             monkeypatch.setattr(cli, name, never)
         for name in ("check_coupling_budget", "check_stationary_budget", "check_mc_budget"):
             monkeypatch.setattr(cli, name, lambda *args: 0)
-        need = check_backup2_budget(build_crc(5, 0.9))
+        need = check_backup_budget(build_crc(5, 0.9), 2)
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         doc = base_config(analysis={"states": [0], "num_rollouts": 10},
                           out_dir=str(tmp_path / "run"))
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert ("error: BudgetError: second-order backup over 10 coordinates "
+        assert ("error: BudgetError: order-2 backup over 10 coordinates "
                 f"needs {need} bytes") in err
         assert not (tmp_path / "run").exists()
 

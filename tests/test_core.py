@@ -9,10 +9,10 @@ from jmdp.core import (
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
-    enumerate_indices,
     lambda_norm,
 )
 from jmdp.errors import InvalidInputError, InvalidQueryError
+from jmdp.incremental import _coordinate_table
 
 
 def random_collection(rng, num_x, scale=1.0):
@@ -223,20 +223,23 @@ class TestLambdaNorm:
 
 
 class TestEnumerateIndices:
+    """The coordinates the incremental run enumerates: |X| means, then every
+    ordered pair."""
+
     @pytest.mark.parametrize(
         "s,a,count", [(1, 1, 2), (2, 2, 20), (3, 4, 156)]
     )
     def test_counts(self, s, a, count):
-        assert len(enumerate_indices(StateActionSpace(s, a))) == count
+        assert len(_coordinate_table(StateActionSpace(s, a))[0]) == count
 
     def test_order_and_both_orientations(self):
         space = StateActionSpace(2, 1)
-        idx = enumerate_indices(space)
-        assert idx[0] == Index2("mu", 0)
-        assert idx[1] == Index2("mu", 1)
-        sigma = [(i.x, i.x2) for i in idx[2:]]
+        rows = _coordinate_table(space)[0]
+        mean = rows[:2, 3] < space.num_x  # a mean's slot is its coordinate
+        assert mean.all() and rows[:2, 1].tolist() == [0, 1]
+        sigma = [(x, y) for x, y in rows[2:, 1:3].tolist()]
         assert (0, 1) in sigma and (1, 0) in sigma
-        assert len(idx) == len(set((i.kind, i.x, i.x2) for i in idx))
+        assert sigma == [(x, y) for x in range(2) for y in range(2)]
 
     def test_index_validation(self):
         with pytest.raises(InvalidQueryError):

@@ -689,7 +689,7 @@ class TestProjectedIteration:
         monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
         for module, name in ((fa, "marginal_mdp"), (fa, "marginal_kernel"),
                              (jenv, "marginal_mdp"), (jenv, "marginal_kernel"),
-                             (dp, "_Backup2"), (LinearMoments, "tables")):
+                             (dp, "_BackupPlan"), (LinearMoments, "tables")):
             monkeypatch.setattr(module, name, never)
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         nu = np.full(env.space.num_x, 1.0 / env.space.num_x)

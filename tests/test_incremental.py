@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from jmdp.core import (
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
-    enumerate_indices,
     lambda_norm,
 )
 from jmdp.dp import apply_t2, jipe2
@@ -99,12 +99,19 @@ def _ref_backup(env, policy, mu, sig, kind, x, y, uniforms):
     )
 
 
+def _coordinates(space) -> list:
+    """All |X| + |X|^2 coordinates, mu entries first, sigma pairs row-major."""
+    n = space.num_x
+    return [Index2("mu", x) for x in range(n)] + [
+        Index2("sigma", x, y) for x, y in itertools.product(range(n), repeat=2)]
+
+
 def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride):
     """Returns (trace, final, visit counts) exactly as run_incremental must."""
     n_x = env.space.num_x
     start = MomentCollection2.zeros(env.space) if m0 is None else m0
     mu, sig = start.m_mu.copy(), start.m_sigma.copy()
-    indices = enumerate_indices(env.space)
+    indices = _coordinates(env.space)
     slot_of, slots = {}, []
     for idx in indices:
         key = ("mu", idx.x) if idx.kind == "mu" else (
@@ -149,10 +156,10 @@ def _ref_draw_class(n_a, kind, x, y):
 
 
 def _ref_coordinate_table(space):
-    """(draw class, x, y, slot) rows in enumerate_indices order, slots numbered
+    """(draw class, x, y, slot) rows in _coordinates order, slots numbered
     by first appearance of the unordered pair in a dict."""
     rows, slot_of = [], {}
-    for idx in enumerate_indices(space):
+    for idx in _coordinates(space):
         y = idx.x if idx.kind == "mu" else idx.x2
         slot = slot_of.setdefault((idx.kind, min(idx.x, y), max(idx.x, y)), len(slot_of))
         rows.append((_ref_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
@@ -324,7 +331,7 @@ class TestRunIncremental:
     def test_alpha_one_sweep_reproduces_operator_on_means(self):
         env = forward_chain()
         pol = Policy.uniform(env.space)
-        n_idx = len(enumerate_indices(env.space))
+        n_idx = len(_coordinates(env.space))
         res = run_incremental(
             env, pol, StepSchedule.constant(1.0), VisitationScheme.sweep(),
             num_updates=n_idx, seed=0,
