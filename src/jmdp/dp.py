@@ -153,21 +153,10 @@ def _block_kernel(env: ExoJmdp, sizes: tuple) -> tuple:
 def _contract(x: np.ndarray, ops) -> np.ndarray:
     """Run x's leading axes through one (rows, kernel, weights) op per
     sigma-block, a dense product or a weighted gather; each op appends its
-    cells last, so axes after the consumed ones (a batch axis) come out first.
-    A single row gathers every atom at once, a batch one atom at a time."""
+    cells last, so axes after the consumed ones (a batch axis) come out first."""
     for rows, kern, weight in ops:
         x = x.reshape(rows, -1).T
-        if weight is None:
-            x = x @ kern
-        elif len(x) == 1:
-            x = (x[0, kern] * weight).sum(axis=0, keepdims=True)
-        else:
-            acc = x[:, kern[0]] * weight[0]
-            for index, w in zip(kern[1:], weight[1:]):
-                t = x[:, index]
-                t *= w
-                acc += t
-            x = acc
+        x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=1)
     return x
 
 
@@ -241,14 +230,14 @@ def _mirror(t: np.ndarray) -> None:
 
 def _steps(env: ExoJmdp, size: int, shape: tuple) -> list:
     """Words live at each op of a _contract over `size` entries through the
-    kernels of shape's sigma-blocks: its input, output and gather temporaries."""
+    kernels of shape's sigma-blocks: its input, output and the gather's
+    (batch, atoms, cells) values and their weighted copy."""
     steps = []
     for sizes in shape:
         rows, cells, atoms, dense = _kernel_size(env, sizes)
         n = size // rows
-        out = n * cells
-        steps.append(size + out + (0 if dense else 2 * atoms * cells if n == 1 else out))
-        size = out
+        steps.append(size + n * cells + (0 if dense else 2 * n * atoms * cells))
+        size = n * cells
     return steps
 
 
