@@ -5,7 +5,8 @@ full counterfactual outcome table ((g[s,a,u], h[s,a,u]))_a across all actions;
 `sample_outcomes` is the package's one noise draw, `sample_step` its one action
 draw. Marginalizing over u recovers an ordinary MDP; the joint law of several
 queried actions (an m-JSTM, `induced_jstm`) is the pushforward of the noise law
-through (g, h).
+through (g, h). `_marginal_csr` builds the marginal law and the policy's
+one-step kernel as CSR arrays, the one formula behind both.
 
 Benchmark builders:
   * build_crc  -- chain with anti-correlated two-action rewards, shared dynamics.
@@ -230,23 +231,47 @@ def induced_jstm(env: ExoJmdp, s: int, actions: tuple[int, ...]) -> tuple:
     return rewards[first[order]], successors[first[order]], probs[order]
 
 
+def _marginal_csr(env: ExoJmdp, block: np.ndarray) -> tuple:
+    """CSR arrays (data, indices, indptr) of the |X| x (S B) matrix with entries
+    P(s'|s,a) block[s', b], built in O(|X| U): each row's U atoms are sorted
+    by successor and each successor's probabilities summed in atom order. The
+    policy table as block gives the one-step kernel over X; a column of ones,
+    the marginal law."""
+    n_x, n_b = env.space.num_x, block.shape[1]
+    succ = env.h.reshape(n_x, -1)
+    order = np.argsort(succ, axis=1, kind="stable")
+    succ = np.take_along_axis(succ, order, axis=1)
+    weights = env.noise.probs[order].ravel()
+    del order
+    new = np.ones(succ.shape, dtype=bool)  # an atom opening a (row, successor) entry
+    np.not_equal(succ[:, 1:], succ[:, :-1], out=new[:, 1:])
+    succ = succ[new]
+    p_x = np.bincount(np.cumsum(new), weights=weights)[1:]  # entries numbered from 1
+    indptr = np.r_[0, np.cumsum(new.sum(axis=1))] * n_b
+    del weights, new
+    data = block[succ]  # zeros of the block included
+    data *= p_x[:, None]
+    return data.ravel(), np.arange(block.size).reshape(-1, n_b)[succ].ravel(), indptr
+
+
+def _dense(data, indices, indptr, num_cols: int) -> np.ndarray:
+    """The dense table of CSR arrays without repeated entries."""
+    table = np.zeros((indptr.size - 1, num_cols))
+    table[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = data
+    return table
+
+
 def marginal_mdp(env: ExoJmdp) -> tuple[np.ndarray, np.ndarray]:
     """Mean-reward table (S, N) and transition matrix (S, N, S) of the marginal MDP."""
-    p = env.noise.probs
-    r_mean = env.g @ p
     s_n = env.space.num_states
-    p_s = np.zeros((s_n, env.space.num_actions, s_n))
-    s_idx, a_idx, u_idx = np.indices(env.h.shape)
-    np.add.at(p_s, (s_idx, a_idx, env.h), p[u_idx])
-    return r_mean, p_s
+    p_s = _dense(*_marginal_csr(env, np.ones((s_n, 1))), s_n)
+    return env.g @ env.noise.probs, p_s.reshape(s_n, env.space.num_actions, s_n)
 
 
 def marginal_kernel(env: ExoJmdp, policy: Policy) -> np.ndarray:
-    """One-step kernel over X under the policy: P[x, x'] = P(s'|s,a) pi(a'|s')."""
-    _, p_s = marginal_mdp(env)
-    n_s, n_a = env.space.num_states, env.space.num_actions
-    kernel = np.einsum("ias,sb->iasb", p_s, policy.probs)
-    return kernel.reshape(n_s * n_a, n_s * n_a)
+    """One-step kernel over X under the policy as a dense |X| x |X| table:
+    P[x, x'] = P(s'|s,a) pi(a'|s')."""
+    return _dense(*_marginal_csr(env, policy.probs), env.space.num_x)
 
 
 def is_coupled_dynamics(env: ExoJmdp) -> bool:

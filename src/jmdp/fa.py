@@ -10,8 +10,9 @@ approximant is projected through d-sized, |X| x d-sized and per-state arrays,
 and no |X| x |X| table is built (see _FeatureStep).
 
 scipy is imported where it is called, on first use: shortest_path in
-_chain_period, connected_components in stationary_distribution and
-eigh_tridiagonal in coupling_coefficient. `import jmdp` loads numpy only.
+_chain_period, csr_matrix (the marginal kernel) and connected_components in
+stationary_distribution, and eigh_tridiagonal in coupling_coefficient.
+`import jmdp` loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .core import MomentCollectionN, check_budget
 from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
-from .env import marginal_kernel, marginal_mdp
+from .env import _marginal_csr, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -137,13 +138,14 @@ class StationaryDist:
     note: str = ""
 
 
-def _chain_period(adj: np.ndarray) -> int:
-    """Period of a strongly connected directed graph: the gcd, over its edges
-    u -> v, of level[u] + 1 - level[v], with BFS levels from node 0."""
+def _chain_period(adj) -> int:
+    """Period of a strongly connected directed graph, given as a dense or a
+    sparse adjacency matrix: the gcd, over its edges u -> v, of
+    level[u] + 1 - level[v], with BFS levels from node 0."""
     from scipy.sparse.csgraph import shortest_path
 
-    level = shortest_path(adj, unweighted=True, indices=0).astype(np.int64)
-    u, v = np.nonzero(adj)
+    level = shortest_path(adj, unweighted=True, indices=0).astype(np.int32)
+    u, v = adj.nonzero()
     return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
@@ -154,60 +156,49 @@ _STATIONARY_MAX_ITER = 200_000
 def check_stationary_budget(env: ExoJmdp) -> int:
     """Bytes stationary_distribution holds at once; raises BudgetError when
     that exceeds core.BUDGET_BYTES."""
-    s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+    n_a, n_x = env.space.num_actions, env.space.num_x
     n_u = env.noise.support_size
-    edges = n_x * min(n_x, n_u * a_n)  # a row reaches U successors, A actions each
-    # Per |X| x |X| entry: the dense marginal kernel (8 bytes), the boolean
-    # adjacency (1) and csgraph's dense-graph conversion, a float copy, its
-    # mask and a comparison table (10). Per edge: the sparse graph's data and
-    # indices, or np.nonzero's two index arrays (16). marginal_mdp's (S, A, S)
-    # table and its (S, A, U) index and weight arrays; csgraph's node arrays.
-    need = 19 * n_x * n_x + 16 * edges + 8 * n_x * s_n + 32 * n_x * n_u + 64 * n_x
+    edges = n_x * min(n_x, n_u * n_a)  # a row reaches U successors, A actions each
+    # Per (coordinate, atom), while the kernel is built: the sorted weights,
+    # the atom mask and the entry labels with the cast copy they are summed
+    # from, or the sort order and the sorted successors beside the weights.
+    # Per edge: the kernel's data and int32 indices, and beside them
+    # shortest_path's unit-weight copy, or the edge list and its two int32
+    # level gathers. Per coordinate: the row pointers, csgraph's node arrays
+    # and the power step's vectors.
+    need = 26 * n_x * n_u + 29 * edges + 64 * n_x
     return check_budget(f"stationary distribution over {n_x} coordinates", need)
 
 
 def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     """Invariant state-action law of the policy's marginal chain, by power
-    iteration; falls back to uniform (with a diagnostic note) when the chain is
-    not irreducible and aperiodic. Its bytes (check_stationary_budget) are
-    checked before the dense marginal kernel is built."""
+    iteration on the sparse kernel (env._marginal_csr); falls back to uniform
+    (with a diagnostic note) when the chain is not irreducible and aperiodic.
+    Its bytes (check_stationary_budget) are checked before the kernel is built."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     check_stationary_budget(env)
-    kernel = marginal_kernel(env, policy)
-    n = kernel.shape[0]
-    adj = kernel > 0.0
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
+    n = env.space.num_x
+    kernel = csr_matrix(_marginal_csr(env, policy.probs), shape=(n, n))
+    kernel.eliminate_zeros()  # in place: what is left, the chain's graph, is > 0
+    n_comp, _ = connected_components(kernel, directed=True, connection="strong")
+    fails = "; the positive-stationary-weight assumption fails"
     if n_comp != 1:
-        return StationaryDist(
-            np.full(n, 1.0 / n),
-            "uniform-fallback",
-            f"chain is not irreducible ({n_comp} strongly connected components); "
-            "the positive-stationary-weight assumption fails",
-        )
-    period = _chain_period(adj)
-    if period != 1:
-        return StationaryDist(
-            np.full(n, 1.0 / n),
-            "uniform-fallback",
-            f"chain is periodic (period {period}); "
-            "the positive-stationary-weight assumption fails",
-        )
-    nu = np.full(n, 1.0 / n)
-    for _ in range(_STATIONARY_MAX_ITER):
-        new = nu @ kernel
-        new /= new.sum()
-        if float(np.abs(new - nu).sum()) <= _STATIONARY_TOL:
-            nu = new
-            break
-        nu = new
-    if float(np.max(np.abs(nu @ kernel - nu))) > 1e-10:
-        return StationaryDist(
-            np.full(n, 1.0 / n),
-            "uniform-fallback",
-            "power iteration failed to certify invariance at the requested tolerance",
-        )
-    return StationaryDist(nu, "stationary")
+        note = f"chain is not irreducible ({n_comp} strongly connected components){fails}"
+    elif (period := _chain_period(kernel)) != 1:
+        note = f"chain is periodic (period {period}){fails}"
+    else:
+        nu = np.full(n, 1.0 / n)
+        for _ in range(_STATIONARY_MAX_ITER):
+            nu, last = nu @ kernel, nu
+            nu /= nu.sum()
+            if float(np.abs(nu - last).sum()) <= _STATIONARY_TOL:
+                break
+        if float(np.max(np.abs(nu @ kernel - nu))) <= 1e-10:
+            return StationaryDist(nu, "stationary")
+        note = "power iteration failed to certify invariance at the requested tolerance"
+    return StationaryDist(np.full(n, 1.0 / n), "uniform-fallback", note)
 
 
 def _check_nu(nu, num_x: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Index2, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
-from .dp import _BackupPlan, _check_moments
+from .dp import _BackupPlan, _check_moments, check_backup_budget
 from .env import ExoJmdp, Policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
@@ -26,6 +26,7 @@ __all__ = [
     "sample_backup",
     "run_incremental",
     "check_incremental_budget",
+    "check_noise_budget",
     "IncrementalResult",
     "noise_diagnostic",
     "NoiseDiagnostic",
@@ -140,6 +141,13 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
     return coef_a, coef_b, coef_c, x1, y1, n_x + np.where(mean, n_x * n_x, x1 * n_x + y1)
 
 
+def _check_coordinate(env: ExoJmdp, i: Index2) -> None:
+    """Raise InvalidQueryError unless i's coordinates lie in 0..|X|-1."""
+    for x in (i.x, i.x2):
+        if x is not None:
+            env.space.sa(x)
+
+
 def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
     """n one-sample backups at coordinate i; draw(k) returns the uniforms,
     sample j reading its k draws from position j*k."""
@@ -163,6 +171,7 @@ def sample_backup(
     """Draw one random backup for coordinate i; its conditional mean is the
     exact operator coordinate. Takes exactly 8 uniforms from rng."""
     _check_moments(env, m, 2)
+    _check_coordinate(env, i)
     return float(_backups(env, policy, m, i, 1, lambda k: rng.random(8))[0])
 
 
@@ -199,6 +208,15 @@ def check_incremental_budget(env: ExoJmdp) -> int:
     words = 10 * rows + (n_x + n_x * (n_x + 1) // 2) + 4 * n_x * n_x
     return check_budget(f"incremental run over {n_x} coordinates",
                         8 * words + 40 * rows + _UPDATE_BYTES * _CHUNK)
+
+
+def check_noise_budget(env: ExoJmdp, num_samples: int) -> int:
+    """Bytes noise_diagnostic holds at most; raises BudgetError when that
+    exceeds core.BUDGET_BYTES: the order-2 backup's count, and per sample
+    the draws, terms and values of an update (_UPDATE_BYTES)."""
+    return check_budget(
+        f"noise diagnostic of {num_samples} samples over {env.space.num_x} coordinates",
+        check_backup_budget(env, 2, 0) + _UPDATE_BYTES * num_samples)
 
 
 @dataclass(frozen=True)
@@ -334,10 +352,13 @@ def noise_diagnostic(
 
     The noise is backup minus exact operator coordinate; its conditional mean
     is zero and its second moment is bounded by C0 + C1 * ||m||_lambda^2.
+    Its bytes (check_noise_budget) are checked before any work.
     """
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
     _check_moments(env, m, 2)
+    _check_coordinate(env, i)
+    check_noise_budget(env, num_samples)
     t_mu, t_sig = _BackupPlan(env, policy, 2, 0).apply(m.tables)
     exact = float(t_mu[i.x] if i.kind == "mu" else t_sig[i.x, i.x2])
 

@@ -302,6 +302,21 @@ class TestEval:
         result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
         assert result["nu_source"] == source
 
+    def test_projected_on_a_large_ring_fits_the_default_budget(self, tmp_path):
+        # |X| = 4096: a dense marginal kernel alone would need 134 MB; only
+        # the coupling step, which falls back to beta = 1, is over budget.
+        doc = base_config(
+            env={"builtin": "ring", "num_states": 2048, "gamma": 0.9},
+            algorithm={"name": "projected",
+                       "features": {"builtin": "state-poly", "degree": 2}},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["nu_source"] == "stationary" and result["converged"] is True
+        assert result["sqrt_c_rho"] is None and result["beta"] == 1.0
+
     def test_projected_with_feature_file(self, tmp_path):
         phi = np.repeat(
             np.stack([np.ones(5), np.arange(5) / 4.0], axis=1), 2, axis=0

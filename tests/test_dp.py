@@ -411,8 +411,8 @@ class TestJipe2:
             env, pol, _ = REFERENCE_CASES[case]()
         m = MomentCollectionN.zeros(env.space, 2)
         # The count holds the residual trace, so each run is refused at its own
-        # max_iter. noise_diagnostic's samples come after the backup and are
-        # not part of its count, so only its refusal is checked.
+        # max_iter. noise_diagnostic's count adds its samples to the backup's
+        # (check_noise_budget), so only its refusal is checked.
         needs = [check_backup_budget(env, 2, max_iter) for max_iter in (3, 0, 0)]
         runs = (lambda: jipe2(env, pol, 1e-8, max_iter=3), lambda: apply_t2(env, pol, m),
                 lambda: noise_diagnostic(env, pol, m, Index2("mu", 0), 1000, seed=0))

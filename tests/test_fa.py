@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from jmdp import dp, fa
@@ -22,6 +23,7 @@ from jmdp.env import (
     build_shared_successors,
     build_wgw,
     marginal_kernel,
+    marginal_mdp,
     wgw_goal_policy,
 )
 from jmdp.errors import (
@@ -169,6 +171,86 @@ class TestTypes:
         np.testing.assert_array_equal(sig, sig.T)
 
 
+def dense_stationary(env, pol) -> tuple:
+    """(nu, source, note) from the dense kernel marginal_kernel: its boolean
+    graph, and power iteration with dense products."""
+    kernel = marginal_kernel(env, pol)
+    n = kernel.shape[0]
+    adj = kernel > 0.0
+    uniform = np.full(n, 1.0 / n)
+    fails = "; the positive-stationary-weight assumption fails"
+    n_comp, _ = connected_components(adj, directed=True, connection="strong")
+    if n_comp != 1:
+        return uniform, "uniform-fallback", (
+            f"chain is not irreducible ({n_comp} strongly connected components)" + fails)
+    if (period := fa._chain_period(adj)) != 1:
+        return uniform, "uniform-fallback", f"chain is periodic (period {period})" + fails
+    nu = uniform
+    for _ in range(200_000):
+        new = nu @ kernel
+        new /= new.sum()
+        done = np.abs(new - nu).sum() <= 1e-12
+        nu = new
+        if done:
+            break
+    assert np.max(np.abs(nu @ kernel - nu)) <= 1e-10
+    return nu, "stationary", ""
+
+
+def _sparse_policy(seed, space):
+    """A random policy with a zero action probability at every other state
+    (when there are two actions or more)."""
+    probs = np.random.default_rng(seed).dirichlet(np.ones(space.num_actions),
+                                                 size=space.num_states)
+    if space.num_actions > 1:
+        probs[::2, 0] = 0.0
+    return Policy(probs / probs.sum(axis=1, keepdims=True))
+
+
+def _single_state():
+    env = ExoJmdp(StateActionSpace(1, 2), NoiseModel(np.array([1.0])),
+                  np.zeros((1, 2, 1)), np.zeros((1, 2, 1), dtype=np.int64), 0.9)
+    return env, Policy(np.array([[0.3, 0.7]]))
+
+
+def _random_case(seed, policy=random_policy):
+    """A random env of 2-12 states, 1-4 actions and 1-30 noise atoms."""
+    rng = np.random.default_rng(seed)
+    s_n, a_n, n_u = (int(rng.integers(lo, hi)) for lo, hi in ((2, 13), (1, 5), (1, 31)))
+    return random_env(seed, s_n, a_n, n_u, 0.9), policy(seed, StateActionSpace(s_n, a_n))
+
+
+def _uniform(env):
+    return env, Policy.uniform(env.space)
+
+
+# The cases of TestStationaryDistribution, of its measured peaks, and random
+# envs with random policies, some with zero action probabilities.
+STATIONARY_CASES = [
+    _single_state,
+    lambda: _uniform(build_indep_successors(2, 0.9)),
+    lambda: _uniform(build_indep_successors(6, 0.9)),
+    lambda: _uniform(build_shared_successors(16, 0.9)),
+    lambda: _uniform(build_wgw(3, 3, (0, 2), 0.3, 0.9)),
+    lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2))),
+    lambda: _uniform(deterministic_ring()),
+    lambda: _uniform(build_ring_chain(7, 0.9)),
+    lambda: _uniform(build_hub_successors(16, 0.9)),
+    lambda: _uniform(build_crc(5, 0.9)),
+    lambda: _uniform(build_ring_chain(300, 0.9)),
+    lambda: (build_wgw(6, 6, (0, 5), 0.3, 0.9), wgw_goal_policy(6, 6, (0, 5))),
+    lambda: (random_env(1, 200, 2, 200, 0.9), random_policy(1, StateActionSpace(200, 2))),
+    *[lambda seed=seed: _random_case(seed) for seed in range(10)],
+    *[lambda seed=seed: _random_case(seed, _sparse_policy) for seed in range(10, 14)],
+]
+STATIONARY_IDS = [
+    "single_state", "indep2", "indep6", "shared16", "wgw3x3", "wgw3x3_goal",
+    "deterministic_ring", "ring7", "hub16", "crc5", "ring300", "wgw6x6_goal",
+    "dense_random", *[f"random{seed}" for seed in range(10)],
+    *[f"random{seed}_zeros" for seed in range(10, 14)],
+]
+
+
 class TestStationaryDistribution:
     def test_single_state_splits_by_policy(self):
         space = StateActionSpace(1, 2)
@@ -214,7 +296,9 @@ class TestStationaryDistribution:
         lambda: (build_ring_chain(300, 0.9), None),  # stationary, |X| = 600
         lambda: (build_wgw(6, 6, (0, 5), 0.3, 0.9), wgw_goal_policy(6, 6, (0, 5))),
         lambda: (random_env(1, 200, 2, 200, 0.9), random_policy(1, StateActionSpace(200, 2))),
-    ], ids=["ring300", "wgw6x6_goal", "dense_random"])
+        lambda: (build_ring_chain(2048, 0.9), None),  # |X| = 4096, two successors a row
+        lambda: (build_indep_successors(60, 0.9), None),  # U = 3600 atoms a row
+    ], ids=["ring300", "wgw6x6_goal", "dense_random", "ring2048", "indep60"])
     def test_budget_bounds_measured_peak(self, case):
         env, pol = case()
         pol = pol if pol is not None else Policy.uniform(env.space)
@@ -224,7 +308,7 @@ class TestStationaryDistribution:
     def test_budget_refused_before_the_kernel(self, monkeypatch):
         env = build_ring_chain(32, 0.9)
         need = check_stationary_budget(env)
-        monkeypatch.setattr(fa, "marginal_kernel", never)
+        monkeypatch.setattr(fa, "_marginal_csr", never)
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         with pytest.raises(BudgetError, match=f"stationary distribution over 64 coordinates "
                                               f"needs {need} bytes; budget is {need - 1}"):
@@ -232,6 +316,53 @@ class TestStationaryDistribution:
         monkeypatch.undo()
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         assert stationary_distribution(env, Policy.uniform(env.space)).source == "stationary"
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_matches_dense_power_iteration(self, case):
+        env, pol = case()
+        sd = stationary_distribution(env, pol)
+        nu, source, note = dense_stationary(env, pol)
+        assert (sd.source, sd.note) == (source, note)
+        np.testing.assert_allclose(sd.nu, nu, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_kernel_matches_dense_formula(self, case):
+        env, pol = case()
+        s_n, n_x = env.space.num_states, env.space.num_x
+        p_s = np.zeros((s_n, env.space.num_actions, s_n))
+        s_idx, a_idx, u_idx = np.indices(env.h.shape)
+        np.add.at(p_s, (s_idx, a_idx, env.h), env.noise.probs[u_idx])
+        assert np.array_equal(marginal_mdp(env)[1], p_s)
+        dense = np.einsum("ias,sb->iasb", p_s, pol.probs).reshape(n_x, n_x)
+        assert np.array_equal(marginal_kernel(env, pol), dense)
+
+    def test_large_ring_builds_no_dense_table(self, monkeypatch):
+        env = build_ring_chain(2048, 0.9)  # |X| = 4096: a dense kernel is 134 MB
+        for module, name in ((fa, "marginal_mdp"), (jenv, "marginal_mdp"),
+                             (jenv, "marginal_kernel")):
+            monkeypatch.setattr(module, name, never)
+        peak = traced_peak(stationary_distribution, env, Policy.uniform(env.space))
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("case", [
+        *STATIONARY_CASES,
+        lambda: (build_ring_chain(2048, 0.9), None),
+        lambda: (build_indep_successors(60, 0.9), None),
+        lambda: (build_shared_successors(200, 0.9), None),
+        lambda: (random_env(3, 100, 5, 100, 0.9), None),  # every row reaches every column
+        lambda: (random_env(4, 300, 1, 400, 0.9), None),
+    ], ids=[*STATIONARY_IDS, "ring2048", "indep60", "shared200", "dense_rows", "one_action"])
+    def test_budget_at_most_the_dense_count(self, case):
+        """No input the count of the dense kernel accepted is refused: that
+        count held 19 |X|^2 bytes for the dense kernel, its graph and
+        csgraph's conversion, beside the terms below."""
+        env, _ = case()
+        s_n, a_n, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
+        n_u = env.noise.support_size
+        edges = n_x * min(n_x, n_u * a_n)
+        dense = (19 * n_x * n_x + 16 * edges + 8 * n_x * s_n + 32 * n_x * n_u + 64 * n_x
+                 + 64 * 1024)
+        assert check_stationary_budget(env) <= dense
 
 
 def brute_force_period(adj):
@@ -262,7 +393,8 @@ class TestChainPeriod:
         (_edges(4, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]), 1),
     ], ids=["3-cycle", "3-cycle-and-2-cycle-through-0", "4-cycle-with-self-loop"])
     def test_named_graphs(self, adj, period):
-        assert fa._chain_period(adj) == period == brute_force_period(adj)
+        for graph in (adj, csr_matrix(adj)):
+            assert fa._chain_period(graph) == period == brute_force_period(adj)
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -275,7 +407,8 @@ class TestChainPeriod:
         keep = np.flatnonzero(label == label[0])
         adj = adj[np.ix_(keep, keep)]
         assume(adj.any())  # one node needs its self-loop to be a chain
-        assert fa._chain_period(adj) == brute_force_period(adj)
+        period = brute_force_period(adj)
+        assert fa._chain_period(adj) == fa._chain_period(csr_matrix(adj)) == period
 
 
 class TestProjectMu:
@@ -687,7 +820,7 @@ class TestProjectedIteration:
         # The coupling step (skipped here) reads the marginal kernel; the loop
         # reads no |X| x |X| or |X| x S table.
         monkeypatch.setattr(fa, "check_coupling_budget", over_budget)
-        for module, name in ((fa, "marginal_mdp"), (fa, "marginal_kernel"),
+        for module, name in ((fa, "marginal_mdp"), (fa, "_marginal_csr"),
                              (jenv, "marginal_mdp"), (jenv, "marginal_kernel"),
                              (dp, "_BackupPlan"), (LinearMoments, "tables")):
             monkeypatch.setattr(module, name, never)

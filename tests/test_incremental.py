@@ -21,13 +21,15 @@ from jmdp.env import (
     build_wgw,
     wgw_goal_policy,
 )
-from jmdp.errors import BudgetError, InvalidInputError
+from jmdp import incremental
+from jmdp.errors import BudgetError, InvalidInputError, InvalidQueryError
 from jmdp.incremental import (
     _CHUNK,
     _coordinate_table,
     StepSchedule,
     VisitationScheme,
     check_incremental_budget,
+    check_noise_budget,
     noise_bound_constants,
     noise_diagnostic,
     run_incremental,
@@ -325,6 +327,67 @@ class TestSampleBackup:
         idx = index_fn(env.space)
         diag = noise_diagnostic(env, pol, m, idx, 100_000, seed=3)
         assert abs(diag.mean_error) <= 4 * diag.mean_error_se + 1e-12
+
+
+    @pytest.mark.parametrize("index", [
+        Index2("mu", 6), Index2("mu", -1),
+        Index2("sigma", 6, 0), Index2("sigma", -1, 0),
+        Index2("sigma", 0, 6), Index2("sigma", 0, -1),
+    ], ids=["mu_x6", "mu_x-1", "sigma_x6", "sigma_x-1", "sigma_x2_6", "sigma_x2_-1"])
+    def test_out_of_range_coordinate_rejected_before_any_draw(self, index, monkeypatch):
+        env = build_crc(3, 0.9)  # |X| = 6
+        pol = Policy.uniform(env.space)
+        m = MomentCollectionN.zeros(env.space, 2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidQueryError, match=r"flat index (6|-1) out of range"):
+            sample_backup(env, pol, m, index, rng)
+        assert rng.bit_generator.state == state
+        for name in ("_BackupPlan", "_backups"):
+            monkeypatch.setattr(incremental, name, _never)
+        with pytest.raises(InvalidQueryError, match=r"flat index (6|-1) out of range"):
+            noise_diagnostic(env, pol, m, index, 1000, seed=0)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class TestNoiseBudget:
+    @staticmethod
+    def _case():
+        env = build_crc(3, 0.9)
+        rng = np.random.default_rng(4)
+        sig = rng.normal(size=(6, 6))
+        m = MomentCollection2(rng.normal(size=6), sig + sig.T)
+        # The cross-state class draws the most uniforms per sample.
+        return env, Policy.uniform(env.space), m, Index2("sigma", 0, 5)
+
+    @pytest.mark.parametrize("num_samples", [1000, 100_000])
+    def test_budget_bounds_measured_peak(self, num_samples):
+        env, pol, m, idx = self._case()
+        noise_diagnostic(env, pol, m, idx, 1000, seed=0)  # imports, outside the trace
+        tracemalloc.start()
+        try:
+            noise_diagnostic(env, pol, m, idx, num_samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_noise_budget(env, num_samples)
+
+    def test_budget_refused_before_any_draw(self, monkeypatch):
+        env, pol, m, idx = self._case()
+        need = check_noise_budget(env, 1000)
+        for name in ("_BackupPlan", "_backups"):
+            monkeypatch.setattr(incremental, name, _never)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=(f"noise diagnostic of 1000 samples over 6 "
+                                               f"coordinates needs {need} bytes; "
+                                               f"budget is {need - 1}")):
+            noise_diagnostic(env, pol, m, idx, 1000, seed=0)
+        monkeypatch.undo()
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        assert noise_diagnostic(env, pol, m, idx, 1000, seed=0).num_samples == 1000
 
 
 class TestRunIncremental:
