@@ -389,9 +389,9 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             moments.update(order=algo["order"],
                            tables=[t.tolist() for t in final.tables])
         _write_csv(out_dir / "residuals.csv",
-                   ["iteration", "residual_lambda", "certified_bound"],
-                   [(k, r, r / (1.0 - env.gamma)) for k, r in trace])
-        k, residual = trace[-1]
+                   ["iteration", "residual_lambda", "certified_bound", "order"],
+                   [(k, r, r / (1.0 - env.gamma), o) for k, r, o in trace])
+        k, residual, _ = trace[-1]
         certified = residual <= eps * (1.0 - env.gamma)
         status.update(certified=certified, iterations=k,
                       certified_error_bound=residual / (1.0 - env.gamma))

@@ -1,11 +1,12 @@
 """Exact joint Bellman operators and their fixed-point iterations.
 
 Every order runs one certified algorithm: build the backup of the chosen
-order once per (env, policy), iterate it on raw moment tables until the
-residual certifies accuracy through the computable bound
-||m - m*|| <= residual / (1 - gamma), and wrap only the result in a frozen,
-symmetry-checked collection. The second-order operator is the order-2 case of
-the one backup, _BackupPlan.
+order once per (env, policy), iterate it on raw moment tables order by order
+(order k reads its own table only through gamma^k times a Markov average, so
+it contracts at gamma^k once the lower orders are fixed), certify accuracy by
+one full backup's residual, ||m - m*|| <= residual / (1 - gamma), and wrap
+only the result in a frozen, symmetry-checked collection. The second-order
+operator is the order-2 case of the one backup, _BackupPlan.
 
 The backup enumerates the noise support and the policy; no sampling
 anywhere, so contraction properties can be checked to float precision. It
@@ -76,7 +77,7 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
 
 _DENSE_KERNEL_MAX = 1 << 15  # entries; a larger class stays factored, a larger kernel gathers
 _OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
-_TRACE_BYTES = 128  # one (iteration, residual) entry of _solve's trace, list slot included
+_TRACE_BYTES = 136  # one (iteration, residual, order) row of _solve's trace, list slot included
 
 
 def _run_blocks(code: tuple) -> tuple:
@@ -252,7 +253,7 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
     and its copy; or the build's composition, kernel and index temporaries.
     The plan holds the state tables and tensors, the kernels factored classes
     read, composed matrices and per-class indexes; _OBJECT_BYTES per entry
-    and _TRACE_BYTES per residual of max_iter steps."""
+    and _TRACE_BYTES per row of the trace, at most max_iter + order + 1."""
     s_n, a_n, _ = env.g.shape
     n_x = env.space.num_x
     tables = sum(n_x**k for k in range(1, order + 1))
@@ -300,7 +301,7 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
         len(_classes(k)) for k in range(1, order + 1))
     return check_budget(f"order-{order} backup over {n_x} coordinates",
                         8 * (held + max(peak)) + _OBJECT_BYTES * objects
-                        + _TRACE_BYTES * (max_iter + 1))
+                        + _TRACE_BYTES * (max_iter + order + 1))
 
 
 class _BackupPlan:
@@ -349,26 +350,28 @@ class _BackupPlan:
             for ts, mults, perm in _patterns(taus):
                 index = tuple(slice(1 + (t - 1) * s_n, 1 + t * s_n) if t else 0 for t in ts)
                 targets.setdefault(mults, []).append((z[index], perm))
-        self.state_tables = []  # (key, byte strides of its diagonal view, its table, targets)
-        for mults in sorted(targets, key=lambda m: (sum(m), m)):
+        self.state_tables = [[] for _ in range(order)]  # per order: (key, strides, table, targets)
+        for mults in sorted(targets):
             tops = list(itertools.accumulate(mults))
-            self.state_tables.append((mults, tuple(
+            self.state_tables[tops[-1] - 1].append((mults, tuple(
                 8 * sum(n_x ** (tops[-1] - 1 - q) for q in range(e - t, e))
                 for t, e in zip(mults, tops)), np.empty((s_n,) * len(mults)), targets[mults]))
 
-    def apply(self, tables) -> list:
-        """One backup of the raw order-1..n tables; returns the new tables."""
+    def apply(self, tables, order: int | None = None) -> list:
+        """One backup of the raw order-1..n tables; returns the new tables or,
+        given an order k, the order-k one (refreshing only order k's state tables)."""
         s_n, _, a_n = self.pi.shape
         n_x = s_n * a_n
-        for mults, strides, table, targets in self.state_tables:
-            t = np.ndarray((n_x,) * len(mults), float, tables[sum(mults) - 1], 0, strides)
-            for _ in mults:
-                t = np.matmul(self.pi, t.reshape(s_n, a_n, -1)).reshape(s_n, -1).T
-            table.reshape(-1, s_n)[...] = t
-            for view, perm in targets:
-                view[...] = table.transpose(perm)
         out = []
-        for k, ((z, ops), *rest) in enumerate(self.orders, start=1):
+        for k in range(1, len(self.orders) + 1) if order is None else (order,):
+            for mults, strides, table, targets in self.state_tables[k - 1]:
+                t = np.ndarray((n_x,) * len(mults), float, tables[k - 1], 0, strides)
+                for _ in mults:
+                    t = np.matmul(self.pi, t.reshape(s_n, a_n, -1)).reshape(s_n, -1).T
+                table.reshape(-1, s_n)[...] = t
+                for view, perm in targets:
+                    view[...] = table.transpose(perm)
+            (z, ops), *rest = self.orders[k - 1]
             t = _contract(z, ops).reshape((n_x,) * k)
             flat = t.reshape(-1)
             for z, ops, pos, val in rest:
@@ -405,28 +408,39 @@ def check_solver_args(epsilon: float, max_iter: int) -> None:
 
 def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: int,
            m0: MomentCollectionN | None) -> tuple:
-    """The exact solvers' fixed-point loop. Checks the arguments and m0, then
-    builds the order-`order` backup and iterates it from m0, or from zero
-    tables, on raw tables. Stops at the first m with
-    ||m - backup(m)||_lambda <= epsilon * (1 - gamma), or after max_iter steps.
-    Returns (m as a frozen collection, [(iteration, residual), ...])."""
+    """The exact solvers' fixed-point loop. Checks the arguments and m0, builds
+    the backup, and from m0 or zero tables sweeps each order k = 1..order alone
+    until ||t_k - T_k(t)||_inf / lam^(k-1) <= epsilon * (1 - gamma). A closing
+    full backup certifies, or the sweeps resume at its first order above that.
+    Returns (m, [(updates before the sweep, residual, order or 0 for a full
+    backup), ...]); max_iter caps the updates, the rows at max_iter + order + 1."""
     check_solver_args(epsilon, max_iter)
     if order < 1:
         raise InvalidInputError(f"order must be >= 1, got {order}")
     if m0 is not None:
         _check_moments(env, m0, order)
     apply = _BackupPlan(env, policy, order, max_iter).apply
-    n_x, gamma = env.space.num_x, env.gamma
-    tables = m0.tables if m0 is not None else [np.zeros((n_x,) * k) for k in range(1, order + 1)]
-    weights = LambdaWeights(gamma)
-    trace: list = []
-    for k in range(max_iter + 1):
-        t_m = apply(tables)
-        trace.append((k, lambda_norm([a - b for a, b in zip(tables, t_m)], weights)))
-        if trace[-1][1] <= epsilon * (1.0 - gamma) or k == max_iter:
+    tables = (list(m0.tables) if m0 is not None
+              else [np.zeros((env.space.num_x,) * k) for k in range(1, order + 1)])
+    w, tol = LambdaWeights(env.gamma), epsilon * (1.0 - env.gamma)
+    gap = lambda k, new: lambda_norm([tables[k - 1] - new], w) / w.lam_k(k)
+    trace, updates, k = [], 0, 1
+    while True:
+        capped = updates == max_iter or len(trace) >= max_iter + order
+        if k <= order and not capped:  # one sweep of order k alone
+            new, = apply(tables, k)
+            trace.append((updates, gap(k, new), k))
+            if trace[-1][1] <= tol:
+                k, new = k + 1, None  # the stage's output is not held into the next
+            else:
+                tables[k - 1], updates = new, updates + 1
+            continue
+        gaps = [gap(j, new) for j, new in enumerate(apply(tables), start=1)]
+        trace.append((updates, max(gaps), 0))
+        if trace[-1][1] <= tol or capped:
             break
-        tables = t_m
-    if m0 is not None and trace[-1][0] == 0:
+        k = next(j for j, g in enumerate(gaps, start=1) if g > tol)
+    if m0 is not None and updates == 0:
         return m0, trace
     return MomentCollectionN(tuple(tables)), trace
 
@@ -440,11 +454,12 @@ def jipe2(
 ) -> Jipe2Report:
     """Iterate the second-order operator until the residual certifies epsilon accuracy.
 
-    Stops once ||m_k - T m_k||_lambda <= epsilon * (1 - gamma), at which point
-    ||m_k - m*||_lambda <= epsilon. Hitting max_iter first yields certified=False.
+    Stops once ||m - T m||_lambda <= epsilon * (1 - gamma), at which point
+    ||m - m*||_lambda <= epsilon. Hitting max_iter table updates first yields
+    certified=False.
     """
     final, trace = _solve(env, policy, 2, epsilon, max_iter, m0)
-    k, residual = trace[-1]
+    k, residual, _ = trace[-1]
     certified = residual <= epsilon * (1.0 - env.gamma)
     return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
 
@@ -460,8 +475,8 @@ def jipe_n(
     """Iterate the order-n operator; returns (final collection, residual trace).
 
     Stopping and certification mirror jipe2 with the order-weighted norm; the
-    trace holds (iteration, residual) pairs and the last entry certifies
-    ||m - m*|| <= residual / (1 - gamma). The iteration runs on raw tables; the
-    frozen collection is built only for the result.
+    trace holds an (iteration, residual, order) row per sweep, the last a full
+    backup (order 0) that certifies ||m - m*|| <= residual / (1 - gamma). The
+    iteration runs on raw tables; the frozen collection is built for the result.
     """
     return _solve(env, policy, order, epsilon, max_iter, m0)

@@ -192,6 +192,7 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
 
 
 _UPDATE_BYTES = 512  # per update of a chunk: its draws, terms and their lists
+_SAMPLE_BYTES = 168  # per noise_diagnostic sample: draws, terms, values (163 measured)
 
 
 def check_incremental_budget(env: ExoJmdp) -> int:
@@ -213,10 +214,10 @@ def check_incremental_budget(env: ExoJmdp) -> int:
 def check_noise_budget(env: ExoJmdp, num_samples: int) -> int:
     """Bytes noise_diagnostic holds at most; raises BudgetError when that
     exceeds core.BUDGET_BYTES: the order-2 backup's count, and per sample
-    the draws, terms and values of an update (_UPDATE_BYTES)."""
+    its draws, terms and values (_SAMPLE_BYTES)."""
     return check_budget(
         f"noise diagnostic of {num_samples} samples over {env.space.num_x} coordinates",
-        check_backup_budget(env, 2, 0) + _UPDATE_BYTES * num_samples)
+        check_backup_budget(env, 2, 0) + _SAMPLE_BYTES * num_samples)
 
 
 @dataclass(frozen=True)

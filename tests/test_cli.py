@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -204,11 +205,20 @@ class TestEval:
         assert manifest["result"]["certified"] is True
         assert manifest["config_sha256"]
         rows = (out / "residuals.csv").read_text().strip().splitlines()
-        assert rows[0] == "iteration,residual_lambda,certified_bound"
+        assert rows[0] == "iteration,residual_lambda,certified_bound,order"
         gamma = 0.9
-        residuals = [float(r.split(",")[1]) for r in rows[1:]]
-        for k in range(len(residuals) - 1):
-            assert residuals[k + 1] <= gamma * residuals[k] + 1e-10
+        rows = [(int(k), float(r), float(b), int(o))
+                for k, r, b, o in (row.split(",") for row in rows[1:])]
+        # One run of sweeps per order k, contracting at gamma^k, then the
+        # full backup, whose bound and update count the manifest reports.
+        assert [o for o, _ in itertools.groupby(o for *_, o in rows)] == [1, 2, 0]
+        for (_, r0, _, o0), (_, r1, _, o1) in zip(rows, rows[1:]):
+            if o0 == o1:
+                assert r1 <= gamma**o0 * r0 + 1e-10
+        k, _, bound, _ = rows[-1]
+        assert bound <= 1e-8
+        assert (k, bound) == (manifest["result"]["iterations"],
+                              manifest["result"]["certified_error_bound"])
 
     def test_not_certified_exit_code(self, tmp_path):
         doc = base_config(algorithm={"name": "dp2", "epsilon": 1e-10, "max_iter": 2},
@@ -691,7 +701,7 @@ class TestAnalyze:
 # Every file each run writes: CSV header rows in order, JSON top-level keys
 # sorted. The README's "Outputs" table documents the same table.
 MANIFEST_KEYS = ["config", "config_sha256", "result", "seed", "versions"]
-RESIDUALS = ["iteration", "residual_lambda", "certified_bound"]
+RESIDUALS = ["iteration", "residual_lambda", "certified_bound", "order"]
 OUTPUTS = {
     "dp2": {"residuals.csv": RESIDUALS,
             "moments.json": ["format_version", "gamma", "m_mu", "m_sigma"]},

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -376,19 +377,41 @@ class TestSecondOrderMatchesReference:
 
     def test_jipe2(self, case):
         env, pol = SECOND_ORDER_CASES[case]()
+        w = LambdaWeights(env.gamma)
         rep = jipe2(env, pol, 1e-8)
         ref_final, ref_trace = _ref_jipe2(env, pol, 1e-8)
-        assert [k for k, _ in rep.residual_trace] == [k for k, _ in ref_trace]
-        np.testing.assert_allclose([r for _, r in rep.residual_trace],
-                                   [r for _, r in ref_trace], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(rep.final.m_mu, ref_final.m_mu, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(rep.final.m_sigma, ref_final.m_sigma, rtol=0.0, atol=1e-12)
-        # Started at its own fixed point, the solver returns m0 at k = 0.
+        ref_bound = ref_trace[-1][1] / (1 - env.gamma)
+        assert rep.certified and ref_bound <= 1e-8
+        assert lambda_norm(rep.final - ref_final, w) <= rep.certified_error_bound + ref_bound
+        # The last row is the full backup; the reference backup gives its residual.
+        k, r, order = rep.residual_trace[-1]
+        assert order == 0 and k == rep.iterations
+        assert abs(r - lambda_norm(rep.final - _ref_apply_t2(env, pol, rep.final), w)) <= 1e-12
+        # Started at its own fixed point, the solver returns m0 after no update:
+        # one sweep per order, then the full backup.
         again = jipe2(env, pol, 1e-8, m0=rep.final)
-        (k, r), = again.residual_trace
         (ref_k, ref_r), = _ref_jipe2(env, pol, 1e-8, m0=rep.final)[1]
-        assert k == ref_k == 0 and abs(r - ref_r) <= 1e-12
+        assert [(k, o) for k, _, o in again.residual_trace] == [(0, 1), (0, 2), (0, 0)]
+        assert ref_k == 0 and abs(again.residual_trace[-1][1] - ref_r) <= 1e-12
         assert again.iterations == 0 and again.final is rep.final
+
+
+def order_runs(trace) -> list:
+    """The trace as (order, residuals) runs of consecutive rows of one order;
+    checks that the rows are one run per order 1..n, then the full backup."""
+    runs = [(o, [r for _, r, _ in rows])
+            for o, rows in itertools.groupby(trace, key=lambda row: row[2])]
+    assert [o for o, _ in runs] == [*range(1, len(runs)), 0]
+    return runs
+
+
+def assert_runs_contract(trace, gamma, tol, floor):
+    """Each order k's residuals shrink to gamma^k times the last, plus tol,
+    per sweep, from any residual above floor."""
+    for k, rs in order_runs(trace)[:-1]:
+        for a, b in zip(rs, rs[1:]):
+            if a > floor:
+                assert b <= gamma**k * a + tol
 
 
 class TestJipe2:
@@ -411,10 +434,13 @@ class TestJipe2:
             env, pol, _ = REFERENCE_CASES[case]()
         m = MomentCollectionN.zeros(env.space, 2)
         # The count holds the residual trace, so each run is refused at its own
-        # max_iter. noise_diagnostic's count adds its samples to the backup's
-        # (check_noise_budget), so only its refusal is checked.
-        needs = [check_backup_budget(env, 2, max_iter) for max_iter in (3, 0, 0)]
-        runs = (lambda: jipe2(env, pol, 1e-8, max_iter=3), lambda: apply_t2(env, pol, m),
+        # max_iter. A run capped inside order 1 and one that certifies, so that
+        # its order-2 sweeps end before the closing full backup. noise_diagnostic's
+        # count adds its samples to the backup's (check_noise_budget), so only its
+        # refusal is checked.
+        needs = [check_backup_budget(env, 2, max_iter) for max_iter in (3, 1_000, 0, 0)]
+        runs = (lambda: jipe2(env, pol, 1e-8, max_iter=3),
+                lambda: jipe2(env, pol, 1e-6, max_iter=1_000), lambda: apply_t2(env, pol, m),
                 lambda: noise_diagnostic(env, pol, m, Index2("mu", 0), 1000, seed=0))
         for run, need in zip(runs, needs):
             monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
@@ -422,7 +448,7 @@ class TestJipe2:
                     f"order-2 backup over {env.space.num_x} coordinates "
                     f"needs {need} bytes; budget is {need - 1}")):
                 run()
-        for run, need in zip(runs[:2], needs):
+        for run, need in zip(runs[:3], needs):
             monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
             tracemalloc.start()
             try:
@@ -441,10 +467,7 @@ class TestJipe2:
     def test_residual_trace_contracts(self):
         env = build_crc(25, 0.9)
         rep = jipe2(env, Policy.uniform(env.space), 1e-4)
-        rs = [r for _, r in rep.residual_trace]
-        for k in range(len(rs) - 1):
-            if rs[k] > 1e-13:
-                assert rs[k + 1] <= env.gamma * rs[k] + 1e-10
+        assert_runs_contract(rep.residual_trace, env.gamma, 1e-10, 1e-13)
 
     def test_certificate_bound_fields(self):
         env = build_crc(5, 0.9)
@@ -457,6 +480,20 @@ class TestJipe2:
         rep = jipe2(env, Policy.uniform(env.space), 1e-10, max_iter=3)
         assert not rep.certified
         assert rep.iterations == 3
+
+    def test_max_iter_spent_inside_order_two(self):
+        """A run whose updates run out while it sweeps order 2 ends with the
+        full backup: uncertified, with a bound that still covers the distance
+        to a tight solve."""
+        env = build_crc(5, 0.9)
+        pol = Policy.uniform(env.space)
+        tight = jipe2(env, pol, 1e-12)
+        first = len(order_runs(tight.residual_trace)[0][1]) - 1  # order-1 updates
+        rep = jipe2(env, pol, 1e-10, max_iter=first + 5)
+        assert [o for o, _ in order_runs(rep.residual_trace)] == [1, 2, 0]
+        assert not rep.certified and rep.iterations == first + 5
+        dist = lambda_norm(rep.final - tight.final, LambdaWeights(env.gamma))
+        assert rep.certified_error_bound >= dist - tight.certified_error_bound > 0
 
     def test_mean_channel_matches_linear_solve(self):
         for env in (build_crc(5, 0.9), build_wgw(3, 3, (0, 2), 0.3, 0.8)):
@@ -723,21 +760,77 @@ class TestJipeN:
         pol = Policy.uniform(env.space)
         rep2 = jipe2(env, pol, 1e-9)
         final_n, trace_n = jipe_n(env, pol, 2, 1e-9)
-        np.testing.assert_allclose(final_n.table(1), rep2.final.m_mu, atol=1e-9)
-        np.testing.assert_allclose(final_n.table(2), rep2.final.m_sigma, atol=1e-9)
-        rs2 = [r for _, r in rep2.residual_trace]
-        rsn = [r for _, r in trace_n]
-        assert len(rs2) == len(rsn)
-        np.testing.assert_allclose(rs2, rsn, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(final_n.table(1), rep2.final.m_mu)
+        np.testing.assert_array_equal(final_n.table(2), rep2.final.m_sigma)
+        assert trace_n == rep2.residual_trace
 
     def test_residual_contraction_order_three(self):
         env = build_crc(3, 0.8)
         final, trace = jipe_n(env, Policy.uniform(env.space), 3, 1e-7)
-        rs = [r for _, r in trace]
-        for k in range(len(rs) - 1):
-            if rs[k] > 1e-12:
-                assert rs[k + 1] <= env.gamma * rs[k] + 1e-10
-        assert rs[-1] <= 1e-7 * (1 - env.gamma)
+        assert_runs_contract(trace, env.gamma, 1e-10, 1e-12)
+        assert trace[-1][1] <= 1e-7 * (1 - env.gamma)
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_stage_residual_is_full_backup_component(self, case):
+        """Each order's last sweep leaves exactly the residual that the
+        closing full backup, and a fresh backup of the result, find for that
+        order; the closing row holds their maximum."""
+        env, pol, _ = REFERENCE_CASES[case]()
+        w = LambdaWeights(env.gamma)
+        final, trace = jipe_n(env, pol, 3, 1e-8)
+        backup = apply_tn(env, pol, final)
+        runs = order_runs(trace)
+        for k, rs in runs[:-1]:
+            assert rs[-1] == lambda_norm([final.table(k) - backup.table(k)], w) / w.lam_k(k)
+        assert runs[-1][1] == [max(rs[-1] for _, rs in runs[:-1])]
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda: (build_crc(3, 0.9), Policy.uniform(StateActionSpace(3, 2))), 3),
+        (lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2))), 4),
+    ], ids=["crc3-order3", "wgw3x3-goal-order4"])
+    def test_order_k_sweeps_contract_at_gamma_k(self, make, order):
+        """Order k's run takes at most ceil(log(r_first/target)/log(1/gamma^k)) + 1
+        sweeps: with the lower orders fixed its backup contracts at gamma^k."""
+        env, pol = make()
+        target = 1e-6 * (1 - env.gamma)
+        _, trace = jipe_n(env, pol, order, 1e-6)
+        runs = order_runs(trace)
+        assert [k for k, _ in runs] == [*range(1, order + 1), 0]
+        for k, rs in runs[:-1]:
+            steps = math.log(rs[0] / target) / (-k * math.log(env.gamma))
+            assert len(rs) <= max(0, math.ceil(steps)) + 1
+
+    @pytest.mark.parametrize("misses", [1, None], ids=["once", "always"])
+    def test_missed_full_backup_resumes(self, misses, monkeypatch):
+        """When the closing full backup misses epsilon, the sweeps resume at
+        the first order it misses, here 2, and the next full backup certifies.
+        If every full backup misses, the run ends at max_iter + order + 1 rows."""
+        env = build_crc(3, 0.8)
+        pol = Policy.uniform(env.space)
+        ref_final, ref = jipe_n(env, pol, 3, 1e-8)
+        apply, fulls = _BackupPlan.apply, []
+
+        def perturbed(plan, tables, order=None):
+            out = apply(plan, tables, order)
+            if order is None:
+                fulls.append(order)
+                if misses is None or len(fulls) <= misses:
+                    out[1][0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(_BackupPlan, "apply", perturbed)
+        final, trace = jipe_n(env, pol, 3, 1e-8, max_iter=1_000)
+        k = ref[-1][0]
+        assert trace[:len(ref) - 1] == ref[:-1] and trace[len(ref) - 1][2] == 0
+        for a, b in zip(final.tables, ref_final.tables):
+            np.testing.assert_array_equal(a, b)
+        if misses:
+            r2, r3 = (rs[-1] for _, rs in order_runs(ref)[1:3])
+            assert trace[len(ref):] == [(k, r2, 2), (k, r3, 3), ref[-1]]
+        else:
+            assert len(trace) == 1_000 + 3 + 1 and trace[-1][2] == 0
+            assert {(i, o) for i, _, o in trace[len(ref):]} == {(k, 2), (k, 3), (k, 0)}
+            assert trace[-1][1] > 1e-8 * (1 - env.gamma)
 
     def test_order_one_table_of_higher_order_run(self):
         env = build_crc(3, 0.8)

@@ -363,17 +363,23 @@ class TestNoiseBudget:
         # The cross-state class draws the most uniforms per sample.
         return env, Policy.uniform(env.space), m, Index2("sigma", 0, 5)
 
-    @pytest.mark.parametrize("num_samples", [1000, 100_000])
+    @pytest.mark.parametrize("num_samples", [1000, 10_000, 100_000])
     def test_budget_bounds_measured_peak(self, num_samples):
+        """Every coordinate class (mean, diagonal, same state, cross state)
+        stays within the count, which at 10^5 samples is within 1.25 times
+        the measured peak."""
         env, pol, m, idx = self._case()
         noise_diagnostic(env, pol, m, idx, 1000, seed=0)  # imports, outside the trace
-        tracemalloc.start()
-        try:
-            noise_diagnostic(env, pol, m, idx, num_samples, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= check_noise_budget(env, num_samples)
+        need = check_noise_budget(env, num_samples)
+        for idx in (Index2("mu", 0), Index2("sigma", 0, 0), Index2("sigma", 0, 1), idx):
+            tracemalloc.start()
+            try:
+                noise_diagnostic(env, pol, m, idx, num_samples, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= need
+            assert num_samples < 100_000 or need <= 1.25 * peak
 
     def test_budget_refused_before_any_draw(self, monkeypatch):
         env, pol, m, idx = self._case()
