@@ -5,8 +5,8 @@ coordinate (a same-state pair shares one noise uniform, a cross-state pair
 draws two, a diagonal pair shares the action uniform too), forms the
 one-sample backup, and relaxes the table entry toward it. Every class's
 backup has one form, A + B mu[y'] + C mu[x'] + gamma^2 sigma[x', y'].
-Off-diagonal second-moment updates are mirrored to the swapped coordinate,
-which preserves symmetry without changing the fixed point.
+A second-moment pair and its swap share one value, so each update writes
+once, the table stays symmetric and the fixed point is unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class StepSchedule:
 
     harmonic(c): alpha = c / (c + visits), which satisfies the usual
     divergent-sum / summable-squares conditions per coordinate. constant(a0)
-    uses a fixed step. Mirrored second-moment coordinates share one counter.
+    uses a fixed step. A second-moment pair and its swap share one counter.
     """
 
     rule: str
@@ -69,8 +69,10 @@ class StepSchedule:
             raise InvalidInputError("schedule not bound to an index set")
         if self.rule == "harmonic":
             # Visits to a slot earlier in this batch count: rank within slot.
-            order = np.argsort(slots, kind="stable")
-            ranked = slots[order]
+            # numpy radix-sorts a key of 16 bits or fewer.
+            key = slots.astype(np.min_scalar_type(self._counts.size))
+            order = np.argsort(key, kind="stable")
+            ranked = key[order]
             seq = np.arange(slots.size)
             first = np.r_[True, ranked[1:] != ranked[:-1]]
             rank = np.empty_like(seq)
@@ -117,17 +119,17 @@ def _draw_classes(n_a: int, x, y, mean) -> np.ndarray:
     return np.where(mean, _MU, pair)
 
 
-def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
+def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o, place):
     """Successors and backup coefficients for coordinates (cls, x, y) whose
     draws start at w[o], one entry per coordinate.
 
     Returns (A, B, C, x1, y1, f); every class's one-sample backup is
-    A + B v[y1] + C v[x1] + gamma^2 v[f] over the value list v: the mean
-    table, the flattened second-moment table, then one 0.0. f is the place of
-    sigma[x1, y1], or of that 0.0 for a mean coordinate; mean and diagonal
-    coordinates have C = 0 and y1 = x1.
+    A + B v[y1] + C v[x1] + gamma^2 v[f] over a value list v that starts with
+    the mean table and ends with one 0.0. f is place[x1, y1], the place of
+    sigma[x1, y1] in v, or -1 (that 0.0) for a mean coordinate; mean and
+    diagonal coordinates have C = 0 and y1 = x1.
     """
-    n_x, gamma = env.space.num_x, env.gamma
+    gamma = env.gamma
     cross = cls == _CROSS
     ia = o + 1 + cross
     r1, _, x1 = sample_step(env, policy, x, w[o], w[ia])
@@ -138,7 +140,7 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o):
     coef_a = np.where(mean, r1, r1 * r2)
     coef_b = np.where(mean, gamma, np.where(single, 2.0 * gamma * r1, gamma * r1))
     coef_c = np.where(single, 0.0, gamma * r2)
-    return coef_a, coef_b, coef_c, x1, y1, n_x + np.where(mean, n_x * n_x, x1 * n_x + y1)
+    return coef_a, coef_b, coef_c, x1, y1, np.where(mean, -1, place[x1, y1])
 
 
 def _check_coordinate(env: ExoJmdp, i: Index2) -> None:
@@ -151,11 +153,13 @@ def _check_coordinate(env: ExoJmdp, i: Index2) -> None:
 def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
     """n one-sample backups at coordinate i; draw(k) returns the uniforms,
     sample j reading its k draws from position j*k."""
+    n_x = env.space.num_x
     xs, ys = np.full(n, i.x), np.full(n, i.x if i.kind == "mu" else i.x2)
     cls = _draw_classes(env.space.num_actions, xs, ys, i.kind == "mu")
     k = int(_NUM_DRAWS[cls[0]])
+    place = np.arange(n_x, n_x + n_x * n_x).reshape(n_x, n_x)  # row-major, after the means
     coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
-        env, policy, cls, xs, ys, draw(k), np.arange(n) * k
+        env, policy, cls, xs, ys, draw(k), np.arange(n) * k, place
     )
     v = np.r_[m.m_mu, m.m_sigma.ravel(), 0.0]
     return coef_a + coef_b * v[y1] + coef_c * v[x1] + env.gamma**2 * v[f]
@@ -198,26 +202,29 @@ _SAMPLE_BYTES = 168  # per noise_diagnostic sample: draws, terms, values (163 me
 def check_incremental_budget(env: ExoJmdp) -> int:
     """Bytes run_incremental holds at once; raises BudgetError when that
     exceeds core.BUDGET_BYTES. Per row of the coordinate table (|X| + |X|^2):
-    ten words for its four columns, the target, mirror and hop arrays and the
-    temporaries that build them, and 40 bytes of value list (a pointer and a
-    float, and a pointer of the list m0 is concatenated from); per slot a
-    step counter; at a checkpoint or for the result, four |X|^2 tables (the
-    list's second moment, its symmetrization, the difference to the fixed
-    point and its absolute value); per update of a chunk, _UPDATE_BYTES."""
+    ten words for its four columns, the hop array and the temporaries that
+    build them; per slot (and the trailing 0.0) 40 bytes of value list (a
+    pointer and a float, and the array it is listed from) and a step counter
+    word; four |X|^2 tables (m0's symmetrization and its temporary, or at a
+    checkpoint the gathered pair table, its difference to the fixed point and
+    that difference's absolute value); the mean snapshots at their worst, a
+    chunk of mean rows only, (_CHUNK + 1) |X| entries as list pointers and
+    as an array; per update of a chunk, _UPDATE_BYTES."""
     n_x = env.space.num_x
-    rows = n_x + n_x * n_x
-    words = 10 * rows + (n_x + n_x * (n_x + 1) // 2) + 4 * n_x * n_x
+    slots = n_x + n_x * (n_x + 1) // 2 + 1
+    words = 10 * (n_x + n_x * n_x) + slots + 4 * n_x * n_x + 2 * (_CHUNK + 1) * n_x
     return check_budget(f"incremental run over {n_x} coordinates",
-                        8 * words + 40 * rows + _UPDATE_BYTES * _CHUNK)
+                        8 * words + 40 * slots + _UPDATE_BYTES * _CHUNK)
 
 
 def check_noise_budget(env: ExoJmdp, num_samples: int) -> int:
     """Bytes noise_diagnostic holds at most; raises BudgetError when that
-    exceeds core.BUDGET_BYTES: the order-2 backup's count, and per sample
-    its draws, terms and values (_SAMPLE_BYTES)."""
+    exceeds core.BUDGET_BYTES: the order-2 backup's count, the |X|^2 place
+    table of the samples' value list, and per sample its draws, terms and
+    values (_SAMPLE_BYTES)."""
     return check_budget(
         f"noise diagnostic of {num_samples} samples over {env.space.num_x} coordinates",
-        check_backup_budget(env, 2, 0) + _SAMPLE_BYTES * num_samples)
+        check_backup_budget(env, 2, 0) + 8 * env.space.num_x**2 + _SAMPLE_BYTES * num_samples)
 
 
 @dataclass(frozen=True)
@@ -255,10 +262,8 @@ def run_incremental(
     table, num_slots = _coordinate_table(env.space)
     schedule.bind(num_slots)
     cls, xs, ys, slots = table.T
-    hops = _NUM_DRAWS[cls] + 1  # uniform mode: one visitation draw first
-    # Each coordinate's place in the value list; a mean row mirrors onto itself.
-    target = np.where(cls == _MU, xs, n_x + xs * n_x + ys)
-    mirror = np.where(cls == _MU, xs, n_x + ys * n_x + xs)
+    hops = (_NUM_DRAWS[cls] + 1).astype(np.uint8)  # uniform mode: one visitation draw first
+    place = slots[n_x:].reshape(n_x, n_x)  # slot of sigma[x, y]
     n_idx = cls.size
 
     # One seeded U(0,1) sequence, consumed in order. How it is cut into
@@ -267,10 +272,13 @@ def run_incremental(
     carry = np.empty(0)  # drawn ahead by the visitation walk, not yet used
     weights = LambdaWeights(env.gamma)
     g2 = env.gamma**2
-    # The relaxation is sequential; a plain value list (see _sample_terms)
-    # makes it cheap per update.
-    vals = ([0.0] * (n_x + n_x * n_x) if m0 is None
-            else m0.m_mu.tolist() + m0.m_sigma.ravel().tolist()) + [0.0]
+    # The relaxation is sequential; a plain value list, one value per slot
+    # then the 0.0 (see _sample_terms), makes it cheap per update.
+    vals = np.zeros(num_slots + 1)
+    if m0 is not None:
+        vals[:n_x] = m0.m_mu
+        vals[place] = 0.5 * (m0.m_sigma + m0.m_sigma.T)
+    vals = vals.tolist()
 
     trace: list = []
     k = 0
@@ -289,7 +297,7 @@ def run_incremental(
             ahead = max(n * int(hops.max()) - carry.size, 0)
             w = np.concatenate((carry, rng.random(ahead)))
             visit = np.minimum((w * n_idx).astype(np.int64), n_idx - 1)
-            hop = hops[visit].tolist()
+            hop = hops[visit].tobytes()
             offsets = [0] * n
             used = 0
             for j in range(n):
@@ -299,31 +307,46 @@ def run_incremental(
             pos = visit[offsets]
             start = offsets + 1
             carry = w[used:]
+        c = cls[pos]
         coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
-            env, policy, cls[pos], xs[pos], ys[pos], w, start
+            env, policy, c, xs[pos], ys[pos], w, start, place
         )
-        alphas = schedule.steps(slots[pos])
-        for t, t2, ca, cb, cc, i, j, q, al in zip(
-            target[pos].tolist(), mirror[pos].tolist(), coef_a.tolist(),
-            coef_b.tolist(), coef_c.tolist(), x1.tolist(), y1.tolist(),
-            f.tolist(), alphas.tolist(),
+        target = slots[pos]
+        alphas = schedule.steps(target)
+        oa = 1.0 - alphas
+        # A mean row reads only means and the 0.0 (C = 0, y1 = x1): relax the
+        # mean rows first, on a copy of the means and with the loop's own
+        # operations, keeping the means after each.
+        mean = c == _MU
+        mu = vals[:n_x]
+        snaps = mu[:]
+        for t, ca, cb, cc, j, o, al in zip(
+            target[mean].tolist(), coef_a[mean].tolist(), coef_b[mean].tolist(),
+            coef_c[mean].tolist(), y1[mean].tolist(), oa[mean].tolist(), alphas[mean].tolist(),
         ):
-            new = (1.0 - al) * vals[t] + al * (ca + cb * vals[j] + cc * vals[i] + g2 * vals[q])
-            vals[t] = new
-            vals[t2] = new
+            mu[t] = o * mu[t] + al * (ca + cb * mu[j] + cc * mu[j] + g2 * 0.0)
+            snaps += mu
+        # Each row's A + B mu[y1] + C mu[x1], read from the means after the
+        # mean rows before it; then every row relaxes in order.
+        snaps = np.array(snaps)
+        row = (np.cumsum(mean) - mean) * n_x
+        base = coef_a + coef_b * snaps[row + y1] + coef_c * snaps[row + x1]
+        for t, q, b, o, al in zip(
+            target.tolist(), f.tolist(), base.tolist(), oa.tolist(), alphas.tolist()
+        ):
+            vals[t] = o * vals[t] + al * (b + g2 * vals[q])
         k = stop
         if k % trace_stride == 0 or k == num_updates:
             dist = float("nan") if fixed_point is None else lambda_norm(
-                [a - b for a, b in zip(_tables(vals, n_x), fixed_point.tables)], weights)
+                [a - b for a, b in zip(_tables(vals, place), fixed_point.tables)], weights)
             trace.append((k, dist, float(alphas[-1])))
 
-    return IncrementalResult(MomentCollectionN(tuple(_tables(vals, n_x))), trace, num_updates)
+    return IncrementalResult(MomentCollectionN(tuple(_tables(vals, place))), trace, num_updates)
 
 
-def _tables(vals: list, n_x: int) -> list:
-    """The value list's raw [m_mu, m_sigma], the second moment symmetrized."""
-    s = np.array(vals[n_x:-1]).reshape(n_x, n_x)
-    return [np.array(vals[:n_x]), 0.5 * (s + s.T)]
+def _tables(vals: list, place: np.ndarray) -> list:
+    """The value list's [m_mu, m_sigma], the pair table gathered through place."""
+    return [np.array(vals[:len(place)]), np.array(vals)[place]]
 
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:

@@ -194,24 +194,38 @@ def _reference_cases():
 
 
 REFERENCE_CASES = _reference_cases()
+# A run also on the 1-action chain, whose pairs are diagonal or cross-state.
+RUN_CASES = {**REFERENCE_CASES, "forward": (forward_chain(), None)}
 
 
 class TestMatchesScalarReference:
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
     @pytest.mark.parametrize("mode", ["sweep", "uniform"])
     @pytest.mark.parametrize("rule", [("harmonic", 10.0), ("constant", 0.2)])
     def test_run_is_bit_identical(self, case, mode, rule):
-        env, pol = REFERENCE_CASES[case]
-        pol = pol or Policy.uniform(env.space)
-        rng = np.random.default_rng(11)
-        m0 = MomentCollection2(
-            rng.normal(size=env.space.num_x), _symmetric(rng, env.space.num_x)
-        )
-        star = jipe2(env, pol, 1e-10).final
         # Crosses a 64k-uniform block; not a multiple of the stride or the
         # chunk; the stride spans several chunks.
         num_updates, stride = 10 * _CHUNK + 3_001, 3 * _CHUNK + 777
         assert num_updates % stride and num_updates % _CHUNK
+        self._check_run(case, mode, rule, num_updates, stride)
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    @pytest.mark.parametrize("mode", ["sweep", "uniform"])
+    @pytest.mark.parametrize("rule", [("harmonic", 10.0), ("constant", 0.2)])
+    def test_chunk_per_num_x_is_bit_identical(self, case, mode, rule):
+        # In sweep mode the first chunk is the mean rows only and the next
+        # |X| chunks hold no mean row; in uniform mode some chunks hold none.
+        n_x = RUN_CASES[case][0].space.num_x
+        self._check_run(case, mode, rule, 2 * (n_x + n_x * n_x) + 5, n_x)
+
+    @staticmethod
+    def _check_run(case, mode, rule, num_updates, stride):
+        env, pol = RUN_CASES[case]
+        pol = pol or Policy.uniform(env.space)
+        n_x = env.space.num_x
+        rng = np.random.default_rng(11)
+        m0 = MomentCollection2(rng.normal(size=n_x), _symmetric(rng, n_x))
+        star = jipe2(env, pol, 1e-10).final
         ref_trace, ref_final, ref_counts = _ref_run(
             env, pol, rule, mode, num_updates, 5, m0, star, stride
         )
@@ -282,6 +296,26 @@ class TestStepSchedule:
         alphas = c / (c + t)
         assert alphas.sum() > 50.0
         assert (alphas**2).sum() < c * (c + 1)
+
+    def test_harmonic_matches_counter_beyond_16_bit_slots(self):
+        """70 000 slots key the rank sort as uint32; two batches with repeated
+        slots, some above 65 535, take the steps a per-slot counter gives."""
+        assert np.min_scalar_type(70_000) == np.uint32
+        c, sched = 10.0, StepSchedule.harmonic(10.0)
+        sched.bind(70_000)
+        rng = np.random.default_rng(8)
+        # 0 and 65 536, 4 463 and 69 999: pairs a 16-bit key would merge.
+        pool = np.r_[rng.integers(0, 70_000, 300), 0, 65_536, 4_463, 69_999]
+        counts = [0] * 70_000
+        for _ in range(2):
+            slots = rng.choice(pool, 3_000)
+            expected = []
+            for s in slots.tolist():
+                expected.append(c / (c + counts[s]))
+                counts[s] += 1
+            alphas = sched.steps(slots)
+            assert alphas.tolist() == expected
+        assert sched._counts.tolist() == counts
 
     def test_constant_range(self):
         with pytest.raises(InvalidInputError):
@@ -449,7 +483,34 @@ class TestRunIncremental:
             env, pol, StepSchedule.harmonic(10.0), VisitationScheme.uniform(),
             50_000, seed=1,
         )
-        np.testing.assert_array_equal(res.final.m_sigma, res.final.m_sigma.T)
+        assert res.final.m_sigma.tobytes() == res.final.m_sigma.T.tobytes()
+
+    def test_asymmetric_start_is_symmetrized(self):
+        """m0's second moment, asymmetric within the symmetry tolerance, starts
+        the run as 0.5 (s + s^T): every read sees it, a pair no update visits
+        keeps its bytes, and the result is symmetric bit for bit."""
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        n_x = env.space.num_x
+        rng = np.random.default_rng(21)
+        sig = _symmetric(rng, n_x) + np.triu(rng.uniform(-4e-10, 4e-10, (n_x, n_x)), 1)
+        m0 = MomentCollection2(rng.normal(size=n_x), sig)
+        assert not np.array_equal(sig, sig.T)
+        start = 0.5 * (sig + sig.T)
+        sched = StepSchedule.constant(0.3)
+        res = run_incremental(env, pol, sched, VisitationScheme.uniform(), 30, seed=4, m0=m0)
+        _, ref_final, _ = _ref_run(env, pol, ("constant", 0.3), "uniform", 30, 4,
+                                   MomentCollection2(m0.m_mu, start), None, 30)
+        _, raw_final, _ = _ref_run(env, pol, ("constant", 0.3), "uniform", 30, 4, m0, None, 30)
+        out = res.final.m_sigma
+        assert out.tobytes() == ref_final.m_sigma.tobytes()
+        assert not np.array_equal(out, raw_final.m_sigma)  # reads of the raw start differ
+        assert res.final.m_mu.tobytes() == ref_final.m_mu.tobytes()
+        assert out.tobytes() == out.T.tobytes()
+        table, _ = _coordinate_table(env.space)
+        unvisited = (sched._counts[table[n_x:, 3]] == 0).reshape(n_x, n_x)
+        assert unvisited.any() and not unvisited.all()
+        assert out[unvisited].tobytes() == start[unvisited].tobytes()
 
     def test_distance_shrinks_with_budget(self):
         env = build_crc(3, 0.9)
