@@ -9,14 +9,13 @@ validated against a coupled Monte Carlo oracle.
 """
 
 from .core import (
-    Index2,
     LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
     lambda_norm,
 )
-from .dp import Jipe2Report, apply_t2, apply_tn, jipe2, jipe_n
+from .dp import Jipe2Report, apply_tn, jipe2, jipe_n
 from .env import (
     ExoJmdp,
     NoiseModel,

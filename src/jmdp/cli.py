@@ -25,6 +25,7 @@ from .env import (
     _PROB_TOL,
     _REQUIRED,
     _int,
+    _marginal_csr,
     _real,
     _section,
     ExoJmdp,
@@ -40,7 +41,6 @@ from .env import (
     is_coupled_dynamics,
     load_env,
     load_policy,
-    marginal_mdp,
     read_json_doc,
     wgw_goal_policy,
 )
@@ -575,14 +575,17 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_validate_env(path: str) -> int:
     env = load_env(path)
-    r_mean, p_s = marginal_mdp(env)
+    r_mean = env.g @ env.noise.probs
+    # Row sums of the sparse marginal law (no row is empty), no S x N x S table.
+    data, _, indptr = _marginal_csr(env, np.ones((env.space.num_states, 1)))
+    row_sums = np.add.reduceat(data, indptr[:-1])
     coupled = is_coupled_dynamics(env)
     print(f"states: {env.space.num_states}")
     print(f"actions: {env.space.num_actions}")
     print(f"noise support: {env.noise.support_size}")
     print(f"gamma: {env.gamma}")
     print(f"mean reward range: [{r_mean.min():.6g}, {r_mean.max():.6g}]")
-    print(f"transition rows stochastic: {bool(np.allclose(p_s.sum(axis=2), 1.0))}")
+    print(f"transition rows stochastic: {bool(np.allclose(row_sums, 1.0))}")
     print(f"coupled-dynamics: {'yes' if coupled else 'no'}")
     return EXIT_OK
 

@@ -20,7 +20,6 @@ __all__ = [
     "LambdaWeights",
     "MomentCollection2",
     "MomentCollectionN",
-    "Index2",
     "lambda_norm",
 ]
 
@@ -184,26 +183,6 @@ class MomentCollection2(MomentCollectionN):
     def zeros(cls, space: StateActionSpace) -> "MomentCollection2":
         n = space.num_x
         return cls(np.zeros(n), np.zeros((n, n)))
-
-
-@dataclass(frozen=True)
-class Index2:
-    """A coordinate of a second-order moment collection.
-
-    kind 'mu' addresses m_mu[x]; kind 'sigma' addresses m_sigma[x, x2].
-    """
-
-    kind: str
-    x: int
-    x2: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("mu", "sigma"):
-            raise InvalidQueryError(f"unknown index kind {self.kind!r}")
-        if self.kind == "sigma" and self.x2 is None:
-            raise InvalidQueryError("sigma index needs both coordinates")
-        if self.kind == "mu" and self.x2 is not None:
-            raise InvalidQueryError("mu index takes a single coordinate")
 
 
 def lambda_norm(m, w: LambdaWeights) -> float:

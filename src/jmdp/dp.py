@@ -38,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _CHECK_BLOCK, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
-from .env import ExoJmdp, Policy
+from .env import ExoJmdp, Policy, _check_policy
 from .errors import InvalidInputError
 
 __all__ = [
     "Jipe2Report",
-    "apply_t2",
     "jipe2",
     "check_backup_budget",
     "apply_tn",
@@ -321,6 +320,7 @@ class _BackupPlan:
     """
 
     def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
+        _check_policy(env, policy)
         self.need = check_backup_budget(env, order, max_iter)
         s_n, a_n, _ = env.g.shape
         n_x = env.space.num_x
@@ -380,14 +380,6 @@ class _BackupPlan:
                 _mirror(t)
             out.append(t)
         return out
-
-
-def apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
-    """One exact application of the second-order joint Bellman operator. Each
-    call builds the backup; an iterating caller should use jipe2, which builds
-    it once."""
-    _check_moments(env, m, 2)
-    return apply_tn(env, policy, m)
 
 
 def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:

@@ -156,6 +156,14 @@ class Policy:
         return cls(np.full((space.num_states, space.num_actions), 1.0 / space.num_actions))
 
 
+def _check_policy(env: ExoJmdp, policy: Policy) -> None:
+    """Raise InvalidInputError unless policy's table is (states, actions) of env."""
+    shape = (env.space.num_states, env.space.num_actions)
+    if policy.probs.shape != shape:
+        raise InvalidInputError(f"policy table shape {policy.probs.shape} does not match "
+                                f"the environment's (states, actions) = {shape}")
+
+
 def child_seed(root_seed: int, stream_index: int) -> int:
     """Derive an independent 64-bit stream seed: splitmix64(root + (i+1)*GOLDEN).
 
@@ -271,6 +279,7 @@ def marginal_mdp(env: ExoJmdp) -> tuple[np.ndarray, np.ndarray]:
 def marginal_kernel(env: ExoJmdp, policy: Policy) -> np.ndarray:
     """One-step kernel over X under the policy as a dense |X| x |X| table:
     P[x, x'] = P(s'|s,a) pi(a'|s')."""
+    _check_policy(env, policy)
     return _dense(*_marginal_csr(env, policy.probs), env.space.num_x)
 
 

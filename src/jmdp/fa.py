@@ -24,7 +24,7 @@ import numpy as np
 from .core import MomentCollectionN, check_budget
 from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
-from .env import _marginal_csr, marginal_mdp
+from .env import _check_policy, _marginal_csr, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -175,6 +175,7 @@ def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     iteration on the sparse kernel (env._marginal_csr); falls back to uniform
     (with a diagnostic note) when the chain is not irreducible and aperiodic.
     Its bytes (check_stationary_budget) are checked before the kernel is built."""
+    _check_policy(env, policy)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -464,6 +465,7 @@ def coupling_coefficient(
     matrix-free to |X| x |X| tables, so memory is O(|X|^2); the need is checked
     against core.BUDGET_BYTES before any work.
     """
+    _check_policy(env, policy)
     from scipy.linalg import eigh_tridiagonal
 
     check_coupling_budget(env, mode)
@@ -520,7 +522,7 @@ _DISTANCE_BYTES = 40
 class _FeatureStep:
     """One projected backup of a linear approximant, run in feature space.
 
-    The exact order-2 backup T of the approximant's tables (dp.apply_t2) is
+    The exact order-2 backup T of the approximant's tables (dp.apply_tn) is
     never formed. With D^(1/2) Phi = QR and Psi = D Phi, the mean fit needs
     Psi' t_mu and the PSD fit the core Q' D^(1/2) T D^(1/2) Q. The second
     moment is carried in the whitened basis Phi R^-1 = D^(-1/2) Q, as the
@@ -644,6 +646,7 @@ def projected_jipe2(
     gamma^2 * sqrt_c_rho < 1, else (or when the coupling step is over its
     memory budget) beta = 1.
     """
+    _check_policy(env, policy)
     check_solver_args(epsilon, max_iter)
     if features.num_x != env.space.num_x:
         raise InvalidInputError(f"features cover {features.num_x} coordinates, "

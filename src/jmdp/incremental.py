@@ -11,13 +11,14 @@ once, the table stays symmetric and the fixed point is unchanged.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Index2, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
+from .core import LambdaWeights, MomentCollectionN, check_budget, lambda_norm
 from .dp import _BackupPlan, _check_moments, check_backup_budget
-from .env import ExoJmdp, Policy, sample_step
+from .env import ExoJmdp, Policy, _check_policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -48,16 +49,20 @@ class StepSchedule:
     alpha0: float = 0.1
     _counts: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.rule not in ("harmonic", "constant"):
+            raise InvalidQueryError(f"unknown step rule {self.rule!r}")
+        if not (np.isfinite(self.c) and self.c > 0.0):
+            raise InvalidInputError(f"harmonic constant must be finite and > 0, got {self.c}")
+        if not (0.0 < self.alpha0 <= 1.0):  # false for nan too
+            raise InvalidInputError(f"constant step must lie in (0, 1], got {self.alpha0}")
+
     @classmethod
     def harmonic(cls, c: float = 10.0) -> "StepSchedule":
-        if not (np.isfinite(c) and c > 0.0):
-            raise InvalidInputError(f"harmonic constant must be finite and > 0, got {c}")
         return cls("harmonic", c=c)
 
     @classmethod
     def constant(cls, alpha0: float) -> "StepSchedule":
-        if not (0.0 < alpha0 <= 1.0):
-            raise InvalidInputError(f"constant step must lie in (0, 1], got {alpha0}")
         return cls("constant", alpha0=alpha0)
 
     def bind(self, num_slots: int) -> None:
@@ -143,19 +148,26 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o, place):
     return coef_a, coef_b, coef_c, x1, y1, np.where(mean, -1, place[x1, y1])
 
 
-def _check_coordinate(env: ExoJmdp, i: Index2) -> None:
-    """Raise InvalidQueryError unless i's coordinates lie in 0..|X|-1."""
-    for x in (i.x, i.x2):
-        if x is not None:
-            env.space.sa(x)
+def _check_coordinate(env: ExoJmdp, i) -> tuple:
+    """i as a tuple of Python ints, (x,) for a mean or (x, y) for a second
+    moment; InvalidQueryError unless it has 1 or 2 integer entries in 0..|X|-1."""
+    try:
+        i = tuple(operator.index(x) for x in i)
+    except TypeError:
+        raise InvalidQueryError(f"coordinate {i!r} is not a tuple of integers") from None
+    if len(i) not in (1, 2):
+        raise InvalidQueryError(f"coordinate {i} has {len(i)} entries, not 1 or 2")
+    for x in i:
+        env.space.sa(x)
+    return i
 
 
-def _backups(env, policy, m, i: Index2, n: int, draw) -> np.ndarray:
-    """n one-sample backups at coordinate i; draw(k) returns the uniforms,
-    sample j reading its k draws from position j*k."""
+def _backups(env, policy, m, i: tuple, n: int, draw) -> np.ndarray:
+    """n one-sample backups at coordinate i, (x,) or (x, y); draw(k) returns
+    the uniforms, sample j reading its k draws from position j*k."""
     n_x = env.space.num_x
-    xs, ys = np.full(n, i.x), np.full(n, i.x if i.kind == "mu" else i.x2)
-    cls = _draw_classes(env.space.num_actions, xs, ys, i.kind == "mu")
+    xs, ys = np.full(n, i[0]), np.full(n, i[-1])
+    cls = _draw_classes(env.space.num_actions, xs, ys, len(i) == 1)
     k = int(_NUM_DRAWS[cls[0]])
     place = np.arange(n_x, n_x + n_x * n_x).reshape(n_x, n_x)  # row-major, after the means
     coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
@@ -169,13 +181,14 @@ def sample_backup(
     env: ExoJmdp,
     policy: Policy,
     m: MomentCollectionN,
-    i: Index2,
+    i: tuple,
     rng: np.random.Generator,
 ) -> float:
-    """Draw one random backup for coordinate i; its conditional mean is the
-    exact operator coordinate. Takes exactly 8 uniforms from rng."""
+    """Draw one random backup for coordinate i, (x,) or (x, y); its conditional
+    mean is the exact operator coordinate. Takes exactly 8 uniforms from rng."""
+    _check_policy(env, policy)
     _check_moments(env, m, 2)
-    _check_coordinate(env, i)
+    i = _check_coordinate(env, i)
     return float(_backups(env, policy, m, i, 1, lambda k: rng.random(8))[0])
 
 
@@ -250,6 +263,7 @@ def run_incremental(
     When fixed_point is provided, the trace records the weighted sup-norm
     distance to it every trace_stride updates (and at the final update).
     """
+    _check_policy(env, policy)
     if num_updates < 1:
         raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
     if trace_stride < 1:
@@ -368,11 +382,11 @@ def noise_diagnostic(
     env: ExoJmdp,
     policy: Policy,
     m: MomentCollectionN,
-    i: Index2,
+    i: tuple,
     num_samples: int,
     seed: int,
 ) -> NoiseDiagnostic:
-    """Empirical mean and second moment of the backup noise at one coordinate.
+    """Empirical mean and second moment of the backup noise at coordinate i.
 
     The noise is backup minus exact operator coordinate; its conditional mean
     is zero and its second moment is bounded by C0 + C1 * ||m||_lambda^2.
@@ -381,10 +395,9 @@ def noise_diagnostic(
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
     _check_moments(env, m, 2)
-    _check_coordinate(env, i)
+    i = _check_coordinate(env, i)
     check_noise_budget(env, num_samples)
-    t_mu, t_sig = _BackupPlan(env, policy, 2, 0).apply(m.tables)
-    exact = float(t_mu[i.x] if i.kind == "mu" else t_sig[i.x, i.x2])
+    exact = float(_BackupPlan(env, policy, 2, 0).apply(m.tables)[len(i) - 1][i])
 
     rng = np.random.default_rng(seed)
     n = num_samples

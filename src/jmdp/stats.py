@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MomentCollectionN, StateActionSpace, check_budget
-from .env import ExoJmdp, Policy, child_seed, sample_step
+from .env import ExoJmdp, Policy, _check_policy, child_seed, sample_step
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -287,6 +287,7 @@ def mc_state_block(
 ) -> McBlock:
     """Coupled-rollout estimates of all first/second moments and pairwise gap
     functionals for the given action branches at one state."""
+    _check_policy(env, policy)
     if continuation_coupling not in ("shared-state", "independent"):
         raise InvalidQueryError(
             f"unknown continuation coupling {continuation_coupling!r}"

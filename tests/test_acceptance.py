@@ -17,12 +17,11 @@ import pytest
 
 from jmdp.cli import EXIT_DIVERGENCE, EXIT_OK, main
 from jmdp.core import (
-    Index2,
     LambdaWeights,
     MomentCollection2,
     lambda_norm,
 )
-from jmdp.dp import apply_t2, jipe2
+from jmdp.dp import apply_tn, jipe2
 from jmdp.env import (
     Policy,
     build_crc,
@@ -106,7 +105,7 @@ def _deep_iterates(env, policy):
     m = MomentCollection2.zeros(env.space)
     iterates, residuals = [], []
     for _ in range(100_000):
-        t_m = apply_t2(env, policy, m)
+        t_m = apply_tn(env, policy, m)
         r = lambda_norm(m - t_m, w)
         iterates.append(m)
         residuals.append(r)
@@ -281,10 +280,10 @@ def test_criterion_7_noise_bound():
         pol = Policy.uniform(env.space)
         space = env.space
         classes = {
-            "mu": Index2("mu", space.x(0, 0)),
-            "diagonal": Index2("sigma", space.x(0, 0), space.x(0, 0)),
-            "same-state": Index2("sigma", space.x(0, 0), space.x(0, 1)),
-            "cross-state": Index2("sigma", space.x(0, 0), space.x(1, 1)),
+            "mu": (space.x(0, 0),),
+            "diagonal": (space.x(0, 0), space.x(0, 0)),
+            "same-state": (space.x(0, 0), space.x(0, 1)),
+            "cross-state": (space.x(0, 0), space.x(1, 1)),
         }
         for label, idx in classes.items():
             for trial in range(20):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
-from jmdp.dp import _BackupPlan, check_backup_budget
+from jmdp.dp import _BackupPlan, check_backup_budget, jipe2
 from jmdp.env import (
     Policy,
     build_crc,
@@ -30,6 +31,7 @@ from jmdp.env import (
     build_shared_successors,
     build_wgw,
     save_env,
+    save_policy,
 )
 from jmdp.errors import ConfigError
 from jmdp.incremental import check_incremental_budget
@@ -184,6 +186,27 @@ class TestValidateEnv:
         assert main(["validate-env", str(path)]) == EXIT_OK
         assert f"coupled-dynamics: {coupled}\n" in capsys.readouterr().out
 
+    def test_large_ring_never_builds_the_dense_table(self, tmp_path, capsys):
+        """ring(2048)'s dense S x N x S table would be 64 MiB; validate-env
+        sums the transition rows from the sparse marginal law instead."""
+        path = tmp_path / "ring.json"
+        save_env(build_ring_chain(2048, 0.9), path)
+        small = tmp_path / "small.json"
+        save_env(build_ring_chain(4, 0.9), small)
+        assert main(["validate-env", str(small)]) == EXIT_OK  # imports, outside the trace
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["validate-env", str(path)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+        assert capsys.readouterr().out == (
+            "states: 2048\nactions: 2\nnoise support: 4\ngamma: 0.9\n"
+            "mean reward range: [0.5, 0.5]\ntransition rows stochastic: True\n"
+            "coupled-dynamics: yes\n")
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         save_env(build_crc(3, 0.9), path)
@@ -256,6 +279,46 @@ class TestEval:
         cfg = write_config(tmp_path / "c.json", base_config(algorithm={"name": "nope"}))
         assert main(["eval", "--config", str(cfg)]) == EXIT_CONFIG
         assert main(["eval", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+    def test_policy_of_another_shape_is_a_config_error(self, tmp_path, capsys):
+        save_policy(Policy(np.full((5, 3), 1 / 3)), tmp_path / "pol.json")
+        doc = base_config(policy={"path": "pol.json"}, out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config.policy: table shape (5, 3) does not match the "
+            "environment (5 states, 2 actions)\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_constant_step_run(self, tmp_path):
+        doc = base_config(
+            algorithm={"name": "incremental", "rule": "constant", "alpha0": 0.05,
+                       "visitation": "sweep", "num_updates": 20_000,
+                       "trace_stride": 5_000},
+            out_dir=str(tmp_path / "run"),
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        with open(tmp_path / "run" / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["update_index"]) for r in rows] == [5_000, 10_000, 15_000, 20_000]
+        assert all(float(r["step_size_last"]) == 0.05 for r in rows)
+
+    def test_projected_identity_features_reproduce_the_exact_tables(self, tmp_path):
+        """With identity features both projections are exact, so the
+        projected loop converges to the tabular fixed point."""
+        doc = base_config(env={"builtin": "ring", "num_states": 8, "gamma": 0.9},
+                          **_projected({"builtin": "identity"}),
+                          out_dir=str(tmp_path / "run"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
+        assert result["converged"] is True and result["iterations"] == 192
+        moments = json.loads((tmp_path / "run" / "moments.json").read_text())
+        env = build_ring_chain(8, 0.9)
+        exact = jipe2(env, Policy.uniform(env.space), 1e-10).final
+        np.testing.assert_allclose(moments["theta_mu"], exact.m_mu, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(moments["theta_sigma"], exact.m_sigma, rtol=0, atol=1e-6)
 
     def test_incremental_run_writes_trace(self, tmp_path):
         doc = base_config(

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmdp.core import (
-    Index2,
     LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
@@ -240,11 +239,3 @@ class TestEnumerateIndices:
         sigma = [(x, y) for x, y in rows[2:, 1:3].tolist()]
         assert (0, 1) in sigma and (1, 0) in sigma
         assert sigma == [(x, y) for x in range(2) for y in range(2)]
-
-    def test_index_validation(self):
-        with pytest.raises(InvalidQueryError):
-            Index2("sigma", 0)
-        with pytest.raises(InvalidQueryError):
-            Index2("mu", 0, 1)
-        with pytest.raises(InvalidQueryError):
-            Index2("cov", 0, 1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from jmdp.core import (
-    Index2,
     LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
@@ -17,7 +16,6 @@ import jmdp.dp
 from jmdp.dp import (
     _BackupPlan,
     _block_kernel,
-    apply_t2,
     apply_tn,
     check_backup_budget,
     jipe2,
@@ -30,10 +28,17 @@ from jmdp.env import (
     build_crc,
     build_ring_chain,
     build_wgw,
+    marginal_kernel,
     marginal_mdp,
     wgw_goal_policy,
 )
 from jmdp.errors import BudgetError, InvalidInputError
+from jmdp.fa import (
+    coupling_coefficient,
+    identity_features,
+    projected_jipe2,
+    stationary_distribution,
+)
 from jmdp.incremental import (
     StepSchedule,
     VisitationScheme,
@@ -41,13 +46,13 @@ from jmdp.incremental import (
     run_incremental,
     sample_backup,
 )
-from jmdp.stats import _branch_returns, truncation_horizon
+from jmdp.stats import _branch_returns, mc_state_block, truncation_horizon
 
 from test_env import anticorrelated_single_state, random_env, random_policy
 
 
 # ---------------------------------------------------------------------------
-# Reference second-order backup and solver: one apply_t2 computing every term
+# Reference second-order backup and solver: one backup computing every term
 # per call, and a jipe2 loop stepping frozen MomentCollection2 objects with the
 # residual max(max|d_mu|, max|d_sigma| / lam). The order-n backup, built once
 # per solve, must agree with both to rounding level: the same iteration
@@ -314,7 +319,7 @@ class TestApplyT2:
     def test_zero_continuation_means(self):
         env = random_env(2)
         pol = Policy.uniform(env.space)
-        out = apply_t2(env, pol, MomentCollection2.zeros(env.space))
+        out = apply_tn(env, pol, MomentCollection2.zeros(env.space))
         r_bar = env.g @ env.noise.probs
         np.testing.assert_allclose(
             out.m_mu, r_bar.reshape(-1), atol=1e-14
@@ -323,7 +328,7 @@ class TestApplyT2:
     def test_zero_continuation_coupled_products(self):
         env = anticorrelated_single_state()
         pol = Policy.uniform(env.space)
-        out = apply_t2(env, pol, MomentCollection2.zeros(env.space))
+        out = apply_tn(env, pol, MomentCollection2.zeros(env.space))
         # coupled cross term vanishes while the product of the means is 1/4
         assert out.m_sigma[0, 1] == 0.0
         assert out.m_mu[0] * out.m_mu[1] == pytest.approx(0.25)
@@ -332,7 +337,7 @@ class TestApplyT2:
     def test_cross_state_factorizes_for_zero_input(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        out = apply_t2(env, pol, MomentCollection2.zeros(env.space))
+        out = apply_tn(env, pol, MomentCollection2.zeros(env.space))
         # distinct chain states draw independently: E[R Rt] = 1/4
         x0 = env.space.x(0, 0)
         x1 = env.space.x(1, 1)
@@ -343,13 +348,13 @@ class TestApplyT2:
         pol = Policy.uniform(env.space)
         rng = np.random.default_rng(0)
         m = random_moments(rng, env.space.num_x, scale=5.0)
-        out = apply_t2(env, pol, m)
+        out = apply_tn(env, pol, m)
         np.testing.assert_array_equal(out.m_sigma, out.m_sigma.T)
 
     def test_dimension_mismatch(self):
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError):
-            apply_t2(env, Policy.uniform(env.space),
+            apply_tn(env, Policy.uniform(env.space),
                      MomentCollection2.zeros(StateActionSpace(2, 2)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -361,7 +366,7 @@ class TestApplyT2:
             for _ in range(10):
                 a = random_moments(rng, env.space.num_x)
                 b = random_moments(rng, env.space.num_x)
-                lhs = lambda_norm(apply_t2(env, pol, a) - apply_t2(env, pol, b), w)
+                lhs = lambda_norm(apply_tn(env, pol, a) - apply_tn(env, pol, b), w)
                 rhs = env.gamma * lambda_norm(a - b, w)
                 assert lhs <= rhs + 1e-10
 
@@ -371,7 +376,7 @@ class TestSecondOrderMatchesReference:
     def test_apply_t2(self, case):
         env, pol = SECOND_ORDER_CASES[case]()
         m = random_moments(np.random.default_rng(3), env.space.num_x, scale=3.0)
-        out, ref = apply_t2(env, pol, m), _ref_apply_t2(env, pol, m)
+        out, ref = apply_tn(env, pol, m), _ref_apply_t2(env, pol, m)
         np.testing.assert_allclose(out.m_mu, ref.m_mu, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(out.m_sigma, ref.m_sigma, rtol=0.0, atol=1e-12)
 
@@ -440,8 +445,8 @@ class TestJipe2:
         # refusal is checked.
         needs = [check_backup_budget(env, 2, max_iter) for max_iter in (3, 1_000, 0, 0)]
         runs = (lambda: jipe2(env, pol, 1e-8, max_iter=3),
-                lambda: jipe2(env, pol, 1e-6, max_iter=1_000), lambda: apply_t2(env, pol, m),
-                lambda: noise_diagnostic(env, pol, m, Index2("mu", 0), 1000, seed=0))
+                lambda: jipe2(env, pol, 1e-6, max_iter=1_000), lambda: apply_tn(env, pol, m),
+                lambda: noise_diagnostic(env, pol, m, (0,), 1000, seed=0))
         for run, need in zip(runs, needs):
             monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
             with pytest.raises(BudgetError, match=(
@@ -541,7 +546,7 @@ class TestApplyTn:
         rng = np.random.default_rng(1)
         mu = rng.normal(size=env.space.num_x)
         out_n = apply_tn(env, pol, MomentCollectionN((mu,)))
-        out_2 = apply_t2(
+        out_2 = _ref_apply_t2(
             env, pol, MomentCollection2(mu, np.zeros((mu.size, mu.size)))
         )
         np.testing.assert_allclose(out_n.table(1), out_2.m_mu, atol=1e-13)
@@ -564,7 +569,7 @@ class TestApplyTn:
         m2 = random_moments(rng, env.space.num_x, scale=3.0)
         mn = MomentCollectionN((m2.m_mu, m2.m_sigma))
         out_n = apply_tn(env, pol, mn)
-        out_2 = apply_t2(env, pol, m2)
+        out_2 = _ref_apply_t2(env, pol, m2)
         np.testing.assert_allclose(out_n.table(1), out_2.m_mu, atol=1e-12)
         np.testing.assert_allclose(out_n.table(2), out_2.m_sigma, atol=1e-12)
 
@@ -727,18 +732,50 @@ def _run_incremental(env, pol, **moments):
 
 
 @pytest.mark.parametrize("call", [
-    apply_t2,
     lambda env, pol, m: jipe2(env, pol, 1e-8, m0=m),
     lambda env, pol, m: _run_incremental(env, pol, m0=m),
     lambda env, pol, m: _run_incremental(env, pol, fixed_point=m),
-    lambda env, pol, m: sample_backup(env, pol, m, Index2("mu", 0), np.random.default_rng(0)),
-    lambda env, pol, m: noise_diagnostic(env, pol, m, Index2("mu", 0), 1000, seed=0),
-], ids=["apply_t2", "jipe2_m0", "run_incremental_m0", "run_incremental_fixed_point",
+    lambda env, pol, m: sample_backup(env, pol, m, (0,), np.random.default_rng(0)),
+    lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000, seed=0),
+], ids=["jipe2_m0", "run_incremental_m0", "run_incremental_fixed_point",
         "sample_backup", "noise_diagnostic"])
 def test_order_two_entry_points_reject_order_three(call):
     env = build_crc(3, 0.9)
     with pytest.raises(InvalidInputError, match="order 3"):
         call(env, Policy.uniform(env.space), MomentCollectionN.zeros(env.space, 3))
+
+
+@pytest.mark.parametrize("call", [
+    apply_tn,
+    lambda env, pol, m: jipe2(env, pol, 1e-8),
+    lambda env, pol, m: jipe_n(env, pol, 3, 1e-6),
+    lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000, seed=0),
+    lambda env, pol, m: sample_backup(env, pol, m, (0,), np.random.default_rng(0)),
+    lambda env, pol, m: _run_incremental(env, pol),
+    lambda env, pol, m: mc_state_block(env, pol, 0, (0, 1), 100, 1e-3, seed=0),
+    lambda env, pol, m: stationary_distribution(env, pol),
+    lambda env, pol, m: coupling_coefficient(env, pol, np.full(env.space.num_x, 0.1)),
+    lambda env, pol, m: projected_jipe2(env, pol, identity_features(env.space.num_x),
+                                        np.full(env.space.num_x, 0.1), 1e-8),
+    lambda env, pol, m: marginal_kernel(env, pol),
+], ids=["apply_tn", "jipe2", "jipe_n", "noise_diagnostic", "sample_backup",
+        "run_incremental", "mc_state_block", "stationary_distribution",
+        "coupling_coefficient", "projected_jipe2", "marginal_kernel"])
+@pytest.mark.parametrize("probs, shape", [
+    (np.full((1, 2), 0.5), (1, 2)),
+    (np.full((5, 3), 1 / 3), (5, 3)),
+], ids=["one_row", "three_actions"])
+def test_policy_of_another_shape_rejected_before_any_work(call, probs, shape, capfd):
+    """A policy table that is not (states, actions) for the env is one
+    InvalidInputError naming both shapes, raised before numpy or scipy sees
+    the table, so nothing is printed."""
+    env = build_crc(5, 0.9)  # 5 states, 2 actions
+    m = MomentCollectionN.zeros(env.space, 2)
+    with pytest.raises(InvalidInputError, match=(
+            rf"policy table shape \({shape[0]}, {shape[1]}\) does not match "
+            r"the environment's \(states, actions\) = \(5, 2\)")):
+        call(env, Policy(probs), m)
+    assert capfd.readouterr() == ("", "")
 
 
 class TestJipeN:

@@ -401,6 +401,23 @@ class TestBuilders:
         assert pol.probs[5, 0] == 1.0  # rightmost column moves up
         np.testing.assert_allclose(pol.probs[2], 0.25)  # goal row uniform
 
+    def test_goal_policy_moves_left_then_down(self):
+        goal = 2 * 3 + 0  # bottom-left corner of a 3x3 grid
+        pol = wgw_goal_policy(3, 3, (2, 0))
+        for s in range(9):
+            r, c = divmod(s, 3)
+            if s == goal:
+                np.testing.assert_allclose(pol.probs[s], 0.25)
+            else:  # left (3) off the first column, then down (2) it
+                assert pol.probs[s].tolist() == np.eye(4)[3 if c > 0 else 2].tolist()
+
+    def test_wgw_steady_wind_is_the_gust_atom(self):
+        """p_wind = 1 keeps one noise atom, the gust atom of a p_wind = 0.5 build."""
+        steady, gusty = build_wgw(3, 3, (0, 2), 1.0, 0.9), build_wgw(3, 3, (0, 2), 0.5, 0.9)
+        assert steady.noise.probs.tolist() == [1.0]
+        np.testing.assert_array_equal(steady.g[:, :, 0], gusty.g[:, :, 1])
+        np.testing.assert_array_equal(steady.h[:, :, 0], gusty.h[:, :, 1])
+
     def test_crc_is_coupled(self):
         assert is_coupled_dynamics(build_crc(3, 0.9))
 

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from jmdp import dp, fa
 from jmdp import env as jenv
 from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
-from jmdp.dp import apply_t2, jipe2
+from jmdp.dp import apply_tn, jipe2
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -750,7 +750,7 @@ class TestCouplingCoefficient:
 
 def reference_projected(env, policy, features, nu, epsilon, max_iter):
     """The projected loop stepping checked collections: every iterate is
-    densified into a MomentCollection2 and backed up by apply_t2.
+    densified into a MomentCollection2 and backed up by apply_tn.
     Returns (moments, distances, converged, iterations)."""
     def densify(lm):
         sig = features.phi @ lm.theta_sigma @ features.phi.T
@@ -763,7 +763,7 @@ def reference_projected(env, policy, features, nu, epsilon, max_iter):
     dense = densify(current)
     distances = []
     for k in range(max_iter):
-        backed = apply_t2(env, policy, dense)
+        backed = apply_tn(env, policy, dense)
         theta_sig, _ = project_sigma_psd(backed.m_sigma, features, nu)
         current = LinearMoments(project_mu(backed.m_mu, features, nu), theta_sig)
         new_dense = densify(current)
@@ -801,6 +801,14 @@ class TestProjectedIteration:
         np.testing.assert_allclose(rep.distances, distances, rtol=0.0, atol=1e-12)
         deviation = [a - b for a, b in zip(rep.moments.tables(feats), moments.tables(feats))]
         assert beta_norm(deviation, nu, 1.0) <= 1e-10
+
+    def test_one_step_cap_is_not_converged(self):
+        env = build_ring_chain(8, 0.9)
+        pol = Policy.uniform(env.space)
+        nu = stationary_distribution(env, pol).nu
+        rep = projected_jipe2(env, pol, state_poly_features(8, 2, 2), nu, 1e-9, max_iter=1)
+        assert (rep.converged, rep.iterations, len(rep.distances)) == (False, 1, 1)
+        assert rep.distances[0] > 1e-9
 
     def test_loop_builds_no_collection(self, monkeypatch):
         builds = []

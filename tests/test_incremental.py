@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from jmdp.core import (
-    Index2,
     LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
     lambda_norm,
 )
-from jmdp.dp import apply_t2, jipe2
+from jmdp.dp import apply_tn, jipe2
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -61,7 +60,8 @@ def _ref_uniforms(rng, block=1 << 16):
             yield float(v)
 
 
-def _ref_backup(env, policy, mu, sig, kind, x, y, uniforms):
+def _ref_backup(env, policy, mu, sig, idx, uniforms):
+    """One backup at coordinate idx, (x,) for a mean or (x, y)."""
     noise_cdf = np.cumsum(env.noise.probs)
     noise_cdf[-1] = 1.0
     pol_cdf = np.cumsum(policy.probs, axis=1)
@@ -75,8 +75,9 @@ def _ref_backup(env, policy, mu, sig, kind, x, y, uniforms):
 
     n_a = env.space.num_actions
     g, h, gamma = env.g, env.h, env.gamma
+    x, y = idx[0], idx[-1]
     s, a = divmod(x, n_a)
-    if kind == "mu":
+    if len(idx) == 1:
         u = draw_u()
         s1 = int(h[s, a, u])
         return float(g[s, a, u]) + gamma * float(mu[s1 * n_a + draw_action(s1)])
@@ -104,8 +105,7 @@ def _ref_backup(env, policy, mu, sig, kind, x, y, uniforms):
 def _coordinates(space) -> list:
     """All |X| + |X|^2 coordinates, mu entries first, sigma pairs row-major."""
     n = space.num_x
-    return [Index2("mu", x) for x in range(n)] + [
-        Index2("sigma", x, y) for x, y in itertools.product(range(n), repeat=2)]
+    return [(x,) for x in range(n)] + list(itertools.product(range(n), repeat=2))
 
 
 def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride):
@@ -116,9 +116,7 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
     indices = _coordinates(env.space)
     slot_of, slots = {}, []
     for idx in indices:
-        key = ("mu", idx.x) if idx.kind == "mu" else (
-            "sigma", min(idx.x, idx.x2), max(idx.x, idx.x2))
-        slots.append(slot_of.setdefault(key, len(slot_of)))
+        slots.append(slot_of.setdefault((len(idx), min(idx), max(idx)), len(slot_of)))
     counts = np.zeros(len(slot_of), dtype=np.int64)
     uniforms = _ref_uniforms(np.random.default_rng(seed))
     weights = LambdaWeights(env.gamma)
@@ -129,17 +127,17 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
         else:
             pos = min(int(next(uniforms) * len(indices)), len(indices) - 1)
         idx = indices[pos]
-        y = idx.x if idx.kind == "mu" else idx.x2
-        value = _ref_backup(env, policy, mu, sig, idx.kind, idx.x, y, uniforms)
+        x, y = idx[0], idx[-1]
+        value = _ref_backup(env, policy, mu, sig, idx, uniforms)
         c = counts[slots[pos]]
         alpha = float(rule[1] / (rule[1] + c) if rule[0] == "harmonic" else rule[1])
         counts[slots[pos]] += 1
-        if idx.kind == "mu":
-            mu[idx.x] = (1.0 - alpha) * mu[idx.x] + alpha * value
+        if len(idx) == 1:
+            mu[x] = (1.0 - alpha) * mu[x] + alpha * value
         else:
-            new = (1.0 - alpha) * sig[idx.x, y] + alpha * value
-            sig[idx.x, y] = new
-            sig[y, idx.x] = new
+            new = (1.0 - alpha) * sig[x, y] + alpha * value
+            sig[x, y] = new
+            sig[y, x] = new
         if (k + 1) % stride == 0 or k + 1 == num_updates:
             current = MomentCollection2(mu, 0.5 * (sig + sig.T))
             dist = (float("nan") if fixed_point is None
@@ -148,9 +146,10 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
     return trace, MomentCollection2(mu, 0.5 * (sig + sig.T)), counts
 
 
-def _ref_draw_class(n_a, kind, x, y):
+def _ref_draw_class(n_a, idx):
     """0 mean, 1 diagonal, 2 same state, 3 cross state."""
-    if kind == "mu":
+    x, y = idx[0], idx[-1]
+    if len(idx) == 1:
         return 0
     if x == y:
         return 1
@@ -162,9 +161,8 @@ def _ref_coordinate_table(space):
     by first appearance of the unordered pair in a dict."""
     rows, slot_of = [], {}
     for idx in _coordinates(space):
-        y = idx.x if idx.kind == "mu" else idx.x2
-        slot = slot_of.setdefault((idx.kind, min(idx.x, y), max(idx.x, y)), len(slot_of))
-        rows.append((_ref_draw_class(space.num_actions, idx.kind, idx.x, y), idx.x, y, slot))
+        slot = slot_of.setdefault((len(idx), min(idx), max(idx)), len(slot_of))
+        rows.append((_ref_draw_class(space.num_actions, idx), idx[0], idx[-1], slot))
     return np.array(rows, dtype=np.int64), len(slot_of)
 
 
@@ -248,20 +246,17 @@ class TestMatchesScalarReference:
         sp = env.space
         rng = np.random.default_rng(2)
         m = MomentCollection2(rng.normal(size=sp.num_x), _symmetric(rng, sp.num_x))
-        exact = apply_t2(env, pol, m)
+        exact = apply_tn(env, pol, m)
         for idx, k in [
-            (Index2("mu", sp.x(1, 0)), 2),
-            (Index2("sigma", sp.x(1, 1), sp.x(1, 1)), 2),
-            (Index2("sigma", sp.x(0, 1), sp.x(0, 0)), 3),
-            (Index2("sigma", sp.x(2 % sp.num_states, 0), sp.x(1, 1)), 4),
+            ((sp.x(1, 0),), 2),
+            ((sp.x(1, 1), sp.x(1, 1)), 2),
+            ((sp.x(0, 1), sp.x(0, 0)), 3),
+            ((sp.x(2 % sp.num_states, 0), sp.x(1, 1)), 4),
         ]:
-            y = idx.x if idx.kind == "mu" else idx.x2
             r_new, r_ref = np.random.default_rng(6), np.random.default_rng(6)
             for _ in range(20):
                 uniforms = _ref_uniforms(r_ref, block=8)
-                expected = _ref_backup(
-                    env, pol, m.m_mu, m.m_sigma, idx.kind, idx.x, y, uniforms
-                )
+                expected = _ref_backup(env, pol, m.m_mu, m.m_sigma, idx, uniforms)
                 assert sample_backup(env, pol, m, idx, r_new) == expected
             assert r_new.random() == r_ref.random()
 
@@ -270,11 +265,10 @@ class TestMatchesScalarReference:
             n, rng_diag = 1_000, np.random.default_rng(13)
             block = np.stack([rng_diag.random(n) for _ in range(k)])
             vals = np.array([
-                _ref_backup(env, pol, m.m_mu, m.m_sigma, idx.kind, idx.x, y,
-                            iter(block[:, j].tolist()))
+                _ref_backup(env, pol, m.m_mu, m.m_sigma, idx, iter(block[:, j].tolist()))
                 for j in range(n)
             ])
-            target = exact.m_mu[idx.x] if idx.kind == "mu" else exact.m_sigma[idx.x, y]
+            target = exact.table(len(idx))[idx]
             omega = vals - float(target)
             diag = noise_diagnostic(env, pol, m, idx, n, seed=13)
             assert diag.mean_error == float(omega.mean())
@@ -323,13 +317,27 @@ class TestStepSchedule:
         with pytest.raises(InvalidInputError):
             StepSchedule.constant(1.5)
 
+    def test_unknown_rule_rejected_at_construction(self):
+        with pytest.raises(InvalidQueryError, match="unknown step rule 'bogus'"):
+            StepSchedule("bogus")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"rule": "harmonic", "c": -5.0}, "harmonic constant"),
+        ({"rule": "harmonic", "c": float("nan")}, "harmonic constant"),
+        ({"rule": "constant", "alpha0": 7.0}, "constant step"),
+        ({"rule": "constant", "alpha0": float("nan")}, "constant step"),
+    ], ids=["harmonic_negative", "harmonic_nan", "constant_seven", "constant_nan"])
+    def test_direct_construction_checked(self, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            StepSchedule(**kwargs)
+
 
 class TestSampleBackup:
     def test_deterministic_env_mu_backup(self):
         env = forward_chain()
         pol = Policy.uniform(env.space)
         m = MomentCollection2.zeros(env.space)
-        value = sample_backup(env, pol, m, Index2("mu", 0), np.random.default_rng(0))
+        value = sample_backup(env, pol, m, (0,), np.random.default_rng(0))
         assert value == 0.5
 
     def test_crc_cross_term_vanishes_at_zero_moments(self):
@@ -337,17 +345,17 @@ class TestSampleBackup:
         pol = Policy.uniform(env.space)
         m = MomentCollection2.zeros(env.space)
         rng = np.random.default_rng(5)
-        idx = Index2("sigma", env.space.x(0, 0), env.space.x(0, 1))
+        idx = (env.space.x(0, 0), env.space.x(0, 1))
         for _ in range(100):
             assert sample_backup(env, pol, m, idx, rng) == 0.0
 
     @pytest.mark.parametrize(
         "index_fn",
         [
-            lambda sp: Index2("mu", sp.x(0, 0)),
-            lambda sp: Index2("sigma", sp.x(0, 0), sp.x(0, 0)),
-            lambda sp: Index2("sigma", sp.x(0, 0), sp.x(0, 1)),
-            lambda sp: Index2("sigma", sp.x(0, 0), sp.x(1, 1)),
+            lambda sp: (sp.x(0, 0),),
+            lambda sp: (sp.x(0, 0), sp.x(0, 0)),
+            lambda sp: (sp.x(0, 0), sp.x(0, 1)),
+            lambda sp: (sp.x(0, 0), sp.x(1, 1)),
         ],
         ids=["mu", "diagonal", "same-state", "cross-state"],
     )
@@ -363,24 +371,45 @@ class TestSampleBackup:
         assert abs(diag.mean_error) <= 4 * diag.mean_error_se + 1e-12
 
 
-    @pytest.mark.parametrize("index", [
-        Index2("mu", 6), Index2("mu", -1),
-        Index2("sigma", 6, 0), Index2("sigma", -1, 0),
-        Index2("sigma", 0, 6), Index2("sigma", 0, -1),
-    ], ids=["mu_x6", "mu_x-1", "sigma_x6", "sigma_x-1", "sigma_x2_6", "sigma_x2_-1"])
-    def test_out_of_range_coordinate_rejected_before_any_draw(self, index, monkeypatch):
+    @pytest.mark.parametrize("index, match", [
+        ((6,), "flat index 6 out of range"), ((-1,), "flat index -1 out of range"),
+        ((6, 0), "flat index 6 out of range"), ((-1, 0), "flat index -1 out of range"),
+        ((0, 6), "flat index 6 out of range"), ((0, -1), "flat index -1 out of range"),
+        # A coordinate is a tuple of one or two integers.
+        ((), "has 0 entries"), ((0, 1, 2), "has 3 entries"),
+        ((0.0,), "not a tuple of integers"), ((0, 1.5), "not a tuple of integers"),
+        (0, "not a tuple of integers"), (None, "not a tuple of integers"),
+        ("01", "not a tuple of integers"),
+    ], ids=["mu_x6", "mu_x-1", "sigma_x6", "sigma_x-1", "sigma_x2_6", "sigma_x2_-1",
+            "empty", "three", "float", "float_second", "bare_int", "none", "string"])
+    def test_out_of_range_coordinate_rejected_before_any_draw(self, index, match, monkeypatch):
         env = build_crc(3, 0.9)  # |X| = 6
         pol = Policy.uniform(env.space)
         m = MomentCollectionN.zeros(env.space, 2)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidQueryError, match=r"flat index (6|-1) out of range"):
+        with pytest.raises(InvalidQueryError, match=match):
             sample_backup(env, pol, m, index, rng)
         assert rng.bit_generator.state == state
         for name in ("_BackupPlan", "_backups"):
             monkeypatch.setattr(incremental, name, _never)
-        with pytest.raises(InvalidQueryError, match=r"flat index (6|-1) out of range"):
+        with pytest.raises(InvalidQueryError, match=match):
             noise_diagnostic(env, pol, m, index, 1000, seed=0)
+
+    @pytest.mark.parametrize("index", [
+        [2, 5], np.array([2, 5]), (np.int64(2), np.int8(5)), [4], np.array([4]),
+    ], ids=["list", "array", "numpy_ints", "list_mean", "array_mean"])
+    def test_integer_sequences_read_as_the_tuple(self, index):
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        rng = np.random.default_rng(3)
+        sig = rng.normal(size=(6, 6))
+        m = MomentCollectionN((rng.normal(size=6), sig + sig.T))
+        plain = tuple(int(x) for x in index)
+        assert (sample_backup(env, pol, m, index, np.random.default_rng(1))
+                == sample_backup(env, pol, m, plain, np.random.default_rng(1)))
+        assert (noise_diagnostic(env, pol, m, index, 1000, seed=2)
+                == noise_diagnostic(env, pol, m, plain, 1000, seed=2))
 
 
 def _never(*args, **kwargs):
@@ -395,7 +424,7 @@ class TestNoiseBudget:
         sig = rng.normal(size=(6, 6))
         m = MomentCollection2(rng.normal(size=6), sig + sig.T)
         # The cross-state class draws the most uniforms per sample.
-        return env, Policy.uniform(env.space), m, Index2("sigma", 0, 5)
+        return env, Policy.uniform(env.space), m, (0, 5)
 
     @pytest.mark.parametrize("num_samples", [1000, 10_000, 100_000])
     def test_budget_bounds_measured_peak(self, num_samples):
@@ -405,7 +434,7 @@ class TestNoiseBudget:
         env, pol, m, idx = self._case()
         noise_diagnostic(env, pol, m, idx, 1000, seed=0)  # imports, outside the trace
         need = check_noise_budget(env, num_samples)
-        for idx in (Index2("mu", 0), Index2("sigma", 0, 0), Index2("sigma", 0, 1), idx):
+        for idx in ((0,), (0, 0), (0, 1), idx):
             tracemalloc.start()
             try:
                 noise_diagnostic(env, pol, m, idx, num_samples, seed=0)
@@ -439,7 +468,7 @@ class TestRunIncremental:
             env, pol, StepSchedule.constant(1.0), VisitationScheme.sweep(),
             num_updates=n_idx, seed=0,
         )
-        exact = apply_t2(env, pol, MomentCollection2.zeros(env.space))
+        exact = apply_tn(env, pol, MomentCollection2.zeros(env.space))
         np.testing.assert_array_equal(res.final.m_mu, exact.m_mu)
 
     @pytest.mark.parametrize("stride", [0, -3])
@@ -551,7 +580,7 @@ class TestNoiseDiagnostic:
         # deterministic dynamics but policy-randomized next actions: pick a
         # fully deterministic policy to kill all randomness
         det = Policy(np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))
-        diag = noise_diagnostic(env, det, m, Index2("mu", 0), 2_000, seed=0)
+        diag = noise_diagnostic(env, det, m, (0,), 2_000, seed=0)
         assert diag.mean_error == 0.0
         assert diag.second_moment == 0.0
         assert diag.bound >= 8.0
@@ -560,7 +589,7 @@ class TestNoiseDiagnostic:
         env = build_crc(5, 0.9)
         pol = Policy.uniform(env.space)
         m = MomentCollection2.zeros(env.space)
-        idx = Index2("sigma", env.space.x(1, 0), env.space.x(1, 1))
+        idx = (env.space.x(1, 0), env.space.x(1, 1))
         diag = noise_diagnostic(env, pol, m, idx, 10_000, seed=2)
         assert diag.bound == 8.0
         assert diag.second_moment <= 8.0
@@ -570,10 +599,10 @@ class TestNoiseDiagnostic:
         pol = Policy.uniform(env.space)
         rng = np.random.default_rng(0)
         classes = [
-            Index2("mu", 2),
-            Index2("sigma", 2, 2),
-            Index2("sigma", env.space.x(1, 0), env.space.x(1, 1)),
-            Index2("sigma", env.space.x(0, 0), env.space.x(2, 1)),
+            (2,),
+            (2, 2),
+            (env.space.x(1, 0), env.space.x(1, 1)),
+            (env.space.x(0, 0), env.space.x(2, 1)),
         ]
         for trial in range(5):
             mu = rng.normal(scale=2.0, size=env.space.num_x)

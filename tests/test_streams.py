@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from jmdp.core import Index2, MomentCollectionN
+from jmdp.core import MomentCollectionN
 from jmdp.env import build_crc, build_wgw
 from jmdp.incremental import StepSchedule, VisitationScheme, _backups, run_incremental
 from jmdp.stats import _branch_returns, mc_state_block
@@ -146,10 +146,10 @@ def test_backup_stream():
     m = MomentCollectionN((mu, sig))
     rng = np.random.default_rng(23)
     coords = [
-        Index2("mu", 4),
-        Index2("sigma", 5, 5),  # diagonal
-        Index2("sigma", 3, 5),  # same state
-        Index2("sigma", 2, 9),  # cross state
+        (4,),
+        (5, 5),  # diagonal
+        (3, 5),  # same state
+        (2, 9),  # cross state
     ]
     vals = [_backups(env, policy, m, i, 400, lambda k: rng.random(400 * k))
             for i in coords]
