@@ -9,7 +9,6 @@ validated against a coupled Monte Carlo oracle.
 """
 
 from .core import (
-    LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,

@@ -1,5 +1,5 @@
-"""Index spaces, moment collections, the weighted sup norms used by every
-solver, and the one byte budget that every large allocation is checked against.
+"""Index spaces, moment collections, the discount check, the lambda-weighted sup
+norm of every solver, and the one byte budget of every large allocation.
 
 A state-action pair (s, a) is flattened to x = s * num_actions + a throughout.
 Second-moment tables live on X x X, order-k tables on X^k.
@@ -17,7 +17,6 @@ __all__ = [
     "BUDGET_BYTES",
     "check_budget",
     "StateActionSpace",
-    "LambdaWeights",
     "MomentCollection2",
     "MomentCollectionN",
     "lambda_norm",
@@ -39,6 +38,12 @@ def check_budget(what: str, need: int) -> int:
     if need > BUDGET_BYTES:
         raise BudgetError(f"{what} needs {need} bytes; budget is {BUDGET_BYTES}")
     return need
+
+
+def _check_gamma(gamma: float) -> None:
+    """The one discount check: InvalidInputError unless 0 < gamma < 1 (nan fails)."""
+    if not (0.0 < gamma < 1.0):
+        raise InvalidInputError(f"gamma: must lie in (0, 1), got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -65,29 +70,6 @@ class StateActionSpace:
         if not (0 <= x < self.num_x):
             raise InvalidQueryError(f"flat index {x} out of range")
         return divmod(x, self.num_actions)
-
-
-@dataclass(frozen=True)
-class LambdaWeights:
-    """Order weights for the joint-moment sup norm.
-
-    lam = 2/(1-gamma); the order-k table is weighted by 1/lam**(k-1).
-    """
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidInputError(f"gamma must lie in (0, 1), got {self.gamma}")
-
-    @property
-    def lam(self) -> float:
-        return 2.0 / (1.0 - self.gamma)
-
-    def lam_k(self, k: int) -> float:
-        if k < 1:
-            raise InvalidQueryError(f"moment order must be >= 1, got {k}")
-        return self.lam ** (k - 1)
 
 
 _SYMMETRY_TOL = 1e-9  # absolute
@@ -185,14 +167,23 @@ class MomentCollection2(MomentCollectionN):
         return cls(np.zeros(n), np.zeros((n, n)))
 
 
-def lambda_norm(m, w: LambdaWeights) -> float:
-    """max over k of max|table_k| / lam**(k-1), rejecting non-finite entries;
-    at order 2, max(max|m_mu|, max|m_sigma| / lam). m is a MomentCollectionN
-    or the sequence of its raw order-1..n tables."""
+def _order_weight(gamma: float, k: int) -> float:
+    """lam**(k-1), lam = 2/(1-gamma): the weight of the order-k table."""
+    return (2.0 / (1.0 - gamma)) ** (k - 1)
+
+
+def _order_norm(t, k: int, gamma: float) -> float:
+    """max|t| / lam**(k-1) of an order-k table t, rejecting non-finite
+    entries; the callers check gamma."""
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError(f"order-{k} table contains non-finite entries")
+    return float(np.max(np.abs(t))) / _order_weight(gamma, k)
+
+
+def lambda_norm(m, gamma: float) -> float:
+    """max over k of max|table_k| / lam**(k-1), lam = 2/(1-gamma), at order 2
+    max(max|m_mu|, max|m_sigma| / lam), after _check_gamma; m is a
+    MomentCollectionN or the sequence of its raw order-1..n tables."""
+    _check_gamma(gamma)
     tables = m.tables if isinstance(m, MomentCollectionN) else m
-    best = 0.0
-    for k, t in enumerate(tables, start=1):
-        if not np.all(np.isfinite(t)):
-            raise InvalidInputError(f"order-{k} table contains non-finite entries")
-        best = max(best, float(np.max(np.abs(t))) / w.lam_k(k))
-    return best
+    return max((_order_norm(t, k, gamma) for k, t in enumerate(tables, start=1)), default=0.0)

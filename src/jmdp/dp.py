@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHECK_BLOCK, LambdaWeights, MomentCollectionN, check_budget, lambda_norm
+from .core import _CHECK_BLOCK, MomentCollectionN, _order_norm, check_budget
 from .env import ExoJmdp, Policy, _check_policy
 from .errors import InvalidInputError
 
@@ -414,8 +414,8 @@ def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: i
     apply = _BackupPlan(env, policy, order, max_iter).apply
     tables = (list(m0.tables) if m0 is not None
               else [np.zeros((env.space.num_x,) * k) for k in range(1, order + 1)])
-    w, tol = LambdaWeights(env.gamma), epsilon * (1.0 - env.gamma)
-    gap = lambda k, new: lambda_norm([tables[k - 1] - new], w) / w.lam_k(k)
+    tol = epsilon * (1.0 - env.gamma)
+    gap = lambda k, new: _order_norm(tables[k - 1] - new, k, env.gamma)
     trace, updates, k = [], 0, 1
     while True:
         capped = updates == max_iter or len(trace) >= max_iter + order

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateActionSpace
+from .core import StateActionSpace, _check_gamma
 from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -125,8 +125,7 @@ class ExoJmdp:
         _check_entries("g", g, (g >= 0.0) & (g <= 1.0), "reward outside [0, 1]")
         _check_entries("h", h, (h >= 0) & (h < s_n), f"successor outside 0..{s_n - 1}")
         h = h.astype(np.int64)  # a copy, cast once its range is checked
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidInputError(f"gamma: must lie in (0, 1), got {self.gamma!r}")
+        _check_gamma(self.gamma)
         g.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "g", g)

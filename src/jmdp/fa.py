@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, check_budget
+from .core import MomentCollectionN, _check_gamma, check_budget
 from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import _check_policy, _marginal_csr, marginal_mdp
@@ -302,6 +302,7 @@ def beta_weight(gamma: float, sqrt_c_rho: float) -> tuple[float, float]:
     beta = (1 - gamma^2 sqrt_c_rho) / (4 gamma); kappa = max(gamma,
     2 beta gamma + gamma^2 sqrt_c_rho) < 1. Requires gamma^2 sqrt_c_rho < 1.
     """
+    _check_gamma(gamma)
     if not (np.isfinite(sqrt_c_rho) and sqrt_c_rho >= 0.0):
         raise InvalidInputError(f"sqrt_c_rho must be finite and >= 0, got {sqrt_c_rho}")
     product = gamma**2 * sqrt_c_rho

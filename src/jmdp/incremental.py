@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LambdaWeights, MomentCollectionN, check_budget, lambda_norm
+from .core import MomentCollectionN, _check_gamma, _order_weight, check_budget, lambda_norm
 from .dp import _BackupPlan, _check_moments, check_backup_budget
 from .env import ExoJmdp, Policy, _check_policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
@@ -130,9 +130,10 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o, place):
 
     Returns (A, B, C, x1, y1, f); every class's one-sample backup is
     A + B v[y1] + C v[x1] + gamma^2 v[f] over a value list v that starts with
-    the mean table and ends with one 0.0. f is place[x1, y1], the place of
-    sigma[x1, y1] in v, or -1 (that 0.0) for a mean coordinate; mean and
-    diagonal coordinates have C = 0 and y1 = x1.
+    the mean table and ends with one 0.0. f is place.take(x1 |X| + y1), the
+    place of sigma[x1, y1] in v read from a contiguous row-major table of the
+    pairs' places, or -1 (that 0.0) for a mean coordinate; mean and diagonal
+    coordinates have C = 0 and y1 = x1.
     """
     gamma = env.gamma
     cross = cls == _CROSS
@@ -145,7 +146,8 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o, place):
     coef_a = np.where(mean, r1, r1 * r2)
     coef_b = np.where(mean, gamma, np.where(single, 2.0 * gamma * r1, gamma * r1))
     coef_c = np.where(single, 0.0, gamma * r2)
-    return coef_a, coef_b, coef_c, x1, y1, np.where(mean, -1, place[x1, y1])
+    f = place.take(x1 * env.space.num_x + y1)
+    return coef_a, coef_b, coef_c, x1, y1, np.where(mean, -1, f)
 
 
 def _check_coordinate(env: ExoJmdp, i) -> tuple:
@@ -169,7 +171,7 @@ def _backups(env, policy, m, i: tuple, n: int, draw) -> np.ndarray:
     xs, ys = np.full(n, i[0]), np.full(n, i[-1])
     cls = _draw_classes(env.space.num_actions, xs, ys, len(i) == 1)
     k = int(_NUM_DRAWS[cls[0]])
-    place = np.arange(n_x, n_x + n_x * n_x).reshape(n_x, n_x)  # row-major, after the means
+    place = np.arange(n_x, n_x + n_x * n_x)  # row-major, after the means
     coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
         env, policy, cls, xs, ys, draw(k), np.arange(n) * k, place
     )
@@ -197,7 +199,8 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
     |X|^2 pairs row-major, and the slot count; mirrored second-moment pairs
     share a slot (one visit counter). Slots are numbered by first appearance:
     mean x has slot x, and pair {i <= j}, first met at row-major position
-    (i, j), slot |X| + i |X| - i (i - 1) / 2 + (j - i)."""
+    (i, j), slot |X| + i |X| - i (i - 1) / 2 + (j - i). Each column is
+    contiguous, so the run's slot column is its contiguous place table."""
     n = space.num_x
     # Mean x is listed as the pair (x, x), flat position x (n + 1).
     x, y = np.divmod(np.r_[np.arange(n) * (n + 1), np.arange(n * n)].astype(np.int64), n)
@@ -205,7 +208,7 @@ def _coordinate_table(space) -> tuple[np.ndarray, int]:
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     slot = np.where(mean, x, n + lo * n - lo * (lo - 1) // 2 + hi - lo)
     cls = _draw_classes(space.num_actions, x, y, mean)
-    return np.stack([cls, x, y, slot], axis=1), n + n * (n + 1) // 2
+    return np.stack([cls, x, y, slot]).T, n + n * (n + 1) // 2
 
 
 _UPDATE_BYTES = 512  # per update of a chunk: its draws, terms and their lists
@@ -268,6 +271,8 @@ def run_incremental(
         raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
     if trace_stride < 1:
         raise InvalidInputError(f"trace_stride must be >= 1, got {trace_stride}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     for m in (m0, fixed_point):
         if m is not None:
             _check_moments(env, m, 2)
@@ -277,14 +282,13 @@ def run_incremental(
     schedule.bind(num_slots)
     cls, xs, ys, slots = table.T
     hops = (_NUM_DRAWS[cls] + 1).astype(np.uint8)  # uniform mode: one visitation draw first
-    place = slots[n_x:].reshape(n_x, n_x)  # slot of sigma[x, y]
+    place = slots[n_x:].reshape(n_x, n_x)  # slot of sigma[x, y], contiguous
     n_idx = cls.size
 
     # One seeded U(0,1) sequence, consumed in order. How it is cut into
     # rng.random calls does not change its values.
     rng = np.random.default_rng(seed)
     carry = np.empty(0)  # drawn ahead by the visitation walk, not yet used
-    weights = LambdaWeights(env.gamma)
     g2 = env.gamma**2
     # The relaxation is sequential; a plain value list, one value per slot
     # then the 0.0 (see _sample_terms), makes it cheap per update.
@@ -352,7 +356,7 @@ def run_incremental(
         k = stop
         if k % trace_stride == 0 or k == num_updates:
             dist = float("nan") if fixed_point is None else lambda_norm(
-                [a - b for a, b in zip(_tables(vals, place), fixed_point.tables)], weights)
+                [a - b for a, b in zip(_tables(vals, place), fixed_point.tables)], env.gamma)
             trace.append((k, dist, float(alphas[-1])))
 
     return IncrementalResult(MomentCollectionN(tuple(_tables(vals, place))), trace, num_updates)
@@ -365,7 +369,8 @@ def _tables(vals: list, place: np.ndarray) -> list:
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:
     """(C0, C1) of the conditional second-moment bound C0 + C1 * ||m||^2."""
-    lam = 2.0 / (1.0 - gamma)
+    _check_gamma(gamma)
+    lam = _order_weight(gamma, 2)
     return 8.0, 8.0 * max(gamma**2, (2.0 * gamma + gamma**2 * lam) ** 2)
 
 
@@ -394,6 +399,8 @@ def noise_diagnostic(
     """
     if num_samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     _check_moments(env, m, 2)
     i = _check_coordinate(env, i)
     check_noise_budget(env, num_samples)
@@ -410,5 +417,5 @@ def noise_diagnostic(
     se = float(omega.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     second = float((omega**2).mean())
     c0, c1 = noise_bound_constants(env.gamma)
-    norm = lambda_norm(m, LambdaWeights(env.gamma))
+    norm = lambda_norm(m, env.gamma)
     return NoiseDiagnostic(mean_err, se, second, c0 + c1 * norm**2, n)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, StateActionSpace, check_budget
+from .core import MomentCollectionN, StateActionSpace, _check_gamma, check_budget
 from .env import ExoJmdp, Policy, _check_policy, child_seed, sample_step
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
@@ -54,6 +54,7 @@ DEGENERATE_VAR_TOL = 1e-12
 def truncation_horizon(gamma: float, tol: float) -> int:
     """Smallest T with gamma^T / (1 - gamma) <= tol; valid because rewards
     lie in [0, 1], so the discarded tail is at most that geometric sum."""
+    _check_gamma(gamma)
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"truncation tolerance must be finite and > 0, got {tol}")
     t = int(np.ceil(np.log(tol * (1.0 - gamma)) / np.log(gamma)))
@@ -385,17 +386,25 @@ def chebyshev_ecdf(
     blocks maps each state in pairs to a Monte Carlo block holding branches for
     both actions of its pairs. Each ratio is computed twice: with the bound
     from the solver moments and from the Monte Carlo moments. Pairs whose gap
-    mean is not strictly positive under both are skipped with a note.
+    mean is not strictly positive under both are skipped with a note. Every
+    pair's block is checked before any ratio: it must exist, be simulated at
+    the pair's state and hold both actions, else InvalidQueryError.
     """
-    out: list[EcdfRatio] = []
+    pairs = list(pairs)
     for s, a, b in pairs:
-        mean, var = gap_stats(space, m, s, a, b)
-        mc = blocks[s]
+        mc = blocks.get(s)
+        if mc is None or mc.state != s:
+            found = "none" if mc is None else f"one simulated at state {mc.state}"
+            raise InvalidQueryError(f"need the Monte Carlo block of state {s}, got {found}")
         for c in (a, b):
             if c not in mc.actions:
                 raise InvalidQueryError(
                     f"the block at state {s} has no branch for action {c}"
                 )
+    out: list[EcdfRatio] = []
+    for s, a, b in pairs:
+        mean, var = gap_stats(space, m, s, a, b)
+        mc = blocks[s]
         i, j = mc.actions.index(a), mc.actions.index(b)
         mc_mean = float(mc.gap_mean[i, j])
         mc_var = float(mc.gap_var[i, j])

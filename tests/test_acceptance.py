@@ -17,7 +17,6 @@ import pytest
 
 from jmdp.cli import EXIT_DIVERGENCE, EXIT_OK, main
 from jmdp.core import (
-    LambdaWeights,
     MomentCollection2,
     lambda_norm,
 )
@@ -101,18 +100,17 @@ def test_criterion_1_contraction_rate():
 
 
 def _deep_iterates(env, policy):
-    w = LambdaWeights(env.gamma)
     m = MomentCollection2.zeros(env.space)
     iterates, residuals = [], []
     for _ in range(100_000):
         t_m = apply_tn(env, policy, m)
-        r = lambda_norm(m - t_m, w)
+        r = lambda_norm(m - t_m, env.gamma)
         iterates.append(m)
         residuals.append(r)
         if r < 1e-12:
             break
         m = t_m
-    return iterates, residuals, w
+    return iterates, residuals
 
 
 def test_criterion_2_certificate():
@@ -120,11 +118,11 @@ def test_criterion_2_certificate():
     for name, build in BENCHMARKS.items():
         for gamma in (0.5, 0.9):
             env = build(gamma)
-            iterates, residuals, w = _deep_iterates(env, Policy.uniform(env.space))
+            iterates, residuals = _deep_iterates(env, Policy.uniform(env.space))
             assert residuals[-1] < 1e-12
             m_star = iterates[-1]
             for m_k, r_k in zip(iterates, residuals):
-                slack = lambda_norm(m_k - m_star, w) - r_k / (1 - env.gamma)
+                slack = lambda_norm(m_k - m_star, env.gamma) - r_k / (1 - env.gamma)
                 worst = max(worst, slack)
                 assert slack <= 1e-9
     report(2, f"certificate bound holds on every iterate (worst slack {worst:.2e})")

@@ -1,17 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmdp.core import (
-    LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
     lambda_norm,
 )
 from jmdp.errors import InvalidInputError, InvalidQueryError
-from jmdp.incremental import _coordinate_table
+from jmdp.fa import beta_weight
+from jmdp.incremental import _coordinate_table, noise_bound_constants
+from jmdp.stats import truncation_horizon
 
 
 def random_collection(rng, num_x, scale=1.0):
@@ -45,19 +48,20 @@ class TestSpace:
             space.sa(4)
 
 
-class TestLambdaWeights:
-    def test_ladder_recursion(self):
-        w = LambdaWeights(0.9)
-        assert w.lam == pytest.approx(20.0)
-        assert w.lam_k(1) == 1.0
-        assert w.lam_k(2) == w.lam
-        for k in range(1, 6):
-            assert w.lam_k(k + 1) == pytest.approx(w.lam * w.lam_k(k))
+class TestCheckGamma:
+    """Every public function that takes a bare gamma runs core._check_gamma
+    first, so a discount outside (0, 1), nan included, is one typed error."""
 
-    def test_gamma_range(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(InvalidInputError):
-                LambdaWeights(bad)
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("call", [
+        lambda g: lambda_norm([np.zeros(2)], g),
+        lambda g: beta_weight(g, 1.0),
+        lambda g: truncation_horizon(g, 1e-3),
+        noise_bound_constants,
+    ], ids=["lambda_norm", "beta_weight", "truncation_horizon", "noise_bound_constants"])
+    def test_rejects_gamma_outside_unit_interval(self, call, gamma):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            call(gamma)
 
 
 class TestMomentCollections:
@@ -160,65 +164,73 @@ class TestMomentCollections:
 class TestLambdaNorm:
     def test_zero_case(self):
         space = StateActionSpace(3, 2)
-        w = LambdaWeights(0.9)
-        assert lambda_norm(MomentCollection2.zeros(space), w) == 0.0
+        assert lambda_norm(MomentCollection2.zeros(space), 0.9) == 0.0
 
     def test_mu_only(self):
-        space = StateActionSpace(3, 2)
-        w = LambdaWeights(0.9)
         m = MomentCollection2(np.ones(6), np.zeros((6, 6)))
-        assert lambda_norm(m, w) == 1.0
+        assert lambda_norm(m, 0.9) == 1.0
 
     def test_sigma_scaling(self):
-        space = StateActionSpace(3, 2)
-        w = LambdaWeights(0.9)  # lam = 20
         m = MomentCollection2(np.zeros(6), np.full((6, 6), 40.0))
-        assert lambda_norm(m, w) == pytest.approx(2.0)
+        assert lambda_norm(m, 0.9) == pytest.approx(2.0)  # lam = 20
 
     def test_nonfinite_rejected(self):
         # A collection cannot hold inf, so the norm's own check sees raw tables.
         mu = np.zeros(2)
         mu[0] = np.inf
         with pytest.raises(InvalidInputError):
-            lambda_norm((mu, np.zeros((2, 2))), LambdaWeights(0.5))
+            lambda_norm((mu, np.zeros((2, 2))), 0.5)
 
     def test_order_one_is_sup_norm(self):
-        w = LambdaWeights(0.9)
         m = MomentCollectionN((np.full(4, -2.5),))
-        assert lambda_norm(m, w) == 2.5
+        assert lambda_norm(m, 0.9) == 2.5
 
     def test_order_three_scaling(self):
-        # lam_3 = (2/(1-gamma))^2 = 400 at gamma = 0.9
-        w = LambdaWeights(0.9)
-        space = StateActionSpace(1, 2)
+        # lam^2 = (2/(1-gamma))^2 = 400 at gamma = 0.9
         m = MomentCollectionN(
             (np.zeros(2), np.zeros((2, 2)), np.full((2, 2, 2), 400.0))
         )
-        assert lambda_norm(m, w) == pytest.approx(1.0)
+        assert lambda_norm(m, 0.9) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.77, 0.9, 0.99])
+    def test_matches_formula_bitwise(self, gamma):
+        """max_k max|t_k| / (2/(1-gamma))**(k-1), bit for bit, on collections
+        of orders 1-3 and on their raw table lists."""
+        rng = np.random.default_rng(3)
+        for order in (1, 2, 3):
+            for _ in range(20):
+                n = int(rng.integers(1, 5))
+                raw = [rng.uniform(0.1, 50.0) * rng.normal(size=(n,) * k)
+                       for k in range(1, order + 1)]
+                m = MomentCollectionN(tuple(  # symmetrized
+                    sum(np.transpose(t, p) for p in itertools.permutations(range(k)))
+                    for k, t in enumerate(raw, start=1)))
+                for arg, tables in ((m, m.tables), (list(m.tables), m.tables), (raw, raw)):
+                    want = max(float(np.max(np.abs(t))) / (2 / (1 - gamma)) ** (k - 1)
+                               for k, t in enumerate(tables, start=1))
+                    assert lambda_norm(arg, gamma) == want
 
     def test_order_two_matches_bitwise(self):
         rng = np.random.default_rng(3)
-        w = LambdaWeights(0.77)
         for _ in range(100):
             m2 = random_collection(rng, 6, scale=rng.uniform(0.1, 50.0))
             mn = MomentCollectionN((m2.m_mu, m2.m_sigma))
             raw = (np.array(m2.m_mu), np.array(m2.m_sigma))
-            assert lambda_norm(mn, w) == lambda_norm(m2, w) == lambda_norm(raw, w)
+            assert lambda_norm(mn, 0.77) == lambda_norm(m2, 0.77) == lambda_norm(raw, 0.77)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), gamma=st.floats(0.05, 0.95))
     def test_norm_axioms(self, seed, gamma):
         rng = np.random.default_rng(seed)
-        w = LambdaWeights(gamma)
         a = random_collection(rng, 4)
         b = random_collection(rng, 4)
         c = float(rng.normal())
         tri = lambda_norm(
-            MomentCollection2(a.m_mu + b.m_mu, a.m_sigma + b.m_sigma), w
+            MomentCollection2(a.m_mu + b.m_mu, a.m_sigma + b.m_sigma), gamma
         )
-        assert tri <= lambda_norm(a, w) + lambda_norm(b, w) + 1e-12
-        hom = lambda_norm(MomentCollection2(c * a.m_mu, c * a.m_sigma), w)
-        assert hom == pytest.approx(abs(c) * lambda_norm(a, w), abs=1e-12)
+        assert tri <= lambda_norm(a, gamma) + lambda_norm(b, gamma) + 1e-12
+        hom = lambda_norm(MomentCollection2(c * a.m_mu, c * a.m_sigma), gamma)
+        assert hom == pytest.approx(abs(c) * lambda_norm(a, gamma), abs=1e-12)
 
 
 class TestEnumerateIndices:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from jmdp.core import (
-    LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
@@ -112,7 +111,7 @@ def _ref_apply_t2(env: ExoJmdp, policy: Policy, m: MomentCollection2) -> MomentC
 
 def _ref_jipe2(env, policy, epsilon, max_iter=100_000, m0=None):
     """(final collection, residual trace) of the reference loop."""
-    lam = LambdaWeights(env.gamma).lam
+    lam = 2.0 / (1.0 - env.gamma)
     m = MomentCollection2.zeros(env.space) if m0 is None else m0
     trace = []
     for k in range(max_iter + 1):
@@ -362,12 +361,11 @@ class TestApplyT2:
         rng = np.random.default_rng(seed)
         for env in (build_crc(4, 0.9), build_wgw(2, 2, (0, 1), 0.3, 0.9)):
             pol = Policy.uniform(env.space)
-            w = LambdaWeights(env.gamma)
             for _ in range(10):
                 a = random_moments(rng, env.space.num_x)
                 b = random_moments(rng, env.space.num_x)
-                lhs = lambda_norm(apply_tn(env, pol, a) - apply_tn(env, pol, b), w)
-                rhs = env.gamma * lambda_norm(a - b, w)
+                lhs = lambda_norm(apply_tn(env, pol, a) - apply_tn(env, pol, b), env.gamma)
+                rhs = env.gamma * lambda_norm(a - b, env.gamma)
                 assert lhs <= rhs + 1e-10
 
 
@@ -382,16 +380,15 @@ class TestSecondOrderMatchesReference:
 
     def test_jipe2(self, case):
         env, pol = SECOND_ORDER_CASES[case]()
-        w = LambdaWeights(env.gamma)
         rep = jipe2(env, pol, 1e-8)
         ref_final, ref_trace = _ref_jipe2(env, pol, 1e-8)
         ref_bound = ref_trace[-1][1] / (1 - env.gamma)
         assert rep.certified and ref_bound <= 1e-8
-        assert lambda_norm(rep.final - ref_final, w) <= rep.certified_error_bound + ref_bound
+        assert lambda_norm(rep.final - ref_final, env.gamma) <= rep.certified_error_bound + ref_bound
         # The last row is the full backup; the reference backup gives its residual.
         k, r, order = rep.residual_trace[-1]
         assert order == 0 and k == rep.iterations
-        assert abs(r - lambda_norm(rep.final - _ref_apply_t2(env, pol, rep.final), w)) <= 1e-12
+        assert abs(r - lambda_norm(rep.final - _ref_apply_t2(env, pol, rep.final), env.gamma)) <= 1e-12
         # Started at its own fixed point, the solver returns m0 after no update:
         # one sweep per order, then the full backup.
         again = jipe2(env, pol, 1e-8, m0=rep.final)
@@ -497,7 +494,7 @@ class TestJipe2:
         rep = jipe2(env, pol, 1e-10, max_iter=first + 5)
         assert [o for o, _ in order_runs(rep.residual_trace)] == [1, 2, 0]
         assert not rep.certified and rep.iterations == first + 5
-        dist = lambda_norm(rep.final - tight.final, LambdaWeights(env.gamma))
+        dist = lambda_norm(rep.final - tight.final, env.gamma)
         assert rep.certified_error_bound >= dist - tight.certified_error_bound > 0
 
     def test_mean_channel_matches_linear_solve(self):
@@ -677,7 +674,7 @@ class TestComposedViews:
         ref, ref_trace = jipe_n(env, pol, 3, 1e-8)
         assert trace[-1][0] == ref_trace[-1][0]
         diff = [a - b for a, b in zip(final.tables, ref.tables)]
-        assert lambda_norm(diff, LambdaWeights(env.gamma)) <= 1e-12
+        assert lambda_norm(diff, env.gamma) <= 1e-12
 
     def test_small_plan_holds_one_term_per_view(self):
         # crc(3), order 3: the largest class, three distinct states, has a
@@ -813,12 +810,13 @@ class TestJipeN:
         closing full backup, and a fresh backup of the result, find for that
         order; the closing row holds their maximum."""
         env, pol, _ = REFERENCE_CASES[case]()
-        w = LambdaWeights(env.gamma)
+        lam = 2.0 / (1.0 - env.gamma)
         final, trace = jipe_n(env, pol, 3, 1e-8)
         backup = apply_tn(env, pol, final)
         runs = order_runs(trace)
         for k, rs in runs[:-1]:
-            assert rs[-1] == lambda_norm([final.table(k) - backup.table(k)], w) / w.lam_k(k)
+            d = final.table(k) - backup.table(k)
+            assert rs[-1] == float(np.max(np.abs(d))) / lam ** (k - 1)
         assert runs[-1][1] == [max(rs[-1] for _, rs in runs[:-1])]
 
     @pytest.mark.parametrize("make, order", [

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from jmdp.core import (
-    LambdaWeights,
     MomentCollection2,
     MomentCollectionN,
     StateActionSpace,
@@ -119,7 +118,6 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
         slots.append(slot_of.setdefault((len(idx), min(idx), max(idx)), len(slot_of)))
     counts = np.zeros(len(slot_of), dtype=np.int64)
     uniforms = _ref_uniforms(np.random.default_rng(seed))
-    weights = LambdaWeights(env.gamma)
     trace, alpha = [], float("nan")
     for k in range(num_updates):
         if mode == "sweep":
@@ -141,7 +139,7 @@ def _ref_run(env, policy, rule, mode, num_updates, seed, m0, fixed_point, stride
         if (k + 1) % stride == 0 or k + 1 == num_updates:
             current = MomentCollection2(mu, 0.5 * (sig + sig.T))
             dist = (float("nan") if fixed_point is None
-                    else lambda_norm(current - fixed_point, weights))
+                    else lambda_norm(current - fixed_point, env.gamma))
             trace.append((k + 1, dist, alpha))
     return trace, MomentCollection2(mu, 0.5 * (sig + sig.T)), counts
 
@@ -480,6 +478,24 @@ class TestRunIncremental:
                 VisitationScheme.sweep(), 100, seed=0, trace_stride=stride,
             )
 
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        env = build_crc(3, 0.9)
+        for name in ("check_incremental_budget", "_coordinate_table", "_sample_terms"):
+            monkeypatch.setattr(incremental, name, _never)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -3"):
+            run_incremental(
+                env, Policy.uniform(env.space), StepSchedule.harmonic(10.0),
+                VisitationScheme.sweep(), 100, seed=-3,
+            )
+
+    def test_integer_like_seed_reads_as_the_int(self):
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        a, b = (run_incremental(env, pol, StepSchedule.harmonic(10.0),
+                                VisitationScheme.uniform(), 500, seed=seed)
+                for seed in (7, np.int64(7)))
+        assert a.final.m_sigma.tobytes() == b.final.m_sigma.tobytes()
+
     @pytest.mark.parametrize("arg", ["m0", "fixed_point"])
     def test_tables_sized_for_another_env_rejected(self, arg):
         env = build_crc(3, 0.9)
@@ -545,14 +561,13 @@ class TestRunIncremental:
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
         star = jipe2(env, pol, 1e-12).final
-        w = LambdaWeights(env.gamma)
         res = run_incremental(
             env, pol, StepSchedule.harmonic(10.0), VisitationScheme.sweep(),
             400_000, seed=0, fixed_point=star, trace_stride=100_000,
         )
         dists = {k: d for k, d, _ in res.trace}
         assert dists[400_000] < dists[100_000]
-        assert lambda_norm(res.final - star, w) == pytest.approx(dists[400_000])
+        assert lambda_norm(res.final - star, env.gamma) == pytest.approx(dists[400_000])
 
     def test_only_the_result_is_a_collection(self, monkeypatch):
         # Checkpoint distances are taken on raw tables; the one checked
@@ -573,6 +588,14 @@ class TestRunIncremental:
 
 
 class TestNoiseDiagnostic:
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        env = build_crc(3, 0.9)
+        m = MomentCollection2.zeros(env.space)
+        for name in ("check_noise_budget", "_BackupPlan", "_backups"):
+            monkeypatch.setattr(incremental, name, _never)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            noise_diagnostic(env, Policy.uniform(env.space), m, (0, 1), 1000, seed=-1)
+
     def test_deterministic_env_zero_noise(self):
         env = build_wgw(2, 2, (0, 1), 0.0, 0.9)
         pol = Policy.uniform(env.space)

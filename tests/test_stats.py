@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import jmdp.stats
-from jmdp.core import LambdaWeights, MomentCollection2, StateActionSpace
+from jmdp.core import MomentCollection2, StateActionSpace
 from jmdp.dp import jipe2, jipe_n
 from jmdp.env import (
     ExoJmdp,
@@ -191,7 +191,7 @@ class TestHigherOrderCollections:
         m3, trace = jipe_n(env, pol, 3, 1e-8)
         assert rep.certified and trace[-1][1] <= 1e-8 * (1 - env.gamma)
         delta = rep.certified_error_bound + trace[-1][1] / (1 - env.gamma)
-        lam = LambdaWeights(env.gamma).lam
+        lam = 2.0 / (1.0 - env.gamma)
         n_a = env.space.num_actions
         for s in range(env.space.num_states):
             c2, c3 = corr_matrix(env.space, rep.final, s), corr_matrix(env.space, m3, s)
@@ -407,6 +407,25 @@ class TestChebyshevEcdf:
         assert r.mc_ci == blk.z_value * blk.inferiority_se[0, 1]
         with pytest.raises(InvalidQueryError, match="no branch for action 2"):
             chebyshev_ecdf(env.space, m, [(3, 2, 0)], {3: blk})
+
+    def test_missing_or_foreign_block_rejected_before_any_ratio(self, monkeypatch):
+        # A pair with no block, or a block simulated at another state, is
+        # refused before any pair's ratio, however the pairs are ordered.
+        env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+        pol = wgw_goal_policy(3, 3, (0, 2))
+        m = jipe2(env, pol, 1e-10).final
+        blk = mc_state_block(env, pol, 3, (1, 0), 500, 1e-4, seed=0)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a ratio was computed")
+
+        monkeypatch.setattr(jmdp.stats, "cantelli_bound", never)
+        monkeypatch.setattr(jmdp.stats, "gap_stats", never)
+        with pytest.raises(InvalidQueryError, match="block of state 4, got none"):
+            chebyshev_ecdf(env.space, m, [(3, 1, 0), (4, 1, 0)], {3: blk})
+        with pytest.raises(InvalidQueryError,
+                           match="block of state 4, got one simulated at state 3"):
+            chebyshev_ecdf(env.space, m, [(3, 1, 0), (4, 1, 0)], {3: blk, 4: blk})
 
 
 def sink_by_sweep(env):
