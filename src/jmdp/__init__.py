@@ -60,8 +60,6 @@ from .fa import (
 )
 from .incremental import (
     NoiseDiagnostic,
-    StepSchedule,
-    VisitationScheme,
     noise_diagnostic,
     run_incremental,
     sample_backup,

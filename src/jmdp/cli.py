@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import check_backup_budget, jipe2, jipe_n
+from .dp import _certificate, check_backup_budget, jipe2, jipe_n
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -59,7 +59,7 @@ from .fa import (
     state_ramp_features,
     stationary_distribution,
 )
-from .incremental import StepSchedule, VisitationScheme, check_incremental_budget, run_incremental
+from .incremental import check_incremental_budget, run_incremental
 from .stats import (cantelli_bound, chebyshev_ecdf, check_mc_budget, corr_matrix, gap_stats,
                     mc_state_block)
 
@@ -391,27 +391,16 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         _write_csv(out_dir / "residuals.csv",
                    ["iteration", "residual_lambda", "certified_bound", "order"],
                    [(k, r, r / (1.0 - env.gamma), o) for k, r, o in trace])
-        k, residual, _ = trace[-1]
-        certified = residual <= eps * (1.0 - env.gamma)
-        status.update(certified=certified, iterations=k,
-                      certified_error_bound=residual / (1.0 - env.gamma))
+        k, certified, bound = _certificate(trace, eps, env.gamma)
+        status.update(certified=certified, iterations=k, certified_error_bound=bound)
         code = EXIT_OK if certified else EXIT_NOT_CERTIFIED
 
     elif name == "incremental":
-        if algo["rule"] == "harmonic":
-            schedule = StepSchedule.harmonic(algo["c"])
-        else:
-            schedule = StepSchedule.constant(algo["alpha0"])
         check_incremental_budget(env)  # the reference solve checks its own count
         ref = jipe2(env, policy, _REFERENCE_EPSILON)
         result = run_incremental(
-            env,
-            policy,
-            schedule,
-            VisitationScheme(algo["visitation"]),
-            algo["num_updates"],
-            cfg.seed,
-            fixed_point=ref.final,
+            env, policy, algo["num_updates"], cfg.seed, rule=algo["rule"], c=algo["c"],
+            alpha0=algo["alpha0"], visitation=algo["visitation"], fixed_point=ref.final,
             trace_stride=algo["trace_stride"],
         )
         _write_csv(out_dir / "trace.csv",
@@ -431,7 +420,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         check_stationary_budget(env)
         check_projected_budget(env, features, algo["max_iter"])
         nu = stationary_distribution(env, policy)
-        status.update(nu_source=nu.source)
+        status.update(nu_source=nu.source, nu_note=nu.note)
         try:
             report = projected_jipe2(
                 env, policy, features, nu.nu, algo["epsilon"], algo["max_iter"]
@@ -567,6 +556,8 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
     status = {"analysis": True, "certified": solve.certified,
               "iterations": solve.iterations,
               "certified_error_bound": solve.certified_error_bound}
+    if ana["coupling"]:
+        status.update(nu_source=nu.source, nu_note=nu.note)
     if mc:
         status["monte_carlo"] = mc
     return _finish(cfg, out_dir, status,

@@ -437,6 +437,14 @@ def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: i
     return MomentCollectionN(tuple(tables)), trace
 
 
+def _certificate(trace: list, epsilon: float, gamma: float) -> tuple:
+    """(iterations, certified, certified_error_bound) of an exact solve, read
+    from its trace's last row: certified when residual <= epsilon (1 - gamma),
+    and the bound is residual / (1 - gamma)."""
+    k, residual, _ = trace[-1]
+    return k, residual <= epsilon * (1.0 - gamma), residual / (1.0 - gamma)
+
+
 def jipe2(
     env: ExoJmdp,
     policy: Policy,
@@ -451,9 +459,7 @@ def jipe2(
     certified=False.
     """
     final, trace = _solve(env, policy, 2, epsilon, max_iter, m0)
-    k, residual, _ = trace[-1]
-    certified = residual <= epsilon * (1.0 - env.gamma)
-    return Jipe2Report(final, trace, k, certified, residual / (1.0 - env.gamma))
+    return Jipe2Report(final, trace, *_certificate(trace, epsilon, env.gamma))
 
 
 def jipe_n(

@@ -124,7 +124,8 @@ class ExoJmdp:
                 )
         _check_entries("g", g, (g >= 0.0) & (g <= 1.0), "reward outside [0, 1]")
         _check_entries("h", h, (h >= 0) & (h < s_n), f"successor outside 0..{s_n - 1}")
-        h = h.astype(np.int64)  # a copy, cast once its range is checked
+        _check_entries("h", h, h == np.trunc(h), "successor not a whole number")
+        h = h.astype(np.int64)  # a copy, cast once its entries are checked
         _check_gamma(self.gamma)
         g.setflags(write=False)
         h.setflags(write=False)

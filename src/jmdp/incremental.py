@@ -22,8 +22,6 @@ from .env import ExoJmdp, Policy, _check_policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
 
 __all__ = [
-    "StepSchedule",
-    "VisitationScheme",
     "sample_backup",
     "run_incremental",
     "check_incremental_budget",
@@ -33,82 +31,6 @@ __all__ = [
     "NoiseDiagnostic",
     "noise_bound_constants",
 ]
-
-
-@dataclass
-class StepSchedule:
-    """Step-size rule with per-coordinate visit counters.
-
-    harmonic(c): alpha = c / (c + visits), which satisfies the usual
-    divergent-sum / summable-squares conditions per coordinate. constant(a0)
-    uses a fixed step. A second-moment pair and its swap share one counter.
-    """
-
-    rule: str
-    c: float = 10.0
-    alpha0: float = 0.1
-    _counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rule not in ("harmonic", "constant"):
-            raise InvalidQueryError(f"unknown step rule {self.rule!r}")
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise InvalidInputError(f"harmonic constant must be finite and > 0, got {self.c}")
-        if not (0.0 < self.alpha0 <= 1.0):  # false for nan too
-            raise InvalidInputError(f"constant step must lie in (0, 1], got {self.alpha0}")
-
-    @classmethod
-    def harmonic(cls, c: float = 10.0) -> "StepSchedule":
-        return cls("harmonic", c=c)
-
-    @classmethod
-    def constant(cls, alpha0: float) -> "StepSchedule":
-        return cls("constant", alpha0=alpha0)
-
-    def bind(self, num_slots: int) -> None:
-        self._counts = np.zeros(num_slots, dtype=np.int64)
-
-    def steps(self, slots: np.ndarray) -> np.ndarray:
-        """Step sizes for consecutive visits to slots[0], slots[1], ..."""
-        if self._counts is None:
-            raise InvalidInputError("schedule not bound to an index set")
-        if self.rule == "harmonic":
-            # Visits to a slot earlier in this batch count: rank within slot.
-            # numpy radix-sorts a key of 16 bits or fewer.
-            key = slots.astype(np.min_scalar_type(self._counts.size))
-            order = np.argsort(key, kind="stable")
-            ranked = key[order]
-            seq = np.arange(slots.size)
-            first = np.r_[True, ranked[1:] != ranked[:-1]]
-            rank = np.empty_like(seq)
-            rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
-            alpha = self.c / (self.c + (self._counts[slots] + rank))
-        else:
-            alpha = np.full(slots.size, float(self.alpha0))
-        self._counts += np.bincount(slots, minlength=self._counts.size)
-        return alpha
-
-
-@dataclass(frozen=True)
-class VisitationScheme:
-    """Coordinate selection rule: cyclic sweep or uniform-random.
-
-    Both select every coordinate infinitely often over an unbounded run.
-    """
-
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("sweep", "uniform"):
-            raise InvalidQueryError(f"unknown visitation mode {self.mode!r}")
-
-    @classmethod
-    def sweep(cls) -> "VisitationScheme":
-        return cls("sweep")
-
-    @classmethod
-    def uniform(cls) -> "VisitationScheme":
-        return cls("uniform")
 
 
 # Coordinate draw classes: the uniforms one backup consumes, in stream order,
@@ -250,23 +172,62 @@ class IncrementalResult:
     num_updates: int
 
 
+def _steps(counts: np.ndarray, slots: np.ndarray, rule: str, c: float,
+           alpha0: float) -> np.ndarray:
+    """Step sizes for consecutive visits to slots[0], slots[1], ..., each
+    visit added to its slot's counter in counts. harmonic: c / (c + visits),
+    which satisfies the usual divergent-sum / summable-squares conditions per
+    coordinate; constant: alpha0."""
+    if rule == "harmonic":
+        # Visits to a slot earlier in this batch count: rank within slot.
+        # numpy radix-sorts a key of 16 bits or fewer.
+        key = slots.astype(np.min_scalar_type(counts.size))
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        seq = np.arange(slots.size)
+        first = np.r_[True, ranked[1:] != ranked[:-1]]
+        rank = np.empty_like(seq)
+        rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
+        alpha = c / (c + (counts[slots] + rank))
+    else:
+        alpha = np.full(slots.size, float(alpha0))
+    counts += np.bincount(slots, minlength=counts.size)
+    return alpha
+
+
 def run_incremental(
     env: ExoJmdp,
     policy: Policy,
-    schedule: StepSchedule,
-    visitation: VisitationScheme,
     num_updates: int,
     seed: int,
+    *,
+    rule: str = "harmonic",
+    c: float = 10.0,
+    alpha0: float = 0.1,
+    visitation: str = "uniform",
     m0: MomentCollectionN | None = None,
     fixed_point: MomentCollectionN | None = None,
     trace_stride: int = 10_000,
 ) -> IncrementalResult:
     """Asynchronous one-coordinate updates; deterministic given the seed.
 
-    When fixed_point is provided, the trace records the weighted sup-norm
-    distance to it every trace_stride updates (and at the final update).
+    rule "harmonic" steps c / (c + visits) per coordinate, "constant" steps
+    alpha0; a second-moment pair and its swap share one visit counter.
+    visitation "sweep" cycles through the coordinates, "uniform" draws each
+    one at random; both select every coordinate infinitely often over an
+    unbounded run. When fixed_point is provided, the trace records the
+    weighted sup-norm distance to it every trace_stride updates (and at the
+    final update).
     """
     _check_policy(env, policy)
+    if rule not in ("harmonic", "constant"):
+        raise InvalidQueryError(f"unknown step rule {rule!r}")
+    if not (np.isfinite(c) and c > 0.0):
+        raise InvalidInputError(f"harmonic constant must be finite and > 0, got {c}")
+    if not (0.0 < alpha0 <= 1.0):  # false for nan too
+        raise InvalidInputError(f"constant step must lie in (0, 1], got {alpha0}")
+    if visitation not in ("sweep", "uniform"):
+        raise InvalidQueryError(f"unknown visitation mode {visitation!r}")
     if num_updates < 1:
         raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
     if trace_stride < 1:
@@ -279,7 +240,7 @@ def run_incremental(
     check_incremental_budget(env)
     n_x = env.space.num_x
     table, num_slots = _coordinate_table(env.space)
-    schedule.bind(num_slots)
+    counts = np.zeros(num_slots, dtype=np.int64)  # visits per slot
     cls, xs, ys, slots = table.T
     hops = (_NUM_DRAWS[cls] + 1).astype(np.uint8)  # uniform mode: one visitation draw first
     place = slots[n_x:].reshape(n_x, n_x)  # slot of sigma[x, y], contiguous
@@ -303,7 +264,7 @@ def run_incremental(
     while k < num_updates:
         stop = min(num_updates, k + _CHUNK, (k // trace_stride + 1) * trace_stride)
         n = stop - k
-        if visitation.mode == "sweep":
+        if visitation == "sweep":
             pos = np.arange(k, stop) % n_idx
             draws = _NUM_DRAWS[cls[pos]]
             used = int(draws.sum())
@@ -325,17 +286,17 @@ def run_incremental(
             pos = visit[offsets]
             start = offsets + 1
             carry = w[used:]
-        c = cls[pos]
+        kind = cls[pos]
         coef_a, coef_b, coef_c, x1, y1, f = _sample_terms(
-            env, policy, c, xs[pos], ys[pos], w, start, place
+            env, policy, kind, xs[pos], ys[pos], w, start, place
         )
         target = slots[pos]
-        alphas = schedule.steps(target)
+        alphas = _steps(counts, target, rule, c, alpha0)
         oa = 1.0 - alphas
         # A mean row reads only means and the 0.0 (C = 0, y1 = x1): relax the
         # mean rows first, on a copy of the means and with the loop's own
         # operations, keeping the means after each.
-        mean = c == _MU
+        mean = kind == _MU
         mu = vals[:n_x]
         snaps = mu[:]
         for t, ca, cb, cc, j, o, al in zip(

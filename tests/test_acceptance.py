@@ -46,8 +46,6 @@ from jmdp.fa import (
     stationary_distribution,
 )
 from jmdp.incremental import (
-    StepSchedule,
-    VisitationScheme,
     noise_diagnostic,
     run_incremental,
 )
@@ -253,8 +251,8 @@ def test_criterion_6_incremental_convergence():
         for seed in INCREMENTAL_SEEDS:
             start = time.monotonic()
             res = run_incremental(
-                env, pol, StepSchedule.harmonic(10.0), VisitationScheme.sweep(),
-                2_000_000, seed=seed, fixed_point=m_star, trace_stride=100_000,
+                env, pol, 2_000_000, seed=seed, c=10.0, visitation="sweep",
+                fixed_point=m_star, trace_stride=100_000,
             )
             elapsed = time.monotonic() - start
             assert elapsed < 120.0, f"{name} seed {seed}: {elapsed:.0f}s"

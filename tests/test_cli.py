@@ -62,6 +62,15 @@ def base_config(**overrides) -> dict:
     return doc
 
 
+# (env, nu_source, pattern of nu_note): crc's absorbing end state leaves the
+# chain reducible, so the weighting law falls back to uniform; ring's is stationary.
+NU_CASES = [
+    ({"builtin": "crc", "num_states": 5, "gamma": 0.9}, "uniform-fallback",
+     r"chain is not irreducible \(\d+ strongly connected components\).*"),
+    ({"builtin": "ring", "num_states": 5, "gamma": 0.9}, "stationary", ""),
+]
+
+
 def test_import_leaves_out_scipy_stats():
     code = "import sys, jmdp.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -358,12 +367,8 @@ class TestEval:
         assert result["coupling_converged"] is True
         assert 1 <= result["coupling_iterations"] <= 40
 
-    @pytest.mark.parametrize("env, source", [
-        # crc's absorbing end state leaves the chain reducible
-        ({"builtin": "crc", "num_states": 5, "gamma": 0.9}, "uniform-fallback"),
-        ({"builtin": "ring", "num_states": 5, "gamma": 0.9}, "stationary"),
-    ], ids=["crc", "ring"])
-    def test_projected_manifest_records_nu_source(self, tmp_path, env, source):
+    @pytest.mark.parametrize("env, source, note", NU_CASES, ids=["crc", "ring"])
+    def test_projected_manifest_records_nu_source(self, tmp_path, env, source, note):
         doc = base_config(
             env=env,
             algorithm={"name": "projected",
@@ -374,6 +379,7 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         result = json.loads((tmp_path / "run" / "manifest.json").read_text())["result"]
         assert result["nu_source"] == source
+        assert re.fullmatch(note, result["nu_note"])
 
     def test_projected_on_a_large_ring_fits_the_default_budget(self, tmp_path):
         # |X| = 4096: a dense marginal kernel alone would need 134 MB; only
@@ -555,6 +561,27 @@ class TestEval:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("env, source, note", NU_CASES, ids=["crc", "ring"])
+    def test_manifest_records_nu_source_and_note(self, tmp_path, env, source, note):
+        analysis = {"corr": False, "gaps": False, "ecdf": False, "mc_compare": False}
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           base_config(env=env, analysis=analysis, out_dir=str(out)))
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        result = json.loads((out / "manifest.json").read_text())["result"]
+        assert result["nu_source"] == source
+        assert re.fullmatch(note, result["nu_note"])
+        assert json.loads((out / "coupling.json").read_text())["nu_source"] == source
+
+    def test_manifest_has_no_weighting_law_without_coupling(self, tmp_path):
+        analysis = {"corr": False, "gaps": False, "ecdf": False, "mc_compare": False,
+                    "coupling": False}
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", base_config(analysis=analysis, out_dir=str(out)))
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        result = json.loads((out / "manifest.json").read_text())["result"]
+        assert "nu_source" not in result and "nu_note" not in result
+
     def test_outputs_and_values(self, tmp_path):
         doc = base_config(
             analysis={

@@ -39,8 +39,6 @@ from jmdp.fa import (
     stationary_distribution,
 )
 from jmdp.incremental import (
-    StepSchedule,
-    VisitationScheme,
     noise_diagnostic,
     run_incremental,
     sample_backup,
@@ -724,8 +722,7 @@ def test_budget_counts_residual_trace(solver, monkeypatch):
 
 
 def _run_incremental(env, pol, **moments):
-    return run_incremental(env, pol, StepSchedule.harmonic(), VisitationScheme.sweep(),
-                           10, seed=0, **moments)
+    return run_incremental(env, pol, 10, seed=0, visitation="sweep", **moments)
 
 
 @pytest.mark.parametrize("call", [

@@ -78,10 +78,15 @@ class TestConstruction:
     def test_successors_must_be_states(self):
         space = StateActionSpace(2, 1)
         noise = NoiseModel(np.array([1.0]))
-        with pytest.raises(InvalidInputError):
-            ExoJmdp(
-                space, noise, np.zeros((2, 1, 1)), np.full((2, 1, 1), 5), 0.9
-            )
+        # Out of range; fractional, which a cast to int64 would truncate.
+        for h, match in ((np.full((2, 1, 1), 5), r"h\[0\]\[0\]\[0\]: successor outside"),
+                         (np.array([[[0.5]], [[1.7]]]),
+                          r"h\[0\]\[0\]\[0\]: successor not a whole number, got 0.5")):
+            with pytest.raises(InvalidInputError, match=match):
+                ExoJmdp(space, noise, np.zeros((2, 1, 1)), h, 0.9)
+        # Whole-valued floats, as an env file's JSON numbers may be, load.
+        env = ExoJmdp(space, noise, np.zeros((2, 1, 1)), np.array([[[1.0]], [[0.0]]]), 0.9)
+        assert env.h.dtype == np.int64 and env.h.ravel().tolist() == [1, 0]
 
     def test_policy_rows_sum_to_one(self):
         with pytest.raises(InvalidInputError):

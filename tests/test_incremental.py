@@ -24,8 +24,7 @@ from jmdp.errors import BudgetError, InvalidInputError, InvalidQueryError
 from jmdp.incremental import (
     _CHUNK,
     _coordinate_table,
-    StepSchedule,
-    VisitationScheme,
+    _steps,
     check_incremental_budget,
     check_noise_budget,
     noise_bound_constants,
@@ -225,17 +224,21 @@ class TestMatchesScalarReference:
         ref_trace, ref_final, ref_counts = _ref_run(
             env, pol, rule, mode, num_updates, 5, m0, star, stride
         )
-        sched = (StepSchedule.harmonic(rule[1]) if rule[0] == "harmonic"
-                 else StepSchedule.constant(rule[1]))
-        res = run_incremental(
-            env, pol, sched, VisitationScheme(mode), num_updates, seed=5,
-            m0=m0, fixed_point=star, trace_stride=stride,
-        )
+        step = {"rule": rule[0], "c" if rule[0] == "harmonic" else "alpha0": rule[1]}
+        counters = []  # the run's visit counters, as each chunk's steps see them
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incremental, "_steps",
+                       lambda counts, *args: counters.append(counts) or _steps(counts, *args))
+            res = run_incremental(
+                env, pol, num_updates, seed=5, **step, visitation=mode,
+                m0=m0, fixed_point=star, trace_stride=stride,
+            )
         assert res.trace == ref_trace
         assert [type(a) for _, _, a in res.trace] == [float] * len(ref_trace)
         assert np.array_equal(res.final.m_mu, ref_final.m_mu)
         assert np.array_equal(res.final.m_sigma, ref_final.m_sigma)
-        assert np.array_equal(sched._counts, ref_counts)
+        assert all(counts is counters[0] for counts in counters)
+        assert np.array_equal(counters[0], ref_counts)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_sample_backup_and_noise_diagnostic(self, case):
@@ -273,13 +276,13 @@ class TestMatchesScalarReference:
             assert diag.second_moment == float((omega**2).mean())
 
 
-class TestStepSchedule:
+class TestSteps:
     def test_harmonic_sequence(self):
-        sched = StepSchedule.harmonic(10.0)
-        sched.bind(1)
+        counts = np.zeros(1, dtype=np.int64)
         # Five visits to one slot in one batch: each earlier visit counts.
-        alphas = sched.steps(np.zeros(5, dtype=np.int64)).tolist()
+        alphas = _steps(counts, np.zeros(5, dtype=np.int64), "harmonic", 10.0, 0.1).tolist()
         assert alphas == [1.0, 10 / 11, 10 / 12, 10 / 13, 10 / 14]
+        assert counts.tolist() == [5]
 
     def test_harmonic_satisfies_step_conditions(self):
         # alpha_t = c/(c+t): the sum diverges, the squared sum stays bounded.
@@ -293,41 +296,26 @@ class TestStepSchedule:
         """70 000 slots key the rank sort as uint32; two batches with repeated
         slots, some above 65 535, take the steps a per-slot counter gives."""
         assert np.min_scalar_type(70_000) == np.uint32
-        c, sched = 10.0, StepSchedule.harmonic(10.0)
-        sched.bind(70_000)
+        c, counts = 10.0, np.zeros(70_000, dtype=np.int64)
         rng = np.random.default_rng(8)
         # 0 and 65 536, 4 463 and 69 999: pairs a 16-bit key would merge.
         pool = np.r_[rng.integers(0, 70_000, 300), 0, 65_536, 4_463, 69_999]
-        counts = [0] * 70_000
+        ref = [0] * 70_000
         for _ in range(2):
             slots = rng.choice(pool, 3_000)
             expected = []
             for s in slots.tolist():
-                expected.append(c / (c + counts[s]))
-                counts[s] += 1
-            alphas = sched.steps(slots)
+                expected.append(c / (c + ref[s]))
+                ref[s] += 1
+            alphas = _steps(counts, slots, "harmonic", c, 0.1)
             assert alphas.tolist() == expected
-        assert sched._counts.tolist() == counts
+        assert counts.tolist() == ref
 
-    def test_constant_range(self):
-        with pytest.raises(InvalidInputError):
-            StepSchedule.constant(0.0)
-        with pytest.raises(InvalidInputError):
-            StepSchedule.constant(1.5)
-
-    def test_unknown_rule_rejected_at_construction(self):
-        with pytest.raises(InvalidQueryError, match="unknown step rule 'bogus'"):
-            StepSchedule("bogus")
-
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"rule": "harmonic", "c": -5.0}, "harmonic constant"),
-        ({"rule": "harmonic", "c": float("nan")}, "harmonic constant"),
-        ({"rule": "constant", "alpha0": 7.0}, "constant step"),
-        ({"rule": "constant", "alpha0": float("nan")}, "constant step"),
-    ], ids=["harmonic_negative", "harmonic_nan", "constant_seven", "constant_nan"])
-    def test_direct_construction_checked(self, kwargs, match):
-        with pytest.raises(InvalidInputError, match=match):
-            StepSchedule(**kwargs)
+    def test_constant_step(self):
+        counts = np.zeros(3, dtype=np.int64)
+        alphas = _steps(counts, np.array([0, 2, 0, 0]), "constant", 10.0, 0.3)
+        assert alphas.tolist() == [0.3] * 4
+        assert counts.tolist() == [3, 0, 1]
 
 
 class TestSampleBackup:
@@ -463,8 +451,8 @@ class TestRunIncremental:
         pol = Policy.uniform(env.space)
         n_idx = len(_coordinates(env.space))
         res = run_incremental(
-            env, pol, StepSchedule.constant(1.0), VisitationScheme.sweep(),
-            num_updates=n_idx, seed=0,
+            env, pol, num_updates=n_idx, seed=0, rule="constant", alpha0=1.0,
+            visitation="sweep",
         )
         exact = apply_tn(env, pol, MomentCollection2.zeros(env.space))
         np.testing.assert_array_equal(res.final.m_mu, exact.m_mu)
@@ -474,8 +462,8 @@ class TestRunIncremental:
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError, match="trace_stride"):
             run_incremental(
-                env, Policy.uniform(env.space), StepSchedule.harmonic(10.0),
-                VisitationScheme.sweep(), 100, seed=0, trace_stride=stride,
+                env, Policy.uniform(env.space), 100, seed=0, visitation="sweep",
+                trace_stride=stride,
             )
 
     def test_negative_seed_rejected_before_any_work(self, monkeypatch):
@@ -484,15 +472,37 @@ class TestRunIncremental:
             monkeypatch.setattr(incremental, name, _never)
         with pytest.raises(InvalidInputError, match="seed must be >= 0, got -3"):
             run_incremental(
-                env, Policy.uniform(env.space), StepSchedule.harmonic(10.0),
-                VisitationScheme.sweep(), 100, seed=-3,
+                env, Policy.uniform(env.space), 100, seed=-3, visitation="sweep",
             )
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"rule": "bogus"}, InvalidQueryError, "unknown step rule 'bogus'"),
+        ({"visitation": "bogus"}, InvalidQueryError, "unknown visitation mode 'bogus'"),
+        ({"c": -5.0}, InvalidInputError, "harmonic constant"),
+        ({"c": float("nan")}, InvalidInputError, "harmonic constant"),
+        ({"rule": "constant", "c": float("nan")}, InvalidInputError, "harmonic constant"),
+        ({"rule": "constant", "alpha0": 0.0}, InvalidInputError, "constant step"),
+        ({"rule": "constant", "alpha0": 1.5}, InvalidInputError, "constant step"),
+        ({"rule": "constant", "alpha0": float("nan")}, InvalidInputError, "constant step"),
+        ({"alpha0": 7.0}, InvalidInputError, "constant step"),
+    ], ids=["rule_bogus", "visitation_bogus", "harmonic_negative", "harmonic_nan",
+            "constant_rule_c_nan", "constant_zero", "constant_above_one", "constant_nan",
+            "harmonic_rule_alpha0_seven"])
+    def test_step_rule_and_visitation_rejected_before_any_work(
+        self, kwargs, error, match, monkeypatch
+    ):
+        """Each value is checked whichever rule reads it, before the budget
+        count, the coordinate table and any draw."""
+        env = build_crc(3, 0.9)
+        for name in ("check_incremental_budget", "_coordinate_table", "_sample_terms"):
+            monkeypatch.setattr(incremental, name, _never)
+        with pytest.raises(error, match=match):
+            run_incremental(env, Policy.uniform(env.space), 100, seed=0, **kwargs)
 
     def test_integer_like_seed_reads_as_the_int(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        a, b = (run_incremental(env, pol, StepSchedule.harmonic(10.0),
-                                VisitationScheme.uniform(), 500, seed=seed)
+        a, b = (run_incremental(env, pol, 500, seed=seed)
                 for seed in (7, np.int64(7)))
         assert a.final.m_sigma.tobytes() == b.final.m_sigma.tobytes()
 
@@ -502,8 +512,8 @@ class TestRunIncremental:
         other = MomentCollection2.zeros(build_crc(4, 0.9).space)
         with pytest.raises(InvalidInputError, match="8 coordinates"):
             run_incremental(
-                env, Policy.uniform(env.space), StepSchedule.harmonic(10.0),
-                VisitationScheme.sweep(), 100, seed=0, **{arg: other},
+                env, Policy.uniform(env.space), 100, seed=0, visitation="sweep",
+                **{arg: other},
             )
 
     def test_same_seed_identical_traces(self):
@@ -512,8 +522,7 @@ class TestRunIncremental:
         star = jipe2(env, pol, 1e-10).final
         runs = [
             run_incremental(
-                env, pol, StepSchedule.harmonic(10.0), VisitationScheme.uniform(),
-                20_000, seed=42, fixed_point=star, trace_stride=1_000,
+                env, pol, 20_000, seed=42, fixed_point=star, trace_stride=1_000,
             )
             for _ in range(2)
         ]
@@ -524,10 +533,7 @@ class TestRunIncremental:
     def test_symmetry_preserved(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        res = run_incremental(
-            env, pol, StepSchedule.harmonic(10.0), VisitationScheme.uniform(),
-            50_000, seed=1,
-        )
+        res = run_incremental(env, pol, 50_000, seed=1)
         assert res.final.m_sigma.tobytes() == res.final.m_sigma.T.tobytes()
 
     def test_asymmetric_start_is_symmetrized(self):
@@ -542,10 +548,9 @@ class TestRunIncremental:
         m0 = MomentCollection2(rng.normal(size=n_x), sig)
         assert not np.array_equal(sig, sig.T)
         start = 0.5 * (sig + sig.T)
-        sched = StepSchedule.constant(0.3)
-        res = run_incremental(env, pol, sched, VisitationScheme.uniform(), 30, seed=4, m0=m0)
-        _, ref_final, _ = _ref_run(env, pol, ("constant", 0.3), "uniform", 30, 4,
-                                   MomentCollection2(m0.m_mu, start), None, 30)
+        res = run_incremental(env, pol, 30, seed=4, rule="constant", alpha0=0.3, m0=m0)
+        _, ref_final, ref_counts = _ref_run(env, pol, ("constant", 0.3), "uniform", 30, 4,
+                                            MomentCollection2(m0.m_mu, start), None, 30)
         _, raw_final, _ = _ref_run(env, pol, ("constant", 0.3), "uniform", 30, 4, m0, None, 30)
         out = res.final.m_sigma
         assert out.tobytes() == ref_final.m_sigma.tobytes()
@@ -553,7 +558,7 @@ class TestRunIncremental:
         assert res.final.m_mu.tobytes() == ref_final.m_mu.tobytes()
         assert out.tobytes() == out.T.tobytes()
         table, _ = _coordinate_table(env.space)
-        unvisited = (sched._counts[table[n_x:, 3]] == 0).reshape(n_x, n_x)
+        unvisited = (ref_counts[table[n_x:, 3]] == 0).reshape(n_x, n_x)
         assert unvisited.any() and not unvisited.all()
         assert out[unvisited].tobytes() == start[unvisited].tobytes()
 
@@ -562,8 +567,7 @@ class TestRunIncremental:
         pol = Policy.uniform(env.space)
         star = jipe2(env, pol, 1e-12).final
         res = run_incremental(
-            env, pol, StepSchedule.harmonic(10.0), VisitationScheme.sweep(),
-            400_000, seed=0, fixed_point=star, trace_stride=100_000,
+            env, pol, 400_000, seed=0, visitation="sweep", fixed_point=star, trace_stride=100_000,
         )
         dists = {k: d for k, d, _ in res.trace}
         assert dists[400_000] < dists[100_000]
@@ -580,8 +584,7 @@ class TestRunIncremental:
         monkeypatch.setattr(MomentCollectionN, "__post_init__",
                             lambda self: builds.append(1) or check(self))
         res = run_incremental(
-            env, pol, StepSchedule.harmonic(10.0), VisitationScheme.uniform(),
-            5_000, seed=0, fixed_point=star, trace_stride=1_000,
+            env, pol, 5_000, seed=0, fixed_point=star, trace_stride=1_000,
         )
         assert len(res.trace) == 5 and all(np.isfinite(d) for _, d, _ in res.trace)
         assert len(builds) == 1
@@ -660,8 +663,7 @@ def test_budget_bounds_measured_peak(make, visitation, monkeypatch):
     ref = jipe2(env, pol, 1e-6).final
 
     def run():
-        return run_incremental(env, pol, StepSchedule.harmonic(), VisitationScheme(visitation),
-                               3 * _CHUNK, seed=0, m0=ref, fixed_point=ref, trace_stride=_CHUNK)
+        return run_incremental(env, pol, 3 * _CHUNK, seed=0, visitation=visitation, m0=ref, fixed_point=ref, trace_stride=_CHUNK)
 
     need = check_incremental_budget(env)
     monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)

@@ -36,7 +36,7 @@ from jmdp.stats import (
 )
 
 from jmdp.fa import beta_weight
-from jmdp.incremental import StepSchedule
+from jmdp.incremental import run_incremental
 
 from test_env import random_policy
 
@@ -128,7 +128,8 @@ class TestCantelli:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("guard", [
-    StepSchedule.harmonic,
+    lambda v: run_incremental(build_crc(3, 0.9), Policy.uniform(StateActionSpace(3, 2)),
+                              100, 0, c=v),
     lambda v: truncation_horizon(0.9, v),
     lambda v: mc_state_block(build_crc(3, 0.9), Policy.uniform(StateActionSpace(3, 2)),
                              0, (0, 1), 100, v, seed=0),

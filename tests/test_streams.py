@@ -15,7 +15,7 @@ import pytest
 
 from jmdp.core import MomentCollectionN
 from jmdp.env import build_crc, build_wgw
-from jmdp.incremental import StepSchedule, VisitationScheme, _backups, run_incremental
+from jmdp.incremental import _backups, run_incremental
 from jmdp.stats import _branch_returns, mc_state_block
 
 from test_env import random_env, random_policy
@@ -58,8 +58,7 @@ INCREMENTAL = {
 def test_incremental_stream(name, mode):
     env, policy = env_and_policy(name)
     res = run_incremental(
-        env, policy, StepSchedule.harmonic(5.0), VisitationScheme(mode),
-        num_updates=5000, seed=3, trace_stride=700,
+        env, policy, num_updates=5000, seed=3, c=5.0, visitation=mode, trace_stride=700,
     )
     alphas = np.array([alpha for _, _, alpha in res.trace])
     assert digest(res.final.m_mu, res.final.m_sigma, alphas) == INCREMENTAL[name, mode]
@@ -81,8 +80,8 @@ def test_incremental_stream_signed_start(mode):
     sig = np.add.outer(mu, mu) - 0.25
     sig[::2, ::2] = 0.0
     res = run_incremental(
-        env, policy, StepSchedule.constant(0.3), VisitationScheme(mode),
-        num_updates=5000, seed=7, m0=MomentCollectionN((mu, sig)), trace_stride=700,
+        env, policy, num_updates=5000, seed=7, rule="constant", alpha0=0.3, visitation=mode,
+        m0=MomentCollectionN((mu, sig)), trace_stride=700,
     )
     alphas = np.array([alpha for _, _, alpha in res.trace])
     assert digest(res.final.m_mu, res.final.m_sigma, alphas) == SIGNED_START[mode]
