@@ -14,7 +14,7 @@ from .core import (
     StateActionSpace,
     lambda_norm,
 )
-from .dp import Jipe2Report, apply_tn, jipe2, jipe_n
+from .dp import JipeReport, apply_tn, jipe
 from .env import (
     ExoJmdp,
     NoiseModel,

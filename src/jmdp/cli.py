@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import _certificate, check_backup_budget, jipe2, jipe_n
+from .dp import check_backup_budget, jipe
 from .env import (
     _PROB_TOL,
     _REQUIRED,
@@ -176,8 +176,8 @@ def _env(doc, path):
 
 
 _POSITIVE = _real("(0, inf)")
-_REFERENCE_EPSILON = 1e-10  # the incremental run's reference jipe2 solve
-_ANALYSIS_MAX_ITER = 100_000  # the analyze run's jipe2 solve
+_REFERENCE_EPSILON = 1e-10  # the incremental run's reference (order-2 jipe) solve
+_ANALYSIS_MAX_ITER = 100_000  # the analyze run's order-2 jipe solve
 _ALGORITHMS = {
     "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_int(0), 100_000)},
     "dpn": {
@@ -378,26 +378,23 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     moments = {"format_version": 1, "gamma": env.gamma}
 
     if name in ("dp2", "dpn"):
-        eps = algo["epsilon"]
+        order = algo["order"] if name == "dpn" else 2
+        report = jipe(env, policy, algo["epsilon"], algo["max_iter"], order=order)
+        final = report.final
         if name == "dp2":
-            report = jipe2(env, policy, eps, algo["max_iter"])
-            trace = report.residual_trace
-            moments.update(m_mu=report.final.m_mu.tolist(),
-                           m_sigma=report.final.m_sigma.tolist())
+            moments.update(m_mu=final.m_mu.tolist(), m_sigma=final.m_sigma.tolist())
         else:
-            final, trace = jipe_n(env, policy, algo["order"], eps, algo["max_iter"])
-            moments.update(order=algo["order"],
-                           tables=[t.tolist() for t in final.tables])
+            moments.update(order=order, tables=[t.tolist() for t in final.tables])
         _write_csv(out_dir / "residuals.csv",
                    ["iteration", "residual_lambda", "certified_bound", "order"],
-                   [(k, r, r / (1.0 - env.gamma), o) for k, r, o in trace])
-        k, certified, bound = _certificate(trace, eps, env.gamma)
-        status.update(certified=certified, iterations=k, certified_error_bound=bound)
-        code = EXIT_OK if certified else EXIT_NOT_CERTIFIED
+                   [(k, r, r / (1.0 - env.gamma), o) for k, r, o in report.residual_trace])
+        status.update(certified=report.certified, iterations=report.iterations,
+                      certified_error_bound=report.certified_error_bound)
+        code = EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
     elif name == "incremental":
         check_incremental_budget(env)  # the reference solve checks its own count
-        ref = jipe2(env, policy, _REFERENCE_EPSILON)
+        ref = jipe(env, policy, _REFERENCE_EPSILON)
         result = run_incremental(
             env, policy, algo["num_updates"], cfg.seed, rule=algo["rule"], c=algo["c"],
             alpha0=algo["alpha0"], visitation=algo["visitation"], fixed_point=ref.final,
@@ -460,7 +457,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             f"config.analysis.states: entries must lie in 0..{n_s - 1}, got {states!r}"
         )
     # Every budget is checked before any work or output. Coupling needs no
-    # moments, so it runs first, before the jipe2 solve and the Monte Carlo blocks.
+    # moments, so it runs first, before the jipe solve and the Monte Carlo blocks.
     mc_blocks = ana["gaps"] or ana["mc_compare"] or ana["ecdf"]
     if mc_blocks and states:
         check_mc_budget(n_a, ana["num_rollouts"])
@@ -484,7 +481,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> int:
             {"format_version": 1, "nu_source": nu.source, "modes": reports},
         )
 
-    solve = jipe2(env, policy, ana["epsilon"], _ANALYSIS_MAX_ITER)
+    solve = jipe(env, policy, ana["epsilon"], _ANALYSIS_MAX_ITER)
     fixed = solve.final
 
     # One pass over the states. Each state's Monte Carlo block is dropped

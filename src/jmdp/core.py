@@ -7,6 +7,7 @@ Second-moment tables live on X x X, order-k tables on X^k.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,17 @@ def _check_gamma(gamma: float) -> None:
     """The one discount check: InvalidInputError unless 0 < gamma < 1 (nan fails)."""
     if not (0.0 < gamma < 1.0):
         raise InvalidInputError(f"gamma: must lie in (0, 1), got {gamma}")
+
+
+def _check_int(name: str, value, lo: int) -> None:
+    """The one count check: InvalidInputError naming `name` unless value is an
+    integer (read through operator.index, so 2.5 and "3" fail) >= lo."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo:
+        raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +156,7 @@ class MomentCollectionN:
 
     @classmethod
     def zeros(cls, space: StateActionSpace, order: int) -> "MomentCollectionN":
-        if order < 1:
-            raise InvalidInputError(f"order must be >= 1, got {order}")
+        _check_int("order", order, 1)
         n = space.num_x
         return cls(tuple(np.zeros((n,) * k) for k in range(1, order + 1)))
 

@@ -37,22 +37,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHECK_BLOCK, MomentCollectionN, _order_norm, check_budget
+from .core import _CHECK_BLOCK, MomentCollectionN, _check_int, _order_norm, check_budget
 from .env import ExoJmdp, Policy, _check_policy
 from .errors import InvalidInputError
 
 __all__ = [
-    "Jipe2Report",
-    "jipe2",
+    "JipeReport",
+    "jipe",
     "check_backup_budget",
     "apply_tn",
-    "jipe_n",
 ]
 
 
 @dataclass(frozen=True)
-class Jipe2Report:
-    """Outcome of a second-order evaluation run.
+class JipeReport:
+    """Outcome of an exact evaluation run of any order.
 
     certified_error_bound is always residual/(1-gamma) for the final iterate;
     certified says whether the requested tolerance was reached within max_iter.
@@ -76,7 +75,7 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
 
 _DENSE_KERNEL_MAX = 1 << 15  # entries; a larger class stays factored, a larger kernel gathers
 _OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
-_TRACE_BYTES = 136  # one (iteration, residual, order) row of _solve's trace, list slot included
+_TRACE_BYTES = 136  # one (iteration, residual, order) row of jipe's trace, list slot included
 
 
 def _run_blocks(code: tuple) -> tuple:
@@ -384,31 +383,34 @@ class _BackupPlan:
 
 def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollectionN:
     """One exact application of the order-n joint Bellman operator. Each call
-    builds the backup; an iterating caller should use jipe_n, which builds it
+    builds the backup; an iterating caller should use jipe, which builds it
     once."""
     _check_moments(env, m, m.order)
     return MomentCollectionN(tuple(_BackupPlan(env, policy, m.order, 0).apply(m.tables)))
 
 
 def check_solver_args(epsilon: float, max_iter: int) -> None:
-    """Shared guard of the iterative solvers: a finite epsilon > 0, max_iter >= 0."""
+    """Shared guard of the iterative solvers: a finite epsilon > 0, an integer max_iter >= 0."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
-    if max_iter < 0:
-        raise InvalidInputError(f"max_iter must be >= 0, got {max_iter}")
+    _check_int("max_iter", max_iter, 0)
 
 
-def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: int,
-           m0: MomentCollectionN | None) -> tuple:
-    """The exact solvers' fixed-point loop. Checks the arguments and m0, builds
-    the backup, and from m0 or zero tables sweeps each order k = 1..order alone
-    until ||t_k - T_k(t)||_inf / lam^(k-1) <= epsilon * (1 - gamma). A closing
-    full backup certifies, or the sweeps resume at its first order above that.
-    Returns (m, [(updates before the sweep, residual, order or 0 for a full
-    backup), ...]); max_iter caps the updates, the rows at max_iter + order + 1."""
+def jipe(env: ExoJmdp, policy: Policy, epsilon: float, max_iter: int = 100_000,
+         m0: MomentCollectionN | None = None, *, order: int = 2) -> JipeReport:
+    """Iterate the order-`order` operator until the residual certifies epsilon accuracy.
+
+    Checks the arguments and m0, builds the backup, and from m0 or zero tables
+    sweeps each order k = 1..order alone until ||t_k - T_k(t)||_inf / lam^(k-1)
+    <= epsilon * (1 - gamma). A closing full backup certifies, at which point
+    ||m - m*||_lambda <= epsilon, or the sweeps resume at its first order above
+    that. The trace holds an (updates before the sweep, residual, order or 0
+    for a full backup) row per sweep; max_iter caps the updates, the rows at
+    max_iter + order + 1, and hitting it first yields certified=False. The
+    iteration runs on raw tables; the frozen collection is built for the result.
+    """
     check_solver_args(epsilon, max_iter)
-    if order < 1:
-        raise InvalidInputError(f"order must be >= 1, got {order}")
+    _check_int("order", order, 1)
     if m0 is not None:
         _check_moments(env, m0, order)
     apply = _BackupPlan(env, policy, order, max_iter).apply
@@ -432,49 +434,9 @@ def _solve(env: ExoJmdp, policy: Policy, order: int, epsilon: float, max_iter: i
         if trace[-1][1] <= tol or capped:
             break
         k = next(j for j, g in enumerate(gaps, start=1) if g > tol)
-    if m0 is not None and updates == 0:
-        return m0, trace
-    return MomentCollectionN(tuple(tables)), trace
+    final = m0 if m0 is not None and updates == 0 else MomentCollectionN(tuple(tables))
+    residual = trace[-1][1]
+    return JipeReport(final, trace, updates, residual <= tol, residual / (1.0 - env.gamma))
 
 
-def _certificate(trace: list, epsilon: float, gamma: float) -> tuple:
-    """(iterations, certified, certified_error_bound) of an exact solve, read
-    from its trace's last row: certified when residual <= epsilon (1 - gamma),
-    and the bound is residual / (1 - gamma)."""
-    k, residual, _ = trace[-1]
-    return k, residual <= epsilon * (1.0 - gamma), residual / (1.0 - gamma)
-
-
-def jipe2(
-    env: ExoJmdp,
-    policy: Policy,
-    epsilon: float,
-    max_iter: int = 100_000,
-    m0: MomentCollectionN | None = None,
-) -> Jipe2Report:
-    """Iterate the second-order operator until the residual certifies epsilon accuracy.
-
-    Stops once ||m - T m||_lambda <= epsilon * (1 - gamma), at which point
-    ||m - m*||_lambda <= epsilon. Hitting max_iter table updates first yields
-    certified=False.
-    """
-    final, trace = _solve(env, policy, 2, epsilon, max_iter, m0)
-    return Jipe2Report(final, trace, *_certificate(trace, epsilon, env.gamma))
-
-
-def jipe_n(
-    env: ExoJmdp,
-    policy: Policy,
-    order: int,
-    epsilon: float,
-    max_iter: int = 100_000,
-    m0: MomentCollectionN | None = None,
-) -> tuple[MomentCollectionN, list]:
-    """Iterate the order-n operator; returns (final collection, residual trace).
-
-    Stopping and certification mirror jipe2 with the order-weighted norm; the
-    trace holds an (iteration, residual, order) row per sweep, the last a full
-    backup (order 0) that certifies ||m - m*|| <= residual / (1 - gamma). The
-    iteration runs on raw tables; the frozen collection is built for the result.
-    """
-    return _solve(env, policy, order, epsilon, max_iter, m0)
+jipe2 = jipe  # the second-order name the benchmark harness (bench/) calls

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, _check_gamma, _order_weight, check_budget, lambda_norm
+from .core import (MomentCollectionN, _check_gamma, _check_int, _order_weight, check_budget,
+                   lambda_norm)
 from .dp import _BackupPlan, _check_moments, check_backup_budget
 from .env import ExoJmdp, Policy, _check_policy, sample_step
 from .errors import InvalidInputError, InvalidQueryError
@@ -228,12 +229,9 @@ def run_incremental(
         raise InvalidInputError(f"constant step must lie in (0, 1], got {alpha0}")
     if visitation not in ("sweep", "uniform"):
         raise InvalidQueryError(f"unknown visitation mode {visitation!r}")
-    if num_updates < 1:
-        raise InvalidInputError(f"num_updates must be >= 1, got {num_updates}")
-    if trace_stride < 1:
-        raise InvalidInputError(f"trace_stride must be >= 1, got {trace_stride}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_int("num_updates", num_updates, 1)
+    _check_int("trace_stride", trace_stride, 1)
+    _check_int("seed", seed, 0)
     for m in (m0, fixed_point):
         if m is not None:
             _check_moments(env, m, 2)
@@ -358,10 +356,8 @@ def noise_diagnostic(
     is zero and its second moment is bounded by C0 + C1 * ||m||_lambda^2.
     Its bytes (check_noise_budget) are checked before any work.
     """
-    if num_samples < 1000:
-        raise InvalidInputError(f"need at least 1000 samples, got {num_samples}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_int("num_samples", num_samples, 1000)
+    _check_int("seed", seed, 0)
     _check_moments(env, m, 2)
     i = _check_coordinate(env, i)
     check_noise_budget(env, num_samples)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, StateActionSpace, _check_gamma, check_budget
+from .core import MomentCollectionN, StateActionSpace, _check_gamma, _check_int, check_budget
 from .env import ExoJmdp, Policy, _check_policy, child_seed, sample_step
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
@@ -293,8 +293,8 @@ def mc_state_block(
         raise InvalidQueryError(
             f"unknown continuation coupling {continuation_coupling!r}"
         )
-    if num_rollouts < 1:
-        raise InvalidInputError(f"num_rollouts must be >= 1, got {num_rollouts}")
+    _check_int("num_rollouts", num_rollouts, 1)
+    _check_int("seed", seed, 0)
     if not 0.0 < confidence < 1.0:  # false for nan too
         raise InvalidInputError(f"confidence must lie in (0, 1), got {confidence}")
     acts = tuple(int(a) for a in actions)

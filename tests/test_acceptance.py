@@ -20,7 +20,7 @@ from jmdp.core import (
     MomentCollection2,
     lambda_norm,
 )
-from jmdp.dp import apply_tn, jipe2
+from jmdp.dp import apply_tn, jipe
 from jmdp.env import (
     Policy,
     build_crc,
@@ -80,7 +80,7 @@ def test_criterion_1_contraction_rate():
         start = time.monotonic()
         for gamma in (0.5, 0.9):
             env = build(gamma)
-            rep = jipe2(env, Policy.uniform(env.space), 1e-4)
+            rep = jipe(env, Policy.uniform(env.space), 1e-4)
             assert rep.certified
             # One run of sweeps per order k, whose residual ratios are within
             # gamma^k, then the closing full backup (order 0).
@@ -143,7 +143,7 @@ def test_criterion_3_mean_channel_oracle():
                 if pol_kind == "uniform"
                 else wgw_goal_policy(3, 3, (0, 2))
             )
-            rep = jipe2(env, pol, 1e-12)
+            rep = jipe(env, pol, 1e-12)
             q = mean_value_oracle(env, pol)
             err = float(np.max(np.abs(rep.final.m_mu - q)))
             worst = max(worst, err)
@@ -163,7 +163,7 @@ def test_criterion_4_joint_moment_oracle():
     ]
     checked = 0
     for env, pol, name in cases:
-        fixed = jipe2(env, pol, 1e-10).final
+        fixed = jipe(env, pol, 1e-10).final
         n_a = env.space.num_actions
         for s in range(env.space.num_states):
             blk = mc_state_block(
@@ -194,7 +194,7 @@ def test_criterion_4_joint_moment_oracle():
 
 def test_criterion_5a_mean_closed_form():
     env = build_crc(25, 0.9)
-    rep = jipe2(env, Policy.uniform(env.space), 1e-10)
+    rep = jipe(env, Policy.uniform(env.space), 1e-10)
     x0, x1 = env.space.x(0, 0), env.space.x(0, 1)
     for x in (x0, x1):
         assert abs(rep.final.m_mu[x] - 5.0) <= 1e-9
@@ -209,7 +209,7 @@ def test_criterion_5a_mean_closed_form():
 )
 def test_criterion_5b_correlation_closed_form():
     env = build_crc(25, 0.9)
-    rep = jipe2(env, Policy.uniform(env.space), 1e-10)
+    rep = jipe(env, Policy.uniform(env.space), 1e-10)
     cm = corr_matrix(env.space, rep.final, 0)
     value = float(cm.corr[0, 1])
     ok = abs(value - (-0.19)) <= 1e-6
@@ -227,7 +227,7 @@ def test_criterion_5b_correlation_closed_form():
 )
 def test_criterion_5c_gap_variance_closed_form():
     env = build_crc(25, 0.9)
-    rep = jipe2(env, Policy.uniform(env.space), 1e-10)
+    rep = jipe(env, Policy.uniform(env.space), 1e-10)
     _, var = gap_stats(env.space, rep.final, 0, 0, 1)
     ok = abs(var - 3.1316) <= 1e-4
     if not ok:
@@ -247,7 +247,7 @@ def test_criterion_6_incremental_convergence():
     ]
     finals = []
     for env, pol, name in cases:
-        m_star = jipe2(env, pol, 1e-12).final
+        m_star = jipe(env, pol, 1e-12).final
         for seed in INCREMENTAL_SEEDS:
             start = time.monotonic()
             res = run_incremental(
@@ -355,7 +355,7 @@ def test_criterion_10_projected_contraction_and_divergence():
     ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 1e-12]
     assert max(ratios) <= rep.kappa + 1e-6
 
-    tab = jipe2(env, pol, 1e-11).final
+    tab = jipe(env, pol, 1e-11).final
     theta_mu = project_mu(tab.m_mu, feats, nu)
     theta_sig, _ = project_sigma_psd(tab.m_sigma, feats, nu)
     proj_star = LinearMoments(theta_mu, theta_sig).tables(feats)
@@ -379,7 +379,7 @@ def test_criterion_10_projected_contraction_and_divergence():
 def test_criterion_11_cantelli_and_ecdf():
     env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
     pol = wgw_goal_policy(3, 3, (0, 2))
-    fixed = jipe2(env, pol, 1e-10).final
+    fixed = jipe(env, pol, 1e-10).final
     pairs = []
     for s in range(9):
         for a in range(4):

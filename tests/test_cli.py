@@ -21,7 +21,7 @@ from jmdp.cli import (
     RunConfig,
     main,
 )
-from jmdp.dp import _BackupPlan, check_backup_budget, jipe2
+from jmdp.dp import _BackupPlan, check_backup_budget, jipe
 from jmdp.env import (
     Policy,
     build_crc,
@@ -275,10 +275,10 @@ class TestEval:
         assert result["diverged"] is True and result["nu_source"] == "uniform-fallback"
 
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def out_of_memory(*args):
+        def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.16 TiB for an array")
 
-        monkeypatch.setattr(cli, "jipe2", out_of_memory)
+        monkeypatch.setattr(cli, "jipe", out_of_memory)
         cfg = write_config(tmp_path / "c.json", base_config(out_dir=str(tmp_path / "run")))
         assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -325,7 +325,7 @@ class TestEval:
         assert result["converged"] is True and result["iterations"] == 192
         moments = json.loads((tmp_path / "run" / "moments.json").read_text())
         env = build_ring_chain(8, 0.9)
-        exact = jipe2(env, Policy.uniform(env.space), 1e-10).final
+        exact = jipe(env, Policy.uniform(env.space), 1e-10).final
         np.testing.assert_allclose(moments["theta_mu"], exact.m_mu, rtol=0, atol=1e-6)
         np.testing.assert_allclose(moments["theta_sigma"], exact.m_sigma, rtol=0, atol=1e-6)
 
@@ -517,7 +517,7 @@ class TestEval:
         def never(*args, **kwargs):
             raise AssertionError("work started before the budget check")
 
-        monkeypatch.setattr(cli, "jipe2", never)  # the reference solve comes first
+        monkeypatch.setattr(cli, "jipe", never)  # the reference solve comes first
         need = check_incremental_budget(build_crc(5, 0.9))
         doc = base_config(algorithm={"name": "incremental", "num_updates": 1_000},
                           out_dir=str(tmp_path / "run"))
@@ -558,6 +558,31 @@ class TestEval:
         assert result["certified"] is True
         assert result["certified_error_bound"] == float(last.split(",")[2])
         assert result["certified_error_bound"] <= 1e-6
+
+    @pytest.mark.parametrize("env, policy", [
+        ({"builtin": "crc", "num_states": 5, "gamma": 0.9}, {"builtin": "uniform"}),
+        ({"builtin": "wgw", "width": 2, "height": 2, "gamma": 0.9}, {"builtin": "wgw-goal"}),
+    ], ids=["crc5", "wgw2x2-goal"])
+    def test_dp2_is_dpn_at_order_two(self, tmp_path, env, policy):
+        """dp2 and dpn at order 2 are one solve: the same residuals.csv bytes,
+        tables and certificate."""
+        runs = {}
+        for name, algo in (("dp2", {"name": "dp2"}), ("dpn", {"name": "dpn", "order": 2})):
+            doc = base_config(env=env, policy=policy, algorithm=algo,
+                              out_dir=str(tmp_path / name))
+            cfg = write_config(tmp_path / f"{name}.json", doc)
+            assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+            out = tmp_path / name
+            runs[name] = ((out / "residuals.csv").read_bytes(),
+                          json.loads((out / "moments.json").read_text()),
+                          json.loads((out / "manifest.json").read_text())["result"])
+        (csv2, m2, res2), (csv_n, m_n, res_n) = runs["dp2"], runs["dpn"]
+        assert csv2 == csv_n
+        assert m_n["order"] == 2
+        assert m2["m_mu"] == m_n["tables"][0] and m2["m_sigma"] == m_n["tables"][1]
+        for key in ("certified", "iterations", "certified_error_bound"):
+            assert res2[key] == res_n[key]
+        assert res2["certified"] is True
 
 
 class TestAnalyze:
@@ -673,7 +698,7 @@ class TestAnalyze:
         env = build_wgw(6, 6, (0, 5), 0.3, 0.9)
         need = check_coupling_budget(env, "same_state")
         assert check_coupling_budget(env, "global") < need
-        # The jipe2 solve's count, with its 100 000-entry residual trace, is
+        # The jipe solve's count, with its 100 000-entry residual trace, is
         # the larger here; at both counts the run goes through.
         both = max(need, check_backup_budget(env, 2))
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
@@ -695,7 +720,7 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("heavy work started before the budget check")
 
-        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+        for name in ("jipe", "coupling_coefficient", "stationary_distribution",
                      "mc_state_block"):
             monkeypatch.setattr(cli, name, never)
         # The coupling count is larger; passed here, the stationary count refuses.
@@ -719,7 +744,7 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("heavy work started before the budget check")
 
-        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+        for name in ("jipe", "coupling_coefficient", "stationary_distribution",
                      "mc_state_block"):
             monkeypatch.setattr(cli, name, never)
         for name in ("check_coupling_budget", "check_stationary_budget", "check_mc_budget"):
@@ -739,7 +764,7 @@ class TestAnalyze:
         def never(*args, **kwargs):
             raise AssertionError("heavy work started before the budget check")
 
-        for name in ("jipe2", "coupling_coefficient", "stationary_distribution",
+        for name in ("jipe", "coupling_coefficient", "stationary_distribution",
                      "mc_state_block"):
             monkeypatch.setattr(cli, name, never)
         doc = base_config(analysis={"states": [0], "num_rollouts": 10**9},

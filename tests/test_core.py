@@ -11,10 +11,17 @@ from jmdp.core import (
     StateActionSpace,
     lambda_norm,
 )
+from jmdp.dp import jipe
+from jmdp.env import Policy, build_crc
 from jmdp.errors import InvalidInputError, InvalidQueryError
 from jmdp.fa import beta_weight
-from jmdp.incremental import _coordinate_table, noise_bound_constants
-from jmdp.stats import truncation_horizon
+from jmdp.incremental import (
+    _coordinate_table,
+    noise_bound_constants,
+    noise_diagnostic,
+    run_incremental,
+)
+from jmdp.stats import mc_state_block, truncation_horizon
 
 
 def random_collection(rng, num_x, scale=1.0):
@@ -62,6 +69,40 @@ class TestCheckGamma:
     def test_rejects_gamma_outside_unit_interval(self, call, gamma):
         with pytest.raises(InvalidInputError, match="gamma"):
             call(gamma)
+
+
+class TestCheckInt:
+    """Every count, order and seed is read through operator.index by
+    core._check_int, so a fractional value is one typed error naming the
+    argument, raised before any budget count (a zero budget refuses every
+    count), build or draw."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("max_iter", lambda env, pol, m: jipe(env, pol, 1e-8, 2.5)),
+        ("order", lambda env, pol, m: jipe(env, pol, 1e-8, order=2.5)),
+        ("num_updates", lambda env, pol, m: run_incremental(env, pol, 2.5, seed=0)),
+        ("trace_stride", lambda env, pol, m: run_incremental(env, pol, 10, seed=0,
+                                                             trace_stride=2.5)),
+        ("seed", lambda env, pol, m: run_incremental(env, pol, 10, seed=0.5)),
+        ("num_samples", lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000.5,
+                                                             seed=0)),
+        ("seed", lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000, seed=0.5)),
+        ("num_rollouts", lambda env, pol, m: mc_state_block(env, pol, 0, (0, 1), 2.5, 1e-3,
+                                                            seed=0)),
+        ("seed", lambda env, pol, m: mc_state_block(env, pol, 0, (0, 1), 100, 1e-3,
+                                                    seed=0.5)),
+        ("order", lambda env, pol, m: MomentCollectionN.zeros(env.space, 2.5)),
+    ], ids=["jipe-max_iter", "jipe-order", "run_incremental-num_updates",
+            "run_incremental-trace_stride", "run_incremental-seed",
+            "noise_diagnostic-num_samples", "noise_diagnostic-seed",
+            "mc_state_block-num_rollouts", "mc_state_block-seed", "zeros-order"])
+    def test_fractional_argument_rejected_before_any_count(self, name, call, monkeypatch):
+        env = build_crc(3, 0.9)
+        pol = Policy.uniform(env.space)
+        m = MomentCollectionN.zeros(env.space, 2)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", 0)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+            call(env, pol, m)
 
 
 class TestMomentCollections:

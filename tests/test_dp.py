@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -17,8 +19,7 @@ from jmdp.dp import (
     _block_kernel,
     apply_tn,
     check_backup_budget,
-    jipe2,
-    jipe_n,
+    jipe,
 )
 from jmdp.env import (
     ExoJmdp,
@@ -50,7 +51,7 @@ from test_env import anticorrelated_single_state, random_env, random_policy
 
 # ---------------------------------------------------------------------------
 # Reference second-order backup and solver: one backup computing every term
-# per call, and a jipe2 loop stepping frozen MomentCollection2 objects with the
+# per call, and an order-2 jipe loop stepping frozen MomentCollection2 objects with the
 # residual max(max|d_mu|, max|d_sigma| / lam). The order-n backup, built once
 # per solve, must agree with both to rounding level: the same iteration
 # counts, and residuals and tables within 1e-12.
@@ -378,7 +379,7 @@ class TestSecondOrderMatchesReference:
 
     def test_jipe2(self, case):
         env, pol = SECOND_ORDER_CASES[case]()
-        rep = jipe2(env, pol, 1e-8)
+        rep = jipe(env, pol, 1e-8)
         ref_final, ref_trace = _ref_jipe2(env, pol, 1e-8)
         ref_bound = ref_trace[-1][1] / (1 - env.gamma)
         assert rep.certified and ref_bound <= 1e-8
@@ -389,7 +390,7 @@ class TestSecondOrderMatchesReference:
         assert abs(r - lambda_norm(rep.final - _ref_apply_t2(env, pol, rep.final), env.gamma)) <= 1e-12
         # Started at its own fixed point, the solver returns m0 after no update:
         # one sweep per order, then the full backup.
-        again = jipe2(env, pol, 1e-8, m0=rep.final)
+        again = jipe(env, pol, 1e-8, m0=rep.final)
         (ref_k, ref_r), = _ref_jipe2(env, pol, 1e-8, m0=rep.final)[1]
         assert [(k, o) for k, _, o in again.residual_trace] == [(0, 1), (0, 2), (0, 0)]
         assert ref_k == 0 and abs(again.residual_trace[-1][1] - ref_r) <= 1e-12
@@ -418,8 +419,8 @@ class TestJipe2:
     def test_fixed_point_initialization_stops_immediately(self):
         env = build_crc(3, 0.5)
         pol = Policy.uniform(env.space)
-        star = jipe2(env, pol, 1e-12).final
-        rep = jipe2(env, pol, 1e-6, m0=star)
+        star = jipe(env, pol, 1e-12).final
+        rep = jipe(env, pol, 1e-6, m0=star)
         assert rep.iterations == 0
         assert rep.residual_trace[0][1] <= 1e-6 * (1 - env.gamma)
         assert rep.certified
@@ -439,8 +440,8 @@ class TestJipe2:
         # count adds its samples to the backup's (check_noise_budget), so only its
         # refusal is checked.
         needs = [check_backup_budget(env, 2, max_iter) for max_iter in (3, 1_000, 0, 0)]
-        runs = (lambda: jipe2(env, pol, 1e-8, max_iter=3),
-                lambda: jipe2(env, pol, 1e-6, max_iter=1_000), lambda: apply_tn(env, pol, m),
+        runs = (lambda: jipe(env, pol, 1e-8, max_iter=3),
+                lambda: jipe(env, pol, 1e-6, max_iter=1_000), lambda: apply_tn(env, pol, m),
                 lambda: noise_diagnostic(env, pol, m, (0,), 1000, seed=0))
         for run, need in zip(runs, needs):
             monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
@@ -460,24 +461,24 @@ class TestJipe2:
 
     def test_crc_mean_closed_form(self):
         env = build_crc(25, 0.9)
-        rep = jipe2(env, Policy.uniform(env.space), 1e-10)
+        rep = jipe(env, Policy.uniform(env.space), 1e-10)
         assert rep.certified
         np.testing.assert_allclose(rep.final.m_mu, 5.0, atol=1e-9)
 
     def test_residual_trace_contracts(self):
         env = build_crc(25, 0.9)
-        rep = jipe2(env, Policy.uniform(env.space), 1e-4)
+        rep = jipe(env, Policy.uniform(env.space), 1e-4)
         assert_runs_contract(rep.residual_trace, env.gamma, 1e-10, 1e-13)
 
     def test_certificate_bound_fields(self):
         env = build_crc(5, 0.9)
-        rep = jipe2(env, Policy.uniform(env.space), 1e-8)
+        rep = jipe(env, Policy.uniform(env.space), 1e-8)
         last = rep.residual_trace[-1][1]
         assert rep.certified_error_bound == pytest.approx(last / (1 - env.gamma))
 
     def test_max_iter_flags_not_certified(self):
         env = build_crc(5, 0.9)
-        rep = jipe2(env, Policy.uniform(env.space), 1e-10, max_iter=3)
+        rep = jipe(env, Policy.uniform(env.space), 1e-10, max_iter=3)
         assert not rep.certified
         assert rep.iterations == 3
 
@@ -487,9 +488,9 @@ class TestJipe2:
         to a tight solve."""
         env = build_crc(5, 0.9)
         pol = Policy.uniform(env.space)
-        tight = jipe2(env, pol, 1e-12)
+        tight = jipe(env, pol, 1e-12)
         first = len(order_runs(tight.residual_trace)[0][1]) - 1  # order-1 updates
-        rep = jipe2(env, pol, 1e-10, max_iter=first + 5)
+        rep = jipe(env, pol, 1e-10, max_iter=first + 5)
         assert [o for o, _ in order_runs(rep.residual_trace)] == [1, 2, 0]
         assert not rep.certified and rep.iterations == first + 5
         dist = lambda_norm(rep.final - tight.final, env.gamma)
@@ -498,7 +499,7 @@ class TestJipe2:
     def test_mean_channel_matches_linear_solve(self):
         for env in (build_crc(5, 0.9), build_wgw(3, 3, (0, 2), 0.3, 0.8)):
             pol = Policy.uniform(env.space)
-            rep = jipe2(env, pol, 1e-12)
+            rep = jipe(env, pol, 1e-12)
             q = mean_value_oracle(env, pol)
             np.testing.assert_allclose(rep.final.m_mu, q, atol=1e-10)
 
@@ -509,15 +510,12 @@ class TestJipe2:
     ids=["zero_epsilon", "negative_epsilon", "nan_epsilon", "inf_epsilon",
          "negative_max_iter"],
 )
-@pytest.mark.parametrize("solver", ["jipe2", "jipe_n"])
-def test_solver_arguments_rejected(solver, epsilon, max_iter):
+@pytest.mark.parametrize("order", [2, 3])
+def test_solver_arguments_rejected(order, epsilon, max_iter):
     env = build_crc(3, 0.9)
     pol = Policy.uniform(env.space)
     with pytest.raises(InvalidInputError, match="max_iter" if max_iter < 0 else "epsilon"):
-        if solver == "jipe2":
-            jipe2(env, pol, epsilon, max_iter=max_iter)
-        else:
-            jipe_n(env, pol, 2, epsilon, max_iter=max_iter)
+        jipe(env, pol, epsilon, max_iter=max_iter, order=order)
 
 
 def test_block_kernel_powers_are_products(monkeypatch):
@@ -581,11 +579,11 @@ class TestApplyTn:
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)
         m = MomentCollectionN.zeros(env.space, 4)
-        # The count holds the residual trace: apply_tn counts none, jipe_n
+        # The count holds the residual trace: apply_tn counts none, jipe
         # one entry per step of its max_iter (100 000 by default).
         need_tn, need_n, need_2 = (_BackupPlan(env, pol, 4, k).need for k in (0, 100_000, 2))
         for run, need in ((lambda: apply_tn(env, pol, m), need_tn),
-                          (lambda: jipe_n(env, pol, 4, 1e-6), need_n)):
+                          (lambda: jipe(env, pol, 1e-6, order=4), need_n)):
             monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
             with pytest.raises(BudgetError, match=f"order-4 backup over 6 coordinates "
                                                   f"needs {need} bytes; budget is {need - 1}"):
@@ -593,7 +591,7 @@ class TestApplyTn:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need_tn)
         apply_tn(env, pol, m)
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need_2)
-        jipe_n(env, pol, 4, 1e-6, max_iter=2)
+        jipe(env, pol, 1e-6, max_iter=2, order=4)
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("case", ["crc3", "wgw2x2"])
@@ -602,11 +600,11 @@ class TestApplyTn:
         need = _BackupPlan(env, pol, order, 3).need  # the count of a 3-step solve
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
         with pytest.raises(BudgetError, match=f"needs {need} bytes"):
-            jipe_n(env, pol, order, 1e-8, max_iter=3)
+            jipe(env, pol, 1e-8, max_iter=3, order=order)
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         tracemalloc.start()
         try:
-            jipe_n(env, pol, order, 1e-8, max_iter=3)
+            jipe(env, pol, 1e-8, max_iter=3, order=order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -667,11 +665,11 @@ class TestComposedViews:
     ], ids=["crc3", "wgw3x3-goal"])
     def test_same_iterations_as_factored_plan(self, make, monkeypatch):
         env, pol = make()
-        final, trace = jipe_n(env, pol, 3, 1e-8)
+        rep = jipe(env, pol, 1e-8, order=3)
         monkeypatch.setattr(jmdp.dp, "_DENSE_KERNEL_MAX", 0)
-        ref, ref_trace = jipe_n(env, pol, 3, 1e-8)
-        assert trace[-1][0] == ref_trace[-1][0]
-        diff = [a - b for a, b in zip(final.tables, ref.tables)]
+        ref = jipe(env, pol, 1e-8, order=3)
+        assert rep.residual_trace[-1][0] == ref.residual_trace[-1][0]
+        diff = [a - b for a, b in zip(rep.final.tables, ref.final.tables)]
         assert lambda_norm(diff, env.gamma) <= 1e-12
 
     def test_small_plan_holds_one_term_per_view(self):
@@ -695,18 +693,15 @@ class TestComposedViews:
         assert (49, 36) in matrices
 
 
-@pytest.mark.parametrize("solver", ["jipe2", "jipe_n"])
-def test_budget_counts_residual_trace(solver, monkeypatch):
+@pytest.mark.parametrize("order", [2, 3])
+def test_budget_counts_residual_trace(order, monkeypatch):
     """A solve that runs out of max_iter keeps max_iter + 1 residuals, which
     its count holds: the measured peak stays within it, one byte less refuses."""
     env = build_crc(3, 0.9999)
     pol = Policy.uniform(env.space)
-    if solver == "jipe2":
-        need = check_backup_budget(env, 2, 2_000)
-        run = lambda: jipe2(env, pol, 1e-8, max_iter=2_000).residual_trace
-    else:
-        need = _BackupPlan(env, pol, 2, 2_000).need
-        run = lambda: jipe_n(env, pol, 2, 1e-8, max_iter=2_000)[1]
+    need = check_backup_budget(env, order, 2_000)
+    assert need == _BackupPlan(env, pol, order, 2_000).need
+    run = lambda: jipe(env, pol, 1e-8, max_iter=2_000, order=order).residual_trace
     monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetError, match=f"needs {need} bytes; budget is {need - 1}"):
         run()
@@ -726,12 +721,12 @@ def _run_incremental(env, pol, **moments):
 
 
 @pytest.mark.parametrize("call", [
-    lambda env, pol, m: jipe2(env, pol, 1e-8, m0=m),
+    lambda env, pol, m: jipe(env, pol, 1e-8, m0=m),
     lambda env, pol, m: _run_incremental(env, pol, m0=m),
     lambda env, pol, m: _run_incremental(env, pol, fixed_point=m),
     lambda env, pol, m: sample_backup(env, pol, m, (0,), np.random.default_rng(0)),
     lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000, seed=0),
-], ids=["jipe2_m0", "run_incremental_m0", "run_incremental_fixed_point",
+], ids=["jipe_m0", "run_incremental_m0", "run_incremental_fixed_point",
         "sample_backup", "noise_diagnostic"])
 def test_order_two_entry_points_reject_order_three(call):
     env = build_crc(3, 0.9)
@@ -741,8 +736,8 @@ def test_order_two_entry_points_reject_order_three(call):
 
 @pytest.mark.parametrize("call", [
     apply_tn,
-    lambda env, pol, m: jipe2(env, pol, 1e-8),
-    lambda env, pol, m: jipe_n(env, pol, 3, 1e-6),
+    lambda env, pol, m: jipe(env, pol, 1e-8),
+    lambda env, pol, m: jipe(env, pol, 1e-6, order=3),
     lambda env, pol, m: noise_diagnostic(env, pol, m, (0,), 1000, seed=0),
     lambda env, pol, m: sample_backup(env, pol, m, (0,), np.random.default_rng(0)),
     lambda env, pol, m: _run_incremental(env, pol),
@@ -752,7 +747,7 @@ def test_order_two_entry_points_reject_order_three(call):
     lambda env, pol, m: projected_jipe2(env, pol, identity_features(env.space.num_x),
                                         np.full(env.space.num_x, 0.1), 1e-8),
     lambda env, pol, m: marginal_kernel(env, pol),
-], ids=["apply_tn", "jipe2", "jipe_n", "noise_diagnostic", "sample_backup",
+], ids=["apply_tn", "jipe_order2", "jipe_order3", "noise_diagnostic", "sample_backup",
         "run_incremental", "mc_state_block", "stationary_distribution",
         "coupling_coefficient", "projected_jipe2", "marginal_kernel"])
 @pytest.mark.parametrize("probs, shape", [
@@ -779,25 +774,25 @@ class TestJipeN:
         env = build_crc(3, 0.9)
         m0 = MomentCollectionN.zeros(build_crc(m0_states, 0.9).space, m0_order)
         with pytest.raises(InvalidInputError, match="expected order 3"):
-            jipe_n(env, Policy.uniform(env.space), 3, 1e-6, m0=m0)
+            jipe(env, Policy.uniform(env.space), 1e-6, m0=m0, order=3)
 
     def test_order_below_one_rejected(self):
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError, match="order must be >= 1"):
-            jipe_n(env, Policy.uniform(env.space), 0, 1e-6)
+            jipe(env, Policy.uniform(env.space), 1e-6, order=0)
 
     def test_order_two_reproduces_jipe2(self):
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)
-        rep2 = jipe2(env, pol, 1e-9)
-        final_n, trace_n = jipe_n(env, pol, 2, 1e-9)
-        np.testing.assert_array_equal(final_n.table(1), rep2.final.m_mu)
-        np.testing.assert_array_equal(final_n.table(2), rep2.final.m_sigma)
-        assert trace_n == rep2.residual_trace
+        rep2 = jipe(env, pol, 1e-9)
+        rep_n = jipe(env, pol, 1e-9, order=2)
+        np.testing.assert_array_equal(rep_n.final.table(1), rep2.final.m_mu)
+        np.testing.assert_array_equal(rep_n.final.table(2), rep2.final.m_sigma)
+        assert rep_n.residual_trace == rep2.residual_trace
 
     def test_residual_contraction_order_three(self):
         env = build_crc(3, 0.8)
-        final, trace = jipe_n(env, Policy.uniform(env.space), 3, 1e-7)
+        trace = jipe(env, Policy.uniform(env.space), 1e-7, order=3).residual_trace
         assert_runs_contract(trace, env.gamma, 1e-10, 1e-12)
         assert trace[-1][1] <= 1e-7 * (1 - env.gamma)
 
@@ -808,7 +803,8 @@ class TestJipeN:
         order; the closing row holds their maximum."""
         env, pol, _ = REFERENCE_CASES[case]()
         lam = 2.0 / (1.0 - env.gamma)
-        final, trace = jipe_n(env, pol, 3, 1e-8)
+        rep = jipe(env, pol, 1e-8, order=3)
+        final, trace = rep.final, rep.residual_trace
         backup = apply_tn(env, pol, final)
         runs = order_runs(trace)
         for k, rs in runs[:-1]:
@@ -825,7 +821,7 @@ class TestJipeN:
         sweeps: with the lower orders fixed its backup contracts at gamma^k."""
         env, pol = make()
         target = 1e-6 * (1 - env.gamma)
-        _, trace = jipe_n(env, pol, order, 1e-6)
+        trace = jipe(env, pol, 1e-6, order=order).residual_trace
         runs = order_runs(trace)
         assert [k for k, _ in runs] == [*range(1, order + 1), 0]
         for k, rs in runs[:-1]:
@@ -839,7 +835,8 @@ class TestJipeN:
         If every full backup misses, the run ends at max_iter + order + 1 rows."""
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)
-        ref_final, ref = jipe_n(env, pol, 3, 1e-8)
+        ref_rep = jipe(env, pol, 1e-8, order=3)
+        ref_final, ref = ref_rep.final, ref_rep.residual_trace
         apply, fulls = _BackupPlan.apply, []
 
         def perturbed(plan, tables, order=None):
@@ -851,7 +848,8 @@ class TestJipeN:
             return out
 
         monkeypatch.setattr(_BackupPlan, "apply", perturbed)
-        final, trace = jipe_n(env, pol, 3, 1e-8, max_iter=1_000)
+        rep = jipe(env, pol, 1e-8, max_iter=1_000, order=3)
+        final, trace = rep.final, rep.residual_trace
         k = ref[-1][0]
         assert trace[:len(ref) - 1] == ref[:-1] and trace[len(ref) - 1][2] == 0
         for a, b in zip(final.tables, ref_final.tables):
@@ -867,8 +865,8 @@ class TestJipeN:
     def test_order_one_table_of_higher_order_run(self):
         env = build_crc(3, 0.8)
         pol = Policy.uniform(env.space)
-        final3, _ = jipe_n(env, pol, 3, 1e-10)
-        final1, _ = jipe_n(env, pol, 1, 1e-10)
+        final3 = jipe(env, pol, 1e-10, order=3).final
+        final1 = jipe(env, pol, 1e-10, order=1).final
         np.testing.assert_allclose(final3.table(1), final1.table(1), atol=1e-9)
 
     def test_third_moments_match_coupled_rollouts(self):
@@ -880,10 +878,24 @@ class TestJipeN:
         check_third_moments(env, wgw_goal_policy(3, 3, (0, 2)), 3, (0, 1))
 
 
+def test_one_exact_solver_and_every_export_exists():
+    """jipe2 is only a second name of jipe, the removed solver names are gone,
+    and every name a jmdp module lists in __all__ exists."""
+    assert jmdp.dp.jipe2 is jmdp.dp.jipe
+    for gone in ("jipe_n", "Jipe2Report", "_certificate", "_solve"):
+        assert not hasattr(jmdp.dp, gone) and not hasattr(jmdp, gone)
+    for info in pkgutil.iter_modules(jmdp.__path__):
+        if info.name != "__main__":  # running it runs the CLI
+            mod = importlib.import_module(f"jmdp.{info.name}")
+            missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+            assert missing == [], f"jmdp.{info.name}.__all__ lists missing names"
+
+
 def check_third_moments(env, pol, state, actions):
-    """Order-3 tables of jipe_n against coupled rollouts from `state`, one branch
+    """Order-3 tables of jipe against coupled rollouts from `state`, one branch
     per action; each mixed third moment within 4 standard errors."""
-    final, trace = jipe_n(env, pol, 3, 1e-8)
+    rep = jipe(env, pol, 1e-8, order=3)
+    final, trace = rep.final, rep.residual_trace
     assert trace[-1][1] <= 1e-8 * (1 - env.gamma)
     n = 60_000
     horizon = truncation_horizon(env.gamma, 1e-5)

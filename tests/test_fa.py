@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from jmdp import dp, fa
 from jmdp import env as jenv
 from jmdp.core import MomentCollection2, MomentCollectionN, StateActionSpace
-from jmdp.dp import apply_tn, jipe2
+from jmdp.dp import apply_tn, jipe
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -901,7 +901,7 @@ class TestProjectedIteration:
     def test_identity_features_recover_tabular_fixed_point(self):
         env = build_crc(5, 0.9)
         pol = Policy.uniform(env.space)
-        tab = jipe2(env, pol, 1e-10).final
+        tab = jipe(env, pol, 1e-10).final
         nu = stationary_distribution(env, pol).nu
         feats = identity_features(env.space.num_x)
         rep = projected_jipe2(env, pol, feats, nu, epsilon=1e-9)
@@ -925,7 +925,7 @@ class TestProjectedIteration:
             d[i + 1] / d[i] for i in range(tail, len(d) - 1) if d[i] > 1e-12
         )
         assert kappa_meas < 1.0
-        tab = jipe2(env, pol, 1e-11).final
+        tab = jipe(env, pol, 1e-11).final
         theta_mu = project_mu(tab.m_mu, feats, nu)
         theta_sig, _ = project_sigma_psd(tab.m_sigma, feats, nu)
         proj_star = LinearMoments(theta_mu, theta_sig).tables(feats)

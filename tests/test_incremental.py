@@ -10,7 +10,7 @@ from jmdp.core import (
     StateActionSpace,
     lambda_norm,
 )
-from jmdp.dp import apply_tn, jipe2
+from jmdp.dp import apply_tn, jipe
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -220,7 +220,7 @@ class TestMatchesScalarReference:
         n_x = env.space.num_x
         rng = np.random.default_rng(11)
         m0 = MomentCollection2(rng.normal(size=n_x), _symmetric(rng, n_x))
-        star = jipe2(env, pol, 1e-10).final
+        star = jipe(env, pol, 1e-10).final
         ref_trace, ref_final, ref_counts = _ref_run(
             env, pol, rule, mode, num_updates, 5, m0, star, stride
         )
@@ -519,7 +519,7 @@ class TestRunIncremental:
     def test_same_seed_identical_traces(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        star = jipe2(env, pol, 1e-10).final
+        star = jipe(env, pol, 1e-10).final
         runs = [
             run_incremental(
                 env, pol, 20_000, seed=42, fixed_point=star, trace_stride=1_000,
@@ -565,7 +565,7 @@ class TestRunIncremental:
     def test_distance_shrinks_with_budget(self):
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        star = jipe2(env, pol, 1e-12).final
+        star = jipe(env, pol, 1e-12).final
         res = run_incremental(
             env, pol, 400_000, seed=0, visitation="sweep", fixed_point=star, trace_stride=100_000,
         )
@@ -578,7 +578,7 @@ class TestRunIncremental:
         # collection is the final result.
         env = build_crc(3, 0.9)
         pol = Policy.uniform(env.space)
-        star = jipe2(env, pol, 1e-10).final
+        star = jipe(env, pol, 1e-10).final
         builds = []
         check = MomentCollectionN.__post_init__
         monkeypatch.setattr(MomentCollectionN, "__post_init__",
@@ -660,7 +660,7 @@ def test_budget_bounds_measured_peak(make, visitation, monkeypatch):
     within it under tracemalloc."""
     env = make()
     pol = Policy.uniform(env.space)
-    ref = jipe2(env, pol, 1e-6).final
+    ref = jipe(env, pol, 1e-6).final
 
     def run():
         return run_incremental(env, pol, 3 * _CHUNK, seed=0, visitation=visitation, m0=ref, fixed_point=ref, trace_stride=_CHUNK)

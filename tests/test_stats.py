@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 import jmdp.stats
 from jmdp.core import MomentCollection2, StateActionSpace
-from jmdp.dp import jipe2, jipe_n
+from jmdp.dp import jipe
 from jmdp.env import (
     ExoJmdp,
     NoiseModel,
@@ -45,7 +45,7 @@ from test_env import random_policy
 def crc_fixed_point():
     env = build_crc(5, 0.9)
     pol = Policy.uniform(env.space)
-    return env, pol, jipe2(env, pol, 1e-10).final
+    return env, pol, jipe(env, pol, 1e-10).final
 
 
 # Closed forms for the coupled-reward chain under the solver's branch coupling
@@ -92,7 +92,7 @@ class TestGapStats:
     def test_wgw_matches_oracle(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         blk = mc_state_block(env, pol, 3, (0, 1, 2, 3), 40_000, 1e-6, seed=9,
                              confidence=0.99)
         z = blk.z_value
@@ -157,7 +157,7 @@ class TestCorrMatrix:
     def test_degenerate_variances_are_flagged_not_zeroed(self):
         env = build_wgw(2, 2, (0, 1), 0.0, 0.9)
         pol = Policy(np.tile([0.0, 1.0, 0.0, 0.0], (4, 1)))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         cm = corr_matrix(env.space, m, 0)
         off_diag = cm.corr[~np.eye(4, dtype=bool)]
         assert np.all(np.isnan(off_diag))
@@ -166,7 +166,7 @@ class TestCorrMatrix:
     def test_correlations_bounded_and_state_dependent(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         matrices = []
         for s in range(9):
             cm = corr_matrix(env.space, m, s)
@@ -188,8 +188,9 @@ class TestHigherOrderCollections:
         # first moment moves by at most delta and a second by lam * delta.
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        rep = jipe2(env, pol, 1e-8)
-        m3, trace = jipe_n(env, pol, 3, 1e-8)
+        rep = jipe(env, pol, 1e-8)
+        rep3 = jipe(env, pol, 1e-8, order=3)
+        m3, trace = rep3.final, rep3.residual_trace
         assert rep.certified and trace[-1][1] <= 1e-8 * (1 - env.gamma)
         delta = rep.certified_error_bound + trace[-1][1] / (1 - env.gamma)
         lam = 2.0 / (1.0 - env.gamma)
@@ -359,7 +360,7 @@ class TestChebyshevEcdf:
     def test_wgw_ratios(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         pairs = []
         for s in range(9):
             for a in range(4):
@@ -379,7 +380,7 @@ class TestChebyshevEcdf:
     def test_zero_inferiority_gives_zero_ratio(self):
         env = build_wgw(2, 2, (0, 1), 0.0, 0.9)
         pol = wgw_goal_policy(2, 2, (0, 1))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         # deterministic env: action gaps are constants; pick a positive one
         pairs = [(2, 1, 3)]  # bottom-left: right beats left
         mean, var = gap_stats(env.space, m, 2, 1, 3)
@@ -401,7 +402,7 @@ class TestChebyshevEcdf:
         # (3, 1, 0) reads the block's entry [0, 1], not [1, 0].
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         blk = mc_state_block(env, pol, 3, (1, 0), 2_000, 1e-4, seed=0)
         (r,) = chebyshev_ecdf(env.space, m, [(3, 1, 0)], {3: blk})
         assert r.inferiority == blk.inferiority[0, 1]
@@ -414,7 +415,7 @@ class TestChebyshevEcdf:
         # refused before any pair's ratio, however the pairs are ordered.
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
         pol = wgw_goal_policy(3, 3, (0, 2))
-        m = jipe2(env, pol, 1e-10).final
+        m = jipe(env, pol, 1e-10).final
         blk = mc_state_block(env, pol, 3, (1, 0), 500, 1e-4, seed=0)
 
         def never(*args, **kwargs):
