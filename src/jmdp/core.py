@@ -47,15 +47,19 @@ def _check_gamma(gamma: float) -> None:
         raise InvalidInputError(f"gamma: must lie in (0, 1), got {gamma}")
 
 
-def _check_int(name: str, value, lo: int) -> None:
-    """The one count check: InvalidInputError naming `name` unless value is an
-    integer (read through operator.index, so 2.5 and "3" fail) >= lo."""
+def _check_int(name: str, value, lo: float) -> int:
+    """The one count check: value as an int, or InvalidInputError naming
+    `name` unless value is an integer (read through operator.index, so 2.5,
+    "3" and True fail) >= lo."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
     if value < lo:
         raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class StateActionSpace:
     num_actions: int
 
     def __post_init__(self):
-        if self.num_states < 1 or self.num_actions < 1:
-            raise InvalidInputError("num_states and num_actions must be >= 1")
+        _check_int("num_states", self.num_states, 1)
+        _check_int("num_actions", self.num_actions, 1)
 
     @property
     def num_x(self) -> int:

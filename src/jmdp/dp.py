@@ -22,10 +22,9 @@ positions: a dense matrix, such as K = [r'; gamma P'] for one position (mean
 rewards r, marginal kernel P, |X| x S), or a gather over h with the shared
 draw enumerated. At order 2 the class of distinct states is K' Z K with
 Z = [[1, mbar'], [mbar, M2]], two matrix products straight into the output
-table. Classes of several sigma-blocks small enough are composed at build
-time into one dense matrix. The other classes' values are written at the
-sorted tuples and copied to their permutations. Every byte is counted
-(check_backup_budget) against core.BUDGET_BYTES before any array is built.
+table; every other class's values are written at the sorted tuples and
+copied to their permutations. Every byte is counted (check_backup_budget)
+against core.BUDGET_BYTES before any array is built.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def _check_moments(env: ExoJmdp, m: MomentCollectionN, order: int) -> None:
         )
 
 
-_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger class stays factored, a larger kernel gathers
+_DENSE_KERNEL_MAX = 1 << 15  # entries; a larger sigma-block kernel gathers
 _OBJECT_BYTES = 1024  # budget allowance per plan entry for its Python objects
 _TRACE_BYTES = 136  # one (iteration, residual, order) row of jipe's trace, list slot included
 
@@ -150,9 +149,9 @@ def _block_kernel(env: ExoJmdp, sizes: tuple) -> tuple:
 
 
 def _contract(x: np.ndarray, ops) -> np.ndarray:
-    """Run x's leading axes through one (rows, kernel, weights) op per
-    sigma-block, a dense product or a weighted gather; each op appends its
-    cells last, so axes after the consumed ones (a batch axis) come out first."""
+    """Run x's axes through one (rows, kernel, weights) op per sigma-block,
+    a dense product or a weighted gather; each op consumes its block's
+    leading axes and appends its cells last, so the cells come out in order."""
     for rows, kern, weight in ops:
         x = x.reshape(rows, -1).T
         x = x @ kern if weight is None else (x[:, kern] * weight).sum(axis=1)
@@ -246,18 +245,18 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
     is built. The iterate and its backup are held throughout, and beside them
     the largest of: the residual's difference tables and the absolute value
     of one; the frozen copy and a block of its symmetry check; a state-table
-    average; one class's contraction (a distinct-state class writes into the
-    backup, any other adds its values and the gathered ones); a mirror block
-    and its copy; or the build's composition, kernel and index temporaries.
-    The plan holds the state tables and tensors, the kernels factored classes
-    read, composed matrices and per-class indexes; _OBJECT_BYTES per entry
-    and _TRACE_BYTES per row of the trace, at most max_iter + order + 1."""
+    average; one class's contraction, one op per sigma-block (a
+    distinct-state class writes into the backup, any other adds its values
+    and the gathered ones); a mirror block and its copy; or the build's kernel
+    and index temporaries. The plan holds the state tables and tensors, one
+    kernel per distinct sigma-block and per-class indexes; _OBJECT_BYTES per
+    entry and _TRACE_BYTES per row of the trace, at most max_iter + order + 1."""
     s_n, a_n, _ = env.g.shape
     n_x = env.space.num_x
     tables = sum(n_x**k for k in range(1, order + 1))
     held, build = 2 * tables + s_n * a_n, [0]
     peak = [tables + n_x**order, tables + min(n_x**order, max(n_x ** (order - 1), _CHECK_BLOCK))]
-    keys, states, kept, built = set(), set(), set(), set()
+    keys, states, kernels = set(), set(), set()
     for k in range(2, order + 1):
         rows = min(n_x, max(1, _CHECK_BLOCK // n_x ** (k - 1)))
         peak.append(rows * rows * (n_x ** (k - 2) + 1))  # a mirror tile's copy and mask
@@ -270,17 +269,11 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
                 math.comb(s_n, len(blocks)) * math.prod(math.comb(a_n, len(b)) for b in blocks)
                 for blocks in codes)
             states.add(taus)
+            kernels.update(shape)
             keys.update(m for _, m, _ in _patterns(taus))
             held += 2 * count
             build.append((4 * k + 5) * count)
-            if len(shape) > 1 and z * cells <= _DENSE_KERNEL_MAX:
-                built.update(shape)
-                held += z * cells
-                build.append(z * z + max(_steps(env, z * z, shape)))
-                steps = [z + cells]
-            else:
-                kept.update(shape)
-                steps = _steps(env, z, shape)
+            steps = _steps(env, z, shape)
             if len(shape) == k:  # the distinct-state class's output is the backup
                 peak.append(max(steps[:-1] + [steps[-1] - n_x**k]))
             else:
@@ -288,14 +281,12 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
     held += sum(math.prod(1 + m * s_n for m in taus) for taus in states)
     held += sum(s_n ** len(m) for m in keys)
     peak += [3 * s_n * n_x ** (len(m) - 1) for m in keys]  # an average's pass, copy and input
-    words = {}
-    for sizes in kept | built:
+    for sizes in kernels:
         rows, cells, atoms, dense = _kernel_size(env, sizes)
-        words[sizes] = rows * cells if dense else 2 * atoms * cells
+        held += rows * cells if dense else 2 * atoms * cells
         build.append(4 * atoms * cells)
-    held += sum(words[sizes] for sizes in kept)
-    peak.append(max(build) + sum(words[sizes] for sizes in built - kept))
-    objects = len(words) + len(keys) + len(states) + 3**order + sum(
+    peak.append(max(build))
+    objects = len(kernels) + len(keys) + len(states) + 3**order + sum(
         len(_classes(k)) for k in range(1, order + 1))
     return check_budget(f"order-{order} backup over {n_x} coordinates",
                         8 * (held + max(peak)) + _OBJECT_BYTES * objects
@@ -308,9 +299,8 @@ class _BackupPlan:
     Per order and run-shape class (see _run_blocks), the representative's
     values are a tensor with one axis (a state, one action per tau-block) per
     sigma-block: its state tensor run through one kernel per sigma-block
-    (_contract), or, where that tensor's entries times the cells are at most
-    _DENSE_KERNEL_MAX, through one matrix composed at build time. A class's
-    state tensor has an axis per tau-block: the constant 1 and the
+    (_contract), built once and shared by every class holding that block. A
+    class's state tensor has an axis per tau-block: the constant 1 and the
     policy-averaged state tables of its continuing positions, so every
     choice of continuing positions runs in one contraction. The class of
     distinct states is the order-k table itself; every other class writes
@@ -321,7 +311,7 @@ class _BackupPlan:
     def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
         _check_policy(env, policy)
         self.need = check_backup_budget(env, order, max_iter)
-        s_n, a_n, _ = env.g.shape
+        s_n = env.space.num_states
         n_x = env.space.num_x
         self.pi = policy.probs[:, None, :]
         kernels, states, self.orders = {}, {}, []
@@ -337,10 +327,6 @@ class _BackupPlan:
                     if sizes not in kernels:
                         kernels[sizes] = _block_kernel(env, sizes)
                 ops = [kernels[sizes] for sizes in shape]
-                cells = math.prod(s_n * a_n ** len(b) for b in shape)
-                if len(shape) > 1 and z.size * cells <= _DENSE_KERNEL_MAX:
-                    eye = np.eye(z.size).reshape(z.shape + (z.size,))
-                    ops = [(z.size, _contract(eye, ops).reshape(z.size, cells), None)]
                 index = () if len(shape) == k else _class_index(env, k, codes)
                 classes.append((z, ops, *index))
             self.orders.append(classes)

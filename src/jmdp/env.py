@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import StateActionSpace, _check_gamma
+from .core import StateActionSpace, _check_gamma, _check_int
 from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -351,6 +352,12 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
 _WGW_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))  # up, right, down, left
 
 
+def _goal(goal_cell) -> tuple:
+    """The goal's (row, column), each read as an integer (2.7 fails); the
+    grid's bounds are the caller's check."""
+    return tuple(_check_int("goal_cell", goal_cell[i], -math.inf) for i in (0, 1))
+
+
 def build_wgw(
     width: int,
     height: int,
@@ -366,7 +373,7 @@ def build_wgw(
     """
     if width < 1 or height < 1:
         raise ConfigError("grid dimensions must be >= 1")
-    goal_r, goal_c = int(goal_cell[0]), int(goal_cell[1])
+    goal_r, goal_c = _goal(goal_cell)
     if not (0 <= goal_r < height and 0 <= goal_c < width):
         raise ConfigError(f"goal cell {goal_cell} outside the {height}x{width} grid")
     if not (0.0 <= p_wind <= 1.0):
@@ -406,7 +413,7 @@ def build_wgw(
 
 def wgw_goal_policy(width: int, height: int, goal_cell: tuple[int, int]) -> Policy:
     """Deterministic goal-directed gridworld policy: right, then up the last column."""
-    goal_r, goal_c = int(goal_cell[0]), int(goal_cell[1])
+    goal_r, goal_c = _goal(goal_cell)
     probs = np.zeros((width * height, 4))
     for s in range(width * height):
         r, c = divmod(s, width)

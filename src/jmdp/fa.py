@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, _check_gamma, check_budget
+from .core import MomentCollectionN, _check_gamma, _check_int, check_budget
 from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
 from .env import _check_policy, _marginal_csr, marginal_mdp
@@ -711,8 +711,7 @@ def identity_features(num_x: int) -> FeatureMap:
 
 def state_poly_features(num_states: int, num_actions: int, degree: int) -> FeatureMap:
     """Action-independent polynomial features of the normalized state index."""
-    if degree < 0:
-        raise InvalidInputError(f"degree must be >= 0, got {degree}")
+    _check_int("degree", degree, 0)
     t = np.arange(num_states, dtype=float)
     t = t / max(num_states - 1, 1)
     # Column p is 1 * t * ... * t, not numpy's CPU-dispatched t**p.

@@ -12,9 +12,9 @@ from jmdp.core import (
     lambda_norm,
 )
 from jmdp.dp import jipe
-from jmdp.env import Policy, build_crc
-from jmdp.errors import InvalidInputError, InvalidQueryError
-from jmdp.fa import beta_weight
+from jmdp.env import Policy, build_crc, build_ring_chain, build_wgw, wgw_goal_policy
+from jmdp.errors import ConfigError, InvalidInputError, InvalidQueryError
+from jmdp.fa import beta_weight, state_poly_features
 from jmdp.incremental import (
     _coordinate_table,
     noise_bound_constants,
@@ -72,10 +72,10 @@ class TestCheckGamma:
 
 
 class TestCheckInt:
-    """Every count, order and seed is read through operator.index by
-    core._check_int, so a fractional value is one typed error naming the
-    argument, raised before any budget count (a zero budget refuses every
-    count), build or draw."""
+    """Every count, order, seed, size and goal coordinate is read through
+    operator.index by core._check_int, so a fractional or bool value is one
+    typed error naming the argument, raised before any budget count (a zero
+    budget refuses every count), build or draw."""
 
     @pytest.mark.parametrize("name, call", [
         ("max_iter", lambda env, pol, m: jipe(env, pol, 1e-8, 2.5)),
@@ -103,6 +103,46 @@ class TestCheckInt:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", 0)
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
             call(env, pol, m)
+
+    @pytest.mark.parametrize("name, call", [
+        ("num_states", lambda: StateActionSpace(2.5, 2)),
+        ("num_actions", lambda: StateActionSpace(2, 2.5)),
+        ("num_states", lambda: build_crc(2.5, 0.9)),
+        ("num_states", lambda: build_ring_chain(3.5, 0.9)),
+        ("goal_cell", lambda: build_wgw(3, 3, (0, 2.7), 0.3, 0.9)),
+        ("goal_cell", lambda: wgw_goal_policy(3, 3, (0, 2.7))),
+        ("degree", lambda: state_poly_features(3, 2, 1.5)),
+    ], ids=["space-num_states", "space-num_actions", "build_crc", "build_ring_chain",
+            "build_wgw-goal", "wgw_goal_policy-goal", "state_poly_features-degree"])
+    def test_fractional_size_rejected(self, name, call):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize("name, call", [
+        ("max_iter", lambda env, pol: jipe(env, pol, 1e-8, max_iter=True)),
+        ("order", lambda env, pol: jipe(env, pol, 1e-8, order=True)),
+        ("num_updates", lambda env, pol: run_incremental(env, pol, True, seed=0)),
+        ("seed", lambda env, pol: run_incremental(env, pol, 10, seed=False)),
+        ("num_states", lambda env, pol: StateActionSpace(True, 2)),
+        ("degree", lambda env, pol: state_poly_features(3, 2, True)),
+    ], ids=["jipe-max_iter", "jipe-order", "run_incremental-num_updates",
+            "run_incremental-seed", "space-num_states", "state_poly_features-degree"])
+    def test_bool_rejected(self, name, call):
+        env = build_crc(3, 0.9)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got (True|False)"):
+            call(env, Policy.uniform(env.space))
+
+    @pytest.mark.parametrize("error, match, call", [
+        (ConfigError, "chain needs at least 2 states", lambda: build_crc(1, 0.9)),
+        (ConfigError, "ring needs at least 3 states", lambda: build_ring_chain(2, 0.9)),
+        (ConfigError, r"goal cell \(-1, 0\) outside the 3x3 grid",
+         lambda: build_wgw(3, 3, (-1, 0), 0.3, 0.9)),
+        (InvalidInputError, "num_states must be >= 1, got 0", lambda: StateActionSpace(0, 2)),
+        (InvalidInputError, "degree must be >= 0, got -1", lambda: state_poly_features(3, 2, -1)),
+    ], ids=["build_crc", "build_ring_chain", "build_wgw-goal", "space", "state_poly_features"])
+    def test_too_small_integer_keeps_its_message(self, error, match, call):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestMomentCollections:

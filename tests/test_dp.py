@@ -625,11 +625,6 @@ class TestApplyTn:
                                        rtol=0.0, atol=1e-12)
 
 
-def _ops_per_class(plan):
-    """Per order of the plan, the number of kernels each class contracts."""
-    return [[len(ops) for _, ops, *_ in classes] for classes in plan.orders]
-
-
 @pytest.mark.parametrize("order, n", [(2, 7), (3, 5), (4, 4)])
 @pytest.mark.parametrize("block", [1, 3, 1 << 13], ids=["rows1", "rows3", "default"])
 def test_mirror_copies_sorted_tuples(order, n, block, monkeypatch):
@@ -643,10 +638,10 @@ def test_mirror_copies_sorted_tuples(order, n, block, monkeypatch):
         assert out[xs] == t[tuple(sorted(xs))]
 
 
-class TestComposedViews:
-    """A class of several sigma-blocks small enough is one dense matrix over
-    its state tensor; with _DENSE_KERNEL_MAX = 0 every class keeps one kernel
-    per sigma-block."""
+class TestKernelForms:
+    """Every class contracts its state tensor through one kernel per
+    sigma-block; with _DENSE_KERNEL_MAX = 0 every kernel of several positions
+    is a weighted gather instead of a dense matrix."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
@@ -672,25 +667,25 @@ class TestComposedViews:
         diff = [a - b for a, b in zip(rep.final.tables, ref.final.tables)]
         assert lambda_norm(diff, env.gamma) <= 1e-12
 
-    def test_small_plan_holds_one_term_per_view(self):
-        # crc(3), order 3: the largest class, three distinct states, has a
-        # 4^3-entry state tensor and 6^3 cells.
-        env = build_crc(3, 0.8)
-        counts = _ops_per_class(_BackupPlan(env, Policy.uniform(env.space), 3, 0))
-        assert [len(c) for c in counts] == [1, 3, 6]
-        assert all(c == 1 for per_order in counts for c in per_order)
-
-    def test_order_four_plan_mixes_composed_and_factored_views(self):
-        # Order 4: two coordinates, each twice (7^2 state entries, 6^2 cells),
-        # are composed; four distinct states (4^4 entries, 6^4 cells) are not.
-        env = build_crc(3, 0.8)
-        plan = _BackupPlan(env, Policy.uniform(env.space), 4, 0)
-        counts = _ops_per_class(plan)
-        assert all(c == 1 for per_order in counts[:3] for c in per_order)
-        assert counts[3][0] == 4
-        matrices = [ops[0][1].shape for z, ops, *_ in plan.orders[3]
-                    if len(ops) == 1 and ops[0][0] == z.size]
-        assert (49, 36) in matrices
+    @pytest.mark.parametrize("case, order", [
+        ("crc3", 2), ("crc3", 3), ("crc3", 4), ("wgw2x2", 3)])
+    def test_every_class_contracts_through_its_block_kernels(self, case, order):
+        """No class is composed into one matrix over its state tensor: each
+        runs len(shape) ops, the plan's kernel of each sigma-block, shared by
+        every class holding that block."""
+        env, pol, _ = REFERENCE_CASES[case]()
+        plan = _BackupPlan(env, pol, order, 0)
+        shared = {}
+        for k, classes in enumerate(plan.orders, start=1):
+            for (shape, _), (z, ops, *_) in zip(jmdp.dp._classes(k), classes, strict=True):
+                assert len(ops) == len(shape)
+                for sizes, op in zip(shape, ops):
+                    assert op is shared.setdefault(sizes, op)
+                    rows, kern, weights = _block_kernel(env, sizes)
+                    assert op[0] == rows and (op[2] is None) == (weights is None)
+                    np.testing.assert_array_equal(op[1], kern)
+                if len(shape) > 1:
+                    assert all(op[0] < z.size for op in ops)
 
 
 @pytest.mark.parametrize("order", [2, 3])
