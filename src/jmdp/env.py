@@ -263,6 +263,27 @@ def _marginal_csr(env: ExoJmdp, block: np.ndarray) -> tuple:
     return data.ravel(), np.arange(block.size).reshape(-1, n_b)[succ].ravel(), indptr
 
 
+def _bfs_levels(indices: np.ndarray, indptr: np.ndarray, sources) -> np.ndarray:
+    """Breadth-first levels on the digraph with CSR arrays (indices, indptr):
+    level[v] is the fewest edges on a path from a source to v, -1 where no
+    path exists. Each level gathers the out-edges of its frontier only."""
+    level = np.full(indptr.size - 1, -1, dtype=np.int32)
+    frontier = np.unique(sources)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        depth += 1
+        stops = indptr[frontier + 1]
+        counts = stops - indptr[frontier]
+        ends = np.cumsum(counts)
+        pos = np.repeat(stops - ends, counts)  # an edge's position less its rank
+        pos += np.arange(pos.size)
+        succ = indices[pos]
+        del pos
+        frontier = np.unique(succ[level[succ] < 0])
+    return level
+
+
 def _dense(data, indices, indptr, num_cols: int) -> np.ndarray:
     """The dense table of CSR arrays without repeated entries."""
     table = np.zeros((indptr.size - 1, num_cols))
@@ -358,6 +379,15 @@ def _goal(goal_cell) -> tuple:
     return tuple(_check_int("goal_cell", goal_cell[i], -math.inf) for i in (0, 1))
 
 
+def _grid(width, height) -> tuple:
+    """(width, height), each read as an integer (2.5 and True fail), >= 1."""
+    width, height = (_check_int(name, value, -math.inf)
+                     for name, value in (("width", width), ("height", height)))
+    if width < 1 or height < 1:
+        raise ConfigError("grid dimensions must be >= 1")
+    return width, height
+
+
 def build_wgw(
     width: int,
     height: int,
@@ -371,8 +401,7 @@ def build_wgw(
     is absorbing with reward 0. The gust applies to every counterfactual action
     simultaneously, which is what couples their successors.
     """
-    if width < 1 or height < 1:
-        raise ConfigError("grid dimensions must be >= 1")
+    width, height = _grid(width, height)
     goal_r, goal_c = _goal(goal_cell)
     if not (0 <= goal_r < height and 0 <= goal_c < width):
         raise ConfigError(f"goal cell {goal_cell} outside the {height}x{width} grid")
@@ -413,6 +442,7 @@ def build_wgw(
 
 def wgw_goal_policy(width: int, height: int, goal_cell: tuple[int, int]) -> Policy:
     """Deterministic goal-directed gridworld policy: right, then up the last column."""
+    width, height = _grid(width, height)
     goal_r, goal_c = _goal(goal_cell)
     probs = np.zeros((width * height, 4))
     for s in range(width * height):

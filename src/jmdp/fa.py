@@ -8,11 +8,6 @@ projects back, with convergence governed by the coupling coefficient of the
 two-branch transition kernel. It runs in feature space: the backup of an
 approximant is projected through d-sized, |X| x d-sized and per-state arrays,
 and no |X| x |X| table is built (see _FeatureStep).
-
-scipy is imported where it is called, on first use: shortest_path in
-_chain_period, csr_matrix (the marginal kernel) and connected_components in
-stationary_distribution, and eigh_tridiagonal in coupling_coefficient.
-`import jmdp` loads numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import numpy as np
 from .core import MomentCollectionN, _check_gamma, _check_int, check_budget
 from .dp import check_solver_args
 from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
-from .env import _check_policy, _marginal_csr, marginal_mdp
+from .env import _bfs_levels, _check_policy, _marginal_csr, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -138,15 +133,65 @@ class StationaryDist:
     note: str = ""
 
 
-def _chain_period(adj) -> int:
-    """Period of a strongly connected directed graph, given as a dense or a
-    sparse adjacency matrix: the gcd, over its edges u -> v, of
-    level[u] + 1 - level[v], with BFS levels from node 0."""
-    from scipy.sparse.csgraph import shortest_path
+def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
+    """Number of strongly connected components of the digraph with CSR arrays
+    (indices, indptr): Tarjan's algorithm, its depth-first path kept in arrays."""
+    n = indptr.size - 1
+    index = np.full(n, -1, dtype=np.int32)  # discovery order
+    low = np.zeros(n, dtype=np.int32)
+    closed = np.zeros(n, dtype=bool)  # assigned to a component
+    stack = np.zeros(n, dtype=np.int32)  # Tarjan's stack of open nodes
+    path = np.zeros(n, dtype=np.int32)
+    cursor = np.zeros(n, dtype=indptr.dtype)  # each path node's next edge
+    # memoryviews read and write single entries as Python ints, fast
+    idx, lo, done, st, pa, cur = map(memoryview, (index, low, closed, stack, path, cursor))
+    ptr, succ = memoryview(indptr), memoryview(indices)
+    count = seen = top = 0
+    for root in range(n):
+        if idx[root] >= 0:
+            continue
+        idx[root] = lo[root] = seen
+        seen += 1
+        st[top] = pa[0] = root
+        top += 1
+        cur[0], depth = ptr[root], 0
+        while depth >= 0:
+            v, k = pa[depth], cur[depth]
+            if k < ptr[v + 1]:
+                cur[depth] = k + 1
+                w = succ[k]
+                if idx[w] < 0:  # descend
+                    idx[w] = lo[w] = seen
+                    seen += 1
+                    st[top] = w
+                    top += 1
+                    depth += 1
+                    pa[depth], cur[depth] = w, ptr[w]
+                elif not done[w] and idx[w] < lo[v]:
+                    lo[v] = idx[w]
+                continue
+            depth -= 1
+            if lo[v] == idx[v]:  # v roots a component: close it
+                count += 1
+                w = -1
+                while w != v:
+                    top -= 1
+                    w = st[top]
+                    done[w] = True
+            elif lo[v] < lo[pa[depth]]:
+                lo[pa[depth]] = lo[v]
+    return count
 
-    level = shortest_path(adj, unweighted=True, indices=0).astype(np.int32)
-    u, v = adj.nonzero()
-    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
+
+def _chain_period(indices: np.ndarray, indptr: np.ndarray) -> int:
+    """Period of a strongly connected digraph with CSR arrays (indices,
+    indptr): the gcd, over its edges u -> v, of level[u] + 1 - level[v], with
+    BFS levels from node 0."""
+    level = _bfs_levels(indices, indptr, [0])
+    lag = np.repeat(level, np.diff(indptr))
+    lag += 1
+    lag -= level[indices]
+    return int(np.gcd.reduce(lag)) or 1
 
 
 _STATIONARY_TOL = 1e-12  # l1 change between power steps
@@ -162,10 +207,11 @@ def check_stationary_budget(env: ExoJmdp) -> int:
     # Per (coordinate, atom), while the kernel is built: the sorted weights,
     # the atom mask and the entry labels with the cast copy they are summed
     # from, or the sort order and the sorted successors beside the weights.
-    # Per edge: the kernel's data and int32 indices, and beside them
-    # shortest_path's unit-weight copy, or the edge list and its two int32
-    # level gathers. Per coordinate: the row pointers, csgraph's node arrays
-    # and the power step's vectors.
+    # Per edge: the kernel's data and int64 indices, and beside them the mask
+    # of its entries > 0 and the kept data, or one power step's weights, or
+    # the period's int32 lags and level gather, or one breadth-first level's
+    # edge positions and successors. Per coordinate: the row pointers, the
+    # searches' node arrays and the power step's vectors.
     need = 26 * n_x * n_u + 29 * edges + 64 * n_x
     return check_budget(f"stationary distribution over {n_x} coordinates", need)
 
@@ -176,27 +222,37 @@ def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
     (with a diagnostic note) when the chain is not irreducible and aperiodic.
     Its bytes (check_stationary_budget) are checked before the kernel is built."""
     _check_policy(env, policy)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     check_stationary_budget(env)
     n = env.space.num_x
-    kernel = csr_matrix(_marginal_csr(env, policy.probs), shape=(n, n))
-    kernel.eliminate_zeros()  # in place: what is left, the chain's graph, is > 0
-    n_comp, _ = connected_components(kernel, directed=True, connection="strong")
+    data, indices, indptr = _marginal_csr(env, policy.probs)
+    keep = data > 0.0  # the chain's graph
+    if not keep.all():  # no row is empty, so reduceat sums each one
+        indptr = np.r_[0, np.cumsum(np.add.reduceat(keep, indptr[:-1], dtype=np.intp))]
+        data = data[keep]
+        indices = indices[keep]
+    del keep
+    n_comp = _scc_count(indices, indptr)
     fails = "; the positive-stationary-weight assumption fails"
     if n_comp != 1:
         note = f"chain is not irreducible ({n_comp} strongly connected components){fails}"
-    elif (period := _chain_period(kernel)) != 1:
+    elif (period := _chain_period(indices, indptr)) != 1:
         note = f"chain is periodic (period {period}){fails}"
     else:
+        counts = np.diff(indptr)
+
+        def step(v: np.ndarray) -> np.ndarray:
+            """v P, summed entry by entry in row order."""
+            w = np.repeat(v, counts)
+            w *= data
+            return np.bincount(indices, weights=w, minlength=n)
+
         nu = np.full(n, 1.0 / n)
         for _ in range(_STATIONARY_MAX_ITER):
-            nu, last = nu @ kernel, nu
+            nu, last = step(nu), nu
             nu /= nu.sum()
             if float(np.abs(nu - last).sum()) <= _STATIONARY_TOL:
                 break
-        if float(np.max(np.abs(nu @ kernel - nu))) <= 1e-10:
+        if float(np.max(np.abs(step(nu) - nu))) <= 1e-10:
             return StationaryDist(nu, "stationary")
         note = "power iteration failed to certify invariance at the requested tolerance"
     return StationaryDist(np.full(n, 1.0 / n), "uniform-fallback", note)
@@ -337,6 +393,55 @@ _LANCZOS_MAX_ITER = 1_000
 _COUPLING_TABLES = 7
 
 
+def _top_ritz(alphas: list, betas: list) -> tuple:
+    """(theta, |y[-1]|) for the top eigenpair (theta, y), |y| = 1, of the
+    symmetric tridiagonal matrix with diagonal alphas and off-diagonal betas.
+
+    theta by bisection on Sturm's test (x > theta when every LDL' pivot of
+    T - x I is < 0) between a diagonal entry and Gershgorin's bound. y from
+    the twisted factorization at theta (Parlett and Dhillon): the pivots from
+    the top and from the bottom meet at the index r where T - theta I is
+    closest to singular, and y is solved outward from y[r] = 1, so that even
+    a tiny y[-1] is accurate. Plain Python in O(k) memory: no LAPACK call,
+    so no BLAS thread is woken once per Lanczos step."""
+    sq = [b * b for b in betas]
+    rows = list(zip(alphas, [0.0, *sq]))
+    rad = [0.0, *map(abs, betas), 0.0]
+    lo = max(alphas)  # a Rayleigh quotient, so <= theta
+    hi = max(a + rad[j] + rad[j + 1] for j, a in enumerate(alphas))
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        d = 1.0
+        for a, c in rows:
+            d = a - x - c / d
+            if d >= 0.0:
+                lo = x
+                break
+        else:
+            hi = x
+    theta, tiny = hi, float(np.finfo(float).tiny)  # T - hi I passed the test: pivots < 0
+
+    def pivots(diag, off_sq) -> list:
+        d, out = 1.0, []
+        for a, c in zip(diag, off_sq):
+            d = min(a - theta - c / d, -tiny)
+            out.append(d)
+        return out
+
+    top = pivots(alphas, [0.0, *sq])
+    bottom = pivots(alphas[::-1], [0.0, *sq[::-1]])[::-1]
+    twist = [abs(t + b - a + theta) for t, b, a in zip(top, bottom, alphas)]  # |gamma_r|
+    r = twist.index(min(twist))
+    norm2 = y = 1.0
+    for j in range(r - 1, -1, -1):
+        y *= -betas[j] / top[j]
+        norm2 += y * y
+    y = 1.0
+    for j in range(r, len(betas)):
+        y *= -betas[j] / bottom[j + 1]
+        norm2 += y * y
+    return theta, abs(y) / norm2**0.5
+
+
 class _PairKernel:
     """The two-branch transition kernel P2 over X^2 and its adjoint, applied to
     |X| x |X| tables without building the |X|^2 x |X|^2 matrix.
@@ -467,8 +572,6 @@ def coupling_coefficient(
     against core.BUDGET_BYTES before any work.
     """
     _check_policy(env, policy)
-    from scipy.linalg import eigh_tridiagonal
-
     check_coupling_budget(env, mode)
     n_x = env.space.num_x
     nu = _check_nu(nu, n_x)
@@ -487,10 +590,8 @@ def coupling_coefficient(
             w -= betas[-1] * v_prev
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
-        ritz, y = eigh_tridiagonal(np.array(alphas), np.array(betas), select="i",
-                                   select_range=(iterations - 1, iterations - 1))
-        lam = float(ritz[0])
-        if beta * abs(y[-1, 0]) <= _LANCZOS_TOL * max(lam, 1.0):
+        lam, y_last = _top_ritz(alphas, betas)
+        if beta * y_last <= _LANCZOS_TOL * max(lam, 1.0):
             converged = True
             break
         betas.append(beta)

@@ -19,20 +19,17 @@ every return, is bit-identical to the full-horizon run in both modes, and a
 block that stops early (`McBlock.steps < horizon`) carries no truncation bias.
 The gap and product tables are reduced once per unordered branch pair and
 mirrored.
-
-scipy is imported where it is called, on first use: csr_matrix and
-breadth_first_order in _reward_free_sink, ndtri in McBlock.z_value. `import
-jmdp` loads numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MomentCollectionN, StateActionSpace, _check_gamma, _check_int, check_budget
-from .env import ExoJmdp, Policy, _check_policy, child_seed, sample_step
+from .env import ExoJmdp, Policy, _bfs_levels, _check_policy, child_seed, sample_step
 from .errors import AssumptionError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -169,30 +166,83 @@ class McBlock:
 
     @property
     def z_value(self) -> float:
-        from scipy.special import ndtri
+        return _ndtri(0.5 + self.confidence / 2.0)
 
-        return float(ndtri(0.5 + self.confidence / 2.0))
+
+# Cephes ndtri's rational approximations, coefficients highest power first:
+# P0/Q0 for |p - 1/2| <= 1/2 - exp(-2), in (p - 1/2)^2; P1/Q1 and P2/Q2 in the
+# tails, in 1/x with x = sqrt(-2 log p) below and above 8. Q's leading 1 is implied.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+
+
+def _horner(x: float, coef: tuple, monic: bool = False) -> float:
+    """Cephes polevl (or p1evl when monic: a leading coefficient 1 implied)."""
+    acc = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile at p in [0, 1]: Cephes ndtri, evaluated in
+    its order of operations, so its value is scipy.special.ndtri's to the bit."""
+    if p == 0.0 or p == 1.0:
+        return math.copysign(math.inf, p - 0.5)
+    upper = p > 1.0 - _EXP_MINUS_2
+    if upper:
+        p = 1.0 - p
+    if p > _EXP_MINUS_2:
+        y = p - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(p))
+    z = 1.0 / x
+    p_tail, q_tail = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, p_tail) / _horner(z, q_tail, monic=True)
+    return x if upper else -x
 
 
 def _reward_free_sink(env: ExoJmdp) -> np.ndarray:
     """Mask of the largest reward-free closed set: the states from which no
     action and no noise atom ever reaches a state with a nonzero reward.
 
-    One breadth-first search over the reversed successor graph, from an extra
-    root node linked to every rewarding state, marks the states that can reach
-    a reward; the rest is the set. O(S·A·U) time and memory."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
+    One breadth-first search over the reversed successor graph, from every
+    rewarding state, marks the states that can reach a reward; the rest is the
+    set. O(S·A·U) time and memory."""
     s_n = env.space.num_states
+    succ = env.h.ravel()
+    # The edges h[s, a, u] -> s reversed, grouped by successor: each edge's
+    # flat index names its source state s.
+    preds = np.argsort(succ) // env.h[0].size
+    indptr = np.r_[0, np.cumsum(np.bincount(succ, minlength=s_n))]
     rewarding = np.flatnonzero(env.g.reshape(s_n, -1).any(axis=1))
-    # Edge h[s, a, u] -> s for every (s, a, u), and root s_n -> each rewarding state.
-    rows = np.r_[env.h.ravel(), np.full(rewarding.size, s_n)]
-    cols = np.r_[np.repeat(np.arange(s_n), env.h[0].size), rewarding]
-    graph = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(s_n + 1, s_n + 1))
-    sink = np.ones(s_n + 1, dtype=bool)
-    sink[breadth_first_order(graph, s_n, return_predecessors=False)] = False
-    return sink[:s_n]
+    return _bfs_levels(preds, indptr, rewarding) < 0
 
 
 def _share(r: np.ndarray, key: np.ndarray) -> np.ndarray:

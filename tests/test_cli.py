@@ -130,11 +130,12 @@ def test_exact_and_incremental_runs_leave_out_scipy(tmp_path):
                             "features": {"builtin": "state-poly", "degree": 2}}},
      ["projected.csv", "moments.json"]),
 ], ids=["analyze", "projected"])
-def test_scipy_commands_import_it_on_first_use(tmp_path, command, overrides, written):
+def test_analyze_and_projected_runs_leave_out_scipy(tmp_path, command, overrides, written):
     out = tmp_path / "run"
     cfg = write_config(tmp_path / "c.json", base_config(**overrides, out_dir=str(out)))
-    proc = _fresh_python("-m", "jmdp", command, "--config", str(cfg))
-    assert proc.returncode == EXIT_OK, proc.stderr
+    proc = _fresh_python("-c", _SCIPY_PROBE, json.dumps([[command, "--config", str(cfg)]]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
     for name in [*written, "manifest.json"]:
         assert (out / name).exists(), name
 

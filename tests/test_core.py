@@ -111,9 +111,14 @@ class TestCheckInt:
         ("num_states", lambda: build_ring_chain(3.5, 0.9)),
         ("goal_cell", lambda: build_wgw(3, 3, (0, 2.7), 0.3, 0.9)),
         ("goal_cell", lambda: wgw_goal_policy(3, 3, (0, 2.7))),
+        ("width", lambda: build_wgw(2.5, 2, (0, 1), 0.3, 0.9)),
+        ("height", lambda: build_wgw(2, 2.5, (0, 1), 0.3, 0.9)),
+        ("width", lambda: wgw_goal_policy(2.5, 2, (0, 1))),
+        ("height", lambda: wgw_goal_policy(2, 2.5, (0, 1))),
         ("degree", lambda: state_poly_features(3, 2, 1.5)),
     ], ids=["space-num_states", "space-num_actions", "build_crc", "build_ring_chain",
-            "build_wgw-goal", "wgw_goal_policy-goal", "state_poly_features-degree"])
+            "build_wgw-goal", "wgw_goal_policy-goal", "build_wgw-width", "build_wgw-height",
+            "wgw_goal_policy-width", "wgw_goal_policy-height", "state_poly_features-degree"])
     def test_fractional_size_rejected(self, name, call):
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
             call()
@@ -125,8 +130,11 @@ class TestCheckInt:
         ("seed", lambda env, pol: run_incremental(env, pol, 10, seed=False)),
         ("num_states", lambda env, pol: StateActionSpace(True, 2)),
         ("degree", lambda env, pol: state_poly_features(3, 2, True)),
+        ("width", lambda env, pol: build_wgw(True, 2, (0, 0), 0.3, 0.9)),
+        ("height", lambda env, pol: wgw_goal_policy(2, True, (0, 0))),
     ], ids=["jipe-max_iter", "jipe-order", "run_incremental-num_updates",
-            "run_incremental-seed", "space-num_states", "state_poly_features-degree"])
+            "run_incremental-seed", "space-num_states", "state_poly_features-degree",
+            "build_wgw-width", "wgw_goal_policy-height"])
     def test_bool_rejected(self, name, call):
         env = build_crc(3, 0.9)
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got (True|False)"):
@@ -137,9 +145,12 @@ class TestCheckInt:
         (ConfigError, "ring needs at least 3 states", lambda: build_ring_chain(2, 0.9)),
         (ConfigError, r"goal cell \(-1, 0\) outside the 3x3 grid",
          lambda: build_wgw(3, 3, (-1, 0), 0.3, 0.9)),
+        (ConfigError, "grid dimensions must be >= 1", lambda: build_wgw(0, 3, (0, 0), 0.3, 0.9)),
+        (ConfigError, "grid dimensions must be >= 1", lambda: wgw_goal_policy(3, 0, (0, 0))),
         (InvalidInputError, "num_states must be >= 1, got 0", lambda: StateActionSpace(0, 2)),
         (InvalidInputError, "degree must be >= 0, got -1", lambda: state_poly_features(3, 2, -1)),
-    ], ids=["build_crc", "build_ring_chain", "build_wgw-goal", "space", "state_poly_features"])
+    ], ids=["build_crc", "build_ring_chain", "build_wgw-goal", "build_wgw-width",
+            "wgw_goal_policy-height", "space", "state_poly_features"])
     def test_too_small_integer_keeps_its_message(self, error, match, call):
         with pytest.raises(error, match=match):
             call()

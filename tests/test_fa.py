@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from jmdp import dp, fa
 from jmdp import env as jenv
@@ -183,7 +184,7 @@ def dense_stationary(env, pol) -> tuple:
     if n_comp != 1:
         return uniform, "uniform-fallback", (
             f"chain is not irreducible ({n_comp} strongly connected components)" + fails)
-    if (period := fa._chain_period(adj)) != 1:
+    if (period := csgraph_period(adj)) != 1:
         return uniform, "uniform-fallback", f"chain is periodic (period {period})" + fails
     nu = uniform
     for _ in range(200_000):
@@ -195,6 +196,46 @@ def dense_stationary(env, pol) -> tuple:
             break
     assert np.max(np.abs(nu @ kernel - nu)) <= 1e-10
     return nu, "stationary", ""
+
+
+def csgraph_period(adj) -> int:
+    """Period of a strongly connected digraph by scipy's csgraph: the gcd, over
+    its edges u -> v, of dist[u] + 1 - dist[v], with unweighted distances
+    from node 0."""
+    level = shortest_path(adj, unweighted=True, indices=0).astype(np.int32)
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
+
+
+def csgraph_stationary(env, pol) -> tuple:
+    """(nu, source, note) by scipy: the sparse kernel as a csr_matrix with its
+    zeros eliminated, csgraph's strong components and period, and power
+    iteration by `nu @ kernel`, the CSC product of the transpose."""
+    n = env.space.num_x
+    kernel = csr_matrix(jenv._marginal_csr(env, pol.probs), shape=(n, n))
+    kernel.eliminate_zeros()
+    uniform = np.full(n, 1.0 / n)
+    fails = "; the positive-stationary-weight assumption fails"
+    n_comp, _ = connected_components(kernel, directed=True, connection="strong")
+    if n_comp != 1:
+        return uniform, "uniform-fallback", (
+            f"chain is not irreducible ({n_comp} strongly connected components)" + fails)
+    if (period := csgraph_period(kernel)) != 1:
+        return uniform, "uniform-fallback", f"chain is periodic (period {period})" + fails
+    nu = uniform
+    for _ in range(200_000):
+        nu, last = nu @ kernel, nu
+        nu /= nu.sum()
+        if float(np.abs(nu - last).sum()) <= 1e-12:
+            break
+    assert float(np.max(np.abs(nu @ kernel - nu))) <= 1e-10
+    return nu, "stationary", ""
+
+
+def csr_arrays(adj) -> tuple:
+    """(indices, indptr) of a dense boolean adjacency matrix."""
+    rows, cols = np.nonzero(adj)
+    return cols, np.r_[0, np.cumsum(np.bincount(rows, minlength=adj.shape[0]))]
 
 
 def _sparse_policy(seed, space):
@@ -393,8 +434,7 @@ class TestChainPeriod:
         (_edges(4, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]), 1),
     ], ids=["3-cycle", "3-cycle-and-2-cycle-through-0", "4-cycle-with-self-loop"])
     def test_named_graphs(self, adj, period):
-        for graph in (adj, csr_matrix(adj)):
-            assert fa._chain_period(graph) == period == brute_force_period(adj)
+        assert fa._chain_period(*csr_arrays(adj)) == period == brute_force_period(adj)
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -408,7 +448,83 @@ class TestChainPeriod:
         adj = adj[np.ix_(keep, keep)]
         assume(adj.any())  # one node needs its self-loop to be a chain
         period = brute_force_period(adj)
-        assert fa._chain_period(adj) == fa._chain_period(csr_matrix(adj)) == period
+        assert fa._chain_period(*csr_arrays(adj)) == csgraph_period(adj) == period
+
+
+def random_digraph(seed):
+    """A random digraph of 1-40 nodes: sparse or dense, with self-loops, nodes
+    without out-edges, and, for some seeds, long cycles that make it periodic."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41))
+    adj = rng.random((n, n)) < rng.uniform(0.0, 0.3) / max(1.0, n ** rng.uniform(0.0, 1.0))
+    if seed % 3 == 0:  # a cycle through a random subset, in a random order
+        cycle = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        adj[cycle, np.roll(cycle, -1)] = True
+    return adj
+
+
+class TestGraphSearches:
+    """The numpy graph searches against scipy's csgraph."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_digraphs_match_csgraph(self, seed):
+        adj = random_digraph(seed)
+        n = adj.shape[0]
+        indices, indptr = csr_arrays(adj)
+        n_comp, label = connected_components(adj, directed=True, connection="strong")
+        assert fa._scc_count(indices, indptr) == n_comp
+        sources = np.random.default_rng(seed).choice(n, size=min(n, 1 + seed % 3),
+                                                     replace=False)
+        dist = shortest_path(adj, unweighted=True, indices=sources).reshape(len(sources), n)
+        dist = dist.min(axis=0)
+        level = jenv._bfs_levels(indices, indptr, sources)
+        np.testing.assert_array_equal(level, np.where(np.isinf(dist), -1, dist))
+        reach = np.zeros(n, dtype=bool)
+        reach[breadth_first_order(adj, sources[0], return_predecessors=False)] = True
+        assert np.array_equal(jenv._bfs_levels(indices, indptr, sources[:1]) >= 0, reach)
+        for c in range(n_comp):
+            keep = np.flatnonzero(label == c)
+            sub = adj[np.ix_(keep, keep)]
+            if sub.any():  # a component with a cycle
+                assert fa._chain_period(*csr_arrays(sub)) == csgraph_period(sub)
+
+    def test_no_source_reaches_nothing(self):
+        indices, indptr = csr_arrays(np.ones((3, 3), dtype=bool))
+        assert jenv._bfs_levels(indices, indptr, []).tolist() == [-1, -1, -1]
+
+    @pytest.mark.parametrize("case, n_comp, period", [
+        (lambda: _uniform(build_crc(5, 0.9)), 9, None),
+        (lambda: _uniform(build_crc(25, 0.9)), 49, None),
+        (lambda: _uniform(build_ring_chain(7, 0.9)), 1, 1),
+        (lambda: _uniform(build_ring_chain(32, 0.9)), 1, 1),
+        (lambda: _uniform(deterministic_ring()), 1, 6),
+        (lambda: _uniform(deterministic_ring(5)), 1, 5),
+        (lambda: _uniform(build_wgw(3, 3, (0, 2), 0.3, 0.9)), 2, None),
+        (lambda: (build_wgw(3, 3, (0, 2), 0.3, 0.9), wgw_goal_policy(3, 3, (0, 2))), 33, None),
+        (lambda: (build_wgw(5, 5, (0, 4), 0.3, 0.9), wgw_goal_policy(5, 5, (0, 4))), 97, None),
+        (lambda: _uniform(build_indep_successors(6, 0.9)), 1, 1),
+    ], ids=["crc5", "crc25", "ring7", "ring32", "deterministic_ring6", "deterministic_ring5",
+            "wgw3x3", "wgw3x3_goal", "wgw5x5_goal", "indep6"])
+    def test_kernels_match_csgraph(self, case, n_comp, period):
+        """The count that nu_note quotes, reducible and periodic kernels included."""
+        env, pol = case()
+        adj = marginal_kernel(env, pol) > 0.0
+        indices, indptr = csr_arrays(adj)
+        assert fa._scc_count(indices, indptr) == n_comp == connected_components(
+            adj, directed=True, connection="strong")[0]
+        dist = shortest_path(adj, unweighted=True, indices=0)
+        np.testing.assert_array_equal(jenv._bfs_levels(indices, indptr, [0]),
+                                      np.where(np.isinf(dist), -1, dist))
+        if period is not None:
+            assert fa._chain_period(indices, indptr) == period == csgraph_period(adj)
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_stationary_matches_scipy_bit_for_bit(self, case):
+        env, pol = case()
+        sd = stationary_distribution(env, pol)
+        nu, source, note = csgraph_stationary(env, pol)
+        assert (sd.source, sd.note) == (source, note)
+        assert sd.nu.tobytes() == nu.tobytes()
 
 
 class TestProjectMu:
@@ -658,6 +774,39 @@ def coupling_cases():
     env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
     pol = wgw_goal_policy(3, 3, (0, 2))
     yield env, pol, stationary_distribution(env, pol).nu
+
+
+def random_tridiagonal(seed):
+    """(alphas, betas) of 1-60 entries: spreads from flat to graded, and
+    off-diagonals that decay, so that the top eigenvector's last entry spans
+    1 down to far below the Lanczos stopping bound."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 61))
+    alphas = rng.uniform(0.0, 10.0 ** rng.uniform(-1, 2), k)
+    betas = rng.uniform(0.1, 1.0, k - 1) * 10.0 ** rng.uniform(-1, 1)
+    betas *= np.geomspace(1.0, 10.0 ** -rng.uniform(0, 12), k)[1:]
+    return alphas.tolist(), betas.tolist()
+
+
+class TestTopRitz:
+    """fa._top_ritz against LAPACK's bisection and inverse iteration."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_eigh_tridiagonal(self, seed):
+        alphas, betas = random_tridiagonal(seed)
+        k = len(alphas)
+        ritz, y = eigh_tridiagonal(np.array(alphas), np.array(betas), select="i",
+                                   select_range=(k - 1, k - 1))
+        theta, y_last = fa._top_ritz(alphas, betas)
+        scale = max(np.abs(alphas).max(), np.abs(betas).max(initial=0.0))
+        assert abs(theta - ritz[0]) <= 4 * np.finfo(float).eps * scale
+        assert abs(y_last - abs(y[-1, 0])) <= 1e-12
+
+    def test_one_entry_and_a_split_matrix(self):
+        assert fa._top_ritz([2.5], []) == (2.5, 1.0)
+        # b = 0 splits T: the top eigenvalue 3 lives in the leading block
+        theta, y_last = fa._top_ritz([3.0, 1.0], [0.0])
+        assert theta == 3.0 and y_last == 0.0
 
 
 class TestCouplingCoefficient:

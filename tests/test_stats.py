@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.special import ndtri
 from scipy.stats import norm
 
 import jmdp.stats
@@ -24,6 +27,7 @@ from jmdp.env import (
 from jmdp.errors import AssumptionError, BudgetError, InvalidInputError, InvalidQueryError
 from jmdp.stats import (
     _branch_returns,
+    _ndtri,
     _reward_free_sink,
     _share,
     cantelli_bound,
@@ -257,7 +261,7 @@ class TestMcOracle:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         run(300)
 
-    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
     def test_z_value_is_the_normal_quantile(self, confidence):
         env = build_crc(3, 0.9)
         blk = mc_state_block(env, Policy.uniform(env.space), 0, (0,), 10, 1e-2, 0,
@@ -430,6 +434,40 @@ class TestChebyshevEcdf:
             chebyshev_ecdf(env.space, m, [(3, 1, 0), (4, 1, 0)], {3: blk, 4: blk})
 
 
+class TestNdtri:
+    def test_matches_scipy_bit_for_bit(self):
+        """On 10^5 confidences in (0, 1), the quantiles z_value takes, and on
+        probabilities in both tails and across the x = 8 split of the tail
+        approximations."""
+        rng = np.random.default_rng(0)
+        confidences = rng.random(100_000)
+        p = np.r_[0.5 + confidences / 2.0, rng.random(20_000),
+                  10.0 ** -rng.uniform(0.0, 300.0, 5_000),
+                  1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 5_000),
+                  np.exp(-32.0) * np.array([0.5, 1.0, 2.0]), 0.0, 1.0]
+        ours = np.array([_ndtri(float(q)) for q in p])
+        np.testing.assert_array_equal(ours, ndtri(p))
+
+    def test_symmetric_and_signed(self):
+        assert _ndtri(0.5) == 0.0
+        assert _ndtri(0.25) == -_ndtri(0.75) < 0.0
+        assert (_ndtri(0.0), _ndtri(1.0)) == (-np.inf, np.inf)
+
+
+def sink_by_csgraph(env):
+    """Reference for _reward_free_sink by scipy's csgraph: a breadth-first
+    search over the reversed successor graph from an extra root node linked
+    to every rewarding state."""
+    s_n = env.space.num_states
+    rewarding = np.flatnonzero(env.g.reshape(s_n, -1).any(axis=1))
+    rows = np.r_[env.h.ravel(), np.full(rewarding.size, s_n)]
+    cols = np.r_[np.repeat(np.arange(s_n), env.h[0].size), rewarding]
+    graph = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(s_n + 1, s_n + 1))
+    sink = np.ones(s_n + 1, dtype=bool)
+    sink[breadth_first_order(graph, s_n, return_predecessors=False)] = False
+    return sink[:s_n]
+
+
 def sink_by_sweep(env):
     """Reference for _reward_free_sink: start from the reward-free states and
     drop, until nothing changes, every state that some action and noise atom
@@ -472,6 +510,7 @@ class TestRewardFreeSink:
     def test_matches_sweep_on_sparse_reward_envs(self, seed):
         env = sparse_reward_env(seed)
         np.testing.assert_array_equal(_reward_free_sink(env), sink_by_sweep(env))
+        np.testing.assert_array_equal(_reward_free_sink(env), sink_by_csgraph(env))
 
     @pytest.mark.parametrize("env, expected", [
         (build_wgw(3, 3, (0, 2), 0.3, 0.9), [2]),  # the absorbing goal only
@@ -487,6 +526,21 @@ class TestRewardFreeSink:
     ], ids=["wgw", "crc", "shared", "fed_cycle", "paying_atom", "leaving_action"])
     def test_named_cases(self, env, expected):
         assert np.flatnonzero(_reward_free_sink(env)).tolist() == expected
+        np.testing.assert_array_equal(_reward_free_sink(env), sink_by_csgraph(env))
+
+    @pytest.mark.parametrize("env", [
+        build_wgw(3, 3, (0, 2), 0.3, 0.9),
+        build_wgw(3, 3, (0, 2), 0.0, 0.9),
+        build_wgw(2, 2, (0, 1), 0.0, 0.9),
+        build_crc(3, 0.9),
+        build_crc(5, 0.9),
+        build_shared_successors(4, 0.9),
+        *[sparse_reward_env(seed) for seed in range(40)],
+    ], ids=["wgw3x3", "wgw3x3_calm", "wgw2x2_calm", "crc3", "crc5", "shared4",
+            *[f"sparse{seed}" for seed in range(40)]])
+    def test_matches_csgraph(self, env):
+        """The mask scipy's breadth-first search gave, on the envs of this file."""
+        np.testing.assert_array_equal(_reward_free_sink(env), sink_by_csgraph(env))
 
     @pytest.mark.parametrize("last_reward, expected", [(0.0, True), (1.0, False)])
     def test_long_chain(self, last_reward, expected):
@@ -498,6 +552,7 @@ class TestRewardFreeSink:
         g[-1] = last_reward
         sink = _reward_free_sink(small_env(g, h))
         assert sink.all() if expected else not sink.any()
+        np.testing.assert_array_equal(sink, sink_by_csgraph(small_env(g, h)))
 
 
 class TestEarlyStop:
