@@ -192,9 +192,17 @@ def sample_outcomes(env: ExoJmdp, x: np.ndarray, r: np.ndarray) -> tuple:
     """One step from flat state-action coordinates x: the noise atom is drawn
     by inverse CDF from the matching U(0,1) entry of r, and (reward, successor)
     is gathered for it. Coordinates given the same uniform share one noise
-    draw, as all actions at a state do; x must lie in 0..|X|-1, r in [0, 1)."""
-    u = np.searchsorted(env.noise.cdf, r, side="right")
-    flat = x * env.noise.support_size + u  # row-major position of (x, u) in g and h
+    draw, as all actions at a state do; x must lie in 0..|X|-1, r in [0, 1),
+    and r must broadcast into x's shape.
+
+    The atom is the count of CDF entries <= r, summed from one comparison per
+    CDF column but the last (1.0 > r), as the action draw does. The CDF is
+    non-decreasing, so this is the atom np.searchsorted(cdf, r, side="right")
+    finds, ties from rounding included."""
+    cdf = env.noise.cdf
+    flat = x * cdf.size  # row-major position of (x, u) in g and h, u added below
+    for col in cdf[:-1].tolist():
+        flat += r >= col
     return env.g.ravel().take(flat), env.h.ravel().take(flat)
 
 
@@ -342,6 +350,7 @@ def is_coupled_dynamics(env: ExoJmdp) -> bool:
 def build_crc(num_states: int, gamma: float) -> ExoJmdp:
     """Coupled-reward chain: both actions advance the chain, the last state is
     absorbing, and at every state the two rewards are u and 1-u for a fair coin u."""
+    num_states = _check_int("num_states", num_states, -math.inf)
     if num_states < 2:
         raise ConfigError(f"chain needs at least 2 states, got {num_states}")
     space = StateActionSpace(num_states, 2)
@@ -359,6 +368,7 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
     chain irreducible and aperiodic, so a stationary distribution exists
     (uniform, by symmetry).
     """
+    num_states = _check_int("num_states", num_states, -math.inf)
     if num_states < 3:
         raise ConfigError(f"ring needs at least 3 states, got {num_states}")
     space = StateActionSpace(num_states, 2)
@@ -466,6 +476,7 @@ def build_indep_successors(num_states: int, gamma: float) -> ExoJmdp:
     u = (u0, u1) with independent uniform components over states; action i jumps
     to u_i. Every same-state joint law is exactly the product of its marginals.
     """
+    num_states = _check_int("num_states", num_states, -math.inf)
     if num_states < 2:
         raise ConfigError(f"need at least 2 states, got {num_states}")
     m = num_states
@@ -482,6 +493,7 @@ def build_indep_successors(num_states: int, gamma: float) -> ExoJmdp:
 
 def build_shared_successors(num_states: int, gamma: float) -> ExoJmdp:
     """Two actions forced onto one shared uniform successor: S' = u for every action."""
+    num_states = _check_int("num_states", num_states, -math.inf)
     if num_states < 2:
         raise ConfigError(f"need at least 2 states, got {num_states}")
     m = num_states
@@ -504,6 +516,7 @@ def build_hub_successors(
     identical and the joint successor law concentrates far from any product law.
     Rewards equal the shared coin, anti-correlated fashion across the two actions.
     """
+    num_states = _check_int("num_states", num_states, -math.inf)
     if num_states < 3:
         raise ConfigError(f"need at least 3 states, got {num_states}")
     m = num_states

@@ -186,9 +186,10 @@ def _steps(counts: np.ndarray, slots: np.ndarray, rule: str, c: float,
         order = np.argsort(key, kind="stable")
         ranked = key[order]
         seq = np.arange(slots.size)
-        first = np.r_[True, ranked[1:] != ranked[:-1]]
+        head = seq.copy()  # seq at a slot's first visit, else 0 (seq[0] is 0)
+        head[1:] *= ranked[1:] != ranked[:-1]
         rank = np.empty_like(seq)
-        rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
+        rank[order] = seq - np.maximum.accumulate(head)
         alpha = c / (c + (counts[slots] + rank))
     else:
         alpha = np.full(slots.size, float(alpha0))
@@ -280,7 +281,7 @@ def run_incremental(
             for j in range(n):
                 offsets[j] = used
                 used += hop[used]
-            offsets = np.array(offsets)
+            offsets = np.fromiter(offsets, np.int64, n)
             pos = visit[offsets]
             start = offsets + 1
             carry = w[used:]
@@ -305,7 +306,7 @@ def run_incremental(
             snaps += mu
         # Each row's A + B mu[y1] + C mu[x1], read from the means after the
         # mean rows before it; then every row relaxes in order.
-        snaps = np.array(snaps)
+        snaps = np.fromiter(snaps, float, len(snaps))
         row = (np.cumsum(mean) - mean) * n_x
         base = coef_a + coef_b * snaps[row + y1] + coef_c * snaps[row + x1]
         for t, q, b, o, al in zip(

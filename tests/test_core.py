@@ -12,7 +12,8 @@ from jmdp.core import (
     lambda_norm,
 )
 from jmdp.dp import jipe
-from jmdp.env import Policy, build_crc, build_ring_chain, build_wgw, wgw_goal_policy
+from jmdp.env import (Policy, build_crc, build_hub_successors, build_indep_successors,
+                      build_ring_chain, build_shared_successors, build_wgw, wgw_goal_policy)
 from jmdp.errors import ConfigError, InvalidInputError, InvalidQueryError
 from jmdp.fa import beta_weight, state_poly_features
 from jmdp.incremental import (
@@ -143,13 +144,17 @@ class TestCheckInt:
     @pytest.mark.parametrize("error, match, call", [
         (ConfigError, "chain needs at least 2 states", lambda: build_crc(1, 0.9)),
         (ConfigError, "ring needs at least 3 states", lambda: build_ring_chain(2, 0.9)),
+        (ConfigError, "need at least 2 states, got 1$", lambda: build_indep_successors(1, 0.9)),
+        (ConfigError, "need at least 2 states, got 1$", lambda: build_shared_successors(1, 0.9)),
+        (ConfigError, "need at least 3 states, got 2$", lambda: build_hub_successors(2, 0.9)),
         (ConfigError, r"goal cell \(-1, 0\) outside the 3x3 grid",
          lambda: build_wgw(3, 3, (-1, 0), 0.3, 0.9)),
         (ConfigError, "grid dimensions must be >= 1", lambda: build_wgw(0, 3, (0, 0), 0.3, 0.9)),
         (ConfigError, "grid dimensions must be >= 1", lambda: wgw_goal_policy(3, 0, (0, 0))),
         (InvalidInputError, "num_states must be >= 1, got 0", lambda: StateActionSpace(0, 2)),
         (InvalidInputError, "degree must be >= 0, got -1", lambda: state_poly_features(3, 2, -1)),
-    ], ids=["build_crc", "build_ring_chain", "build_wgw-goal", "build_wgw-width",
+    ], ids=["build_crc", "build_ring_chain", "build_indep_successors",
+            "build_shared_successors", "build_hub_successors", "build_wgw-goal", "build_wgw-width",
             "wgw_goal_policy-height", "space", "state_poly_features"])
     def test_too_small_integer_keeps_its_message(self, error, match, call):
         with pytest.raises(error, match=match):

@@ -1,10 +1,11 @@
 import itertools
 import json
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jmdp.env
@@ -163,6 +164,47 @@ class TestSampleTable:
             observed = counts[atoms].sum() / n
             se = np.sqrt(p * (1 - p) / n)
             assert abs(observed - p) <= 4 * se + 1e-12
+
+
+def atom_env(probs):
+    """One action per state and successor u at atom u, so the successor drawn
+    names the atom."""
+    u_n = len(probs)
+    h = np.broadcast_to(np.arange(u_n), (u_n, 1, u_n)).copy()
+    return ExoJmdp(StateActionSpace(u_n, 1), NoiseModel(probs), np.zeros((u_n, 1, u_n)), h,
+                   0.9)
+
+
+# Laws whose tiny atoms round away, so two CDF entries are equal: four atoms
+# and six.
+TIED_LAWS = ([0.5, 1e-18, 1e-18, 0.5], [0.3, 1e-20, 0.3, 1e-20, 0.4, 1e-20])
+
+
+class TestNoiseDrawByComparison:
+    """The atom is the count of CDF columns <= r, which is the one
+    np.searchsorted(cdf, r, side="right") finds, tied CDF entries included."""
+
+    def test_tied_laws_have_equal_cdf_entries(self):
+        for weights in TIED_LAWS:
+            w = np.array(weights)
+            assert (np.diff(atom_env(w / w.sum()).noise.cdf) == 0.0).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.floats(1e-3, 1.0), st.floats(1e-300, 1e-17)),
+                            min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(weights=TIED_LAWS[0], seed=0)
+    @example(weights=TIED_LAWS[1], seed=1)
+    def test_atom_is_the_searchsorted_count(self, weights, seed):
+        w = np.array(weights)
+        env = atom_env(w / w.sum())
+        cdf = env.noise.cdf
+        rng = np.random.default_rng(seed)
+        r = np.r_[cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), 0.0, 1.0 - 2.0**-53,
+                  rng.random(64)]
+        r = r[r < 1.0]
+        _, atoms = sample_outcomes(env, rng.integers(0, w.size, r.size), r)
+        np.testing.assert_array_equal(atoms, np.searchsorted(cdf, r, side="right"))
 
 
 def policy_with_zeros(seed, space):
@@ -363,6 +405,14 @@ class TestBuilders:
     def test_crc_requires_two_states(self):
         with pytest.raises(ConfigError):
             build_crc(1, 0.9)
+
+    @pytest.mark.parametrize("build", [build_crc, build_ring_chain, build_indep_successors,
+                                       build_shared_successors, build_hub_successors])
+    @pytest.mark.parametrize("value", ["3", True, 2.5])
+    def test_num_states_must_be_an_integer(self, build, value):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"num_states must be an integer, got {value!r}")):
+            build(value, 0.9)
 
     def test_wgw_fig_layout(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jmdp.core import MomentCollectionN
-from jmdp.env import build_crc, build_wgw
+from jmdp.env import build_crc, build_wgw, wgw_goal_policy
 from jmdp.incremental import _backups, run_incremental
 from jmdp.stats import _branch_returns, mc_state_block
 
@@ -63,6 +63,18 @@ def test_incremental_stream(name, mode):
     alphas = np.array([alpha for _, _, alpha in res.trace])
     assert digest(res.final.m_mu, res.final.m_sigma, alphas) == INCREMENTAL[name, mode]
 
+
+# The sa-grid benchmark workload's run: wgw(3x3) with the goal policy,
+# harmonic steps c = 10, uniform visitation, seed 7.
+SA_GRID = "1e57702480434bc58f01ce734d70eb111678803aac57ca0e23912f27a0e611f3"
+
+
+def test_sa_grid_stream():
+    env = build_wgw(3, 3, (0, 2), 0.3, 0.9)
+    res = run_incremental(env, wgw_goal_policy(3, 3, (0, 2)), num_updates=300_000, seed=7,
+                          c=10.0, visitation="uniform", trace_stride=10_000)
+    alphas = np.array([alpha for _, _, alpha in res.trace])
+    assert digest(res.final.m_mu, res.final.m_sigma, alphas) == SA_GRID
 
 SIGNED_START = {
     "sweep": "4efd87dd082b5cb7c4abaf2c0d179dd0f97301591584c2af60ecf0e4c59dca9e",
