@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import _check_choice, _check_int, _check_real
 from .dp import check_backup_budget, jipe
 from .env import (
-    _PROB_TOL,
     _REQUIRED,
-    _int,
+    _check_hub_probs,
+    _field,
     _marginal_csr,
-    _real,
     _section,
     ExoJmdp,
     Policy,
@@ -73,7 +73,14 @@ EXIT_ERROR = 4
 # -- config schema -----------------------------------------------------------
 # Each section is a schema table parsed by env._section (see the file-format
 # section of env.py); a default of None stands for a value that depends on the
-# environment.
+# environment. Integers, numbers and choices are read by the API's own checks
+# (env._field), so a field and the argument it feeds accept the same values.
+
+_NATURAL = _field(_check_int, 0)
+_COUNT = _field(_check_int, 1)
+_OPEN_UNIT = _field(_check_real, "(0, 1)")
+_POSITIVE = _field(_check_real, "(0, inf)")
+_GAMMA = (_OPEN_UNIT, 0.9)
 
 
 def _bool(value, path):
@@ -88,31 +95,14 @@ def _text(value, path):
     return value
 
 
-def _choice(*options):
-    def check(value, path):
-        if not isinstance(value, str) or value not in options:
-            raise ConfigError(f"{path}: unknown value {value!r}; choose from {options}")
-        return value
-    return check
-
-
 def _or_none(check):
     return lambda value, path: None if value is None else check(value, path)
-
-
-def _hub_probs(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: must be a pair of probabilities, got {value!r}")
-    probs = tuple(_real("(0, 1)")(p, f"{path}[{i}]") for i, p in enumerate(value))
-    if abs(sum(probs) - 1.0) > _PROB_TOL:
-        raise ConfigError(f"{path}: must sum to 1, got {value!r}")
-    return probs
 
 
 def _state_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: must be a list of state indices, got {value!r}")
-    states = [_int(0)(s, f"{path}[{i}]") for i, s in enumerate(value)]
+    states = [_NATURAL(s, f"{path}[{i}]") for i, s in enumerate(value)]
     if len(set(states)) != len(states):
         raise ConfigError(f"{path}: duplicate entries in {value!r}")
     return states
@@ -121,7 +111,7 @@ def _state_list(value, path):
 def _pick(key: str, variants: dict, files: bool = False):
     """Check of a section whose `key` field picks its schema from `variants`;
     with `files`, a section holding a "path" names a JSON file instead."""
-    choose = _choice(*variants)
+    choose = _field(_check_choice, tuple(variants))
 
     def check(doc, path):
         variant = {}
@@ -133,35 +123,32 @@ def _pick(key: str, variants: dict, files: bool = False):
     return check
 
 
-_GAMMA = (_real("(0, 1)"), 0.9)
-
-
 def _build_wgw(width, height, goal_row, goal_col, p_wind, gamma) -> ExoJmdp:
     return build_wgw(width, height, (goal_row, goal_col), p_wind, gamma)
 
 
 # builtin -> (builder called with the parsed fields, schema)
 _ENV_BUILTINS = {
-    "crc": (build_crc, {"num_states": (_int(2), 25), "gamma": _GAMMA}),
+    "crc": (build_crc, {"num_states": (_field(_check_int, 2), 25), "gamma": _GAMMA}),
     "wgw": (_build_wgw, {
-        "width": (_int(1), 3),
-        "height": (_int(1), 3),
-        "goal_row": (_int(0), 0),
-        "goal_col": (_or_none(_int(0)), None),  # None: width - 1
-        "p_wind": (_real("[0, 1]"), 0.3),
+        "width": (_COUNT, 3),
+        "height": (_COUNT, 3),
+        "goal_row": (_NATURAL, 0),
+        "goal_col": (_or_none(_NATURAL), None),  # None: width - 1
+        "p_wind": (_field(_check_real, "[0, 1]"), 0.3),
         "gamma": _GAMMA,
     }),
-    "ring": (build_ring_chain, {"num_states": (_int(3), 8), "gamma": _GAMMA}),
+    "ring": (build_ring_chain, {"num_states": (_field(_check_int, 3), 8), "gamma": _GAMMA}),
     "indep-successors": (
-        build_indep_successors, {"num_states": (_int(2), 6), "gamma": _GAMMA}
+        build_indep_successors, {"num_states": (_field(_check_int, 2), 6), "gamma": _GAMMA}
     ),
     "shared-successors": (
-        build_shared_successors, {"num_states": (_int(2), 16), "gamma": _GAMMA}
+        build_shared_successors, {"num_states": (_field(_check_int, 2), 16), "gamma": _GAMMA}
     ),
     "hub-successors": (build_hub_successors, {
-        "num_states": (_int(3), 16),
+        "num_states": (_field(_check_int, 3), 16),
         "gamma": _GAMMA,
-        "hub_probs": (_hub_probs, (0.8, 0.2)),
+        "hub_probs": (_field(_check_hub_probs), (0.8, 0.2)),
     }),
 }
 
@@ -175,32 +162,31 @@ def _env(doc, path):
     return env
 
 
-_POSITIVE = _real("(0, inf)")
 _REFERENCE_EPSILON = 1e-10  # the incremental run's reference (order-2 jipe) solve
 _ANALYSIS_MAX_ITER = 100_000  # the analyze run's order-2 jipe solve
 _ALGORITHMS = {
-    "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_int(0), 100_000)},
+    "dp2": {"epsilon": (_POSITIVE, 1e-8), "max_iter": (_NATURAL, 100_000)},
     "dpn": {
-        "order": (_int(1), _REQUIRED),
+        "order": (_COUNT, _REQUIRED),
         "epsilon": (_POSITIVE, 1e-8),
-        "max_iter": (_int(0), 100_000),
+        "max_iter": (_NATURAL, 100_000),
     },
     "incremental": {
-        "rule": (_choice("harmonic", "constant"), "harmonic"),
+        "rule": (_field(_check_choice, ("harmonic", "constant")), "harmonic"),
         "c": (_POSITIVE, 10.0),
-        "alpha0": (_real("(0, 1]"), 0.1),
-        "visitation": (_choice("uniform", "sweep"), "uniform"),
-        "num_updates": (_int(1), 1_000_000),
-        "trace_stride": (_int(1), 10_000),
+        "alpha0": (_field(_check_real, "(0, 1]"), 0.1),
+        "visitation": (_field(_check_choice, ("uniform", "sweep")), "uniform"),
+        "num_updates": (_COUNT, 1_000_000),
+        "trace_stride": (_COUNT, 10_000),
     },
     "projected": {
         "features": (_pick("builtin", {
             "identity": {},
-            "state-poly": {"degree": (_int(0), 2)},
+            "state-poly": {"degree": (_NATURAL, 2)},
             "state-ramp": {},
         }, files=True), _REQUIRED),
         "epsilon": (_POSITIVE, 1e-9),
-        "max_iter": (_int(0), 10_000),
+        "max_iter": (_NATURAL, 10_000),
     },
 }
 
@@ -222,9 +208,9 @@ _ANALYSIS = {
     "coupling": (_bool, True),
     "mc_compare": (_bool, True),
     "states": (_or_none(_state_list), None),  # None: every state
-    "num_rollouts": (_int(1), 20_000),
+    "num_rollouts": (_COUNT, 20_000),
     "trunc_tol": (_POSITIVE, 1e-6),
-    "confidence": (_real("(0, 1)"), 0.95),
+    "confidence": (_OPEN_UNIT, 0.95),
     "epsilon": (_POSITIVE, 1e-10),
 }
 
@@ -235,7 +221,7 @@ _CONFIG = {
                {"builtin": "uniform"}),
     "algorithm": (_algorithm, _REQUIRED),
     "analysis": (lambda doc, path: _section(doc, _ANALYSIS, path), {}),
-    "seed": (_int(0), 0),
+    "seed": (_NATURAL, 0),
     "out_dir": (_text, "runs/latest"),
 }
 

@@ -1,5 +1,6 @@
-"""Index spaces, moment collections, the discount check, the lambda-weighted sup
-norm of every solver, and the one byte budget of every large allocation.
+"""Index spaces, moment collections, the one check of each scalar kind (integer,
+number, choice), the lambda-weighted sup norm of every solver, and the one
+byte budget of every large allocation.
 
 A state-action pair (s, a) is flattened to x = s * num_actions + a throughout.
 Second-moment tables live on X x X, order-k tables on X^k.
@@ -7,6 +8,8 @@ Second-moment tables live on X x X, order-k tables on X^k.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -41,24 +44,57 @@ def check_budget(what: str, need: int) -> int:
     return need
 
 
-def _check_gamma(gamma: float) -> None:
-    """The one discount check: InvalidInputError unless 0 < gamma < 1 (nan fails)."""
-    if not (0.0 < gamma < 1.0):
-        raise InvalidInputError(f"gamma: must lie in (0, 1), got {gamma}")
-
-
-def _check_int(name: str, value, lo: float) -> int:
-    """The one count check: value as an int, or InvalidInputError naming
+def _check_int(name: str, value, lo: int | None = None) -> int:
+    """The one integer check: value as an int, or InvalidInputError naming
     `name` unless value is an integer (read through operator.index, so 2.5,
-    "3" and True fail) >= lo."""
+    "3" and True fail), >= lo when lo is given."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        value = operator.index(value)
+        value, ok = operator.index(value), True
     except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
-    if value < lo:
-        raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
+        ok = False
+    if not (ok and (lo is None or value >= lo)):
+        floor = "" if lo is None else f" >= {lo}"
+        raise InvalidInputError(f"{name}: must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value, interval: str) -> float:
+    """The one number check: value as a float, or InvalidInputError naming
+    `name` unless value is a real number (a bool is not), finite as a float
+    and inside `interval`, written like "(0, 1]" or "(0, inf)"."""
+    lo, hi = (float(t) for t in interval[1:-1].split(","))
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not (math.isfinite(x) and (lo < x if interval[0] == "(" else lo <= x)
+            and (x < hi if interval[-1] == ")" else x <= hi)):
+        raise InvalidInputError(f"{name}: must be a number in {interval}, got {value!r}")
+    return x
+
+
+def _check_choice(name: str, value, options: tuple) -> str:
+    """The one choice check: value, or InvalidQueryError naming `name` unless
+    it is one of the strings `options`."""
+    if not (isinstance(value, str) and value in options):
+        raise InvalidQueryError(f"{name}: unknown value {value!r}; choose from {tuple(options)}")
+    return value
+
+
+def _check_gamma(gamma) -> float:
+    """The one discount check: gamma as a float in (0, 1) (nan fails)."""
+    return _check_real("gamma", gamma, "(0, 1)")
+
+
+def _check_index(name: str, value, size: int, what: str) -> int:
+    """value read by _check_int as `name`, then InvalidQueryError
+    "<what> <value> out of range" unless it lies in 0..size-1."""
+    value = _check_int(name, value)
+    if not 0 <= value < size:
+        raise InvalidQueryError(f"{what} {value} out of range")
     return value
 
 
@@ -78,14 +114,13 @@ class StateActionSpace:
         return self.num_states * self.num_actions
 
     def x(self, s: int, a: int) -> int:
+        s, a = _check_int("s", s), _check_int("a", a)
         if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
             raise InvalidQueryError(f"state-action ({s}, {a}) out of range")
         return s * self.num_actions + a
 
     def sa(self, x: int) -> tuple[int, int]:
-        if not (0 <= x < self.num_x):
-            raise InvalidQueryError(f"flat index {x} out of range")
-        return divmod(x, self.num_actions)
+        return divmod(_check_index("x", x, self.num_x, "flat index"), self.num_actions)
 
 
 _SYMMETRY_TOL = 1e-9  # absolute
@@ -154,6 +189,7 @@ class MomentCollectionN:
         return self.table(2)
 
     def table(self, k: int) -> np.ndarray:
+        k = _check_int("k", k)
         if not (1 <= k <= self.order):
             raise InvalidQueryError(f"order {k} outside 1..{self.order}")
         return self.tables[k - 1]

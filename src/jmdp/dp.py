@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _CHECK_BLOCK, MomentCollectionN, _check_int, _order_norm, check_budget
+from .core import (_CHECK_BLOCK, MomentCollectionN, _check_int, _check_real, _order_norm,
+                   check_budget)
 from .env import ExoJmdp, Policy, _check_policy
 from .errors import InvalidInputError
 
@@ -375,11 +376,12 @@ def apply_tn(env: ExoJmdp, policy: Policy, m: MomentCollectionN) -> MomentCollec
     return MomentCollectionN(tuple(_BackupPlan(env, policy, m.order, 0).apply(m.tables)))
 
 
-def check_solver_args(epsilon: float, max_iter: int) -> None:
-    """Shared guard of the iterative solvers: a finite epsilon > 0, an integer max_iter >= 0."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
+def check_solver_args(epsilon: float, max_iter: int) -> float:
+    """Shared guard of the iterative solvers: epsilon as a finite float > 0,
+    and max_iter an integer >= 0."""
+    epsilon = _check_real("epsilon", epsilon, "(0, inf)")
     _check_int("max_iter", max_iter, 0)
+    return epsilon
 
 
 def jipe(env: ExoJmdp, policy: Policy, epsilon: float, max_iter: int = 100_000,
@@ -395,7 +397,7 @@ def jipe(env: ExoJmdp, policy: Policy, epsilon: float, max_iter: int = 100_000,
     max_iter + order + 1, and hitting it first yields certified=False. The
     iteration runs on raw tables; the frozen collection is built for the result.
     """
-    check_solver_args(epsilon, max_iter)
+    epsilon = check_solver_args(epsilon, max_iter)
     _check_int("order", order, 1)
     if m0 is not None:
         _check_moments(env, m0, order)

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import StateActionSpace, _check_gamma, _check_int
+from .core import StateActionSpace, _check_gamma, _check_index, _check_int, _check_real
 from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -127,11 +125,11 @@ class ExoJmdp:
         _check_entries("h", h, (h >= 0) & (h < s_n), f"successor outside 0..{s_n - 1}")
         _check_entries("h", h, h == np.trunc(h), "successor not a whole number")
         h = h.astype(np.int64)  # a copy, cast once its entries are checked
-        _check_gamma(self.gamma)
         g.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,8 @@ def child_seed(root_seed: int, stream_index: int) -> int:
     GOLDEN = 0x9E3779B97F4A7C15. This is the documented split rule for parallel
     rollout streams; identical (root, index) always yields the same child.
     """
+    root_seed = _check_int("root_seed", root_seed, 0)
+    stream_index = _check_int("stream_index", stream_index, 0)
     mask = (1 << 64) - 1
     z = (root_seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -234,14 +234,10 @@ def induced_jstm(env: ExoJmdp, s: int, actions: tuple[int, ...]) -> tuple:
     """Joint law of the queried actions' outcomes at s, pushed forward from
     the noise law: (rewards[K, m], successors[K, m], probs[K]) over its K
     distinct outcomes, in order of first occurrence over the noise atoms."""
-    if not (0 <= s < env.space.num_states):
-        raise InvalidQueryError(f"state {s} out of range")
-    acts = [int(a) for a in actions]
+    s = _check_index("s", s, env.space.num_states, "state")
+    acts = [_check_index("actions", a, env.space.num_actions, "action") for a in actions]
     if not (acts and len(set(acts)) == len(acts)):
         raise InvalidQueryError(f"need one or more distinct actions, got {tuple(acts)}")
-    for a in acts:
-        if not (0 <= a < env.space.num_actions):
-            raise InvalidQueryError(f"action {a} out of range")
     rewards, successors = env.g[s, acts].T, env.h[s, acts].T
     _, first, probs = _groups(env.noise.probs, *rewards.T, *successors.T)
     order = np.argsort(first)
@@ -350,9 +346,7 @@ def is_coupled_dynamics(env: ExoJmdp) -> bool:
 def build_crc(num_states: int, gamma: float) -> ExoJmdp:
     """Coupled-reward chain: both actions advance the chain, the last state is
     absorbing, and at every state the two rewards are u and 1-u for a fair coin u."""
-    num_states = _check_int("num_states", num_states, -math.inf)
-    if num_states < 2:
-        raise ConfigError(f"chain needs at least 2 states, got {num_states}")
+    num_states, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
     space = StateActionSpace(num_states, 2)
     noise = NoiseModel(np.array([0.5, 0.5]))
     g = np.tile([[0.0, 1.0], [1.0, 0.0]], (num_states, 1, 1))
@@ -368,9 +362,7 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
     chain irreducible and aperiodic, so a stationary distribution exists
     (uniform, by symmetry).
     """
-    num_states = _check_int("num_states", num_states, -math.inf)
-    if num_states < 3:
-        raise ConfigError(f"ring needs at least 3 states, got {num_states}")
+    num_states, gamma = _check_int("num_states", num_states, 3), _check_gamma(gamma)
     space = StateActionSpace(num_states, 2)
     # u = (coin for the reward, step size); four equally likely atoms.
     noise = NoiseModel(np.full(4, 0.25))
@@ -383,19 +375,11 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
 _WGW_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))  # up, right, down, left
 
 
-def _goal(goal_cell) -> tuple:
-    """The goal's (row, column), each read as an integer (2.7 fails); the
-    grid's bounds are the caller's check."""
-    return tuple(_check_int("goal_cell", goal_cell[i], -math.inf) for i in (0, 1))
-
-
-def _grid(width, height) -> tuple:
-    """(width, height), each read as an integer (2.5 and True fail), >= 1."""
-    width, height = (_check_int(name, value, -math.inf)
-                     for name, value in (("width", width), ("height", height)))
-    if width < 1 or height < 1:
-        raise ConfigError("grid dimensions must be >= 1")
-    return width, height
+def _grid(width, height, goal_cell) -> tuple:
+    """(width, height, goal row, goal column), each read as an integer (2.5
+    and True fail), the sizes >= 1; the goal's bounds are the caller's check."""
+    return (_check_int("width", width, 1), _check_int("height", height, 1),
+            *(_check_int("goal_cell", goal_cell[i]) for i in (0, 1)))
 
 
 def build_wgw(
@@ -411,12 +395,10 @@ def build_wgw(
     is absorbing with reward 0. The gust applies to every counterfactual action
     simultaneously, which is what couples their successors.
     """
-    width, height = _grid(width, height)
-    goal_r, goal_c = _goal(goal_cell)
+    width, height, goal_r, goal_c = _grid(width, height, goal_cell)
+    p_wind, gamma = _check_real("p_wind", p_wind, "[0, 1]"), _check_gamma(gamma)
     if not (0 <= goal_r < height and 0 <= goal_c < width):
         raise ConfigError(f"goal cell {goal_cell} outside the {height}x{width} grid")
-    if not (0.0 <= p_wind <= 1.0):
-        raise ConfigError(f"p_wind must lie in [0, 1], got {p_wind}")
 
     num_states = width * height
     goal = goal_r * width + goal_c
@@ -452,8 +434,7 @@ def build_wgw(
 
 def wgw_goal_policy(width: int, height: int, goal_cell: tuple[int, int]) -> Policy:
     """Deterministic goal-directed gridworld policy: right, then up the last column."""
-    width, height = _grid(width, height)
-    goal_r, goal_c = _goal(goal_cell)
+    width, height, goal_r, goal_c = _grid(width, height, goal_cell)
     probs = np.zeros((width * height, 4))
     for s in range(width * height):
         r, c = divmod(s, width)
@@ -476,10 +457,7 @@ def build_indep_successors(num_states: int, gamma: float) -> ExoJmdp:
     u = (u0, u1) with independent uniform components over states; action i jumps
     to u_i. Every same-state joint law is exactly the product of its marginals.
     """
-    num_states = _check_int("num_states", num_states, -math.inf)
-    if num_states < 2:
-        raise ConfigError(f"need at least 2 states, got {num_states}")
-    m = num_states
+    m, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
     space = StateActionSpace(m, 2)
     noise = NoiseModel(np.full(m * m, 1.0 / (m * m)))
     g = np.zeros((m, 2, m * m))
@@ -493,10 +471,7 @@ def build_indep_successors(num_states: int, gamma: float) -> ExoJmdp:
 
 def build_shared_successors(num_states: int, gamma: float) -> ExoJmdp:
     """Two actions forced onto one shared uniform successor: S' = u for every action."""
-    num_states = _check_int("num_states", num_states, -math.inf)
-    if num_states < 2:
-        raise ConfigError(f"need at least 2 states, got {num_states}")
-    m = num_states
+    m, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
     space = StateActionSpace(m, 2)
     noise = NoiseModel(np.full(m, 1.0 / m))
     g = np.zeros((m, 2, m))
@@ -504,6 +479,18 @@ def build_shared_successors(num_states: int, gamma: float) -> ExoJmdp:
     for u in range(m):
         h[:, :, u] = u
     return ExoJmdp(space, noise, g, h, gamma)
+
+
+def _check_hub_probs(name: str, value) -> tuple:
+    """value read as two numbers in (0, 1) summing to 1, else InvalidInputError
+    naming `name`."""
+    try:
+        pair = tuple(_check_real(f"{name}[{i}]", p, "(0, 1)") for i, p in enumerate(value))
+    except TypeError:  # not a sequence
+        pair = ()
+    if len(pair) != 2 or abs(sum(pair) - 1.0) > _PROB_TOL:
+        raise InvalidInputError(f"{name}: must be two probabilities summing to 1, got {value!r}")
+    return pair
 
 
 def build_hub_successors(
@@ -516,11 +503,8 @@ def build_hub_successors(
     identical and the joint successor law concentrates far from any product law.
     Rewards equal the shared coin, anti-correlated fashion across the two actions.
     """
-    num_states = _check_int("num_states", num_states, -math.inf)
-    if num_states < 3:
-        raise ConfigError(f"need at least 3 states, got {num_states}")
-    m = num_states
-    p_hi, p_lo = float(hub_probs[0]), float(hub_probs[1])
+    m, gamma = _check_int("num_states", num_states, 3), _check_gamma(gamma)
+    p_hi, p_lo = _check_hub_probs("hub_probs", hub_probs)
     space = StateActionSpace(m, 2)
     noise = NoiseModel(np.array([p_hi, p_lo]))
     g = np.zeros((m, 2, 2))
@@ -544,28 +528,17 @@ def build_hub_successors(
 _REQUIRED = object()
 
 
-def _int(lo: int):
-    def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-            raise ConfigError(f"{path}: must be an integer >= {lo}, got {value!r}")
-        return value
-    return check
-
-
-def _real(interval: str):
-    """A finite number in `interval`, written like "(0, 1]" or "(0, inf)"."""
-    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
-    lo, hi = (float(t) for t in interval[1:-1].split(","))
-
-    def check(value, path):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and abs(value) <= sys.float_info.max  # finite, and fits a float
-        ok = ok and (lo < value if lo_open else lo <= value)
-        ok = ok and (value < hi if hi_open else value <= hi)
-        if not ok:
-            raise ConfigError(f"{path}: must be a number in {interval}, got {value!r}")
-        return float(value)
-    return check
+def _field(check, *args):
+    """The schema check of a field that an API check reads (core's
+    _check_int, _check_real or _check_choice, or _check_hub_probs):
+    check(path, value, *args), so the field path names the value, and a
+    refusal is re-raised as a ConfigError."""
+    def parse(value, path):
+        try:
+            return check(path, value, *args)
+        except (InvalidInputError, InvalidQueryError) as exc:
+            raise ConfigError(str(exc)) from None
+    return parse
 
 
 _is_bool = np.frompyfunc(lambda v: isinstance(v, bool), 1, 1)
@@ -655,9 +628,9 @@ def save_env(env: ExoJmdp, path) -> None:
 
 
 _ENV_DOC = {
-    "num_states": (_int(1), _REQUIRED),
-    "num_actions": (_int(1), _REQUIRED),
-    "gamma": (_real("(0, 1)"), _REQUIRED),
+    "num_states": (_field(_check_int, 1), _REQUIRED),
+    "num_actions": (_field(_check_int, 1), _REQUIRED),
+    "gamma": (_field(_check_real, "(0, 1)"), _REQUIRED),
     "noise_probs": (_array(1), _REQUIRED),
     "g": (_array(3), _REQUIRED),
     "h": (_array(3, integral=True), _REQUIRED),

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, _check_gamma, _check_int, check_budget
+from .core import (MomentCollectionN, _check_choice, _check_gamma, _check_int, _check_real,
+                   check_budget)
 from .dp import check_solver_args
-from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _load_doc
-from .env import _bfs_levels, _check_policy, _marginal_csr, marginal_mdp
+from .env import _REQUIRED, ExoJmdp, Policy, _array, _check_entries, _check_policy, _load_doc
+from .env import _marginal_csr, marginal_mdp
 from .errors import (
     AssumptionError,
     BudgetError,
     DivergenceError,
     FeatureRankError,
     InvalidInputError,
-    InvalidQueryError,
 )
 
 __all__ = [
@@ -133,9 +133,11 @@ class StationaryDist:
     note: str = ""
 
 
-def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
+def _scc_count(indices: np.ndarray, indptr: np.ndarray, depth=None) -> int:
     """Number of strongly connected components of the digraph with CSR arrays
-    (indices, indptr): Tarjan's algorithm, its depth-first path kept in arrays."""
+    (indices, indptr): Tarjan's algorithm, its depth-first path kept in arrays.
+    Given `depth`, an int32 array with an entry per node, it also records each
+    node's depth on the path that discovers it (its root's is 0)."""
     n = indptr.size - 1
     index = np.full(n, -1, dtype=np.int32)  # discovery order
     low = np.zeros(n, dtype=np.int32)
@@ -143,8 +145,10 @@ def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
     stack = np.zeros(n, dtype=np.int32)  # Tarjan's stack of open nodes
     path = np.zeros(n, dtype=np.int32)
     cursor = np.zeros(n, dtype=indptr.dtype)  # each path node's next edge
+    depth = np.zeros(n, dtype=np.int32) if depth is None else depth
     # memoryviews read and write single entries as Python ints, fast
-    idx, lo, done, st, pa, cur = map(memoryview, (index, low, closed, stack, path, cursor))
+    idx, lo, done, st, pa, cur, dep = map(memoryview,
+                                          (index, low, closed, stack, path, cursor, depth))
     ptr, succ = memoryview(indptr), memoryview(indices)
     count = seen = top = 0
     for root in range(n):
@@ -152,6 +156,7 @@ def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
             continue
         idx[root] = lo[root] = seen
         seen += 1
+        dep[root] = 0
         st[top] = pa[0] = root
         top += 1
         cur[0], depth = ptr[root], 0
@@ -166,7 +171,7 @@ def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
                     st[top] = w
                     top += 1
                     depth += 1
-                    pa[depth], cur[depth] = w, ptr[w]
+                    pa[depth], cur[depth], dep[w] = w, ptr[w], depth
                 elif not done[w] and idx[w] < lo[v]:
                     lo[v] = idx[w]
                 continue
@@ -183,14 +188,18 @@ def _scc_count(indices: np.ndarray, indptr: np.ndarray) -> int:
     return count
 
 
-def _chain_period(indices: np.ndarray, indptr: np.ndarray) -> int:
+def _chain_period(indices: np.ndarray, indptr: np.ndarray, depth=None) -> int:
     """Period of a strongly connected digraph with CSR arrays (indices,
-    indptr): the gcd, over its edges u -> v, of level[u] + 1 - level[v], with
-    BFS levels from node 0."""
-    level = _bfs_levels(indices, indptr, [0])
-    lag = np.repeat(level, np.diff(indptr))
+    indptr): the gcd, over its edges u -> v, of depth[u] + 1 - depth[v], with
+    the depth-first depths of _scc_count (found here when not given). Any
+    potential that is the length of some walk from one node gives the
+    period: each lag is a multiple of it, and a cycle's lags sum to its length."""
+    if depth is None:
+        depth = np.zeros(indptr.size - 1, dtype=np.int32)
+        _scc_count(indices, indptr, depth)
+    lag = np.repeat(depth, np.diff(indptr))
     lag += 1
-    lag -= level[indices]
+    lag -= depth[indices]
     return int(np.gcd.reduce(lag)) or 1
 
 
@@ -209,9 +218,8 @@ def check_stationary_budget(env: ExoJmdp) -> int:
     # from, or the sort order and the sorted successors beside the weights.
     # Per edge: the kernel's data and int64 indices, and beside them the mask
     # of its entries > 0 and the kept data, or one power step's weights, or
-    # the period's int32 lags and level gather, or one breadth-first level's
-    # edge positions and successors. Per coordinate: the row pointers, the
-    # searches' node arrays and the power step's vectors.
+    # the period's int32 lags and depth gather. Per coordinate: the row
+    # pointers, the search's node arrays and the power step's vectors.
     need = 26 * n_x * n_u + 29 * edges + 64 * n_x
     return check_budget(f"stationary distribution over {n_x} coordinates", need)
 
@@ -231,11 +239,12 @@ def stationary_distribution(env: ExoJmdp, policy: Policy) -> StationaryDist:
         data = data[keep]
         indices = indices[keep]
     del keep
-    n_comp = _scc_count(indices, indptr)
+    depth = np.zeros(n, dtype=np.int32)
+    n_comp = _scc_count(indices, indptr, depth)
     fails = "; the positive-stationary-weight assumption fails"
     if n_comp != 1:
         note = f"chain is not irreducible ({n_comp} strongly connected components){fails}"
-    elif (period := _chain_period(indices, indptr)) != 1:
+    elif (period := _chain_period(indices, indptr, depth)) != 1:
         note = f"chain is periodic (period {period}){fails}"
     else:
         counts = np.diff(indptr)
@@ -358,9 +367,8 @@ def beta_weight(gamma: float, sqrt_c_rho: float) -> tuple[float, float]:
     beta = (1 - gamma^2 sqrt_c_rho) / (4 gamma); kappa = max(gamma,
     2 beta gamma + gamma^2 sqrt_c_rho) < 1. Requires gamma^2 sqrt_c_rho < 1.
     """
-    _check_gamma(gamma)
-    if not (np.isfinite(sqrt_c_rho) and sqrt_c_rho >= 0.0):
-        raise InvalidInputError(f"sqrt_c_rho must be finite and >= 0, got {sqrt_c_rho}")
+    gamma = _check_gamma(gamma)
+    sqrt_c_rho = _check_real("sqrt_c_rho", sqrt_c_rho, "[0, inf)")
     product = gamma**2 * sqrt_c_rho
     if product >= 1.0:
         raise AssumptionError(
@@ -537,8 +545,7 @@ class _PairKernel:
 def check_coupling_budget(env: ExoJmdp, mode: str) -> int:
     """Bytes the matrix-free coupling computation holds at once; raises
     BudgetError when that exceeds core.BUDGET_BYTES."""
-    if mode not in COUPLING_MODES:
-        raise InvalidQueryError(f"unknown pair-coupling mode {mode!r}")
+    _check_choice("mode", mode, COUPLING_MODES)
     n_s, n_a, n_x = env.space.num_states, env.space.num_actions, env.space.num_x
     n_u = env.noise.support_size
     # float tables, one |X| x S gather or product, the successor index h
@@ -749,7 +756,7 @@ def projected_jipe2(
     memory budget) beta = 1.
     """
     _check_policy(env, policy)
-    check_solver_args(epsilon, max_iter)
+    epsilon = check_solver_args(epsilon, max_iter)
     if features.num_x != env.space.num_x:
         raise InvalidInputError(f"features cover {features.num_x} coordinates, "
                                 f"environment has {env.space.num_x}")
@@ -807,11 +814,13 @@ def projected_jipe2(
 
 
 def identity_features(num_x: int) -> FeatureMap:
-    return FeatureMap(np.eye(num_x))
+    return FeatureMap(np.eye(_check_int("num_x", num_x, 1)))
 
 
 def state_poly_features(num_states: int, num_actions: int, degree: int) -> FeatureMap:
     """Action-independent polynomial features of the normalized state index."""
+    num_states = _check_int("num_states", num_states, 1)
+    num_actions = _check_int("num_actions", num_actions, 1)
     _check_int("degree", degree, 0)
     t = np.arange(num_states, dtype=float)
     t = t / max(num_states - 1, 1)
@@ -824,6 +833,8 @@ def state_poly_features(num_states: int, num_actions: int, degree: int) -> Featu
 def state_ramp_features(num_states: int, num_actions: int) -> FeatureMap:
     """Single increasing feature of the state index; extrapolates aggressively,
     which is what makes it adversarial for mass-concentrating dynamics."""
+    num_states = _check_int("num_states", num_states, 1)
+    num_actions = _check_int("num_actions", num_actions, 1)
     t = (np.arange(num_states, dtype=float) + 1.0) / num_states
     phi = np.repeat(t[:, None], num_actions, axis=0)
     return FeatureMap(phi)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MomentCollectionN, _check_gamma, _check_int, _order_weight, check_budget,
-                   lambda_norm)
+from .core import (MomentCollectionN, _check_choice, _check_gamma, _check_int, _check_real,
+                   _order_weight, check_budget, lambda_norm)
 from .dp import _BackupPlan, _check_moments, check_backup_budget
 from .env import ExoJmdp, Policy, _check_policy, sample_step
-from .errors import InvalidInputError, InvalidQueryError
+from .errors import InvalidQueryError
 
 __all__ = [
     "sample_backup",
@@ -192,7 +192,7 @@ def _steps(counts: np.ndarray, slots: np.ndarray, rule: str, c: float,
         rank[order] = seq - np.maximum.accumulate(head)
         alpha = c / (c + (counts[slots] + rank))
     else:
-        alpha = np.full(slots.size, float(alpha0))
+        alpha = np.full(slots.size, alpha0)
     counts += np.bincount(slots, minlength=counts.size)
     return alpha
 
@@ -222,14 +222,10 @@ def run_incremental(
     final update).
     """
     _check_policy(env, policy)
-    if rule not in ("harmonic", "constant"):
-        raise InvalidQueryError(f"unknown step rule {rule!r}")
-    if not (np.isfinite(c) and c > 0.0):
-        raise InvalidInputError(f"harmonic constant must be finite and > 0, got {c}")
-    if not (0.0 < alpha0 <= 1.0):  # false for nan too
-        raise InvalidInputError(f"constant step must lie in (0, 1], got {alpha0}")
-    if visitation not in ("sweep", "uniform"):
-        raise InvalidQueryError(f"unknown visitation mode {visitation!r}")
+    rule = _check_choice("rule", rule, ("harmonic", "constant"))
+    c = _check_real("c", c, "(0, inf)")
+    alpha0 = _check_real("alpha0", alpha0, "(0, 1]")
+    visitation = _check_choice("visitation", visitation, ("sweep", "uniform"))
     _check_int("num_updates", num_updates, 1)
     _check_int("trace_stride", trace_stride, 1)
     _check_int("seed", seed, 0)
@@ -329,7 +325,7 @@ def _tables(vals: list, place: np.ndarray) -> list:
 
 def noise_bound_constants(gamma: float) -> tuple[float, float]:
     """(C0, C1) of the conditional second-moment bound C0 + C1 * ||m||^2."""
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     lam = _order_weight(gamma, 2)
     return 8.0, 8.0 * max(gamma**2, (2.0 * gamma + gamma**2 * lam) ** 2)
 
@@ -372,7 +368,7 @@ def noise_diagnostic(
     )
     omega = vals - exact
     mean_err = float(omega.mean())
-    se = float(omega.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(omega.std(ddof=1) / np.sqrt(n))
     second = float((omega**2).mean())
     c0, c1 = noise_bound_constants(env.gamma)
     norm = lambda_norm(m, env.gamma)

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentCollectionN, StateActionSpace, _check_gamma, _check_int, check_budget
+from .core import (MomentCollectionN, StateActionSpace, _check_choice, _check_gamma, _check_index,
+                   _check_int, _check_real, check_budget)
 from .env import ExoJmdp, Policy, _bfs_levels, _check_policy, child_seed, sample_step
-from .errors import AssumptionError, InvalidInputError, InvalidQueryError
+from .errors import AssumptionError, InvalidQueryError
 
 __all__ = [
     "CorrMatrix",
@@ -51,10 +52,10 @@ DEGENERATE_VAR_TOL = 1e-12
 def truncation_horizon(gamma: float, tol: float) -> int:
     """Smallest T with gamma^T / (1 - gamma) <= tol; valid because rewards
     lie in [0, 1], so the discarded tail is at most that geometric sum."""
-    _check_gamma(gamma)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidInputError(f"truncation tolerance must be finite and > 0, got {tol}")
-    t = int(np.ceil(np.log(tol * (1.0 - gamma)) / np.log(gamma)))
+    gamma, tol = _check_gamma(gamma), _check_real("tol", tol, "(0, inf)")
+    scaled = tol * (1.0 - gamma)  # gamma^T <= scaled; a tiny tol underflows it to 0.0
+    log_scaled = np.log(scaled) if scaled > 0.0 else np.log(tol) + np.log1p(-gamma)
+    t = int(np.ceil(log_scaled / np.log(gamma)))
     return max(t, 1)
 
 
@@ -70,10 +71,9 @@ def gap_stats(
     variance = Sig(x,x) + Sig(y,y) - 2 Sig(x,y) - mean^2, clamped at zero if a
     numerically negative value appears.
     """
-    if a == a_tilde:
+    x, y = space.x(s, a), space.x(s, _check_int("a_tilde", a_tilde))
+    if x == y:
         raise InvalidQueryError("gap requires two distinct actions")
-    x = space.x(s, a)
-    y = space.x(s, a_tilde)
     mean = float(m.m_mu[x] - m.m_mu[y])
     var = float(
         m.m_sigma[x, x] + m.m_sigma[y, y] - 2.0 * m.m_sigma[x, y] - mean**2
@@ -91,8 +91,8 @@ def gap_stats(
 
 def cantelli_bound(mean: float, variance: float) -> float:
     """One-sided bound on P(gap <= 0): variance / (variance + mean^2)."""
-    if not (np.isfinite(mean) and np.isfinite(variance) and variance >= 0.0):
-        raise InvalidInputError(f"need a finite mean and variance >= 0, got {mean}, {variance}")
+    mean = _check_real("mean", mean, "(-inf, inf)")
+    variance = _check_real("variance", variance, "[0, inf)")
     if mean <= 0.0:
         raise AssumptionError(
             f"bound needs a strictly positive gap mean, got {mean}"
@@ -339,24 +339,16 @@ def mc_state_block(
     """Coupled-rollout estimates of all first/second moments and pairwise gap
     functionals for the given action branches at one state."""
     _check_policy(env, policy)
-    if continuation_coupling not in ("shared-state", "independent"):
-        raise InvalidQueryError(
-            f"unknown continuation coupling {continuation_coupling!r}"
-        )
+    _check_choice("continuation_coupling", continuation_coupling, ("shared-state", "independent"))
     _check_int("num_rollouts", num_rollouts, 1)
     _check_int("seed", seed, 0)
-    if not 0.0 < confidence < 1.0:  # false for nan too
-        raise InvalidInputError(f"confidence must lie in (0, 1), got {confidence}")
-    acts = tuple(int(a) for a in actions)
+    confidence = _check_real("confidence", confidence, "(0, 1)")
+    acts = tuple(_check_index("actions", a, env.space.num_actions, "action") for a in actions)
     if not acts:
         raise InvalidQueryError("need at least one action branch")
-    for a in acts:
-        if not (0 <= a < env.space.num_actions):
-            raise InvalidQueryError(f"action {a} out of range")
-    if not (0 <= s < env.space.num_states):
-        raise InvalidQueryError(f"state {s} out of range")
-    check_mc_budget(len(acts), num_rollouts)
+    s = _check_index("s", s, env.space.num_states, "state")
     horizon = truncation_horizon(env.gamma, trunc_tol)
+    check_mc_budget(len(acts), num_rollouts)
     z, counts = _branch_returns(
         env, policy, s, acts, num_rollouts, horizon, seed, continuation_coupling
     )

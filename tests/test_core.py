@@ -1,10 +1,14 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jmdp
+from jmdp.cli import RunConfig
 from jmdp.core import (
     MomentCollection2,
     MomentCollectionN,
@@ -12,17 +16,20 @@ from jmdp.core import (
     lambda_norm,
 )
 from jmdp.dp import jipe
-from jmdp.env import (Policy, build_crc, build_hub_successors, build_indep_successors,
-                      build_ring_chain, build_shared_successors, build_wgw, wgw_goal_policy)
-from jmdp.errors import ConfigError, InvalidInputError, InvalidQueryError
-from jmdp.fa import beta_weight, state_poly_features
+from jmdp.env import (ExoJmdp, Policy, build_crc, build_hub_successors, build_indep_successors,
+                      build_ring_chain, build_shared_successors, build_wgw, child_seed,
+                      induced_jstm, wgw_goal_policy)
+from jmdp.errors import BudgetError, ConfigError, InvalidInputError, InvalidQueryError
+from jmdp.fa import (beta_weight, check_coupling_budget, coupling_coefficient, identity_features,
+                     projected_jipe2, state_poly_features, state_ramp_features)
 from jmdp.incremental import (
     _coordinate_table,
     noise_bound_constants,
     noise_diagnostic,
     run_incremental,
 )
-from jmdp.stats import mc_state_block, truncation_horizon
+from jmdp.stats import (cantelli_bound, corr_matrix, gap_stats, mc_state_block,
+                        truncation_horizon)
 
 
 def random_collection(rng, num_x, scale=1.0):
@@ -102,7 +109,7 @@ class TestCheckInt:
         pol = Policy.uniform(env.space)
         m = MomentCollectionN.zeros(env.space, 2)
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", 0)
-        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+        with pytest.raises(InvalidInputError, match=f"^{name}: must be an integer >= \\d+, got "):
             call(env, pol, m)
 
     @pytest.mark.parametrize("name, call", [
@@ -121,7 +128,8 @@ class TestCheckInt:
             "build_wgw-goal", "wgw_goal_policy-goal", "build_wgw-width", "build_wgw-height",
             "wgw_goal_policy-width", "wgw_goal_policy-height", "state_poly_features-degree"])
     def test_fractional_size_rejected(self, name, call):
-        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name}: must be an integer( >= \\d+)?, got "):
             call()
 
     @pytest.mark.parametrize("name, call", [
@@ -138,27 +146,235 @@ class TestCheckInt:
             "build_wgw-width", "wgw_goal_policy-height"])
     def test_bool_rejected(self, name, call):
         env = build_crc(3, 0.9)
-        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got (True|False)"):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name}: must be an integer >= \\d+, got (True|False)"):
             call(env, Policy.uniform(env.space))
 
     @pytest.mark.parametrize("error, match, call", [
-        (ConfigError, "chain needs at least 2 states", lambda: build_crc(1, 0.9)),
-        (ConfigError, "ring needs at least 3 states", lambda: build_ring_chain(2, 0.9)),
-        (ConfigError, "need at least 2 states, got 1$", lambda: build_indep_successors(1, 0.9)),
-        (ConfigError, "need at least 2 states, got 1$", lambda: build_shared_successors(1, 0.9)),
-        (ConfigError, "need at least 3 states, got 2$", lambda: build_hub_successors(2, 0.9)),
+        (InvalidInputError, "^num_states: must be an integer >= 2, got 1$",
+         lambda: build_crc(1, 0.9)),
+        (InvalidInputError, "^num_states: must be an integer >= 3, got 2$",
+         lambda: build_ring_chain(2, 0.9)),
+        (InvalidInputError, "^num_states: must be an integer >= 2, got 1$",
+         lambda: build_indep_successors(1, 0.9)),
+        (InvalidInputError, "^num_states: must be an integer >= 2, got 1$",
+         lambda: build_shared_successors(1, 0.9)),
+        (InvalidInputError, "^num_states: must be an integer >= 3, got 2$",
+         lambda: build_hub_successors(2, 0.9)),
         (ConfigError, r"goal cell \(-1, 0\) outside the 3x3 grid",
          lambda: build_wgw(3, 3, (-1, 0), 0.3, 0.9)),
-        (ConfigError, "grid dimensions must be >= 1", lambda: build_wgw(0, 3, (0, 0), 0.3, 0.9)),
-        (ConfigError, "grid dimensions must be >= 1", lambda: wgw_goal_policy(3, 0, (0, 0))),
-        (InvalidInputError, "num_states must be >= 1, got 0", lambda: StateActionSpace(0, 2)),
-        (InvalidInputError, "degree must be >= 0, got -1", lambda: state_poly_features(3, 2, -1)),
+        (InvalidInputError, "^width: must be an integer >= 1, got 0$",
+         lambda: build_wgw(0, 3, (0, 0), 0.3, 0.9)),
+        (InvalidInputError, "^height: must be an integer >= 1, got 0$",
+         lambda: wgw_goal_policy(3, 0, (0, 0))),
+        (InvalidInputError, "^num_states: must be an integer >= 1, got 0$",
+         lambda: StateActionSpace(0, 2)),
+        (InvalidInputError, "^degree: must be an integer >= 0, got -1$",
+         lambda: state_poly_features(3, 2, -1)),
     ], ids=["build_crc", "build_ring_chain", "build_indep_successors",
             "build_shared_successors", "build_hub_successors", "build_wgw-goal", "build_wgw-width",
             "wgw_goal_policy-height", "space", "state_poly_features"])
     def test_too_small_integer_keeps_its_message(self, error, match, call):
         with pytest.raises(error, match=match):
             call()
+
+
+def _scalar_calls():
+    """(id, parameter name the refusal must start with, whether it is an
+    integer, call(value)) for every scalar parameter of the API."""
+    env = build_crc(3, 0.9)
+    pol = Policy.uniform(env.space)
+    m = MomentCollectionN.zeros(env.space, 2)
+    nu = np.full(env.space.num_x, 1.0 / env.space.num_x)
+    features = identity_features(env.space.num_x)
+    mc = lambda **kw: mc_state_block(env, pol, **{"s": 0, "actions": (0, 1), "num_rollouts": 10,
+                                                   "trunc_tol": 1e-3, "seed": 0, **kw})
+    inc = lambda **kw: run_incremental(env, pol, **{"num_updates": 10, "seed": 0, **kw})
+    ints = [
+        ("space-num_states", "num_states", lambda v: StateActionSpace(v, 2)),
+        ("space-num_actions", "num_actions", lambda v: StateActionSpace(2, v)),
+        ("space.x-s", "s", lambda v: env.space.x(v, 0)),
+        ("space.x-a", "a", lambda v: env.space.x(0, v)),
+        ("space.sa-x", "x", env.space.sa),
+        ("zeros-order", "order", lambda v: MomentCollectionN.zeros(env.space, v)),
+        ("table-k", "k", m.table),
+        ("jipe-max_iter", "max_iter", lambda v: jipe(env, pol, 1e-8, v)),
+        ("jipe-order", "order", lambda v: jipe(env, pol, 1e-8, order=v)),
+        ("projected_jipe2-max_iter", "max_iter",
+         lambda v: projected_jipe2(env, pol, features, nu, 1e-8, v)),
+        *((f"{b.__name__}-num_states", "num_states", lambda v, b=b: b(v, 0.9))
+          for b in (build_crc, build_ring_chain, build_indep_successors,
+                    build_shared_successors, build_hub_successors)),
+        ("build_wgw-width", "width", lambda v: build_wgw(v, 3, (0, 2), 0.3, 0.9)),
+        ("build_wgw-height", "height", lambda v: build_wgw(3, v, (0, 2), 0.3, 0.9)),
+        ("wgw_goal_policy-width", "width", lambda v: wgw_goal_policy(v, 3, (0, 2))),
+        ("wgw_goal_policy-height", "height", lambda v: wgw_goal_policy(3, v, (0, 2))),
+        ("child_seed-root_seed", "root_seed", lambda v: child_seed(v, 0)),
+        ("child_seed-stream_index", "stream_index", lambda v: child_seed(0, v)),
+        ("induced_jstm-s", "s", lambda v: induced_jstm(env, v, (0, 1))),
+        ("induced_jstm-actions", "actions", lambda v: induced_jstm(env, 0, (0, v))),
+        ("identity_features-num_x", "num_x", identity_features),
+        ("state_poly_features-num_states", "num_states", lambda v: state_poly_features(v, 2, 1)),
+        ("state_poly_features-num_actions", "num_actions",
+         lambda v: state_poly_features(3, v, 1)),
+        ("state_poly_features-degree", "degree", lambda v: state_poly_features(3, 2, v)),
+        ("state_ramp_features-num_states", "num_states", lambda v: state_ramp_features(v, 2)),
+        ("state_ramp_features-num_actions", "num_actions", lambda v: state_ramp_features(3, v)),
+        ("run_incremental-num_updates", "num_updates", lambda v: inc(num_updates=v)),
+        ("run_incremental-seed", "seed", lambda v: inc(seed=v)),
+        ("run_incremental-trace_stride", "trace_stride", lambda v: inc(trace_stride=v)),
+        ("noise_diagnostic-num_samples", "num_samples",
+         lambda v: noise_diagnostic(env, pol, m, (0,), v, 0)),
+        ("noise_diagnostic-seed", "seed", lambda v: noise_diagnostic(env, pol, m, (0,), 1000, v)),
+        ("gap_stats-s", "s", lambda v: gap_stats(env.space, m, v, 0, 1)),
+        ("gap_stats-a", "a", lambda v: gap_stats(env.space, m, 0, v, 1)),
+        ("gap_stats-a_tilde", "a_tilde", lambda v: gap_stats(env.space, m, 0, 0, v)),
+        ("corr_matrix-s", "s", lambda v: corr_matrix(env.space, m, v)),
+        ("mc_state_block-s", "s", lambda v: mc(s=v)),
+        ("mc_state_block-actions", "actions", lambda v: mc(actions=(0, v))),
+        ("mc_state_block-num_rollouts", "num_rollouts", lambda v: mc(num_rollouts=v)),
+        ("mc_state_block-seed", "seed", lambda v: mc(seed=v)),
+    ]
+    others = [
+        ("lambda_norm-gamma", "gamma", lambda v: lambda_norm(m, v)),
+        ("ExoJmdp-gamma", "gamma", lambda v: ExoJmdp(env.space, env.noise, env.g, env.h, v)),
+        *((f"{b.__name__}-gamma", "gamma", lambda v, b=b: b(3, v))
+          for b in (build_crc, build_ring_chain, build_indep_successors,
+                    build_shared_successors, build_hub_successors)),
+        ("build_hub_successors-hub_probs", "hub_probs",
+         lambda v: build_hub_successors(3, 0.9, hub_probs=v)),
+        ("build_wgw-p_wind", "p_wind", lambda v: build_wgw(3, 3, (0, 2), v, 0.9)),
+        ("build_wgw-gamma", "gamma", lambda v: build_wgw(3, 3, (0, 2), 0.3, v)),
+        ("jipe-epsilon", "epsilon", lambda v: jipe(env, pol, v)),
+        ("projected_jipe2-epsilon", "epsilon",
+         lambda v: projected_jipe2(env, pol, features, nu, v)),
+        ("beta_weight-gamma", "gamma", lambda v: beta_weight(v, 1.0)),
+        ("beta_weight-sqrt_c_rho", "sqrt_c_rho", lambda v: beta_weight(0.9, v)),
+        ("coupling_coefficient-mode", "mode", lambda v: coupling_coefficient(env, pol, nu, v)),
+        ("check_coupling_budget-mode", "mode", lambda v: check_coupling_budget(env, v)),
+        ("run_incremental-rule", "rule", lambda v: inc(rule=v)),
+        ("run_incremental-c", "c", lambda v: inc(c=v)),
+        ("run_incremental-alpha0", "alpha0", lambda v: inc(alpha0=v)),
+        ("run_incremental-visitation", "visitation", lambda v: inc(visitation=v)),
+        ("noise_bound_constants-gamma", "gamma", noise_bound_constants),
+        ("truncation_horizon-gamma", "gamma", lambda v: truncation_horizon(v, 1e-3)),
+        ("truncation_horizon-tol", "tol", lambda v: truncation_horizon(0.9, v)),
+        ("cantelli_bound-mean", "mean", lambda v: cantelli_bound(v, 0.5)),
+        ("cantelli_bound-variance", "variance", lambda v: cantelli_bound(1.0, v)),
+        ("mc_state_block-trunc_tol", "tol", lambda v: mc(trunc_tol=v)),
+        ("mc_state_block-confidence", "confidence", lambda v: mc(confidence=v)),
+        ("mc_state_block-continuation_coupling", "continuation_coupling",
+         lambda v: mc(continuation_coupling=v)),
+    ]
+    return [(i, n, True, c) for i, n, c in ints] + [(i, n, False, c) for i, n, c in others]
+
+
+_SCALAR_CALLS = _scalar_calls()
+
+
+class TestScalarParameters:
+    """Every scalar parameter of the API reads through core's integer, number
+    or choice check: a string, None, a bool, nan or inf (and 1.5 for an
+    integer) is an InvalidInputError or InvalidQueryError whose message starts
+    with the parameter's name, raised before any budget count (the budget is
+    zero), environment, feature map or rollout is built."""
+
+    @pytest.mark.parametrize("name, call, value", [
+        pytest.param(name, call, value, id=f"{ident}-{vid}")
+        for ident, name, integer, call in _SCALAR_CALLS
+        for vid, value in [("str", "1"), ("None", None), ("True", True), ("nan", float("nan")),
+                           ("inf", float("inf"))] + [("1.5", 1.5)] * integer
+    ])
+    def test_bad_value_refused_naming_the_parameter(self, name, call, value, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", 0)
+        for target in ("jmdp.env.StateActionSpace", "jmdp.env.Policy", "jmdp.env._groups",
+                       "jmdp.fa.FeatureMap", "jmdp.stats._branch_returns"):
+            monkeypatch.setattr(target, never)
+        with pytest.raises((InvalidInputError, InvalidQueryError),
+                           match=rf"^{name}(\[\d\])?: "):
+            call(value)
+
+
+def _agreement_cases():
+    """config field -> (its section, the rest of that section, the API call
+    its value feeds, the name that call's check reads it under)."""
+    env = build_crc(3, 0.9)
+    pol = Policy.uniform(env.space)
+    inc = {"name": "incremental"}
+    mc = lambda **kw: mc_state_block(env, pol, **{"s": 0, "actions": (0, 1), "num_rollouts": 10,
+                                                   "trunc_tol": 1e-3, "seed": 0, **kw})
+    inc_run = lambda **kw: run_incremental(env, pol, 10, 0, **kw)
+    return {
+        "num_states": ("env", {"builtin": "crc"}, lambda v: build_crc(v, 0.9), "num_states"),
+        "gamma": ("env", {"builtin": "crc"}, lambda v: build_crc(3, v), "gamma"),
+        "p_wind": ("env", {"builtin": "wgw"}, lambda v: build_wgw(3, 3, (0, 2), v, 0.9),
+                   "p_wind"),
+        "epsilon": ("algorithm", {"name": "dp2"}, lambda v: jipe(env, pol, v), "epsilon"),
+        "c": ("algorithm", inc, lambda v: inc_run(c=v), "c"),
+        "alpha0": ("algorithm", {**inc, "rule": "constant"},
+                   lambda v: inc_run(rule="constant", alpha0=v), "alpha0"),
+        "rule": ("algorithm", inc, lambda v: inc_run(rule=v), "rule"),
+        "visitation": ("algorithm", inc, lambda v: inc_run(visitation=v), "visitation"),
+        "confidence": ("analysis", {}, lambda v: mc(confidence=v), "confidence"),
+        "trunc_tol": ("analysis", {}, lambda v: mc(trunc_tol=v), "tol"),
+    }
+
+
+_AGREEMENT = _agreement_cases()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, 5e-324, 0.5, 1.0 - 2**-53, 1e308, 10**400, "0.5", "harmonic",
+                     "constant", "uniform", "sweep"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(sorted(_AGREEMENT)), value=_JSON_VALUES)
+def test_config_field_and_api_parameter_agree(field, value):
+    """A config field and the API parameter it feeds accept and refuse the
+    same values, and read an accepted value as the same number or string."""
+    section, doc, call, name = _AGREEMENT[field]
+    config = {"format_version": 1, "env": {"builtin": "crc"}, "algorithm": {"name": "dp2"},
+              section: {**doc, field: value}}
+    try:
+        parsed = getattr(RunConfig(config), {"env": "env_spec"}.get(section, section))[field]
+    except ConfigError as exc:
+        assert str(exc).startswith(f"config.{section}.{field}: ")
+        parsed = None
+    read = {}
+
+    def spy(check):
+        def record(label, v, *args):
+            read[label] = check(label, v, *args)
+            return read[label]
+        return record
+
+    class ChecksPassed(Exception):
+        """Raised by the first object a builder makes once its checks pass."""
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(jmdp.core, "BUDGET_BYTES", 0))
+        stack.enter_context(mock.patch.object(jmdp.env, "StateActionSpace",
+                                              side_effect=ChecksPassed))
+        for module in (jmdp.core, jmdp.env, jmdp.dp, jmdp.incremental, jmdp.stats):
+            for check in ("_check_int", "_check_real", "_check_choice"):
+                if hasattr(module, check):
+                    stack.enter_context(
+                        mock.patch.object(module, check, spy(getattr(module, check))))
+        try:
+            call(value)
+        except (InvalidInputError, InvalidQueryError) as exc:
+            assert str(exc).startswith(f"{name}: ")
+            assert parsed is None, f"the API refuses {value!r}, the config reads {parsed!r}"
+            return
+        except (BudgetError, ChecksPassed):  # every check passed; the work is stopped
+            pass
+    assert parsed is not None, f"the config refuses {value!r}, the API accepts it"
+    assert type(read[name]) is type(parsed) and read[name] == parsed
 
 
 class TestMomentCollections:

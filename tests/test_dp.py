@@ -773,7 +773,7 @@ class TestJipeN:
 
     def test_order_below_one_rejected(self):
         env = build_crc(3, 0.9)
-        with pytest.raises(InvalidInputError, match="order must be >= 1"):
+        with pytest.raises(InvalidInputError, match="^order: must be an integer >= 1, got 0$"):
             jipe(env, Policy.uniform(env.space), 1e-6, order=0)
 
     def test_order_two_reproduces_jipe2(self):

@@ -403,7 +403,7 @@ class TestBuilders:
         assert sorted(map(tuple, rewards.tolist())) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_crc_requires_two_states(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^num_states: must be an integer >= 2"):
             build_crc(1, 0.9)
 
     @pytest.mark.parametrize("build", [build_crc, build_ring_chain, build_indep_successors,
@@ -411,7 +411,8 @@ class TestBuilders:
     @pytest.mark.parametrize("value", ["3", True, 2.5])
     def test_num_states_must_be_an_integer(self, build, value):
         with pytest.raises(InvalidInputError,
-                           match=re.escape(f"num_states must be an integer, got {value!r}")):
+                           match=r"^num_states: must be an integer >= \d, got "
+                                 + re.escape(repr(value))):
             build(value, 0.9)
 
     def test_wgw_fig_layout(self):
@@ -447,7 +448,8 @@ class TestBuilders:
     def test_wgw_goal_validation(self):
         with pytest.raises(ConfigError):
             build_wgw(3, 3, (5, 0), 0.3, 0.9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("p_wind: must be a number in [0, 1]")):
             build_wgw(3, 3, (0, 2), 1.5, 0.9)
 
     def test_goal_policy_moves_toward_goal(self):

@@ -470,21 +470,25 @@ class TestRunIncremental:
         env = build_crc(3, 0.9)
         for name in ("check_incremental_budget", "_coordinate_table", "_sample_terms"):
             monkeypatch.setattr(incremental, name, _never)
-        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -3"):
+        with pytest.raises(InvalidInputError, match="^seed: must be an integer >= 0, got -3$"):
             run_incremental(
                 env, Policy.uniform(env.space), 100, seed=-3, visitation="sweep",
             )
 
     @pytest.mark.parametrize("kwargs, error, match", [
-        ({"rule": "bogus"}, InvalidQueryError, "unknown step rule 'bogus'"),
-        ({"visitation": "bogus"}, InvalidQueryError, "unknown visitation mode 'bogus'"),
-        ({"c": -5.0}, InvalidInputError, "harmonic constant"),
-        ({"c": float("nan")}, InvalidInputError, "harmonic constant"),
-        ({"rule": "constant", "c": float("nan")}, InvalidInputError, "harmonic constant"),
-        ({"rule": "constant", "alpha0": 0.0}, InvalidInputError, "constant step"),
-        ({"rule": "constant", "alpha0": 1.5}, InvalidInputError, "constant step"),
-        ({"rule": "constant", "alpha0": float("nan")}, InvalidInputError, "constant step"),
-        ({"alpha0": 7.0}, InvalidInputError, "constant step"),
+        ({"rule": "bogus"}, InvalidQueryError, "^rule: unknown value 'bogus'"),
+        ({"visitation": "bogus"}, InvalidQueryError, "^visitation: unknown value 'bogus'"),
+        ({"c": -5.0}, InvalidInputError, r"^c: must be a number in \(0, inf\)"),
+        ({"c": float("nan")}, InvalidInputError, r"^c: must be a number in \(0, inf\)"),
+        ({"rule": "constant", "c": float("nan")}, InvalidInputError,
+         r"^c: must be a number in \(0, inf\)"),
+        ({"rule": "constant", "alpha0": 0.0}, InvalidInputError,
+         r"^alpha0: must be a number in \(0, 1\]"),
+        ({"rule": "constant", "alpha0": 1.5}, InvalidInputError,
+         r"^alpha0: must be a number in \(0, 1\]"),
+        ({"rule": "constant", "alpha0": float("nan")}, InvalidInputError,
+         r"^alpha0: must be a number in \(0, 1\]"),
+        ({"alpha0": 7.0}, InvalidInputError, r"^alpha0: must be a number in \(0, 1\]"),
     ], ids=["rule_bogus", "visitation_bogus", "harmonic_negative", "harmonic_nan",
             "constant_rule_c_nan", "constant_zero", "constant_above_one", "constant_nan",
             "harmonic_rule_alpha0_seven"])
@@ -596,7 +600,7 @@ class TestNoiseDiagnostic:
         m = MomentCollection2.zeros(env.space)
         for name in ("check_noise_budget", "_BackupPlan", "_backups"):
             monkeypatch.setattr(incremental, name, _never)
-        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+        with pytest.raises(InvalidInputError, match="^seed: must be an integer >= 0, got -1$"):
             noise_diagnostic(env, Policy.uniform(env.space), m, (0, 1), 1000, seed=-1)
 
     def test_deterministic_env_zero_noise(self):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -74,6 +75,14 @@ class TestHorizon:
         # 0.5^T / 0.5 <= 0.5 first holds at T = 2
         assert truncation_horizon(0.5, 0.5) == 2
 
+    @pytest.mark.parametrize("tol", [5e-324, 2e-323])
+    def test_tolerance_whose_bound_underflows(self, tol):
+        """tol * (1 - gamma) underflows to 0.0, so the horizon is taken in log
+        space: log(gamma^T) <= log(tol) + log(1 - gamma)."""
+        t = truncation_horizon(0.9, tol)
+        bound = math.log(tol) + math.log(0.1)
+        assert t * math.log(0.9) <= bound < (t - 1) * math.log(0.9)
+
 
 class TestGapStats:
     def test_identity_case_formula(self, crc_fixed_point):
@@ -143,7 +152,7 @@ class TestCantelli:
 def test_non_finite_arguments_rejected(guard, value):
     with mock.patch.object(jmdp.stats, "_branch_returns",
                            side_effect=AssertionError("rollouts started")):
-        with pytest.raises(InvalidInputError, match="finite"):
+        with pytest.raises(InvalidInputError, match="must be a number in"):
             guard(value)
 
 
@@ -245,7 +254,7 @@ class TestMcOracle:
         monkeypatch.setattr(jmdp.stats, "_branch_returns", never)
         env = build_crc(3, 0.9)
         # 10**9 rollouts are over budget: the confidence check comes first.
-        with pytest.raises(InvalidInputError, match="confidence must lie in"):
+        with pytest.raises(InvalidInputError, match=r"^confidence: must be a number in \(0, 1\)"):
             mc_state_block(env, Policy.uniform(env.space), 0, (0, 1), 10**9, 1e-4, 0,
                            confidence=confidence)
 
