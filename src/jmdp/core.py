@@ -225,10 +225,11 @@ def _order_weight(gamma: float, k: int) -> float:
 
 def _order_norm(t, k: int, gamma: float) -> float:
     """max|t| / lam**(k-1) of an order-k table t, rejecting non-finite
-    entries; the callers check gamma."""
-    if not np.all(np.isfinite(t)):
+    entries in the same pass (max propagates NaN); the callers check gamma."""
+    v = float(np.abs(t).max())
+    if not math.isfinite(v):
         raise InvalidInputError(f"order-{k} table contains non-finite entries")
-    return float(np.max(np.abs(t))) / _order_weight(gamma, k)
+    return v / _order_weight(gamma, k)
 
 
 def lambda_norm(m, gamma: float) -> float:

@@ -22,9 +22,9 @@ positions: a dense matrix, such as K = [r'; gamma P'] for one position (mean
 rewards r, marginal kernel P, |X| x S), or a gather over h with the shared
 draw enumerated. At order 2 the class of distinct states is K' Z K with
 Z = [[1, mbar'], [mbar, M2]], two matrix products straight into the output
-table; every other class's values are written at the sorted tuples and
-copied to their permutations. Every byte is counted (check_backup_budget)
-against core.BUDGET_BYTES before any array is built.
+table; every other class with sorted tuples writes them, and each unsorted
+tuple then takes its sorted twin's value (_mirror). Every byte is counted
+(check_backup_budget) against core.BUDGET_BYTES before any array is built.
 """
 
 from __future__ import annotations
@@ -208,12 +208,31 @@ def _class_index(env: ExoJmdp, k: int, codes) -> tuple:
     return np.concatenate(pos), np.concatenate(val)
 
 
-def _mirror(t: np.ndarray) -> None:
+def _mirror_index(n: int, k: int) -> tuple:
+    """(dst, src): the flat position in an order-k table over range(n) of
+    every tuple that is not sorted, and of its sorted twin (sorted by a
+    bubble-sort network of whole-row comparators)."""
+    xs = np.indices((n,) * k).reshape(k, -1)
+    for end in range(k - 1, 0, -1):
+        for p in range(end):
+            xs[p:p + 2] = np.minimum(xs[p], xs[p + 1]), np.maximum(xs[p], xs[p + 1])
+    src = n ** np.arange(k - 1, -1, -1) @ xs
+    dst = np.flatnonzero(src != np.arange(n**k))
+    return dst, src[dst]
+
+
+def _mirror(t: np.ndarray, index: tuple | None = None) -> None:
     """Give every entry of the order-k table t its value at the sorted
-    coordinates, in place: exact permutation invariance. A pass copies each
-    entry whose positions p, p+1 are out of order from its swapped twin; the
-    passes run the bubble-sort network's comparators last first, in blocks of
-    leading rows of at most max(|X|^(k-1), _CHECK_BLOCK) entries."""
+    coordinates, in place: exact permutation invariance. Given _mirror_index's
+    (dst, src), one gather copies them all. Without (a table of more than
+    _CHECK_BLOCK entries), a pass copies each entry whose positions p, p+1 are
+    out of order from its swapped twin; the passes run the bubble-sort
+    network's comparators last first, in blocks of leading rows of at most
+    max(|X|^(k-1), _CHECK_BLOCK) entries."""
+    if index is not None:
+        flat = t.reshape(-1)
+        flat[index[0]] = flat[index[1]]
+        return
     k, n = t.ndim, len(t)
     step = min(n, max(1, _CHECK_BLOCK // n ** (k - 1)))
     below = (np.arange(step)[:, None] > np.arange(step))[:, :, None]
@@ -248,27 +267,37 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
     of one; the frozen copy and a block of its symmetry check; a state-table
     average; one class's contraction, one op per sigma-block (a
     distinct-state class writes into the backup, any other adds its values
-    and the gathered ones); a mirror block and its copy; or the build's kernel
-    and index temporaries. The plan holds the state tables and tensors, one
-    kernel per distinct sigma-block and per-class indexes; _OBJECT_BYTES per
-    entry and _TRACE_BYTES per row of the trace, at most max_iter + order + 1."""
+    and the gathered ones); a mirror gather's copy, or a mirror tile's copy
+    and mask; or the build's kernel and index temporaries. The plan holds
+    the state tables and tensors, one kernel per distinct sigma-block, the
+    indexes of the classes with sorted tuples (no other class is counted)
+    and a mirror index per order of at most _CHECK_BLOCK entries; _OBJECT_BYTES
+    per entry and _TRACE_BYTES per row of the trace, at most max_iter + order + 1."""
     s_n, a_n, _ = env.g.shape
     n_x = env.space.num_x
     tables = sum(n_x**k for k in range(1, order + 1))
     held, build = 2 * tables + s_n * a_n, [0]
     peak = [tables + n_x**order, tables + min(n_x**order, max(n_x ** (order - 1), _CHECK_BLOCK))]
-    keys, states, kernels = set(), set(), set()
+    keys, states, kernels, classes = set(), set(), set(), 0
     for k in range(2, order + 1):
-        rows = min(n_x, max(1, _CHECK_BLOCK // n_x ** (k - 1)))
-        peak.append(rows * rows * (n_x ** (k - 2) + 1))  # a mirror tile's copy and mask
+        if n_x**k <= _CHECK_BLOCK:  # the mirror index, its gather and its build
+            held += 2 * n_x**k
+            peak.append(n_x**k)
+            build.append((k + 4) * n_x**k)
+        else:
+            rows = min(n_x, max(1, _CHECK_BLOCK // n_x ** (k - 1)))
+            peak.append(rows * rows * (n_x ** (k - 2) + 1))  # a mirror tile's copy and mask
     for k in range(1, order + 1):
         for shape, codes in _classes(k):
-            taus = tuple(m for block in shape for m in block)
-            z = math.prod(1 + m * s_n for m in taus)
-            cells = math.prod(s_n * a_n ** len(b) for b in shape)
             count = 0 if len(shape) == k else sum(  # sorted tuples, as _class_index lists them
                 math.comb(s_n, len(blocks)) * math.prod(math.comb(a_n, len(b)) for b in blocks)
                 for blocks in codes)
+            if len(shape) < k and not count:
+                continue  # no plan holds a class without tuples
+            taus = tuple(m for block in shape for m in block)
+            z = math.prod(1 + m * s_n for m in taus)
+            cells = math.prod(s_n * a_n ** len(b) for b in shape)
+            classes += 1
             states.add(taus)
             kernels.update(shape)
             keys.update(m for _, m, _ in _patterns(taus))
@@ -287,8 +316,7 @@ def check_backup_budget(env: ExoJmdp, order: int, max_iter: int = 100_000) -> in
         held += rows * cells if dense else 2 * atoms * cells
         build.append(4 * atoms * cells)
     peak.append(max(build))
-    objects = len(kernels) + len(keys) + len(states) + 3**order + sum(
-        len(_classes(k)) for k in range(1, order + 1))
+    objects = len(kernels) + len(keys) + len(states) + 3**order + classes
     return check_budget(f"order-{order} backup over {n_x} coordinates",
                         8 * (held + max(peak)) + _OBJECT_BYTES * objects
                         + _TRACE_BYTES * (max_iter + order + 1))
@@ -305,8 +333,10 @@ class _BackupPlan:
     policy-averaged state tables of its continuing positions, so every
     choice of continuing positions runs in one contraction. The class of
     distinct states is the order-k table itself; every other class writes
-    its sorted tuples through an index, and _mirror copies each sorted tuple
-    to its permutations. `need` is check_backup_budget's count.
+    its sorted tuples through an index, and a class without any is not
+    held. _mirror then copies each sorted tuple to its permutations, through
+    mirrors[k - 1], the order's _mirror_index, when the table has at most
+    _CHECK_BLOCK entries. `need` is check_backup_budget's count.
     """
 
     def __init__(self, env: ExoJmdp, policy: Policy, order: int, max_iter: int):
@@ -315,10 +345,13 @@ class _BackupPlan:
         s_n = env.space.num_states
         n_x = env.space.num_x
         self.pi = policy.probs[:, None, :]
-        kernels, states, self.orders = {}, {}, []
+        kernels, states, self.orders, self.mirrors = {}, {}, [], []
         for k in range(1, order + 1):
             classes = []
             for shape, codes in _classes(k):
+                index = () if len(shape) == k else _class_index(env, k, codes)
+                if index and not index[0].size:
+                    continue  # no sorted tuples, as for three actions at one state when A = 2
                 taus = tuple(m for block in shape for m in block)
                 if taus not in states:
                     states[taus] = np.zeros([1 + m * s_n for m in taus])
@@ -327,21 +360,24 @@ class _BackupPlan:
                 for sizes in shape:
                     if sizes not in kernels:
                         kernels[sizes] = _block_kernel(env, sizes)
-                ops = [kernels[sizes] for sizes in shape]
-                index = () if len(shape) == k else _class_index(env, k, codes)
-                classes.append((z, ops, *index))
+                classes.append((z, [kernels[sizes] for sizes in shape], *index))
             self.orders.append(classes)
+            self.mirrors.append(_mirror_index(n_x, k) if 1 < k and n_x**k <= _CHECK_BLOCK
+                                else None)
         targets: dict = {}
         for taus, z in states.items():
             for ts, mults, perm in _patterns(taus):
                 index = tuple(slice(1 + (t - 1) * s_n, 1 + t * s_n) if t else 0 for t in ts)
                 targets.setdefault(mults, []).append((z[index], perm))
-        self.state_tables = [[] for _ in range(order)]  # per order: (key, strides, table, targets)
+        # per order: (view shape, view strides, table rows, (target, table transposed) pairs)
+        self.state_tables = [[] for _ in range(order)]
         for mults in sorted(targets):
             tops = list(itertools.accumulate(mults))
-            self.state_tables[tops[-1] - 1].append((mults, tuple(
+            table = np.empty((s_n,) * len(mults))
+            self.state_tables[tops[-1] - 1].append(((n_x,) * len(mults), tuple(
                 8 * sum(n_x ** (tops[-1] - 1 - q) for q in range(e - t, e))
-                for t, e in zip(mults, tops)), np.empty((s_n,) * len(mults)), targets[mults]))
+                for t, e in zip(mults, tops)), table.reshape(-1, s_n),
+                [(view, table.transpose(perm)) for view, perm in targets[mults]]))
 
     def apply(self, tables, order: int | None = None) -> list:
         """One backup of the raw order-1..n tables; returns the new tables or,
@@ -350,20 +386,20 @@ class _BackupPlan:
         n_x = s_n * a_n
         out = []
         for k in range(1, len(self.orders) + 1) if order is None else (order,):
-            for mults, strides, table, targets in self.state_tables[k - 1]:
-                t = np.ndarray((n_x,) * len(mults), float, tables[k - 1], 0, strides)
-                for _ in mults:
+            for shape, strides, rows, targets in self.state_tables[k - 1]:
+                t = np.ndarray(shape, float, tables[k - 1], 0, strides)
+                for _ in shape:
                     t = np.matmul(self.pi, t.reshape(s_n, a_n, -1)).reshape(s_n, -1).T
-                table.reshape(-1, s_n)[...] = t
-                for view, perm in targets:
-                    view[...] = table.transpose(perm)
+                rows[...] = t
+                for view, table in targets:
+                    view[...] = table
             (z, ops), *rest = self.orders[k - 1]
             t = _contract(z, ops).reshape((n_x,) * k)
             flat = t.reshape(-1)
             for z, ops, pos, val in rest:
                 flat[pos] = _contract(z, ops).reshape(-1)[val]
             if k > 1:
-                _mirror(t)
+                _mirror(t, self.mirrors[k - 1])
             out.append(t)
         return out
 

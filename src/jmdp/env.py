@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StateActionSpace, _check_gamma, _check_index, _check_int, _check_real
+from .core import (StateActionSpace, _check_gamma, _check_index, _check_int, _check_real,
+                   check_budget)
 from .errors import ConfigError, FeatureRankError, InvalidInputError, InvalidQueryError
 
 __all__ = [
@@ -343,11 +344,21 @@ def is_coupled_dynamics(env: ExoJmdp) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _space(num_states: int, num_actions: int, support: int) -> StateActionSpace:
+    """A builder's space, once check_budget has counted the env it builds
+    before any array is: six words per (s, a, u) for g and h as built,
+    ExoJmdp's checked copies and the checks' temporaries, and two per atom
+    for the noise law and its CDF."""
+    check_budget(f"env of {num_states} states",
+                 8 * (6 * num_states * num_actions * support + 2 * support))
+    return StateActionSpace(num_states, num_actions)
+
+
 def build_crc(num_states: int, gamma: float) -> ExoJmdp:
     """Coupled-reward chain: both actions advance the chain, the last state is
     absorbing, and at every state the two rewards are u and 1-u for a fair coin u."""
     num_states, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
-    space = StateActionSpace(num_states, 2)
+    space = _space(num_states, 2, 2)
     noise = NoiseModel(np.array([0.5, 0.5]))
     g = np.tile([[0.0, 1.0], [1.0, 0.0]], (num_states, 1, 1))
     h = np.repeat(np.minimum(np.arange(num_states) + 1, num_states - 1), 4)
@@ -363,7 +374,7 @@ def build_ring_chain(num_states: int, gamma: float) -> ExoJmdp:
     (uniform, by symmetry).
     """
     num_states, gamma = _check_int("num_states", num_states, 3), _check_gamma(gamma)
-    space = StateActionSpace(num_states, 2)
+    space = _space(num_states, 2, 4)
     # u = (coin for the reward, step size); four equally likely atoms.
     noise = NoiseModel(np.full(4, 0.25))
     coin = np.array([0.0, 1.0, 0.0, 1.0])
@@ -402,7 +413,7 @@ def build_wgw(
 
     num_states = width * height
     goal = goal_r * width + goal_c
-    space = StateActionSpace(num_states, 4)
+    space = _space(num_states, 4, 2)  # two atoms at most
     if p_wind == 0.0:
         noise = NoiseModel(np.array([1.0]))
         winds = [0]
@@ -413,41 +424,24 @@ def build_wgw(
         noise = NoiseModel(np.array([1.0 - p_wind, p_wind]))
         winds = [0, 1]
 
-    g = np.zeros((num_states, 4, len(winds)))
-    h = np.zeros((num_states, 4, len(winds)), dtype=np.int64)
-    for s in range(num_states):
-        r, c = divmod(s, width)
-        for a, (dr, dc) in enumerate(_WGW_MOVES):
-            for ui, wind in enumerate(winds):
-                if s == goal:
-                    h[s, a, ui] = goal
-                    continue
-                nr = min(max(r + dr, 0), height - 1)
-                nc = min(max(c + dc, 0), width - 1)
-                if wind:
-                    nc = max(nc - 1, 0)
-                nxt = nr * width + nc
-                h[s, a, ui] = nxt
-                g[s, a, ui] = 1.0 if nxt == goal else 0.0
+    r, c = np.divmod(np.arange(num_states), width)
+    dr, dc = np.array(_WGW_MOVES).T
+    nr = np.clip(r[:, None] + dr, 0, height - 1)[:, :, None]
+    nc = np.maximum(np.clip(c[:, None] + dc, 0, width - 1)[:, :, None] - winds, 0)
+    h = nr * width + nc
+    h[goal] = goal
+    g = (h == goal) * 1.0
+    g[goal] = 0.0
     return ExoJmdp(space, noise, g, h, gamma)
 
 
 def wgw_goal_policy(width: int, height: int, goal_cell: tuple[int, int]) -> Policy:
     """Deterministic goal-directed gridworld policy: right, then up the last column."""
     width, height, goal_r, goal_c = _grid(width, height, goal_cell)
-    probs = np.zeros((width * height, 4))
-    for s in range(width * height):
-        r, c = divmod(s, width)
-        if (r, c) == (goal_r, goal_c):
-            probs[s, :] = 0.25
-        elif c < goal_c:
-            probs[s, 1] = 1.0  # right
-        elif c > goal_c:
-            probs[s, 3] = 1.0  # left
-        elif r > goal_r:
-            probs[s, 0] = 1.0  # up
-        else:
-            probs[s, 2] = 1.0  # down
+    r, c = np.divmod(np.arange(width * height), width)
+    # right, left, up, else down (actions 1, 3, 0, 2)
+    probs = np.eye(4)[np.select([c < goal_c, c > goal_c, r > goal_r], [1, 3, 0], 2)]
+    probs[(r == goal_r) & (c == goal_c)] = 0.25  # uniform at the goal
     return Policy(probs)
 
 
@@ -458,27 +452,19 @@ def build_indep_successors(num_states: int, gamma: float) -> ExoJmdp:
     to u_i. Every same-state joint law is exactly the product of its marginals.
     """
     m, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
-    space = StateActionSpace(m, 2)
+    space = _space(m, 2, m * m)
     noise = NoiseModel(np.full(m * m, 1.0 / (m * m)))
-    g = np.zeros((m, 2, m * m))
-    h = np.zeros((m, 2, m * m), dtype=np.int64)
-    for u in range(m * m):
-        u0, u1 = divmod(u, m)
-        h[:, 0, u] = u0
-        h[:, 1, u] = u1
-    return ExoJmdp(space, noise, g, h, gamma)
+    h = np.broadcast_to(np.divmod(np.arange(m * m), m), (m, 2, m * m))  # u = u0 m + u1
+    return ExoJmdp(space, noise, np.zeros((m, 2, m * m)), h, gamma)
 
 
 def build_shared_successors(num_states: int, gamma: float) -> ExoJmdp:
     """Two actions forced onto one shared uniform successor: S' = u for every action."""
     m, gamma = _check_int("num_states", num_states, 2), _check_gamma(gamma)
-    space = StateActionSpace(m, 2)
+    space = _space(m, 2, m)
     noise = NoiseModel(np.full(m, 1.0 / m))
-    g = np.zeros((m, 2, m))
-    h = np.zeros((m, 2, m), dtype=np.int64)
-    for u in range(m):
-        h[:, :, u] = u
-    return ExoJmdp(space, noise, g, h, gamma)
+    h = np.broadcast_to(np.arange(m), (m, 2, m))
+    return ExoJmdp(space, noise, np.zeros((m, 2, m)), h, gamma)
 
 
 def _check_hub_probs(name: str, value) -> tuple:
@@ -505,14 +491,10 @@ def build_hub_successors(
     """
     m, gamma = _check_int("num_states", num_states, 3), _check_gamma(gamma)
     p_hi, p_lo = _check_hub_probs("hub_probs", hub_probs)
-    space = StateActionSpace(m, 2)
+    space = _space(m, 2, 2)
     noise = NoiseModel(np.array([p_hi, p_lo]))
-    g = np.zeros((m, 2, 2))
-    h = np.zeros((m, 2, 2), dtype=np.int64)
-    for u, target in enumerate((m - 1, m - 2)):
-        h[:, :, u] = target
-        g[:, 0, u] = float(u)
-        g[:, 1, u] = 1.0 - float(u)
+    g = np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], (m, 2, 2))  # action 0 earns u, action 1 1 - u
+    h = np.broadcast_to([m - 1, m - 2], (m, 2, 2))
     return ExoJmdp(space, noise, g, h, gamma)
 
 

@@ -75,9 +75,10 @@ def _sample_terms(env: ExoJmdp, policy: Policy, cls, x, y, w, o, place):
 
 def _check_coordinate(env: ExoJmdp, i) -> tuple:
     """i as a tuple of Python ints, (x,) for a mean or (x, y) for a second
-    moment; InvalidQueryError unless it has 1 or 2 integer entries in 0..|X|-1."""
+    moment; InvalidQueryError unless it has 1 or 2 integer entries in 0..|X|-1
+    (a bool is not one: it is read as None)."""
     try:
-        i = tuple(operator.index(x) for x in i)
+        i = tuple(operator.index(None if isinstance(x, bool) else x) for x in i)
     except TypeError:
         raise InvalidQueryError(f"coordinate {i!r} is not a tuple of integers") from None
     if len(i) not in (1, 2):

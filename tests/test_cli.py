@@ -44,6 +44,8 @@ from jmdp.fa import (
 )
 from jmdp.stats import check_mc_budget, truncation_horizon
 
+from test_env import SIZED_BUILDERS, env_need
+
 
 def write_config(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc, indent=2))
@@ -541,6 +543,25 @@ class TestEval:
         monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "run" / "moments.json").exists()
+
+    def test_oversized_env_refused_by_its_count(self, tmp_path, capsys, monkeypatch):
+        """A 401-digit num_states passes the schema and is refused by the env's
+        count; at a budget of crc(40)'s count, 41 states are one step over."""
+        need = env_need(SIZED_BUILDERS["crc"], 40, monkeypatch)
+        for num_states, budget in ((10**400, None), (41, need), (40, need)):
+            doc = base_config(env={"builtin": "crc", "num_states": num_states, "gamma": 0.9},
+                              out_dir=str(tmp_path / "run"))
+            cfg = write_config(tmp_path / "c.json", doc)
+            if budget is not None:
+                monkeypatch.setattr("jmdp.core.BUDGET_BYTES", budget)
+            assert main(["eval", "--config", str(cfg)]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            if num_states == 40:  # the env fits; the backup's count refuses
+                assert err.startswith("error: BudgetError: order-2 backup over 80 coordinates")
+            else:
+                assert re.fullmatch(f"error: BudgetError: env of {num_states} states needs "
+                                    r"\d+ bytes; budget is \d+\n", err)
+            assert not (tmp_path / "run").exists()
 
     def test_dpn_order_three(self, tmp_path):
         doc = base_config(

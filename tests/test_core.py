@@ -494,6 +494,27 @@ class TestLambdaNorm:
         with pytest.raises(InvalidInputError):
             lambda_norm((mu, np.zeros((2, 2))), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nonfinite_entry_of_any_order_rejected(self, k, bad):
+        tables = [np.zeros((3,) * j) for j in range(1, 4)]
+        tables[k - 1][(1,) * k] = bad
+        with pytest.raises(InvalidInputError,
+                           match=f"^order-{k} table contains non-finite entries$"):
+            lambda_norm(tables, 0.9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 3), gamma=st.floats(0.01, 0.99), data=st.data())
+    def test_order_term_matches_two_pass_formula(self, k, gamma, data):
+        """One order's term, the one residual formula of every solver, equals
+        the two-pass form (an isfinite pass, then max(abs)) bit for bit."""
+        n = data.draw(st.integers(1, 4))
+        entries = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n**k, max_size=n**k))
+        t = np.array(entries).reshape((n,) * k)
+        assert np.all(np.isfinite(t))
+        want = float(np.max(np.abs(t))) / (2.0 / (1.0 - gamma)) ** (k - 1)
+        assert jmdp.core._order_norm(t, k, gamma) == want
+
     def test_order_one_is_sup_norm(self):
         m = MomentCollectionN((np.full(4, -2.5),))
         assert lambda_norm(m, 0.9) == 2.5

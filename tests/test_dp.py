@@ -638,6 +638,41 @@ def test_mirror_copies_sorted_tuples(order, n, block, monkeypatch):
         assert out[xs] == t[tuple(sorted(xs))]
 
 
+@pytest.mark.parametrize("order, n", [(1, 5), (2, 7), (3, 5), (4, 4)])
+def test_mirror_index_pairs_unsorted_tuples_with_sorted_twins(order, n):
+    dst, src = jmdp.dp._mirror_index(n, order)
+    shape = (n,) * order
+    want = [(np.ravel_multi_index(xs, shape), np.ravel_multi_index(sorted(xs), shape))
+            for xs in itertools.product(range(n), repeat=order) if list(xs) != sorted(xs)]
+    assert list(zip(dst.tolist(), src.tolist())) == want
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("case", ["crc3", "random"])
+def test_plan_mirrors_through_index_and_blocks(case, order, monkeypatch):
+    """_BackupPlan.apply mirrors a top table of at most _CHECK_BLOCK entries
+    through its prebuilt index, and one entry over the block through the
+    blocked passes, to the same bits. Every class a plan holds but the
+    distinct-state one writes some sorted tuples: crc3 (A = 2) has no
+    class of three actions at one state from order 3 on."""
+    env, pol, _ = REFERENCE_CASES[case]()
+    m = random_tables(np.random.default_rng(order), env.space.num_x, order)
+    plan = _BackupPlan(env, pol, order, 0)
+    assert plan.mirrors[order - 1] is not None
+    for k, classes in enumerate(plan.orders, start=1):
+        assert all(pos.size for _, _, pos, _ in classes[1:])
+        if case == "crc3" and k >= 3:
+            assert len(classes) < len(jmdp.dp._classes(k))
+    out = plan.apply(m.tables)
+    monkeypatch.setattr(jmdp.dp, "_CHECK_BLOCK", env.space.num_x ** order - 1)
+    blocked = _BackupPlan(env, pol, order, 0)
+    assert blocked.mirrors[order - 1] is None
+    for a, b in zip(out, blocked.apply(m.tables), strict=True):
+        np.testing.assert_array_equal(a, b)
+    for xs in itertools.product(range(env.space.num_x), repeat=order):
+        assert out[-1][xs] == out[-1][tuple(sorted(xs))]
+
+
 class TestKernelForms:
     """Every class contracts its state tensor through one kernel per
     sigma-block; with _DENSE_KERNEL_MAX = 0 every kernel of several positions
@@ -672,12 +707,15 @@ class TestKernelForms:
     def test_every_class_contracts_through_its_block_kernels(self, case, order):
         """No class is composed into one matrix over its state tensor: each
         runs len(shape) ops, the plan's kernel of each sigma-block, shared by
-        every class holding that block."""
+        every class holding that block. A class without sorted tuples is
+        not held."""
         env, pol, _ = REFERENCE_CASES[case]()
         plan = _BackupPlan(env, pol, order, 0)
         shared = {}
         for k, classes in enumerate(plan.orders, start=1):
-            for (shape, _), (z, ops, *_) in zip(jmdp.dp._classes(k), classes, strict=True):
+            held = [shape for shape, codes in jmdp.dp._classes(k)
+                    if len(shape) == k or jmdp.dp._class_index(env, k, codes)[0].size]
+            for shape, (z, ops, *_) in zip(held, classes, strict=True):
                 assert len(ops) == len(shape)
                 for sizes, op in zip(shape, ops):
                     assert op is shared.setdefault(sizes, op)

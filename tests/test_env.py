@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from jmdp.env import (
     save_policy,
     wgw_goal_policy,
 )
-from jmdp.errors import ConfigError, InvalidInputError, InvalidQueryError
+from jmdp.errors import BudgetError, ConfigError, InvalidInputError, InvalidQueryError
 
 
 def anticorrelated_single_state(gamma=0.9):
@@ -388,6 +389,67 @@ class TestMarginalMdp:
         assert p_s[center, 1, center] == pytest.approx(p_wind)
 
 
+def _per_cell_wgw(width, height, goal_cell, support, steady_wind):
+    """build_wgw's (g, h), one cell, action and gust at a time."""
+    winds = [1] if steady_wind else [0, 1][:support]
+    goal = goal_cell[0] * width + goal_cell[1]
+    g = np.zeros((width * height, 4, len(winds)))
+    h = np.zeros((width * height, 4, len(winds)), dtype=np.int64)
+    for s in range(width * height):
+        r, c = divmod(s, width)
+        for a, (dr, dc) in enumerate(((-1, 0), (0, 1), (1, 0), (0, -1))):
+            for ui, wind in enumerate(winds):
+                if s == goal:
+                    h[s, a, ui] = goal
+                    continue
+                nr = min(max(r + dr, 0), height - 1)
+                nc = min(max(c + dc, 0), width - 1)
+                if wind:
+                    nc = max(nc - 1, 0)
+                h[s, a, ui] = nr * width + nc
+                g[s, a, ui] = 1.0 if h[s, a, ui] == goal else 0.0
+    return g, h
+
+
+def _per_cell_goal_policy(width, height, goal_cell):
+    """wgw_goal_policy's table, one cell at a time."""
+    probs = np.zeros((width * height, 4))
+    for s in range(width * height):
+        r, c = divmod(s, width)
+        if (r, c) == tuple(goal_cell):
+            probs[s, :] = 0.25
+        elif c < goal_cell[1]:
+            probs[s, 1] = 1.0  # right
+        elif c > goal_cell[1]:
+            probs[s, 3] = 1.0  # left
+        elif r > goal_cell[0]:
+            probs[s, 0] = 1.0  # up
+        else:
+            probs[s, 2] = 1.0  # down
+    return probs
+
+
+# Each builder, called with the size that scales its arrays.
+SIZED_BUILDERS = {
+    "crc": lambda n: build_crc(n, 0.9),
+    "ring": lambda n: build_ring_chain(n, 0.9),
+    "wgw": lambda n: build_wgw(n, 2, (0, 0), 0.3, 0.9),
+    "indep": lambda n: build_indep_successors(n, 0.9),
+    "shared": lambda n: build_shared_successors(n, 0.9),
+    "hub": lambda n: build_hub_successors(n, 0.9),
+}
+
+
+def env_need(build, size, monkeypatch) -> int:
+    """The count build(size) checks, read from its refusal at a zero budget:
+    nothing is built."""
+    with monkeypatch.context() as patch:
+        patch.setattr("jmdp.core.BUDGET_BYTES", 0)
+        with pytest.raises(BudgetError) as refusal:
+            build(size)
+    return int(re.search(r"needs (\d+) bytes", str(refusal.value)).group(1))
+
+
 class TestBuilders:
     def test_crc_smallest_chain(self):
         env = build_crc(2, 0.9)
@@ -414,6 +476,65 @@ class TestBuilders:
                            match=r"^num_states: must be an integer >= \d, got "
                                  + re.escape(repr(value))):
             build(value, 0.9)
+
+    @pytest.mark.parametrize("name", list(SIZED_BUILDERS))
+    def test_huge_size_refused_by_the_count(self, name):
+        with pytest.raises(BudgetError, match=r"^env of \d{401} states needs \d+ bytes; "):
+            SIZED_BUILDERS[name](10**400)
+
+    @pytest.mark.parametrize("name, size", [("crc", 20_000), ("ring", 20_000), ("wgw", 4_000),
+                                            ("indep", 40), ("shared", 500), ("hub", 20_000)])
+    def test_count_bounds_measured_peak_and_one_more_state_refuses(self, name, size, monkeypatch):
+        build = SIZED_BUILDERS[name]
+        need = env_need(build, size, monkeypatch)
+        monkeypatch.setattr("jmdp.core.BUDGET_BYTES", need)
+        tracemalloc.start()
+        try:
+            build(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+        with pytest.raises(BudgetError, match=f"budget is {need}$"):
+            build(size + 1)
+
+    @pytest.mark.parametrize("name", list(SIZED_BUILDERS))
+    def test_first_size_over_the_budget_refused(self, name, monkeypatch):
+        """The smallest size whose count exceeds core.BUDGET_BYTES, found from
+        refusals alone (no size that fits is built), is refused."""
+        build, budget = SIZED_BUILDERS[name], jmdp.core.BUDGET_BYTES
+        lo, hi = 3, 4  # every builder takes 3
+        while env_need(build, hi, monkeypatch) <= budget:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if env_need(build, mid, monkeypatch) <= budget else (lo, mid)
+        with pytest.raises(BudgetError, match=f"^env of \\d+ states needs "
+                                              f"{env_need(build, hi, monkeypatch)} bytes"):
+            build(hi)
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 3), (3, 1), (3, 3), (4, 5), (7, 2)])
+    def test_gridworld_matches_per_cell_reference(self, width, height):
+        for goal in itertools.product(range(height), range(width)):
+            want = _per_cell_goal_policy(width, height, goal)
+            np.testing.assert_array_equal(wgw_goal_policy(width, height, goal).probs, want)
+            for p_wind in (0.0, 0.3, 1.0):
+                env = build_wgw(width, height, goal, p_wind, 0.9)
+                g, h = _per_cell_wgw(width, height, goal, env.noise.support_size, p_wind == 1.0)
+                np.testing.assert_array_equal(env.g, g)
+                np.testing.assert_array_equal(env.h, h)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_diagnostic_envs_match_per_cell_reference(self, m):
+        cases = [(build_indep_successors(m, 0.9), m * m, lambda u: divmod(u, m), lambda u: (0, 0)),
+                 (build_shared_successors(m, 0.9), m, lambda u: (u, u), lambda u: (0, 0))]
+        if m >= 3:
+            cases.append((build_hub_successors(m, 0.9), 2, lambda u: ((m - 1, m - 2)[u],) * 2,
+                          lambda u: (float(u), 1.0 - float(u))))
+        for env, support, succ, reward in cases:
+            assert env.g.shape == env.h.shape == (m, 2, support)
+            for s, a, u in itertools.product(range(m), range(2), range(support)):
+                assert env.h[s, a, u] == succ(u)[a] and env.g[s, a, u] == reward(u)[a]
 
     def test_wgw_fig_layout(self):
         env = build_wgw(3, 3, (0, 2), 0.3, 0.9)

@@ -364,10 +364,12 @@ class TestSampleBackup:
         # A coordinate is a tuple of one or two integers.
         ((), "has 0 entries"), ((0, 1, 2), "has 3 entries"),
         ((0.0,), "not a tuple of integers"), ((0, 1.5), "not a tuple of integers"),
+        ((True,), "not a tuple of integers"), ((0, False), "not a tuple of integers"),
         (0, "not a tuple of integers"), (None, "not a tuple of integers"),
         ("01", "not a tuple of integers"),
     ], ids=["mu_x6", "mu_x-1", "sigma_x6", "sigma_x-1", "sigma_x2_6", "sigma_x2_-1",
-            "empty", "three", "float", "float_second", "bare_int", "none", "string"])
+            "empty", "three", "float", "float_second", "bool", "bool_second", "bare_int",
+            "none", "string"])
     def test_out_of_range_coordinate_rejected_before_any_draw(self, index, match, monkeypatch):
         env = build_crc(3, 0.9)  # |X| = 6
         pol = Policy.uniform(env.space)
